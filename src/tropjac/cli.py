@@ -36,7 +36,11 @@ from .curves_covers import (
     validate_general_cover,
 )
 from .errors import ParseError, TropjacError, ValidationError
-from .split_jacobian import complementary_cover, verify_split_package
+from .split_jacobian import (
+    complementary_cover,
+    strong_optimality_gap,
+    verify_split_package,
+)
 
 
 class _UsageError(Exception):
@@ -228,20 +232,6 @@ def _split_dict(report):
     }
 
 
-def _strong_optimality_gap(cover):
-    """None when the splitting machinery applies, else the reason."""
-    verdict = is_optimal(cover)
-    if not verdict.kernel_connected:
-        return f"pushforward kernel has {verdict.component_count} components"
-    gamma = quotient_and_gamma(cover)
-    if gamma.a_sharp > 1:
-        return (
-            f"cover factors through the multiplication-by-{gamma.a_sharp} "
-            "dilation of its target"
-        )
-    return None
-
-
 def _analysis_report(cover, include_split):
     if isinstance(cover, GeneralCircleCover):
         return {
@@ -273,11 +263,11 @@ def _analysis_report(cover, include_split):
         "optimality": _verdict_dict(is_optimal(cover)),
         "pullback_kernel": _torsion_list(pullback_kernel(cover)),
     }
-    if isinstance(cover, ThetaCover):
-        arcs = validate_cover(cover).arcs
+    arcs = validate_cover(cover).arcs
+    if arcs is not None:
         report["arcs"] = [_rat(arcs[0]), _rat(arcs[1])]
     if include_split:
-        gap = _strong_optimality_gap(cover)
+        gap = strong_optimality_gap(cover)
         if gap is None:
             report["split"] = _split_dict(verify_split_package(cover))
         else:

@@ -1,27 +1,21 @@
 """Torus-level analysis of circle covers of genus-2 graphs.
 
-A valid cover mu of a circle induces mu_* : Jac -> C(l) on Jacobians; its
-kernel circle, connectedness data, and the kernel of the pullback mu^* are
-all computable from the dilation and winding numbers by exact integer
-linear algebra.
+A valid cover mu of a circle induces mu_* : Jac -> C(l) on Jacobians.  It is
+read off the harmonic form of the cover (curves_covers.harmonic_form): the
+slopes give the lattice map, and the pairing law gives its dual.  The kernel
+circle, the connectedness data and the kernel of the pullback mu^* then
+follow from mu_* by exact integer linear algebra, the same way for every
+cover.
 """
 
 from fractions import Fraction
 from math import gcd
 
-from .curves_covers import (
-    DumbbellCover,
-    GeneralCircleCover,
-    ThetaCover,
-    cover_degree,
-    jacobian,
-    require_valid,
-    target_length,
-    validate_general_cover,
-)
+from .curves_covers import DumbbellCover, harmonic_form, jacobian
+from .curves_covers import require_valid  # noqa: F401  (bound here for bench/test_bench.py)
 from .errors import InvalidCover, SourceMismatch
 from .exact_lattice import Matrix, integer_kernel, xgcd
-from .torus_category import TorusMorphism, circle, compose, dual_morphism
+from .torus_category import TorusMorphism, circle, compose, dual_morphism, kernel0
 
 
 class GammaData:
@@ -92,35 +86,36 @@ class OptimalityVerdict:
         )
 
 
-def _defining_pair(cover):
-    """The two dilations that determine the pushforward lattice map:
-    (d_e, d_e1) for theta covers, (d1, d2) for dumbbell covers."""
-    return cover.dilations[0], cover.dilations[1]
+def _universal_row(graph, slopes):
+    """The row r with slopes = C·r for the cycle basis C of the graph.
 
-
-def _all_dilations(cover):
-    if isinstance(cover, ThetaCover):
-        return cover.dilations
-    if isinstance(cover, DumbbellCover):
-        return cover.dilations + (0,)  # contracted bridge
-    return cover.dilations
+    Every basis cycle has an edge that no other basis cycle uses, with
+    coefficient ±1 (the non-tree edge of a fundamental cycle, or e, e1 and
+    the loops on the curve models), so r is read off those edges.
+    """
+    cycles = graph.cycle_basis()
+    row = []
+    for cycle in cycles:
+        private = next(
+            edge
+            for edge, coefficient in enumerate(cycle)
+            if coefficient and sum(1 for other in cycles if other[edge]) == 1
+        )
+        row.append(slopes[private] * cycle[private])
+    return row
 
 
 def pushforward_morphism(cover):
-    """mu_* : Jac(source) -> C(l) on Jacobians, for a valid cover."""
-    require_valid(cover)
-    jac = jacobian(cover.curve).torus
-    length = target_length(cover)
-    if isinstance(cover, ThetaCover):
-        n, n1, n2 = cover.windings
-        d_e, d_e1, _ = cover.dilations
-        f_sharp = Matrix([[d_e], [-d_e1]])
-        f_hash = Matrix([[n + n2 - 1, n2 - n1]])
-    else:
-        n1, n2 = cover.windings
-        d1, d2 = cover.dilations
-        f_sharp = Matrix([[d1], [d2]])
-        f_hash = Matrix([[n1, n2]])
+    """mu_* : Jac(source) -> C(l) on Jacobians, for a valid cover.
+
+    f_sharp is the universal cover row of the slopes; f_hash then follows
+    from the pairing law f_sharp^T P = l·f_hash.
+    """
+    form = harmonic_form(cover)
+    jac = jacobian(form.graph).torus
+    length = form.target_length
+    f_sharp = Matrix.column(_universal_row(form.graph, form.slopes))
+    f_hash = f_sharp.transpose() * jac.pairing * (1 / length)
     return TorusMorphism(jac, circle(length), f_sharp, f_hash)
 
 
@@ -129,89 +124,61 @@ def pullback_morphism(cover):
     return dual_morphism(pushforward_morphism(cover))
 
 
-def _kernel_direction(cover):
-    """Canonical primitive integer vector spanning ker(mu_* on dual lattices)."""
-    return integer_kernel(pushforward_morphism(cover).f_hash)
+def _content(f_sharp):
+    """gcd of the entries of an integral lattice map."""
+    return gcd(*(int(x) for row in f_sharp.entries() for x in row))
 
 
 def kernel_length(cover):
-    """Length of the connected kernel circle of the pushforward.
-
-    Computed as |v M w^T| for the canonical kernel direction w and a
-    complement functional v built from an extended gcd of the dilations;
-    the value is independent of the choice of v because w M w^T pairs to
-    zero against the kernel.
-    """
-    push = pushforward_morphism(cover)
-    w = _kernel_direction(cover)
-    left, right = _defining_pair(cover)
-    g, x, y = xgcd(left, right)
-    if isinstance(cover, ThetaCover):
-        v = Matrix([[y, x]])  # v2·d_e + v1·d_e1 = g
-    else:
-        v = Matrix([[-y, x]])  # v2·d1 − v1·d2 = g
-    value = (v * push.source.pairing * w)[0, 0]
-    return abs(value)
+    """Length of the connected kernel circle of the pushforward."""
+    kernel_circle, _ = kernel0(pushforward_morphism(cover))
+    return kernel_circle.pairing[0, 0]
 
 
 def quotient_and_gamma(cover):
     """Quotient data of the pushforward kernel.
 
     The quotient map to a circle of length l_tilde has lattice multiplicity
-    a_sharp = gcd of the defining dilations and dual multiplicity a_hash,
-    tied together by l_tilde · a_sharp = l · a_hash.
+    a_sharp = the gcd of the entries of f_sharp and dual multiplicity
+    a_hash, tied together by l_tilde · a_sharp = l · a_hash.  l_tilde pairs
+    the primitive row f_sharp^T / a_sharp with a vector completing the
+    kernel direction to a unimodular basis.
     """
     push = pushforward_morphism(cover)
-    left, right = _defining_pair(cover)
-    g = gcd(left, right)
-    if isinstance(cover, ThetaCover):
-        wq = Matrix([[left // g, -(right // g)]])
-    else:
-        wq = Matrix([[left // g, right // g]])
-    w = _kernel_direction(cover)
-    w1, w2 = w[0, 0], w[1, 0]
-    _, a, b = xgcd(w1, w2)  # a·w1 + b·w2 = 1 since w is primitive
+    a_sharp = _content(push.f_sharp)
+    wq = push.universal_cover_matrix * Fraction(1, a_sharp)
+    w = integer_kernel(push.f_hash)
+    _, a, b = xgcd(w[0, 0], w[1, 0])  # a·w1 + b·w2 = 1 since w is primitive
     vq = Matrix([[-b], [a]])  # completes w to a unimodular basis
     l_tilde = abs((wq * push.source.pairing * vq)[0, 0])
-    length = target_length(cover)
-    a_hash = l_tilde * g / length
-    return GammaData(l_tilde, g, a_hash)
+    a_hash = l_tilde * a_sharp / push.target.pairing[0, 0]
+    return GammaData(l_tilde, a_sharp, a_hash)
+
+
+def _component_count(gamma):
+    if Fraction(gamma.a_hash).denominator != 1:
+        raise InvalidCover("component count of an invalid cover")
+    return int(gamma.a_hash)
 
 
 def component_count(cover):
     """Number of connected components of the kernel of the pushforward."""
-    a_hash = quotient_and_gamma(cover).a_hash
-    if Fraction(a_hash).denominator != 1:
-        raise InvalidCover("component count of an invalid cover")
-    return int(a_hash)
-
-
-def _divisors(n):
-    return [m for m in range(1, n + 1) if n % m == 0]
+    return _component_count(quotient_and_gamma(cover))
 
 
 def pullback_kernel(cover):
     """Kernel of mu^* : Jac(target) -> Jac(source) as torsion divisors.
 
-    A class of order m at position j·l/m lies in the kernel exactly when
-    every dilation satisfies d·j ≡ 0 (mod m); all orders divide the degree.
+    A class of order m at position j·l/m, gcd(j, m) = 1, lies in the kernel
+    exactly when m divides d·j, hence d, for every dilation d.  The kernel is
+    therefore the g-torsion of the target circle, g the gcd of all dilations.
     """
-    if isinstance(cover, GeneralCircleCover):
-        violations = validate_general_cover(cover)
-        if violations:
-            raise InvalidCover("; ".join(violations))
-    dilations = _all_dilations(cover)
-    degree = cover_degree(cover)
-    length = target_length(cover)
-    found = []
-    for m in _divisors(degree):
-        for j in range(m):
-            if m > 1 and (j == 0 or gcd(j, m) != 1):
-                continue
-            if all(d * j % m == 0 for d in dilations):
-                found.append(TorsionDivisor(Fraction(j, m) * length, m))
-    found.sort(key=lambda div: div.position)
-    return found
+    form = harmonic_form(cover)
+    g = gcd(*form.dilations)
+    return [
+        TorsionDivisor(Fraction(j, g) * form.target_length, g // gcd(j, g))
+        for j in range(g)
+    ]
 
 
 def q_gamma_profile(cover, position):
@@ -223,9 +190,9 @@ def q_gamma_profile(cover, position):
     """
     if isinstance(position, float):
         raise ValueError("position must be an exact rational")
-    length = target_length(cover)
+    form = harmonic_form(cover)
     t = Fraction(position)
-    return tuple(Fraction(d) * t / length for d in _all_dilations(cover))
+    return tuple(Fraction(d) * t / form.target_length for d in form.dilations)
 
 
 def is_optimal(cover):
@@ -237,7 +204,7 @@ def is_optimal(cover):
     factors through a dilation (a_sharp > 1); the note records that case.
     """
     gamma = quotient_and_gamma(cover)
-    count = component_count(cover)
+    count = _component_count(gamma)
     kernel_connected = count == 1
     if isinstance(cover, DumbbellCover):
         d1, d2 = cover.dilations
@@ -266,15 +233,15 @@ def factor_pushforward(first, second):
         raise SourceMismatch("covers must share the same source curve")
     push1 = pushforward_morphism(first)
     push2 = pushforward_morphism(second)
-    if _kernel_direction(first) != _kernel_direction(second):
+    if integer_kernel(push1.f_hash) != integer_kernel(push2.f_hash):
         return None
-    g1 = quotient_and_gamma(first).a_sharp
-    g2 = quotient_and_gamma(second).a_sharp
+    g1 = _content(push1.f_sharp)
+    g2 = _content(push2.f_sharp)
     if g1 % g2 != 0:
         return None
     a_sharp = g1 // g2
-    length1 = target_length(first)
-    length2 = target_length(second)
+    length1 = push1.target.pairing[0, 0]
+    length2 = push2.target.pairing[0, 0]
     a_hash = Fraction(a_sharp) * length2 / length1
     if a_hash.denominator != 1:
         return None

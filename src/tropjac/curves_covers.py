@@ -1,16 +1,24 @@
 """Metric graphs, genus-2 curve models, and their circle covers.
 
-Conventions for the theta graph: the edge e runs from P0 to P1 while e1 and
-e2 run from P1 back to P0, so that B1 = e + e2 and B2 = e2 - e1 are cycles.
-In that basis the period matrix is
-[[l_e + l_e2, l_e2], [l_e2, l_e1 + l_e2]].  The dumbbell uses the two loops
-as basis, giving the diagonal period matrix; the bridge separates and never
-contributes.
+Every cover lowers to one form, a GeneralCircleCover: a metric graph with a
+cycle basis and one affine walk per edge (dilation, start, signed length).
+harmonic_form returns that form, and every invariant is derived from it, so
+the theta and dumbbell models supply only their graph, their fixed cycle
+basis and their realizability equations.
 
-A cover of a circle is described combinatorially by winding numbers (how
-often each edge walk wraps the target) and dilation factors (the integer
-slope on each edge); the target arc lengths of a theta cover may be given
-explicitly or derived from the metric realizability equations.
+A plain MetricGraph uses the fundamental cycles of its BFS spanning tree.
+The curve models keep fixed bases, so that their coordinates never depend
+on a tree.  On the theta graph the edge e runs from P0 to P1 while e1 and e2
+run from P1 back to P0, and the basis is B1 = e + e2, B2 = e2 - e1.  The
+dumbbell uses its two loops; the bridge lies in no cycle.  For the
+edge-by-cycle coefficient matrix C the period matrix is C^T diag(len) C,
+which is [[l_e + l_e2, l_e2], [l_e2, l_e1 + l_e2]] for the theta graph and
+diag(l_loop1, l_loop2) for the dumbbell.
+
+A cover of a circle by a curve model is described combinatorially by winding
+numbers (how often each edge walk wraps the target) and dilation factors (the
+integer slope on each edge); the target arc lengths of a theta cover may be
+given explicitly or derived from the metric realizability equations.
 """
 
 from fractions import Fraction
@@ -45,9 +53,12 @@ def _nonnegative_int(value, what):
 
 
 class MetricGraph:
-    """A connected graph with positive rational edge lengths."""
+    """A connected graph with positive rational edge lengths.  Its edges are
+    named by their index, and its cycle basis comes from the BFS tree."""
 
     __slots__ = ("vertices", "edges")
+
+    EDGES = None  # edge names; None names each edge by its index
 
     def __init__(self, vertices, edges):
         if not vertices:
@@ -76,9 +87,26 @@ class MetricGraph:
                         frontier.append(b)
         return seen
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.vertices, self.edges) == (other.vertices, other.edges)
+
+    def __hash__(self):
+        return hash((type(self), tuple(self.vertices), tuple(self.edges)))
+
     @property
     def genus(self):
         return len(self.edges) - len(self.vertices) + 1
+
+    def edge_index(self, edge):
+        """Index of an edge given by its name, or by its index if unnamed."""
+        if self.EDGES is not None:
+            if edge in self.EDGES:
+                return self.EDGES.index(edge)
+        elif isinstance(edge, int) and 0 <= edge < len(self.edges):
+            return edge
+        raise ValueError(f"unknown edge {edge!r}")
 
     def spanning_tree(self):
         """Deterministic BFS tree: maps each non-root vertex to
@@ -148,102 +176,81 @@ def circle_graph(length):
     return MetricGraph(["v"], [("v", "v", length)])
 
 
-class ThetaCurve:
-    """Genus-2 theta graph: vertices P0, P1; edge e from P0 to P1 and edges
-    e1, e2 from P1 to P0."""
+class _CurveModel(MetricGraph):
+    """A genus-2 graph on the vertices P0 and P1 with named edges and a fixed
+    cycle basis.  Subclasses set EDGES, ENDS (tail and head of each edge)
+    and CYCLES (the edge coefficients of each basis cycle)."""
 
-    __slots__ = ("l_e", "l_e1", "l_e2")
+    __slots__ = ()
 
-    EDGES = ("e", "e1", "e2")
-    # coefficients of each edge in the cycles B1 = e + e2, B2 = e2 - e1
-    CYCLE_COEFFICIENTS = {"e": (1, 0), "e1": (0, -1), "e2": (1, 1)}
-    TAILS = {"e": "P0", "e1": "P1", "e2": "P1"}
-    HEADS = {"e": "P1", "e1": "P0", "e2": "P0"}
-
-    def __init__(self, l_e, l_e1, l_e2):
-        self.l_e = _positive_rational(l_e, "l_e")
-        self.l_e1 = _positive_rational(l_e1, "l_e1")
-        self.l_e2 = _positive_rational(l_e2, "l_e2")
-
-    def edge_length(self, edge):
-        return {"e": self.l_e, "e1": self.l_e1, "e2": self.l_e2}[edge]
-
-    def period_matrix(self):
-        return Matrix(
-            [
-                [self.l_e + self.l_e2, self.l_e2],
-                [self.l_e2, self.l_e1 + self.l_e2],
-            ]
-        )
-
-    def graph(self):
-        return MetricGraph(
-            ["P0", "P1"],
-            [("P0", "P1", self.l_e), ("P1", "P0", self.l_e1), ("P1", "P0", self.l_e2)],
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, ThetaCurve):
-            return NotImplemented
-        return (self.l_e, self.l_e1, self.l_e2) == (other.l_e, other.l_e1, other.l_e2)
-
-    def __hash__(self):
-        return hash((ThetaCurve, self.l_e, self.l_e1, self.l_e2))
-
-    def __repr__(self):
-        return f"ThetaCurve({self.l_e}, {self.l_e1}, {self.l_e2})"
-
-
-class DumbbellCurve:
-    """Genus-2 dumbbell: loops at P0 and P1 joined by a bridge."""
-
-    __slots__ = ("l_loop1", "l_loop2", "l_bridge")
-
-    EDGES = ("loop1", "loop2", "bridge")
-    # loop basis B1 = loop1, B2 = loop2; the bridge lies in no cycle
-    CYCLE_COEFFICIENTS = {"loop1": (1, 0), "loop2": (0, 1), "bridge": (0, 0)}
-    TAILS = {"loop1": "P0", "loop2": "P1", "bridge": "P0"}
-    HEADS = {"loop1": "P0", "loop2": "P1", "bridge": "P1"}
-
-    def __init__(self, l_loop1, l_loop2, l_bridge):
-        self.l_loop1 = _positive_rational(l_loop1, "l_loop1")
-        self.l_loop2 = _positive_rational(l_loop2, "l_loop2")
-        self.l_bridge = _positive_rational(l_bridge, "l_bridge")
-
-    def edge_length(self, edge):
-        return {
-            "loop1": self.l_loop1,
-            "loop2": self.l_loop2,
-            "bridge": self.l_bridge,
-        }[edge]
-
-    def period_matrix(self):
-        return Matrix.diagonal([self.l_loop1, self.l_loop2])
-
-    def graph(self):
-        return MetricGraph(
+    def __init__(self, lengths):
+        super().__init__(
             ["P0", "P1"],
             [
-                ("P0", "P0", self.l_loop1),
-                ("P1", "P1", self.l_loop2),
-                ("P0", "P1", self.l_bridge),
+                (tail, head, _positive_rational(length, f"l_{name}"))
+                for name, (tail, head), length in zip(self.EDGES, self.ENDS, lengths)
             ],
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, DumbbellCurve):
-            return NotImplemented
-        return (self.l_loop1, self.l_loop2, self.l_bridge) == (
-            other.l_loop1,
-            other.l_loop2,
-            other.l_bridge,
-        )
+    def cycle_basis(self):
+        return list(self.CYCLES)
 
-    def __hash__(self):
-        return hash((DumbbellCurve, self.l_loop1, self.l_loop2, self.l_bridge))
+    def graph(self):
+        """The same metric graph with its BFS cycle basis."""
+        return MetricGraph(self.vertices, self.edges)
 
     def __repr__(self):
-        return f"DumbbellCurve({self.l_loop1}, {self.l_loop2}, {self.l_bridge})"
+        lengths = ", ".join(str(length) for _, _, length in self.edges)
+        return f"{type(self).__name__}({lengths})"
+
+
+def _edge_length(index):
+    return property(lambda curve: curve.edges[index][2])
+
+
+class ThetaCurve(_CurveModel):
+    """Genus-2 theta graph: vertices P0, P1; edge e from P0 to P1 and edges
+    e1, e2 from P1 to P0."""
+
+    __slots__ = ()
+
+    EDGES = ("e", "e1", "e2")
+    ENDS = (("P0", "P1"), ("P1", "P0"), ("P1", "P0"))
+    CYCLES = ((1, 0, 1), (0, -1, 1))  # B1 = e + e2, B2 = e2 - e1
+
+    l_e, l_e1, l_e2 = _edge_length(0), _edge_length(1), _edge_length(2)
+
+    def __init__(self, l_e, l_e1, l_e2):
+        super().__init__((l_e, l_e1, l_e2))
+
+
+class DumbbellCurve(_CurveModel):
+    """Genus-2 dumbbell: loops at P0 and P1 joined by a bridge."""
+
+    __slots__ = ()
+
+    EDGES = ("loop1", "loop2", "bridge")
+    ENDS = (("P0", "P0"), ("P1", "P1"), ("P0", "P1"))
+    CYCLES = ((1, 0, 0), (0, 1, 0))  # the loops; the bridge lies in no cycle
+
+    l_loop1, l_loop2, l_bridge = _edge_length(0), _edge_length(1), _edge_length(2)
+
+    def __init__(self, l_loop1, l_loop2, l_bridge):
+        super().__init__((l_loop1, l_loop2, l_bridge))
+
+
+def _forward_cover(curve, dilations, p1_position, length):
+    """The cover of a curve model whose edges all run forward at slope equal
+    to their dilation, with P0 over 0 and P1 over p1_position."""
+    positions = {"P0": 0, "P1": p1_position}
+    return GeneralCircleCover(
+        curve,
+        length,
+        [
+            (dilation, positions[tail], dilation * edge_length)
+            for dilation, (tail, _, edge_length) in zip(dilations, curve.edges)
+        ],
+    )
 
 
 class ThetaCover:
@@ -268,6 +275,13 @@ class ThetaCover:
             if len(pair) != 2:
                 raise ValueError("theta covers take two target arc lengths")
             self.arcs = pair
+
+    def _validate(self):
+        return ValidationReport(*_theta_violations(self))
+
+    def _lower(self, report):
+        first, second = report.arcs
+        return _forward_cover(self.curve, self.dilations, first, first + second)
 
     def __repr__(self):
         return (
@@ -305,6 +319,12 @@ class DumbbellCover:
                 return Fraction(d) * length / n
         return Fraction(0)
 
+    def _validate(self):
+        return ValidationReport(*_dumbbell_violations(self))
+
+    def _lower(self, report):
+        return _forward_cover(self.curve, self.dilations + (0,), 0, self.target_length)
+
     def __repr__(self):
         return (
             f"DumbbellCover({self.curve!r}, windings={self.windings}, "
@@ -340,10 +360,33 @@ class GeneralCircleCover:
     def dilations(self):
         return tuple(entry[0] for entry in self.edge_data)
 
+    @property
+    def slopes(self):
+        """Integer slope of each edge: its dilation, negated when the walk
+        runs backwards."""
+        return tuple(-d if signed < 0 else d for d, _, signed in self.edge_data)
+
+    def _validate(self):
+        violations = validate_general_cover(self)
+        total = sum(
+            Fraction(dilation) ** 2 * length
+            for (_, _, length), dilation in zip(self.graph.edges, self.dilations)
+        )
+        degree = total / self.target_length
+        if degree.denominator == 1:
+            return ValidationReport(violations, int(degree))
+        violations.append("degree: sum of d_e^2·l_e must be a multiple of l")
+        return ValidationReport(violations, None)
+
+    def _lower(self, report):
+        return self
+
 
 def validate_general_cover(cover):
     """Violated-invariant names for a GeneralCircleCover (empty = valid)."""
     violations = []
+    if not any(cover.dilations):
+        violations.append("surjectivity: some edge must have a nonzero dilation")
     length = cover.target_length
     slopes = []
     for (tail, head, edge_length), (dilation, start, signed) in zip(
@@ -479,13 +522,9 @@ def _dumbbell_violations(cover):
 
 def validate_cover(cover):
     """Check every combinatorial and metric invariant of a cover."""
-    if isinstance(cover, ThetaCover):
-        violations, degree, arcs = _theta_violations(cover)
-        return ValidationReport(violations, degree, arcs)
-    if isinstance(cover, DumbbellCover):
-        violations, degree = _dumbbell_violations(cover)
-        return ValidationReport(violations, degree)
-    raise ValueError("validate_cover expects a ThetaCover or DumbbellCover")
+    if not hasattr(cover, "_validate"):
+        raise ValueError("validate_cover expects a circle cover")
+    return cover._validate()
 
 
 def require_valid(cover):
@@ -496,144 +535,75 @@ def require_valid(cover):
     return report
 
 
+def harmonic_form(cover):
+    """The GeneralCircleCover form of a valid cover, over the cover's own
+    graph and cycle basis; every invariant is computed from it."""
+    return cover._lower(require_valid(cover))
+
+
 def cover_degree(cover):
-    if isinstance(cover, GeneralCircleCover):
-        total = sum(
-            Fraction(dilation) ** 2 * length
-            for (_, _, length), (dilation, _, _) in zip(cover.graph.edges, cover.edge_data)
-        )
-        degree = total / cover.target_length
-        if degree.denominator != 1:
-            raise InvalidCover("degree: sum of d_e^2·l_e must be a multiple of l")
-        return int(degree)
     return require_valid(cover).degree
 
 
 def target_length(cover):
     """Target circle length of a valid cover."""
-    if isinstance(cover, ThetaCover):
-        arcs = require_valid(cover).arcs
-        return arcs[0] + arcs[1]
-    if isinstance(cover, DumbbellCover):
-        require_valid(cover)
-        return cover.target_length
-    if isinstance(cover, GeneralCircleCover):
-        return cover.target_length
-    raise ValueError("unsupported cover type")
-
-
-def _tangents(cover, point):
-    """(dilation, direction) pairs at a point; direction +1 when the edge
-    walk leaves the point forward, -1 when it arrives, 0 when contracted."""
-    if isinstance(cover, ThetaCover):
-        d_e, d_e1, d_e2 = cover.dilations
-        table = {
-            "P0": [(d_e, 1), (d_e1, -1), (d_e2, -1)],
-            "P1": [(d_e, -1), (d_e1, 1), (d_e2, 1)],
-            "e": [(d_e, 1), (d_e, -1)],
-            "e1": [(d_e1, 1), (d_e1, -1)],
-            "e2": [(d_e2, 1), (d_e2, -1)],
-        }
-    else:
-        d1, d2 = cover.dilations
-        table = {
-            "P0": [(d1, 1), (d1, -1), (0, 0)],
-            "P1": [(d2, 1), (d2, -1), (0, 0)],
-            "loop1": [(d1, 1), (d1, -1)],
-            "loop2": [(d2, 1), (d2, -1)],
-            "bridge": [(0, 0), (0, 0)],
-        }
-    if point not in table:
-        raise ValueError(f"unknown point {point!r}")
-    return [(d, s if d > 0 else 0) for d, s in table[point]]
+    return harmonic_form(cover).target_length
 
 
 def ramification_index(cover, point):
     """R_P = 2·d_P − 2 − Σ(d_v − 1) over the tangent directions at P, with
-    contracted tangents contributing d_v = 0.  P is a vertex name ("P0",
-    "P1") or an edge name for an edge-interior point."""
-    require_valid(cover)
-    tangents = _tangents(cover, point)
-    local_degree = sum(d for d, s in tangents if s > 0)
-    return 2 * local_degree - 2 - sum(d - 1 for d, _ in tangents)
+    contracted tangents contributing d_v = 0.  P is a vertex ("P0", "P1" on
+    a curve model) or an edge, by name or index, for an edge-interior point."""
+    form = harmonic_form(cover)
+    graph = form.graph
+    if point in graph.vertices:
+        # slope of the walk as it leaves P along each incident edge
+        tangents = []
+        for slope, (tail, head, _) in zip(form.slopes, graph.edges):
+            if tail == point:
+                tangents.append(slope)
+            if head == point:
+                tangents.append(-slope)
+    else:
+        slope = form.slopes[graph.edge_index(point)]
+        tangents = [slope, -slope]
+    local_degree = sum(s for s in tangents if s > 0)
+    return 2 * local_degree - 2 - sum(abs(s) - 1 for s in tangents)
 
 
-def jacobian(obj):
+def jacobian(graph):
     """Jacobian as a principally polarized variety: rank = genus, pairing =
     the cycle-basis period matrix, polarization = identity."""
-    if isinstance(obj, (ThetaCurve, DumbbellCurve)):
-        period = obj.period_matrix()
-        torus = IntegralTorus(2, period)
-        return PolarizedVariety(torus, Polarization(Matrix.identity(2)))
-    if isinstance(obj, MetricGraph):
-        period = obj.period_matrix()
-        genus = obj.genus
-        torus = IntegralTorus(genus, period)
-        return PolarizedVariety(torus, Polarization(Matrix.identity(genus)))
-    raise ValueError("jacobian expects a curve model or a MetricGraph")
+    if not isinstance(graph, MetricGraph):
+        raise ValueError("jacobian expects a curve model or a MetricGraph")
+    torus = IntegralTorus(graph.genus, graph.period_matrix())
+    return PolarizedVariety(torus, Polarization(Matrix.identity(graph.genus)))
 
 
-def _edge_tables(curve):
-    return (
-        curve.EDGES,
-        curve.CYCLE_COEFFICIENTS,
-        curve.TAILS,
-        {edge: curve.edge_length(edge) for edge in curve.EDGES},
-    )
-
-
-def _curve_path(curve, start, end):
-    """Edge steps (edge name, sign) of a fixed path between P0 and P1."""
-    if start == end:
-        return []
-    if isinstance(curve, ThetaCurve):
-        return [("e", 1)] if (start, end) == ("P0", "P1") else [("e", -1)]
-    return [("bridge", 1)] if (start, end) == ("P0", "P1") else [("bridge", -1)]
-
-
-def abel_jacobi(obj, basepoint, point):
+def abel_jacobi(graph, basepoint, point):
     """Class of the path integral from the basepoint to (edge, offset),
     reduced to the canonical fundamental domain of the Jacobian.
 
-    For curve models the basepoint is "P0" or "P1" and the edge one of the
-    named edges; for a MetricGraph the basepoint is a vertex label and the
-    edge an index.
+    The basepoint is a vertex ("P0" or "P1" on a curve model) and the edge is
+    named (curve models) or indexed; the path runs along the BFS tree to the
+    tail of the edge, then along the edge.
     """
+    if not isinstance(graph, MetricGraph):
+        raise ValueError("abel_jacobi expects a curve model or a MetricGraph")
     edge, offset = point
-    if isinstance(obj, (ThetaCurve, DumbbellCurve)):
-        edges, coefficients, tails, lengths = _edge_tables(obj)
-        if edge not in edges:
-            raise ValueError(f"unknown edge {edge!r}")
-        if basepoint not in ("P0", "P1"):
-            raise ValueError(f"unknown basepoint {basepoint!r}")
-        offset = _rational(offset, "offset")
-        if offset < 0 or offset > lengths[edge]:
-            raise OffsetOutOfRange(
-                f"offset {offset} outside [0, {lengths[edge]}] on edge {edge}"
-            )
-        steps = _curve_path(obj, basepoint, tails[edge])
-        coords = [Fraction(0), Fraction(0)]
-        for step_edge, sign in steps:
-            for i in range(2):
-                coords[i] += sign * lengths[step_edge] * coefficients[step_edge][i]
-        for i in range(2):
-            coords[i] += offset * coefficients[edge][i]
-        return reduce_point(jacobian(obj).torus, coords)
-    if isinstance(obj, MetricGraph):
-        if not isinstance(edge, int) or not 0 <= edge < len(obj.edges):
-            raise ValueError("point edge must be an edge index")
-        tail, _, length = obj.edges[edge]
-        offset = _rational(offset, "offset")
-        if offset < 0 or offset > length:
-            raise OffsetOutOfRange(f"offset {offset} outside [0, {length}]")
-        cycles = obj.cycle_basis()
-        genus = obj.genus
-        coords = [Fraction(0)] * genus
-        for step_index, sign in obj.tree_path(basepoint, tail):
-            step_length = obj.edges[step_index][2]
-            for i in range(genus):
-                coords[i] += sign * step_length * cycles[i][step_index]
-        for i in range(genus):
-            coords[i] += offset * cycles[i][edge]
-        return reduce_point(jacobian(obj).torus, coords)
-    raise ValueError("abel_jacobi expects a curve model or a MetricGraph")
+    index = graph.edge_index(edge)
+    if basepoint not in graph.vertices:
+        raise ValueError(f"unknown basepoint {basepoint!r}")
+    tail, _, length = graph.edges[index]
+    offset = _rational(offset, "offset")
+    if offset < 0 or offset > length:
+        raise OffsetOutOfRange(f"offset {offset} outside [0, {length}] on edge {edge}")
+    cycles = graph.cycle_basis()
+    coords = [Fraction(0)] * len(cycles)
+    for step_index, sign in graph.tree_path(basepoint, tail):
+        step_length = graph.edges[step_index][2]
+        for i, cycle in enumerate(cycles):
+            coords[i] += sign * step_length * cycle[step_index]
+    for i, cycle in enumerate(cycles):
+        coords[i] += offset * cycle[index]
+    return reduce_point(jacobian(graph).torus, coords)

@@ -62,6 +62,13 @@ class InvalidCover(TropjacError):
     code = "INVALID_COVER"
 
 
+class InvariantViolation(TropjacError):
+    """A value the library constructed breaks a property the theory
+    guarantees for it."""
+
+    code = "INVARIANT_VIOLATION"
+
+
 class NotOptimal(TropjacError):
     code = "NOT_OPTIMAL"
 

@@ -10,7 +10,7 @@ complementary cover realizes the projection onto TE' geometrically.
 from fractions import Fraction
 
 from .cover_analysis import (
-    is_optimal,
+    component_count,
     kernel_length,
     pullback_morphism,
     pushforward_morphism,
@@ -21,11 +21,18 @@ from .curves_covers import (
     GeneralCircleCover,
     ThetaCurve,
     cover_degree,
+    harmonic_form,
     jacobian,
     target_length,
     validate_general_cover,
 )
-from .errors import NotIsogeny, NotOptimal, NotProductTarget, ShapeMismatch
+from .errors import (
+    InvariantViolation,
+    NotIsogeny,
+    NotOptimal,
+    NotProductTarget,
+    ShapeMismatch,
+)
 from .exact_lattice import Matrix, block_diagonal, hstack, integer_kernel, vstack
 from .tav import (
     Polarization,
@@ -92,55 +99,60 @@ class SplitReport:
         )
 
 
-def _require_strongly_optimal(cover):
-    """Reject covers whose Jacobian does not split off the target circle."""
-    verdict = is_optimal(cover)
-    if not verdict.kernel_connected:
-        raise NotOptimal(
-            f"pushforward kernel has {verdict.component_count} components"
-        )
+def strong_optimality_gap(cover):
+    """None when the Jacobian splits off the target circle (connected
+    pushforward kernel, no dilation factor), else the reason it does not."""
     gamma = quotient_and_gamma(cover)
+    if gamma.a_hash != 1:
+        return f"pushforward kernel has {component_count(cover)} components"
     if gamma.a_sharp > 1:
-        raise NotOptimal(
+        return (
             f"cover factors through the multiplication-by-{gamma.a_sharp} "
             "dilation of its target"
         )
+    return None
 
 
-def _slopes_for(curve, row):
-    """Per-edge integer slopes of the map with the given universal cover row."""
-    slopes = []
-    for edge in curve.EDGES:
-        value = sum(
-            Fraction(row[i]) * curve.CYCLE_COEFFICIENTS[edge][i] for i in range(2)
-        )
-        assert value.denominator == 1, "integral row must give integer slopes"
-        slopes.append(int(value))
-    return tuple(slopes)
+def _require_strongly_optimal(cover):
+    gap = strong_optimality_gap(cover)
+    if gap is not None:
+        raise NotOptimal(gap)
 
 
-def _vertex_positions(curve, row, length):
-    """Images of P0 (the basepoint) and P1 under the universal cover row."""
-    if isinstance(curve, ThetaCurve):
-        raw = row[0] * curve.l_e  # integral of the basis forms along e
-    else:
-        raw = Fraction(0)  # the bridge lies in no cycle
-    return {"P0": Fraction(0), "P1": raw % length}
+def _walk_cover(graph, row, length):
+    """GeneralCircleCover of the graph with the given universal cover row.
 
-
-def _walk_cover(curve, row, length):
-    """GeneralCircleCover with the given universal cover row, built edge by
-    edge from slopes and vertex positions."""
-    slopes = _slopes_for(curve, row)
-    positions = _vertex_positions(curve, row, length)
-    edge_data = [
-        (abs(slope), positions[curve.TAILS[edge]], slope * curve.edge_length(edge))
-        for edge, slope in zip(curve.EDGES, slopes)
+    Each edge's slope pairs the row with the edge's cycle coefficients, and
+    each vertex lies over the integral of the slopes along the BFS tree path
+    from the root, which lies over 0.
+    """
+    cycles = graph.cycle_basis()
+    slopes = [
+        int(sum(entry * cycle[edge] for entry, cycle in zip(row, cycles)))
+        for edge in range(len(graph.edges))
     ]
-    general = GeneralCircleCover(curve.graph(), length, edge_data)
+    root = graph.vertices[0]
+    positions = {
+        vertex: sum(
+            sign * slopes[edge] * graph.edges[edge][2]
+            for edge, sign in graph.tree_path(root, vertex)
+        ) % length
+        for vertex in graph.vertices
+    }
+    general = GeneralCircleCover(
+        graph,
+        length,
+        [
+            (abs(slope), positions[tail], slope * edge_length)
+            for slope, (tail, _, edge_length) in zip(slopes, graph.edges)
+        ],
+    )
     violations = validate_general_cover(general)
-    assert not violations, f"constructed walk cover is inconsistent: {violations}"
-    return general, slopes
+    if violations:
+        raise InvariantViolation(
+            "constructed walk cover is inconsistent: " + "; ".join(violations)
+        )
+    return general
 
 
 def complementary_cover(cover):
@@ -150,14 +162,13 @@ def complementary_cover(cover):
     _require_strongly_optimal(cover)
     push = pushforward_morphism(cover)
     w = integer_kernel(push.f_hash)
-    row = (w[0, 0], w[1, 0])
     length = kernel_length(cover)
-    general, slopes = _walk_cover(cover.curve, row, length)
+    general = _walk_cover(harmonic_form(cover).graph, w.column_tuple(0), length)
     degree = cover_degree(general)
-    assert degree == cover_degree(cover), "complementary degree must match"
-    signs = tuple(0 if s == 0 else (1 if s > 0 else -1) for s in slopes)
-    dilations = tuple(abs(s) for s in slopes)
-    return ComplementaryCover(length, dilations, signs, degree, general)
+    if degree != cover_degree(cover):
+        raise InvariantViolation(f"complementary degree {degree} differs from the cover's")
+    signs = tuple(0 if s == 0 else (1 if s > 0 else -1) for s in general.slopes)
+    return ComplementaryCover(length, general.dilations, signs, degree, general)
 
 
 def splitting_isogeny(cover):
@@ -263,7 +274,4 @@ def cover_from_splitting(curve, iso, factor=1):
     length = pairing[factor - 1, factor - 1]
     if length <= 0:
         raise NotProductTarget("circle factors must have positive length")
-    cover_matrix = iso.universal_cover_matrix
-    row = (cover_matrix[factor - 1, 0], cover_matrix[factor - 1, 1])
-    general, _ = _walk_cover(curve, row, length)
-    return general
+    return _walk_cover(curve, iso.universal_cover_matrix.row_tuple(factor - 1), length)

@@ -295,3 +295,152 @@ def walk_slope_kernel(cover):
                 found.append((position, order))
     found.sort(key=lambda pair: pair[0])
     return found
+
+
+# -- closed forms of the cover invariants ------------------------------------
+#
+# The library derives every invariant from the harmonic form of a cover.  The
+# closed forms in the winding and dilation numbers of the two curve models
+# stay here as references that share none of that pipeline.
+
+from hypothesis import strategies as st  # noqa: E402
+
+from tropjac.cover_analysis import GammaData  # noqa: E402
+from tropjac.exact_lattice import xgcd  # noqa: E402
+
+
+def model_period_matrix(curve):
+    """Period matrix in the fixed cycle basis: B1 = e + e2, B2 = e2 - e1 on
+    the theta graph, the two loops on the dumbbell."""
+    if isinstance(curve, ThetaCurve):
+        return Matrix(
+            [[curve.l_e + curve.l_e2, curve.l_e2], [curve.l_e2, curve.l_e1 + curve.l_e2]]
+        )
+    return Matrix.diagonal([curve.l_loop1, curve.l_loop2])
+
+
+def model_target_length(cover):
+    if isinstance(cover, ThetaCover):
+        first, second = validate_cover(cover).arcs
+        return first + second
+    return cover.target_length
+
+
+def winding_pushforward(cover):
+    """(f_sharp, f_hash) of the pushforward, read from dilations and windings."""
+    if isinstance(cover, ThetaCover):
+        n, n1, n2 = cover.windings
+        d_e, d_e1, _ = cover.dilations
+        return Matrix([[d_e], [-d_e1]]), Matrix([[n + n2 - 1, n2 - n1]])
+    n1, n2 = cover.windings
+    d1, d2 = cover.dilations
+    return Matrix([[d1], [d2]]), Matrix([[n1, n2]])
+
+
+def _kernel_direction(f_hash):
+    """A primitive integer column spanning the kernel of a nonzero 1x2 row."""
+    a, b = int(f_hash[0, 0]), int(f_hash[0, 1])
+    g = gcd(a, b)
+    return -b // g, a // g
+
+
+def xgcd_kernel_length(cover):
+    """|v P w| for the kernel direction w and a functional v built from an
+    extended gcd of the two dilations that define f_sharp; any such v gives
+    the same value because w pairs to zero against f_sharp."""
+    _, f_hash = winding_pushforward(cover)
+    w = Matrix.column(_kernel_direction(f_hash))
+    _, x, y = xgcd(cover.dilations[0], cover.dilations[1])
+    v = Matrix([[y, x]]) if isinstance(cover, ThetaCover) else Matrix([[-y, x]])
+    return abs((v * model_period_matrix(cover.curve) * w)[0, 0])
+
+
+def closed_form_gamma(cover):
+    """GammaData from a_sharp = gcd of the defining dilations, the quotient
+    row f_sharp^T / a_sharp, and a vector completing the kernel direction."""
+    left, right = cover.dilations[0], cover.dilations[1]
+    g = gcd(left, right)
+    if isinstance(cover, ThetaCover):
+        wq = Matrix([[left // g, -(right // g)]])
+    else:
+        wq = Matrix([[left // g, right // g]])
+    _, f_hash = winding_pushforward(cover)
+    w1, w2 = _kernel_direction(f_hash)
+    _, a, b = xgcd(w1, w2)
+    vq = Matrix([[-b], [a]])
+    l_tilde = abs((wq * model_period_matrix(cover.curve) * vq)[0, 0])
+    return GammaData(l_tilde, g, l_tilde * g / model_target_length(cover))
+
+
+def winding_component_count(cover):
+    """Index of the image of f_hash: the gcd of its entries."""
+    _, f_hash = winding_pushforward(cover)
+    return gcd(int(f_hash[0, 0]), int(f_hash[0, 1]))
+
+
+def divisor_pullback_kernel(cover):
+    """(position, order) pairs of the pullback kernel, by the divisor loop: a
+    class of order m | degree at j·l/m, gcd(j, m) = 1, is in the kernel when
+    every dilation satisfies d·j ≡ 0 (mod m)."""
+    degree = cover_degree(cover)
+    length = model_target_length(cover)
+    found = []
+    for m in range(1, degree + 1):
+        if degree % m != 0:
+            continue
+        for j in range(m):
+            if m > 1 and (j == 0 or gcd(j, m) != 1):
+                continue
+            if all(d * j % m == 0 for d in cover.dilations):
+                found.append((Fraction(j, m) * length, m))
+    found.sort(key=lambda pair: pair[0])
+    return found
+
+
+# -- covers beyond the corpus ------------------------------------------------
+
+MAX_WINDING = 40
+MAX_DILATION = 60
+
+_positive_rationals = st.builds(Fraction, st.integers(1, 24), st.integers(1, 8))
+
+
+@st.composite
+def theta_covers(draw):
+    """Valid theta covers up to degree 9480.  Arcs, windings and dilations
+    come first; the edge lengths are solved from the realizability
+    equations, so every edge length is positive."""
+    first = draw(st.one_of(st.just(Fraction(0)), _positive_rationals))
+    second = draw(_positive_rationals)
+    # with l~1 = 0 the edge e needs n >= 2 to have positive length
+    n = draw(st.integers(1 if first else 2, MAX_WINDING))
+    n1, n2 = draw(st.integers(1, MAX_WINDING)), draw(st.integers(1, MAX_WINDING))
+    d_e1, d_e2 = draw(st.integers(1, MAX_DILATION)), draw(st.integers(1, MAX_DILATION))
+    d_e = d_e1 + d_e2
+    curve = ThetaCurve(
+        (n * first + (n - 1) * second) / d_e,
+        ((n1 - 1) * first + n1 * second) / d_e1,
+        ((n2 - 1) * first + n2 * second) / d_e2,
+    )
+    return ThetaCover(curve, (n, n1, n2), (d_e, d_e1, d_e2))
+
+
+@st.composite
+def dumbbell_covers(draw):
+    """Valid dumbbell covers up to degree 4800, one loop possibly
+    contracted.  The target length, windings and dilations come first; each
+    loop that is not contracted gets the length n·l/d."""
+    length = draw(_positive_rationals)
+    d1 = draw(st.integers(0, MAX_DILATION))
+    d2 = draw(st.integers(1 if d1 == 0 else 0, MAX_DILATION))
+    loops, windings = [], []
+    for d in (d1, d2):
+        n = draw(st.integers(1, MAX_WINDING)) if d else 0
+        windings.append(n)
+        loops.append(n * length / d if d else draw(_positive_rationals))
+    curve = DumbbellCurve(loops[0], loops[1], draw(_positive_rationals))
+    return DumbbellCover(curve, tuple(windings), (d1, d2))
+
+
+def model_covers():
+    return st.one_of(theta_covers(), dumbbell_covers())

@@ -19,6 +19,7 @@ from oracles import (
     random_covolume_preserving_isogeny,
     random_subtorus_sequence,
     walk_slope_kernel,
+    xgcd_kernel_length,
 )
 from tropjac.cover_analysis import (
     component_count,
@@ -117,7 +118,8 @@ def test_criterion_2_kernel_length_formula_matches_categorical_kernel():
         keys = {cover_key(c) for c in corpus}
         assert cover_key(degree_two_cover()) in keys
         for cover in corpus:
-            length = kernel_length(cover)
+            length = xgcd_kernel_length(cover)
+            assert kernel_length(cover) == length
             te_prime, _ = kernel0(pushforward_morphism(cover))
             assert te_prime.pairing == Matrix([[length]])
 

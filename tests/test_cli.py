@@ -235,6 +235,17 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_contracted_general_cover_is_rejected(tmp_path, capsys):
+    # degree 0: the only edge is contracted, so nothing covers the circle
+    document = (
+        '{"kind":"general_circle","vertices":["v"],"edges":[["v","v","1"]],'
+        '"target_length":"1","walks":[{"dilation":0,"start":0,"signed_length":0}]}'
+    )
+    code, out, err = run(capsys, "analyze", write(tmp_path, "zero.json", document))
+    assert code == 1 and out == ""
+    assert err.startswith("VALIDATION_ERROR: surjectivity")
+
+
 def test_general_circle_rejected_by_model_commands(tmp_path, capsys):
     path = write(tmp_path, "g.json", GENERAL)
     code, _, err = run(capsys, "optimal", path)

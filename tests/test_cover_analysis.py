@@ -3,8 +3,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
 
-from oracles import cover_corpus, degree_two_cover
+from oracles import (
+    closed_form_gamma,
+    cover_corpus,
+    degree_two_cover,
+    divisor_pullback_kernel,
+    model_covers,
+    model_period_matrix,
+    winding_component_count,
+    winding_pushforward,
+    xgcd_kernel_length,
+)
 from tropjac.cover_analysis import (
     GammaData,
     TorsionDivisor,
@@ -105,7 +116,7 @@ def test_kernel_length_matches_kernel_torus():
     for cover in cover_corpus()[:60]:
         push = pushforward_morphism(cover)
         kernel_torus, _ = kernel0(push)
-        assert kernel_torus.pairing == Matrix([[kernel_length(cover)]])
+        assert kernel_torus.pairing == Matrix([[xgcd_kernel_length(cover)]])
 
 
 # ------------------------------------------------------------- gamma data
@@ -241,3 +252,40 @@ def test_factor_requires_same_curve():
     pytest.raises(SourceMismatch, lambda: factor_pushforward(degree_two_cover(), db_cover()))
     shifted = ThetaCover(ThetaCurve(1, 1, 2), (1, 1, 1), (2, 1, 1))
     pytest.raises(SourceMismatch, lambda: factor_pushforward(degree_two_cover(), shifted))
+
+
+# ------------------------------------------------------- closed-form oracles
+
+
+def _check_against_closed_forms(cover):
+    push = pushforward_morphism(cover)
+    assert push.source.pairing == model_period_matrix(cover.curve)
+    assert (push.f_sharp, push.f_hash) == winding_pushforward(cover)
+    assert kernel_length(cover) == xgcd_kernel_length(cover)
+    assert quotient_and_gamma(cover) == closed_form_gamma(cover)
+    assert component_count(cover) == winding_component_count(cover)
+    kernel = [(divisor.position, divisor.order) for divisor in pullback_kernel(cover)]
+    assert kernel == divisor_pullback_kernel(cover)
+
+
+def test_invariants_match_closed_forms_on_corpus():
+    for cover in cover_corpus():
+        _check_against_closed_forms(cover)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(model_covers())
+@example(  # degree 1140
+    ThetaCover(
+        ThetaCurve(Fraction(19, 60), Fraction(19, 30), Fraction(19, 30)),
+        (10, 10, 10),
+        (60, 30, 30),
+    )
+)
+@example(  # degree 2001
+    DumbbellCover(
+        DumbbellCurve(Fraction(1, 1000), Fraction(1, 1001), 1), (1, 1), (1000, 1001)
+    )
+)
+def test_invariants_match_closed_forms_beyond_the_corpus(cover):
+    _check_against_closed_forms(cover)

@@ -16,6 +16,7 @@ from tropjac.curves_covers import (
     validate_general_cover,
 )
 from tropjac.errors import (
+    InvariantViolation,
     NotIsogeny,
     NotOptimal,
     NotProductTarget,
@@ -23,6 +24,7 @@ from tropjac.errors import (
 )
 from tropjac.exact_lattice import Matrix
 from tropjac.split_jacobian import (
+    _walk_cover,
     complementary_cover,
     complementary_pushforward,
     cover_from_splitting,
@@ -189,3 +191,12 @@ def test_cover_from_splitting_input_checking():
         lambda: cover_from_splitting(ThetaCurve(1, 1, 2), tilde),
     )
     pytest.raises(ValueError, lambda: cover_from_splitting(curve, tilde, factor=3))
+
+
+def test_inconsistent_walk_cover_raises_a_coded_error():
+    # row (1, 0) puts P1 over 1 and sends e2 back to 2, not to P0 over 0,
+    # on a target circle of length 3
+    with pytest.raises(InvariantViolation) as info:
+        _walk_cover(ThetaCurve(1, 1, 1), (1, 0), 3)
+    assert info.value.code == "INVARIANT_VIOLATION"
+    assert "walk endpoints" in str(info.value)
