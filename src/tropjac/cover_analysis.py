@@ -6,41 +6,24 @@ slopes give the lattice map, and the pairing law gives its dual.  The kernel
 circle, the connectedness data and the kernel of the pullback mu^* then
 follow from mu_* by exact integer linear algebra, the same way for every
 cover.
+
+Each cover builds these once.  Its analysis (curves_covers.CoverAnalysis) is
+made on first use and lives as long as the cover: it keeps the validation
+report, the harmonic form, the Jacobian, mu_*, the kernel circle and
+direction, the gamma data and mu^*, and every function here reads them from
+it.  Covers, their graphs and the kept values are immutable, so a kept value
+never goes stale; the values returned here are shared, never copied.
 """
 
 from fractions import Fraction
 from math import gcd
 
-from .curves_covers import DumbbellCover, harmonic_form, jacobian
+from .curves_covers import DumbbellCover, _analysis_of, _content, harmonic_form
+from .curves_covers import GammaData  # noqa: F401  (returned by quotient_and_gamma)
 from .curves_covers import require_valid  # noqa: F401  (bound here for bench/test_bench.py)
 from .errors import InvalidCover, SourceMismatch
-from .exact_lattice import Matrix, integer_kernel, xgcd
-from .torus_category import TorusMorphism, circle, compose, dual_morphism, kernel0
-
-
-class GammaData:
-    """Kernel-quotient data of a pushforward: the length of the quotient
-    circle, the multiplicity a_sharp of the quotient map on lattices, and
-    the multiplicity a_hash on dual lattices (the component count)."""
-
-    __slots__ = ("l_tilde", "a_sharp", "a_hash")
-
-    def __init__(self, l_tilde, a_sharp, a_hash):
-        self.l_tilde = l_tilde
-        self.a_sharp = a_sharp
-        self.a_hash = a_hash
-
-    def __eq__(self, other):
-        if not isinstance(other, GammaData):
-            return NotImplemented
-        return (self.l_tilde, self.a_sharp, self.a_hash) == (
-            other.l_tilde,
-            other.a_sharp,
-            other.a_hash,
-        )
-
-    def __repr__(self):
-        return f"GammaData(l_tilde={self.l_tilde}, a_sharp={self.a_sharp}, a_hash={self.a_hash})"
+from .exact_lattice import Matrix
+from .torus_category import TorusMorphism, circle, compose
 
 
 class TorsionDivisor:
@@ -86,52 +69,23 @@ class OptimalityVerdict:
         )
 
 
-def _universal_row(graph, slopes):
-    """The row r with slopes = C·r for the cycle basis C of the graph.
-
-    Every basis cycle has an edge that no other basis cycle uses, with
-    coefficient ±1 (the non-tree edge of a fundamental cycle, or e, e1 and
-    the loops on the curve models), so r is read off those edges.
-    """
-    cycles = graph.cycle_basis()
-    row = []
-    for cycle in cycles:
-        private = next(
-            edge
-            for edge, coefficient in enumerate(cycle)
-            if coefficient and sum(1 for other in cycles if other[edge]) == 1
-        )
-        row.append(slopes[private] * cycle[private])
-    return row
-
-
 def pushforward_morphism(cover):
     """mu_* : Jac(source) -> C(l) on Jacobians, for a valid cover.
 
     f_sharp is the universal cover row of the slopes; f_hash then follows
     from the pairing law f_sharp^T P = l·f_hash.
     """
-    form = harmonic_form(cover)
-    jac = jacobian(form.graph).torus
-    length = form.target_length
-    f_sharp = Matrix.column(_universal_row(form.graph, form.slopes))
-    f_hash = f_sharp.transpose() * jac.pairing * (1 / length)
-    return TorusMorphism(jac, circle(length), f_sharp, f_hash)
+    return _analysis_of(cover).pushforward
 
 
 def pullback_morphism(cover):
     """mu^* : C(l) -> Jac(source), the dual of the pushforward."""
-    return dual_morphism(pushforward_morphism(cover))
-
-
-def _content(f_sharp):
-    """gcd of the entries of an integral lattice map."""
-    return gcd(*(int(x) for row in f_sharp.entries() for x in row))
+    return _analysis_of(cover).pullback
 
 
 def kernel_length(cover):
     """Length of the connected kernel circle of the pushforward."""
-    kernel_circle, _ = kernel0(pushforward_morphism(cover))
+    kernel_circle, _ = _analysis_of(cover).kernel
     return kernel_circle.pairing[0, 0]
 
 
@@ -144,15 +98,7 @@ def quotient_and_gamma(cover):
     the primitive row f_sharp^T / a_sharp with a vector completing the
     kernel direction to a unimodular basis.
     """
-    push = pushforward_morphism(cover)
-    a_sharp = _content(push.f_sharp)
-    wq = push.universal_cover_matrix * Fraction(1, a_sharp)
-    w = integer_kernel(push.f_hash)
-    _, a, b = xgcd(w[0, 0], w[1, 0])  # a·w1 + b·w2 = 1 since w is primitive
-    vq = Matrix([[-b], [a]])  # completes w to a unimodular basis
-    l_tilde = abs((wq * push.source.pairing * vq)[0, 0])
-    a_hash = l_tilde * a_sharp / push.target.pairing[0, 0]
-    return GammaData(l_tilde, a_sharp, a_hash)
+    return _analysis_of(cover).gamma
 
 
 def _component_count(gamma):
@@ -222,19 +168,27 @@ def is_optimal(cover):
     return OptimalityVerdict(kernel_connected, dumbbell_gcd_free, count, note)
 
 
+def _source(cover):
+    """The source graph of a cover and its cycle basis, which together fix
+    the coordinates of the Jacobian."""
+    graph = cover.source
+    return graph.vertices, graph.edges, graph.cycle_basis()
+
+
 def factor_pushforward(first, second):
     """The circle isogeny through which first's pushforward factors via
     second's, or None when no such factorization exists.
 
-    Both covers must live on the same curve; the candidate multiplicities
-    are forced by the gcd and length data and then verified exactly.
+    Both covers must have the same source graph with the same cycle basis;
+    the candidate multiplicities are forced by the gcd and length data and
+    then verified exactly.
     """
-    if type(first) is not type(second) or first.curve != second.curve:
+    if _source(first) != _source(second):
         raise SourceMismatch("covers must share the same source curve")
-    push1 = pushforward_morphism(first)
-    push2 = pushforward_morphism(second)
-    if integer_kernel(push1.f_hash) != integer_kernel(push2.f_hash):
+    analysis1, analysis2 = _analysis_of(first), _analysis_of(second)
+    if analysis1.kernel_direction != analysis2.kernel_direction:
         return None
+    push1, push2 = analysis1.pushforward, analysis2.pushforward
     g1 = _content(push1.f_sharp)
     g2 = _content(push2.f_sharp)
     if g1 % g2 != 0:

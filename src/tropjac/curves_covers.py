@@ -19,15 +19,22 @@ A cover of a circle by a curve model is described combinatorially by winding
 numbers (how often each edge walk wraps the target) and dilation factors (the
 integer slope on each edge); the target arc lengths of a theta cover may be
 given explicitly or derived from the metric realizability equations.
+
+Covers and graphs are immutable.  Each cover builds one CoverAnalysis on
+first use and keeps it for its lifetime: the validation report, the harmonic
+form, the Jacobian, the pushforward mu_* and what is read off it.  Every
+public invariant here, in cover_analysis and in split_jacobian reads that
+analysis, so nothing is derived twice for one cover.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .errors import InvalidCover, OffsetOutOfRange
-from .exact_lattice import Matrix
+from .exact_lattice import Matrix, _Immutable, xgcd
 from .tav import PolarizedVariety, Polarization, reduce_point
-from .torus_category import IntegralTorus
+from .torus_category import IntegralTorus, TorusMorphism, circle, dual_morphism, kernel0
 
 
 def _rational(value, what):
@@ -52,9 +59,10 @@ def _nonnegative_int(value, what):
     return value
 
 
-class MetricGraph:
-    """A connected graph with positive rational edge lengths.  Its edges are
-    named by their index, and its cycle basis comes from the BFS tree."""
+class MetricGraph(_Immutable):
+    """An immutable connected graph with positive rational edge lengths.  Its
+    edges are named by their index, and its cycle basis comes from the BFS
+    tree."""
 
     __slots__ = ("vertices", "edges")
 
@@ -65,13 +73,13 @@ class MetricGraph:
             raise ValueError("a metric graph needs at least one vertex")
         if len(set(vertices)) != len(vertices):
             raise ValueError("vertex labels must be distinct")
-        self.vertices = list(vertices)
+        vertices = tuple(vertices)
         cleaned = []
         for tail, head, length in edges:
-            if tail not in self.vertices or head not in self.vertices:
+            if tail not in vertices or head not in vertices:
                 raise ValueError(f"edge ({tail!r}, {head!r}) uses unknown vertices")
             cleaned.append((tail, head, _positive_rational(length, "edge length")))
-        self.edges = cleaned
+        self._set(vertices=vertices, edges=tuple(cleaned))
         if len(self._reachable(self.vertices[0])) != len(self.vertices):
             raise ValueError("metric graph must be connected")
 
@@ -93,7 +101,7 @@ class MetricGraph:
         return (self.vertices, self.edges) == (other.vertices, other.edges)
 
     def __hash__(self):
-        return hash((type(self), tuple(self.vertices), tuple(self.edges)))
+        return hash((type(self), self.vertices, self.edges))
 
     @property
     def genus(self):
@@ -253,7 +261,22 @@ def _forward_cover(curve, dilations, p1_position, length):
     )
 
 
-class ThetaCover:
+class _CircleCover(_Immutable):
+    """Base of the cover types.  A cover never changes, so the analysis it
+    builds on first use and keeps can never go stale."""
+
+    @cached_property
+    def _analysis(self):
+        return CoverAnalysis(self)
+
+    @property
+    def source(self):
+        """The source graph; its cycle basis fixes the Jacobian coordinates
+        of every invariant.  A curve model is its own harmonic form's graph."""
+        return self.curve
+
+
+class ThetaCover(_CircleCover):
     """Cover data of a theta curve over a circle: winding numbers
     (n, n1, n2), dilations (d_e, d_e1, d_e2), and optionally the two target
     arc lengths (derived from the realizability equations when omitted)."""
@@ -263,18 +286,15 @@ class ThetaCover:
     def __init__(self, curve, windings, dilations, arcs=None):
         if not isinstance(curve, ThetaCurve):
             raise ValueError("ThetaCover requires a ThetaCurve")
-        self.curve = curve
-        self.windings = tuple(_nonnegative_int(n, "winding") for n in windings)
-        self.dilations = tuple(_nonnegative_int(d, "dilation") for d in dilations)
-        if len(self.windings) != 3 or len(self.dilations) != 3:
+        windings = tuple(_nonnegative_int(n, "winding") for n in windings)
+        dilations = tuple(_nonnegative_int(d, "dilation") for d in dilations)
+        if len(windings) != 3 or len(dilations) != 3:
             raise ValueError("theta covers take three windings and three dilations")
-        if arcs is None:
-            self.arcs = None
-        else:
-            pair = tuple(_rational(a, "target arc length") for a in arcs)
-            if len(pair) != 2:
+        if arcs is not None:
+            arcs = tuple(_rational(a, "target arc length") for a in arcs)
+            if len(arcs) != 2:
                 raise ValueError("theta covers take two target arc lengths")
-            self.arcs = pair
+        self._set(curve=curve, windings=windings, dilations=dilations, arcs=arcs)
 
     def _validate(self):
         return ValidationReport(*_theta_violations(self))
@@ -290,7 +310,7 @@ class ThetaCover:
         )
 
 
-class DumbbellCover:
+class DumbbellCover(_CircleCover):
     """Cover data of a dumbbell over a circle: windings (n1, n2), dilations
     (d1, d2), contracted bridge, and the target circle length (derived from
     the loop equations when omitted)."""
@@ -300,15 +320,17 @@ class DumbbellCover:
     def __init__(self, curve, windings, dilations, target_length=None):
         if not isinstance(curve, DumbbellCurve):
             raise ValueError("DumbbellCover requires a DumbbellCurve")
-        self.curve = curve
-        self.windings = tuple(_nonnegative_int(n, "winding") for n in windings)
-        self.dilations = tuple(_nonnegative_int(d, "dilation") for d in dilations)
+        self._set(
+            curve=curve,
+            windings=tuple(_nonnegative_int(n, "winding") for n in windings),
+            dilations=tuple(_nonnegative_int(d, "dilation") for d in dilations),
+        )
         if len(self.windings) != 2 or len(self.dilations) != 2:
             raise ValueError("dumbbell covers take two windings and two dilations")
         if target_length is None:
-            self.target_length = self._derive_target_length()
+            self._set(target_length=self._derive_target_length())
         else:
-            self.target_length = _rational(target_length, "target length")
+            self._set(target_length=_rational(target_length, "target length"))
 
     def _derive_target_length(self):
         for (n, d, length) in (
@@ -332,7 +354,7 @@ class DumbbellCover:
         )
 
 
-class GeneralCircleCover:
+class GeneralCircleCover(_CircleCover):
     """A map from a metric graph to a circle, one affine walk per edge.
 
     edge_data aligns with graph.edges; each entry is a triple
@@ -341,8 +363,7 @@ class GeneralCircleCover:
     __slots__ = ("graph", "target_length", "edge_data")
 
     def __init__(self, graph, target_length, edge_data):
-        self.graph = graph
-        self.target_length = _positive_rational(target_length, "target length")
+        target_length = _positive_rational(target_length, "target length")
         if len(edge_data) != len(graph.edges):
             raise ValueError("edge_data must align with the graph's edges")
         cleaned = []
@@ -350,11 +371,11 @@ class GeneralCircleCover:
             cleaned.append(
                 (
                     _nonnegative_int(dilation, "dilation"),
-                    _rational(start, "start position") % self.target_length,
+                    _rational(start, "start position") % target_length,
                     _rational(signed_length, "signed walk length"),
                 )
             )
-        self.edge_data = cleaned
+        self._set(graph=graph, target_length=target_length, edge_data=tuple(cleaned))
 
     @property
     def dilations(self):
@@ -365,6 +386,10 @@ class GeneralCircleCover:
         """Integer slope of each edge: its dilation, negated when the walk
         runs backwards."""
         return tuple(-d if signed < 0 else d for d, _, signed in self.edge_data)
+
+    @property
+    def source(self):
+        return self.graph
 
     def _validate(self):
         violations = validate_general_cover(self)
@@ -419,16 +444,14 @@ def validate_general_cover(cover):
     return violations
 
 
-class ValidationReport:
-    """Outcome of validate_cover: violated invariant names, the degree, and
-    (for theta covers) the resolved target arc lengths."""
+class ValidationReport(_Immutable):
+    """Outcome of validate_cover: the violated invariant names (a tuple),
+    the degree, and (for theta covers) the resolved target arc lengths."""
 
     __slots__ = ("violations", "degree", "arcs")
 
     def __init__(self, violations, degree, arcs=None):
-        self.violations = list(violations)
-        self.degree = degree
-        self.arcs = arcs
+        self._set(violations=tuple(violations), degree=degree, arcs=arcs)
 
     @property
     def valid(self):
@@ -439,6 +462,121 @@ class ValidationReport:
             f"ValidationReport(valid={self.valid}, degree={self.degree}, "
             f"violations={self.violations})"
         )
+
+
+class GammaData(_Immutable):
+    """Kernel-quotient data of a pushforward: the length of the quotient
+    circle, the multiplicity a_sharp of the quotient map on lattices, and
+    the multiplicity a_hash on dual lattices (the component count)."""
+
+    __slots__ = ("l_tilde", "a_sharp", "a_hash")
+
+    def __init__(self, l_tilde, a_sharp, a_hash):
+        self._set(l_tilde=l_tilde, a_sharp=a_sharp, a_hash=a_hash)
+
+    def __eq__(self, other):
+        if not isinstance(other, GammaData):
+            return NotImplemented
+        return (self.l_tilde, self.a_sharp, self.a_hash) == (
+            other.l_tilde,
+            other.a_sharp,
+            other.a_hash,
+        )
+
+    def __repr__(self):
+        return f"GammaData(l_tilde={self.l_tilde}, a_sharp={self.a_sharp}, a_hash={self.a_hash})"
+
+
+def _universal_row(graph, slopes):
+    """The row r with slopes = C·r for the cycle basis C of the graph.
+
+    Every basis cycle has an edge that no other basis cycle uses, with
+    coefficient ±1 (the non-tree edge of a fundamental cycle, or e, e1 and
+    the loops on the curve models), so r is read off those edges.
+    """
+    cycles = graph.cycle_basis()
+    row = []
+    for cycle in cycles:
+        private = next(
+            edge
+            for edge, coefficient in enumerate(cycle)
+            if coefficient and sum(1 for other in cycles if other[edge]) == 1
+        )
+        row.append(slopes[private] * cycle[private])
+    return row
+
+
+def _content(f_sharp):
+    """gcd of the entries of an integral lattice map."""
+    return gcd(*(int(x) for row in f_sharp.entries() for x in row))
+
+
+class CoverAnalysis(_Immutable):
+    """Everything derived from one cover, each part built on first use and
+    then kept for the life of the cover.
+
+    report holds for any cover; every other part exists only for a valid
+    cover, and reading it raises InvalidCover otherwise.  The pushforward
+    mu_* : Jac(source) -> C(l) is read off the harmonic form: f_sharp is the
+    universal cover row of the slopes, and f_hash follows from the pairing
+    law f_sharp^T P = l·f_hash.  The kernel circle, the kernel direction,
+    the gamma data and the pullback mu^* are then read off mu_*.
+    """
+
+    def __init__(self, cover):
+        self._set(cover=cover)
+
+    @cached_property
+    def report(self):
+        return self.cover._validate()
+
+    @cached_property
+    def valid_report(self):
+        return require_valid(self.cover)
+
+    @cached_property
+    def form(self):
+        return self.cover._lower(self.valid_report)
+
+    @cached_property
+    def jacobian(self):
+        return jacobian(self.form.graph)
+
+    @cached_property
+    def pushforward(self):
+        form = self.form
+        torus = self.jacobian.torus
+        f_sharp = Matrix.column(_universal_row(form.graph, form.slopes))
+        f_hash = f_sharp.transpose() * torus.pairing * (1 / form.target_length)
+        return TorusMorphism(torus, circle(form.target_length), f_sharp, f_hash)
+
+    @cached_property
+    def kernel(self):
+        """kernel0 of the pushforward: the kernel circle and its inclusion."""
+        return kernel0(self.pushforward)
+
+    @cached_property
+    def kernel_direction(self):
+        """Canonical basis of ker(f_hash); kernel0 puts it in the inclusion."""
+        return self.kernel[1].f_hash
+
+    @cached_property
+    def gamma(self):
+        """Quotient data of the pushforward kernel (see
+        cover_analysis.quotient_and_gamma)."""
+        push = self.pushforward
+        a_sharp = _content(push.f_sharp)
+        wq = push.universal_cover_matrix * Fraction(1, a_sharp)
+        w = self.kernel_direction
+        _, a, b = xgcd(w[0, 0], w[1, 0])  # a·w1 + b·w2 = 1 since w is primitive
+        vq = Matrix([[-b], [a]])  # completes w to a unimodular basis
+        l_tilde = abs((wq * push.source.pairing * vq)[0, 0])
+        a_hash = l_tilde * a_sharp / push.target.pairing[0, 0]
+        return GammaData(l_tilde, a_sharp, a_hash)
+
+    @cached_property
+    def pullback(self):
+        return dual_morphism(self.pushforward)
 
 
 def _solve_theta_arcs(cover):
@@ -520,11 +658,16 @@ def _dumbbell_violations(cover):
     return violations, degree
 
 
-def validate_cover(cover):
-    """Check every combinatorial and metric invariant of a cover."""
-    if not hasattr(cover, "_validate"):
+def _analysis_of(cover):
+    if not isinstance(cover, _CircleCover):
         raise ValueError("validate_cover expects a circle cover")
-    return cover._validate()
+    return cover._analysis
+
+
+def validate_cover(cover):
+    """Check every combinatorial and metric invariant of a cover.  The
+    report is built once per cover and shared by every later call."""
+    return _analysis_of(cover).report
 
 
 def require_valid(cover):
@@ -538,11 +681,11 @@ def require_valid(cover):
 def harmonic_form(cover):
     """The GeneralCircleCover form of a valid cover, over the cover's own
     graph and cycle basis; every invariant is computed from it."""
-    return cover._lower(require_valid(cover))
+    return _analysis_of(cover).form
 
 
 def cover_degree(cover):
-    return require_valid(cover).degree
+    return _analysis_of(cover).valid_report.degree
 
 
 def target_length(cover):

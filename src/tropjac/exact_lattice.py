@@ -29,6 +29,21 @@ class _Infinite:
 INFINITE = _Infinite()
 
 
+class _Immutable:
+    """Base of the package's value types: their fields are set once, while
+    the instance is built, and assigning to them afterwards raises.  What is
+    derived from a cover is kept and shared, so it must never change."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _set(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+
 class Matrix:
     """Immutable matrix with exact rational entries.
 

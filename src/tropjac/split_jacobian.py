@@ -9,21 +9,14 @@ complementary cover realizes the projection onto TE' geometrically.
 
 from fractions import Fraction
 
-from .cover_analysis import (
-    component_count,
-    kernel_length,
-    pullback_morphism,
-    pushforward_morphism,
-    quotient_and_gamma,
-)
+from .cover_analysis import component_count, kernel_length, quotient_and_gamma
 from .curves_covers import (
     DumbbellCurve,
     GeneralCircleCover,
     ThetaCurve,
+    _analysis_of,
     cover_degree,
-    harmonic_form,
     jacobian,
-    target_length,
     validate_general_cover,
 )
 from .errors import (
@@ -33,14 +26,14 @@ from .errors import (
     NotProductTarget,
     ShapeMismatch,
 )
-from .exact_lattice import Matrix, block_diagonal, hstack, integer_kernel, vstack
+from .exact_lattice import Matrix, block_diagonal, hstack, vstack
 from .tav import (
     Polarization,
     check_exact_sequence,
     isogeny_kernel_points,
     pullback_polarization,
 )
-from .torus_category import IntegralTorus, TorusMorphism, classify, compose, kernel0
+from .torus_category import IntegralTorus, TorusMorphism, classify, compose
 
 
 class ComplementaryCover:
@@ -160,10 +153,11 @@ def complementary_cover(cover):
     cover; its slopes are the kernel direction paired with the cycle basis.
     """
     _require_strongly_optimal(cover)
-    push = pushforward_morphism(cover)
-    w = integer_kernel(push.f_hash)
+    analysis = _analysis_of(cover)
     length = kernel_length(cover)
-    general = _walk_cover(harmonic_form(cover).graph, w.column_tuple(0), length)
+    general = _walk_cover(
+        analysis.form.graph, analysis.kernel_direction.column_tuple(0), length
+    )
     degree = cover_degree(general)
     if degree != cover_degree(cover):
         raise InvariantViolation(f"complementary degree {degree} differs from the cover's")
@@ -175,16 +169,16 @@ def splitting_isogeny(cover):
     """The isogeny TE' x TE -> Jac of a strongly optimal cover, assembled
     from the kernel inclusion and the pullback, with its kernel points."""
     _require_strongly_optimal(cover)
-    push = pushforward_morphism(cover)
-    te_prime, inclusion = kernel0(push)
-    pull = pullback_morphism(cover)
-    length = target_length(cover)
+    analysis = _analysis_of(cover)
+    te_prime, inclusion = analysis.kernel
+    pull = analysis.pullback
+    length = analysis.form.target_length
     source = IntegralTorus(
         2, block_diagonal(te_prime.pairing, Matrix([[length]]))
     )
     phi = TorusMorphism(
         source,
-        push.source,
+        analysis.jacobian.torus,
         vstack(inclusion.f_sharp, pull.f_sharp),
         hstack(inclusion.f_hash, pull.f_hash),
     )
@@ -193,16 +187,17 @@ def splitting_isogeny(cover):
 
 def complementary_pushforward(cover):
     """Jac -> TE', the projection killing the pulled-back circle."""
-    push = pushforward_morphism(cover)
-    te_prime, _ = kernel0(push)
-    w = integer_kernel(push.f_hash)
+    analysis = _analysis_of(cover)
+    push = analysis.pushforward
+    te_prime, _ = analysis.kernel
+    w = analysis.kernel_direction
     length = te_prime.pairing[0, 0]
     f_hash = (w.transpose() * push.source.pairing) * Fraction(1, length)
     return TorusMorphism(push.source, te_prime, w, f_hash)
 
 
 def _torsion_positions(length, degree):
-    return sorted(Fraction(j, degree) * length for j in range(degree))
+    return [Fraction(j, degree) * length for j in range(degree)]
 
 
 def verify_split_package(cover):
@@ -215,10 +210,10 @@ def verify_split_package(cover):
     then complementary pushforward) are exact.
     """
     phi, kernel_points = splitting_isogeny(cover)
-    degree = cover_degree(cover)
-    push = pushforward_morphism(cover)
-    pull = pullback_morphism(cover)
-    _, inclusion = kernel0(push)
+    analysis = _analysis_of(cover)
+    degree = analysis.valid_report.degree
+    push, pull = analysis.pushforward, analysis.pullback
+    _, inclusion = analysis.kernel
     comp = complementary_pushforward(cover)
     phi_tilde = TorusMorphism(
         push.source,

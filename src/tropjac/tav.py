@@ -24,6 +24,7 @@ from .errors import (
 )
 from .exact_lattice import (
     Matrix,
+    _Immutable,
     column_hnf,
     hstack,
     integer_kernel,
@@ -43,7 +44,7 @@ from .torus_category import (
 )
 
 
-class Polarization:
+class Polarization(_Immutable):
     """An integer matrix zeta interpreted as a map from Lambda' to Lambda."""
 
     __slots__ = ("zeta",)
@@ -53,7 +54,7 @@ class Polarization:
             raise ValueError("polarization matrix must be integral")
         if not zeta.is_square:
             raise ValueError("polarization matrix must be square")
-        self.zeta = zeta
+        self._set(zeta=zeta)
 
     def __eq__(self, other):
         if not isinstance(other, Polarization):
@@ -81,7 +82,7 @@ def _is_symmetric_positive_definite(mat):
     return True
 
 
-class PolarizedVariety:
+class PolarizedVariety(_Immutable):
     """An integral torus together with a polarization valid for its pairing."""
 
     __slots__ = ("torus", "pol")
@@ -94,8 +95,7 @@ class PolarizedVariety:
             raise ValueError(
                 "zeta^T * P must be symmetric positive definite (exact minors)"
             )
-        self.torus = torus
-        self.pol = pol
+        self._set(torus=torus, pol=pol)
 
     def __eq__(self, other):
         if not isinstance(other, PolarizedVariety):
@@ -231,9 +231,14 @@ def reduce_point(torus, coords):
     """Canonical representative of a universal-cover point, with pairing
     coordinates reduced into [0, 1)^n."""
     x = _as_fraction_column(torus, coords)
-    c = torus.pairing.inv() * x
+    return _reduce(torus.pairing, torus.pairing.inv(), x)
+
+
+def _reduce(pairing, inverse, x):
+    """reduce_point with the inverse of the pairing already at hand."""
+    c = inverse * x
     reduced = Matrix.column([ci - floor(ci) for ci in c.column_tuple(0)])
-    return torus.pairing * reduced
+    return pairing * reduced
 
 
 def point_order(torus, coords):
@@ -279,7 +284,9 @@ def isogeny_kernel_points(m):
     if not relation.is_integral():
         raise NotIsogeny("source periods do not lie in the lifted lattice")
     u, s, _ = smith_normal_form(relation)
-    uinv = u.inv()
+    coset_basis = lifted * u.inv()
+    pairing = m.source.pairing
+    inverse = pairing.inv()
     n = m.source.rank
     reps = [[]]
     for i in range(n):
@@ -287,8 +294,7 @@ def isogeny_kernel_points(m):
         reps = [prefix + [j] for prefix in reps for j in range(size)]
     points = {}
     for rep in reps:
-        z = uinv * Matrix.column(rep)
-        candidate = reduce_point(m.source, lifted * z)
+        candidate = _reduce(pairing, inverse, coset_basis * Matrix.column(rep))
         points[candidate.column_tuple(0)] = candidate
     return sorted(points.values(), key=lambda p: p.column_tuple(0))
 

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .exact_lattice import (
     Matrix,
+    _Immutable,
     block_diagonal,
     column_hnf,
     hstack,
@@ -39,7 +40,7 @@ from .exact_lattice import (
 from collections import namedtuple
 
 
-class IntegralTorus:
+class IntegralTorus(_Immutable):
     """A rank-n real torus with integral structure, presented by its pairing."""
 
     __slots__ = ("rank", "pairing")
@@ -51,8 +52,7 @@ class IntegralTorus:
             raise ValueError("pairing shape must match the rank")
         if pairing.det() == 0:
             raise ValueError("pairing must be non-degenerate")
-        self.rank = rank
-        self.pairing = pairing
+        self._set(rank=rank, pairing=pairing)
 
     def __eq__(self, other):
         if not isinstance(other, IntegralTorus):
@@ -76,7 +76,7 @@ def zero_torus():
     return IntegralTorus(0, Matrix([], ncols=0))
 
 
-class TorusMorphism:
+class TorusMorphism(_Immutable):
     """A morphism of integral tori; the pairing law is checked on construction."""
 
     __slots__ = ("source", "target", "f_sharp", "f_hash")
@@ -92,10 +92,7 @@ class TorusMorphism:
             raise CompatibilityViolation(
                 "pairing law f_sharp^T * P_src = P_tgt * f_hash fails"
             )
-        self.source = source
-        self.target = target
-        self.f_sharp = f_sharp
-        self.f_hash = f_hash
+        self._set(source=source, target=target, f_sharp=f_sharp, f_hash=f_hash)
 
     @property
     def universal_cover_matrix(self):

@@ -32,9 +32,12 @@ from tropjac.cover_analysis import (
 from tropjac.curves_covers import (
     DumbbellCover,
     DumbbellCurve,
+    GeneralCircleCover,
     ThetaCover,
     ThetaCurve,
+    circle_graph,
     cover_degree,
+    harmonic_form,
     target_length,
 )
 from tropjac.errors import InvalidCover, SourceMismatch
@@ -252,6 +255,25 @@ def test_factor_requires_same_curve():
     pytest.raises(SourceMismatch, lambda: factor_pushforward(degree_two_cover(), db_cover()))
     shifted = ThetaCover(ThetaCurve(1, 1, 2), (1, 1, 1), (2, 1, 1))
     pytest.raises(SourceMismatch, lambda: factor_pushforward(degree_two_cover(), shifted))
+
+
+def test_factor_through_self_on_a_general_cover():
+    double = GeneralCircleCover(circle_graph(2), 1, [(1, 0, 2)])
+    psi = factor_pushforward(double, double)
+    assert psi.f_sharp == Matrix([[1]])
+    assert psi.f_hash == Matrix([[1]])
+
+
+def test_factor_compares_source_graphs_and_cycle_bases():
+    theta = degree_two_cover()
+    form = harmonic_form(theta)
+    # the harmonic form lives on the theta curve itself: same source
+    assert factor_pushforward(form, theta).f_sharp == Matrix([[1]])
+    # the same walks over the plain graph use its BFS cycle basis instead
+    plain = GeneralCircleCover(theta.curve.graph(), form.target_length, form.edge_data)
+    pytest.raises(SourceMismatch, lambda: factor_pushforward(theta, plain))
+    double = GeneralCircleCover(circle_graph(2), 1, [(1, 0, 2)])
+    pytest.raises(SourceMismatch, lambda: factor_pushforward(double, theta))
 
 
 # ------------------------------------------------------- closed-form oracles

@@ -354,6 +354,24 @@ def test_isogeny_kernel_points_of_free_isogeny_and_doubling():
     assert (Fraction(3, 2), Fraction(3, 2)) in {p.column_tuple(0) for p in pts}
 
 
+def test_isogeny_kernel_points_invert_the_pairing_once(monkeypatch):
+    jac = theta_jacobian()
+    inverted = []
+    inv = Matrix.inv
+    monkeypatch.setattr(Matrix, "inv", lambda m: inverted.append(m) or inv(m))
+    counts = []
+    for factor in (2, 12):
+        scaled = factor * Matrix.identity(2)
+        pts = isogeny_kernel_points(TorusMorphism(jac, jac, scaled, scaled))
+        assert len(pts) == factor**2
+        counts.append(len(inverted))
+        inverted.clear()
+    monkeypatch.undo()
+    # 4 and 144 kernel points cost the same inversions
+    assert counts[0] == counts[1]
+    assert all(reduce_point(jac, p) == p for p in pts)
+
+
 def test_isogeny_kernel_points_requires_isogeny():
     pytest.raises(NotIsogeny, lambda: isogeny_kernel_points(degree_two_pushforward()))
 
