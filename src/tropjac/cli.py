@@ -33,7 +33,6 @@ from .curves_covers import (
     cover_degree,
     target_length,
     validate_cover,
-    validate_general_cover,
 )
 from .errors import ParseError, TropjacError, ValidationError
 from .split_jacobian import (
@@ -173,9 +172,6 @@ def _parse_general(document):
         cover = GeneralCircleCover(graph, length, parsed_walks)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-    violations = validate_general_cover(cover)
-    if violations:
-        raise ValidationError("; ".join(violations))
     return cover
 
 
@@ -197,7 +193,7 @@ def parse_cover(text):
     elif kind == "dumbbell":
         cover = _parse_dumbbell(document)
     elif kind == "general_circle":
-        return _parse_general(document)
+        cover = _parse_general(document)
     else:
         raise ValidationError('kind must be "theta", "dumbbell", or "general_circle"')
     report = validate_cover(cover)

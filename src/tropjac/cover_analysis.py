@@ -15,6 +15,7 @@ it.  Covers, their graphs and the kept values are immutable, so a kept value
 never goes stale; the values returned here are shared, never copied.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -26,47 +27,18 @@ from .exact_lattice import Matrix
 from .torus_category import TorusMorphism, circle, compose
 
 
-class TorsionDivisor:
-    """A divisor class P - P0 of finite order in the target Jacobian,
-    recorded by the position of P on the circle and the order."""
+# A divisor class P - P0 of finite order in the target Jacobian, recorded by
+# the position of P on the circle and the order.
+TorsionDivisor = namedtuple("TorsionDivisor", ["position", "order"])
 
-    __slots__ = ("position", "order")
-
-    def __init__(self, position, order):
-        self.position = position
-        self.order = order
-
-    def __eq__(self, other):
-        if not isinstance(other, TorsionDivisor):
-            return NotImplemented
-        return (self.position, self.order) == (other.position, other.order)
-
-    def __hash__(self):
-        return hash((TorsionDivisor, self.position, self.order))
-
-    def __repr__(self):
-        return f"TorsionDivisor(position={self.position}, order={self.order})"
-
-
-class OptimalityVerdict:
-    """Both optimality readings, reported side by side: connectedness of the
-    pushforward kernel, the dumbbell gcd criterion (None for theta covers),
-    and the component count.  When the two criteria disagree, note says why."""
-
-    __slots__ = ("kernel_connected", "dumbbell_gcd_free", "component_count", "note")
-
-    def __init__(self, kernel_connected, dumbbell_gcd_free, component_count, note=None):
-        self.kernel_connected = kernel_connected
-        self.dumbbell_gcd_free = dumbbell_gcd_free
-        self.component_count = component_count
-        self.note = note
-
-    def __repr__(self):
-        return (
-            f"OptimalityVerdict(kernel_connected={self.kernel_connected}, "
-            f"dumbbell_gcd_free={self.dumbbell_gcd_free}, "
-            f"component_count={self.component_count}, note={self.note!r})"
-        )
+# Both optimality readings, reported side by side: connectedness of the
+# pushforward kernel, the dumbbell gcd criterion (None for theta covers), and
+# the component count.  When the two criteria disagree, note says why.
+OptimalityVerdict = namedtuple(
+    "OptimalityVerdict",
+    ["kernel_connected", "dumbbell_gcd_free", "component_count", "note"],
+    defaults=[None],
+)
 
 
 def pushforward_morphism(cover):

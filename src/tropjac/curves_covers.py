@@ -27,12 +27,13 @@ public invariant here, in cover_analysis and in split_jacobian reads that
 analysis, so nothing is derived twice for one cover.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
 from .errors import InvalidCover, OffsetOutOfRange
-from .exact_lattice import Matrix, _Immutable, xgcd
+from .exact_lattice import Matrix, _Immutable, _Value, xgcd
 from .tav import PolarizedVariety, Polarization, reduce_point
 from .torus_category import IntegralTorus, TorusMorphism, circle, dual_morphism, kernel0
 
@@ -59,7 +60,7 @@ def _nonnegative_int(value, what):
     return value
 
 
-class MetricGraph(_Immutable):
+class MetricGraph(_Value):
     """An immutable connected graph with positive rational edge lengths.  Its
     edges are named by their index, and its cycle basis comes from the BFS
     tree."""
@@ -94,14 +95,6 @@ class MetricGraph(_Immutable):
                         seen.add(b)
                         frontier.append(b)
         return seen
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.vertices, self.edges) == (other.vertices, other.edges)
-
-    def __hash__(self):
-        return hash((type(self), self.vertices, self.edges))
 
     @property
     def genus(self):
@@ -303,12 +296,6 @@ class ThetaCover(_CircleCover):
         first, second = report.arcs
         return _forward_cover(self.curve, self.dilations, first, first + second)
 
-    def __repr__(self):
-        return (
-            f"ThetaCover({self.curve!r}, windings={self.windings}, "
-            f"dilations={self.dilations}, arcs={self.arcs})"
-        )
-
 
 class DumbbellCover(_CircleCover):
     """Cover data of a dumbbell over a circle: windings (n1, n2), dilations
@@ -346,12 +333,6 @@ class DumbbellCover(_CircleCover):
 
     def _lower(self, report):
         return _forward_cover(self.curve, self.dilations + (0,), 0, self.target_length)
-
-    def __repr__(self):
-        return (
-            f"DumbbellCover({self.curve!r}, windings={self.windings}, "
-            f"dilations={self.dilations}, target_length={self.target_length})"
-        )
 
 
 class GeneralCircleCover(_CircleCover):
@@ -444,7 +425,7 @@ def validate_general_cover(cover):
     return violations
 
 
-class ValidationReport(_Immutable):
+class ValidationReport(_Value):
     """Outcome of validate_cover: the violated invariant names (a tuple),
     the degree, and (for theta covers) the resolved target arc lengths."""
 
@@ -457,34 +438,11 @@ class ValidationReport(_Immutable):
     def valid(self):
         return not self.violations
 
-    def __repr__(self):
-        return (
-            f"ValidationReport(valid={self.valid}, degree={self.degree}, "
-            f"violations={self.violations})"
-        )
 
-
-class GammaData(_Immutable):
-    """Kernel-quotient data of a pushforward: the length of the quotient
-    circle, the multiplicity a_sharp of the quotient map on lattices, and
-    the multiplicity a_hash on dual lattices (the component count)."""
-
-    __slots__ = ("l_tilde", "a_sharp", "a_hash")
-
-    def __init__(self, l_tilde, a_sharp, a_hash):
-        self._set(l_tilde=l_tilde, a_sharp=a_sharp, a_hash=a_hash)
-
-    def __eq__(self, other):
-        if not isinstance(other, GammaData):
-            return NotImplemented
-        return (self.l_tilde, self.a_sharp, self.a_hash) == (
-            other.l_tilde,
-            other.a_sharp,
-            other.a_hash,
-        )
-
-    def __repr__(self):
-        return f"GammaData(l_tilde={self.l_tilde}, a_sharp={self.a_sharp}, a_hash={self.a_hash})"
+# Kernel-quotient data of a pushforward: the length of the quotient circle,
+# the multiplicity a_sharp of the quotient map on lattices, and the
+# multiplicity a_hash on dual lattices (the component count).
+GammaData = namedtuple("GammaData", ["l_tilde", "a_sharp", "a_hash"])
 
 
 def _universal_row(graph, slopes):
@@ -522,6 +480,8 @@ class CoverAnalysis(_Immutable):
     law f_sharp^T P = l·f_hash.  The kernel circle, the kernel direction,
     the gamma data and the pullback mu^* are then read off mu_*.
     """
+
+    __slots__ = ("cover", "__dict__")  # the parts are kept in __dict__
 
     def __init__(self, cover):
         self._set(cover=cover)

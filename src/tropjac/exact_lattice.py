@@ -13,6 +13,7 @@ True
 """
 
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import ContainmentViolation
 
@@ -30,11 +31,23 @@ INFINITE = _Infinite()
 
 
 class _Immutable:
-    """Base of the package's value types: their fields are set once, while
-    the instance is built, and assigning to them afterwards raises.  What is
-    derived from a cover is kept and shared, so it must never change."""
+    """Base of the package's immutable classes: their fields are set once,
+    while the instance is built, and assigning to them afterwards raises.
+    What is derived from a cover is kept and shared, so it must never change.
+
+    The fields are the names in the __slots__ of the class and its bases, in
+    order; the repr lists them."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(
+            name
+            for base in reversed(cls.__mro__)
+            for name in vars(base).get("__slots__", ())
+            if name != "__dict__"
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -42,6 +55,30 @@ class _Immutable:
     def _set(self, **fields):
         for name, value in fields.items():
             object.__setattr__(self, name, value)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class _Value(_Immutable):
+    """An immutable value: equal to another instance of exactly its type
+    whose fields are equal, and hashed the same way."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __hash__(self):
+        return hash((type(self), self._values(self)))
 
 
 class Matrix:

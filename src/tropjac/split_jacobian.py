@@ -7,6 +7,7 @@ polarization behaviour are all pinned down by the degree of mu.  The
 complementary cover realizes the projection onto TE' geometrically.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .cover_analysis import component_count, kernel_length, quotient_and_gamma
@@ -17,7 +18,7 @@ from .curves_covers import (
     _analysis_of,
     cover_degree,
     jacobian,
-    validate_general_cover,
+    validate_cover,
 )
 from .errors import (
     InvariantViolation,
@@ -36,60 +37,29 @@ from .tav import (
 from .torus_category import IntegralTorus, TorusMorphism, classify, compose
 
 
-class ComplementaryCover:
-    """The cover of the kernel circle complementary to a strongly optimal
-    cover: per-edge dilations and slope signs in the fixed edge order, the
-    kernel circle length, the degree, and the full walk description."""
-
-    __slots__ = ("target_length", "dilations", "signs", "degree", "general")
-
-    def __init__(self, target_length, dilations, signs, degree, general):
-        self.target_length = target_length
-        self.dilations = dilations
-        self.signs = signs
-        self.degree = degree
-        self.general = general
-
-    def __repr__(self):
-        return (
-            f"ComplementaryCover(target_length={self.target_length}, "
-            f"dilations={self.dilations}, signs={self.signs}, degree={self.degree})"
-        )
+# The cover of the kernel circle complementary to a strongly optimal cover:
+# the kernel circle length, per-edge dilations and slope signs in the fixed
+# edge order, the degree, and the full walk description.
+ComplementaryCover = namedtuple(
+    "ComplementaryCover", ["target_length", "dilations", "signs", "degree", "general"]
+)
 
 
-class SplitReport:
+class SplitReport(
+    namedtuple(
+        "SplitReport",
+        ["phi", "phi_tilde", "kernel_points", "degree", "flags",
+         "phi_morphism", "phi_tilde_morphism"],
+    )
+):
     """Everything verify_split_package checks about a splitting, with the
     two isogenies recorded by their universal cover matrices."""
 
-    __slots__ = (
-        "phi",
-        "phi_tilde",
-        "kernel_points",
-        "degree",
-        "flags",
-        "phi_morphism",
-        "phi_tilde_morphism",
-    )
-
-    def __init__(self, phi, phi_tilde, kernel_points, degree, flags,
-                 phi_morphism, phi_tilde_morphism):
-        self.phi = phi
-        self.phi_tilde = phi_tilde
-        self.kernel_points = kernel_points
-        self.degree = degree
-        self.flags = flags
-        self.phi_morphism = phi_morphism
-        self.phi_tilde_morphism = phi_tilde_morphism
+    __slots__ = ()
 
     @property
     def all_flags_hold(self):
         return all(self.flags.values())
-
-    def __repr__(self):
-        return (
-            f"SplitReport(degree={self.degree}, flags={self.flags}, "
-            f"kernel_points={self.kernel_points})"
-        )
 
 
 def strong_optimality_gap(cover):
@@ -140,7 +110,7 @@ def _walk_cover(graph, row, length):
             for slope, (tail, _, edge_length) in zip(slopes, graph.edges)
         ],
     )
-    violations = validate_general_cover(general)
+    violations = validate_cover(general).violations
     if violations:
         raise InvariantViolation(
             "constructed walk cover is inconsistent: " + "; ".join(violations)

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .exact_lattice import (
     Matrix,
-    _Immutable,
+    _Value,
     column_hnf,
     hstack,
     integer_kernel,
@@ -44,7 +44,7 @@ from .torus_category import (
 )
 
 
-class Polarization(_Immutable):
+class Polarization(_Value):
     """An integer matrix zeta interpreted as a map from Lambda' to Lambda."""
 
     __slots__ = ("zeta",)
@@ -55,17 +55,6 @@ class Polarization(_Immutable):
         if not zeta.is_square:
             raise ValueError("polarization matrix must be square")
         self._set(zeta=zeta)
-
-    def __eq__(self, other):
-        if not isinstance(other, Polarization):
-            return NotImplemented
-        return self.zeta == other.zeta
-
-    def __hash__(self):
-        return hash(self.zeta)
-
-    def __repr__(self):
-        return f"Polarization({self.zeta!r})"
 
 
 def principal_polarization(torus):
@@ -82,7 +71,7 @@ def _is_symmetric_positive_definite(mat):
     return True
 
 
-class PolarizedVariety(_Immutable):
+class PolarizedVariety(_Value):
     """An integral torus together with a polarization valid for its pairing."""
 
     __slots__ = ("torus", "pol")
@@ -96,14 +85,6 @@ class PolarizedVariety(_Immutable):
                 "zeta^T * P must be symmetric positive definite (exact minors)"
             )
         self._set(torus=torus, pol=pol)
-
-    def __eq__(self, other):
-        if not isinstance(other, PolarizedVariety):
-            return NotImplemented
-        return self.torus == other.torus and self.pol == other.pol
-
-    def __repr__(self):
-        return f"PolarizedVariety(torus={self.torus!r}, pol={self.pol!r})"
 
 
 def polarization_type(pv):
@@ -157,7 +138,7 @@ def is_polarized_isogeny(m, pol_src, pol_tgt):
     return pol_src.zeta == pullback_polarization(m, pol_tgt).zeta
 
 
-class ExactSequence:
+class ExactSequence(_Value):
     """A composable pair (f, g); validity is decided by check_exact_sequence."""
 
     __slots__ = ("f", "g")
@@ -165,16 +146,7 @@ class ExactSequence:
     def __init__(self, f, g):
         if f.target != g.source:
             raise ShapeMismatch("sequence morphisms are not composable")
-        self.f = f
-        self.g = g
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactSequence):
-            return NotImplemented
-        return self.f == other.f and self.g == other.g
-
-    def __repr__(self):
-        return f"ExactSequence(f={self.f!r}, g={self.g!r})"
+        self._set(f=f, g=g)
 
 
 def check_exact_sequence(f, g):
@@ -254,14 +226,20 @@ def subgroup_generated(torus, gens):
     Breadth-first closure under addition of the generators; returns
     canonical representatives sorted coordinate-wise.
     """
-    gen_columns = [reduce_point(torus, g) for g in gens]
-    zero = reduce_point(torus, [0] * torus.rank)
+    pairing = torus.pairing
+    inverse = pairing.inv()
+
+    def reduce(coords):
+        return _reduce(pairing, inverse, _as_fraction_column(torus, coords))
+
+    gen_columns = [reduce(g) for g in gens]
+    zero = reduce([0] * torus.rank)
     seen = {zero.column_tuple(0): zero}
     frontier = [zero]
     while frontier:
         point = frontier.pop()
         for g in gen_columns:
-            candidate = reduce_point(torus, point + g)
+            candidate = _reduce(pairing, inverse, point + g)
             key = candidate.column_tuple(0)
             if key not in seen:
                 seen[key] = candidate

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .exact_lattice import (
     Matrix,
-    _Immutable,
+    _Value,
     block_diagonal,
     column_hnf,
     hstack,
@@ -40,7 +40,7 @@ from .exact_lattice import (
 from collections import namedtuple
 
 
-class IntegralTorus(_Immutable):
+class IntegralTorus(_Value):
     """A rank-n real torus with integral structure, presented by its pairing."""
 
     __slots__ = ("rank", "pairing")
@@ -54,17 +54,6 @@ class IntegralTorus(_Immutable):
             raise ValueError("pairing must be non-degenerate")
         self._set(rank=rank, pairing=pairing)
 
-    def __eq__(self, other):
-        if not isinstance(other, IntegralTorus):
-            return NotImplemented
-        return self.rank == other.rank and self.pairing == other.pairing
-
-    def __hash__(self):
-        return hash((self.rank, self.pairing))
-
-    def __repr__(self):
-        return f"IntegralTorus(rank={self.rank}, pairing={self.pairing!r})"
-
 
 def circle(length):
     """The circle torus C(l) with 1x1 pairing [l]."""
@@ -76,7 +65,7 @@ def zero_torus():
     return IntegralTorus(0, Matrix([], ncols=0))
 
 
-class TorusMorphism(_Immutable):
+class TorusMorphism(_Value):
     """A morphism of integral tori; the pairing law is checked on construction."""
 
     __slots__ = ("source", "target", "f_sharp", "f_hash")
@@ -98,25 +87,6 @@ class TorusMorphism(_Immutable):
     def universal_cover_matrix(self):
         """The matrix of the induced linear map on universal covers."""
         return self.f_sharp.transpose()
-
-    def __eq__(self, other):
-        if not isinstance(other, TorusMorphism):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.f_sharp == other.f_sharp
-            and self.f_hash == other.f_hash
-        )
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.f_sharp, self.f_hash))
-
-    def __repr__(self):
-        return (
-            f"TorusMorphism(source={self.source!r}, target={self.target!r}, "
-            f"f_sharp={self.f_sharp!r}, f_hash={self.f_hash!r})"
-        )
 
 
 def identity_morphism(torus):
@@ -279,18 +249,8 @@ def coequalizer(f, g):
     return cokernel(_difference(f, g))
 
 
-class SteinFactorization:
-    """A surjection written as (isogeny phi) ∘ (connected-kernel part pi)."""
-
-    __slots__ = ("pi", "phi", "middle")
-
-    def __init__(self, pi, phi, middle):
-        self.pi = pi
-        self.phi = phi
-        self.middle = middle
-
-    def __repr__(self):
-        return f"SteinFactorization(middle={self.middle!r})"
+# a surjection written as (isogeny phi) ∘ (connected-kernel part pi)
+SteinFactorization = namedtuple("SteinFactorization", ["pi", "phi", "middle"])
 
 
 def stein_factorization(m):

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tropjac.cli as cli
 import tropjac.curves_covers as curves_covers
+import tropjac.split_jacobian as split_jacobian
 from oracles import degree_two_cover, dumbbell_covers, theta_covers
 from tropjac.cli import run_command
 from tropjac.cover_analysis import (
@@ -85,6 +87,24 @@ def test_analyze_split_validates_and_pushes_forward_once(
     )
 
 
+@pytest.mark.parametrize(
+    "command, document",
+    # analyze parses a general cover; complement builds one, the walk cover
+    [("analyze", GENERAL), ("complement", THETA)],
+    ids=["analyze-general", "complement-theta"],
+)
+def test_each_general_cover_is_validated_once(command, document, tmp_path, monkeypatch, capsys):
+    calls = Counter()
+    for module in (curves_covers, cli, split_jacobian):
+        if hasattr(module, "validate_general_cover"):
+            _count_calls(monkeypatch, module, "validate_general_cover", calls)
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps(document))
+    assert run_command([command, str(path)]) == 0
+    capsys.readouterr()
+    assert calls == Counter(validate_general_cover=1)
+
+
 def test_covers_and_what_they_keep_refuse_assignment():
     theta = degree_two_cover()
     dumbbell = DumbbellCover(DumbbellCurve(1, 1, 1), (1, 1), (2, 2))
@@ -111,33 +131,19 @@ def test_covers_and_what_they_keep_refuse_assignment():
     assert validate_cover(theta) is report
 
 
-def _report(cover):
-    report = validate_cover(cover)
-    return report.violations, report.degree, report.arcs
-
-
 def _walks(form):
     return form.graph, form.target_length, form.edge_data
 
 
-def _verdict(cover):
-    verdict = is_optimal(cover)
-    return verdict.kernel_connected, verdict.dumbbell_gcd_free, verdict.component_count, verdict.note
-
-
 def _complement(cover):
+    # the walk cover is a cover, which compares by identity
     comp = complementary_cover(cover)
-    return comp.target_length, comp.dilations, comp.signs, comp.degree, _walks(comp.general)
-
-
-def _split(cover):
-    report = verify_split_package(cover)
-    return report.phi, report.phi_tilde, report.kernel_points, report.degree, report.flags
+    return comp._replace(general=_walks(comp.general))
 
 
 # every public invariant of a cover, as a value that compares by content
 INVARIANTS = {
-    "validate_cover": _report,
+    "validate_cover": validate_cover,
     "cover_degree": cover_degree,
     "target_length": target_length,
     "harmonic_form": lambda cover: _walks(harmonic_form(cover)),
@@ -146,13 +152,13 @@ INVARIANTS = {
     "kernel_length": kernel_length,
     "quotient_and_gamma": quotient_and_gamma,
     "component_count": component_count,
-    "is_optimal": _verdict,
+    "is_optimal": is_optimal,
     "pullback_kernel": pullback_kernel,
     "strong_optimality_gap": strong_optimality_gap,
     "complementary_pushforward": complementary_pushforward,
     "splitting_isogeny": splitting_isogeny,
     "complementary_cover": _complement,
-    "verify_split_package": _split,
+    "verify_split_package": verify_split_package,
 }
 
 

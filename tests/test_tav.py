@@ -372,6 +372,18 @@ def test_isogeny_kernel_points_invert_the_pairing_once(monkeypatch):
     assert all(reduce_point(jac, p) == p for p in pts)
 
 
+def test_subgroup_generated_inverts_the_pairing_once(monkeypatch):
+    jac = theta_jacobian()
+    inverted = []
+    inv = Matrix.inv
+    monkeypatch.setattr(Matrix, "inv", lambda m: inverted.append(m) or inv(m))
+    pts = subgroup_generated(jac, [[Fraction(1, 12), 0], [0, Fraction(1, 12)]])
+    monkeypatch.undo()
+    assert len(pts) == 432
+    assert len(inverted) == 1
+    assert all(reduce_point(jac, p) == p for p in pts)
+
+
 def test_isogeny_kernel_points_requires_isogeny():
     pytest.raises(NotIsogeny, lambda: isogeny_kernel_points(degree_two_pushforward()))
 
