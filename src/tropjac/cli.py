@@ -53,10 +53,6 @@ def _rat(value):
     return str(Fraction(value))
 
 
-def _matrix(m):
-    return [[int(x) for x in row] for row in m.entries()]
-
-
 def _point(column):
     return [_rat(column[i, 0]) for i in range(column.nrows)]
 
@@ -220,8 +216,8 @@ def _torsion_list(divisors):
 
 def _split_dict(report):
     return {
-        "phi": _matrix(report.phi),
-        "phi_tilde": _matrix(report.phi_tilde),
+        "phi": report.phi.entries(),
+        "phi_tilde": report.phi_tilde.entries(),
         "degree": report.degree,
         "kernel_points": [_point(p) for p in report.kernel_points],
         "flags": dict(report.flags),
@@ -246,8 +242,8 @@ def _analysis_report(cover, include_split):
         "windings": list(cover.windings),
         "dilations": list(cover.dilations),
         "pushforward": {
-            "f_sharp": _matrix(push.f_sharp),
-            "f_hash": _matrix(push.f_hash),
+            "f_sharp": push.f_sharp.entries(),
+            "f_hash": push.f_hash.entries(),
         },
         "kernel_length": _rat(kernel_length(cover)),
         "gamma": {
@@ -303,8 +299,8 @@ def _factor_report(first, second):
         return {"factors": False}
     return {
         "factors": True,
-        "a_sharp": int(psi.f_sharp[0, 0]),
-        "a_hash": int(psi.f_hash[0, 0]),
+        "a_sharp": psi.f_sharp[0, 0],
+        "a_hash": psi.f_hash[0, 0],
         "from_length": _rat(psi.source.pairing[0, 0]),
         "to_length": _rat(psi.target.pairing[0, 0]),
     }

@@ -19,7 +19,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
-from .curves_covers import DumbbellCover, _analysis_of, _content, harmonic_form
+from .curves_covers import DumbbellCover, _analysis_of, harmonic_form
 from .curves_covers import GammaData  # noqa: F401  (returned by quotient_and_gamma)
 from .curves_covers import require_valid  # noqa: F401  (bound here for bench/test_bench.py)
 from .errors import InvalidCover, SourceMismatch
@@ -161,17 +161,16 @@ def factor_pushforward(first, second):
     if analysis1.kernel_direction != analysis2.kernel_direction:
         return None
     push1, push2 = analysis1.pushforward, analysis2.pushforward
-    g1 = _content(push1.f_sharp)
-    g2 = _content(push2.f_sharp)
+    g1 = gcd(*push1.f_sharp.column_tuple(0))
+    g2 = gcd(*push2.f_sharp.column_tuple(0))
     if g1 % g2 != 0:
         return None
     a_sharp = g1 // g2
     length1 = push1.target.pairing[0, 0]
     length2 = push2.target.pairing[0, 0]
-    a_hash = Fraction(a_sharp) * length2 / length1
-    if a_hash.denominator != 1:
+    a_hash, rest = divmod(a_sharp * length2, length1)
+    if rest:
         return None
-    a_hash = int(a_hash)
     for sign in (1, -1):
         psi = TorusMorphism(
             circle(length2),

@@ -464,11 +464,6 @@ def _universal_row(graph, slopes):
     return row
 
 
-def _content(f_sharp):
-    """gcd of the entries of an integral lattice map."""
-    return gcd(*(int(x) for row in f_sharp.entries() for x in row))
-
-
 class CoverAnalysis(_Immutable):
     """Everything derived from one cover, each part built on first use and
     then kept for the life of the cover.
@@ -525,13 +520,13 @@ class CoverAnalysis(_Immutable):
         """Quotient data of the pushforward kernel (see
         cover_analysis.quotient_and_gamma)."""
         push = self.pushforward
-        a_sharp = _content(push.f_sharp)
+        a_sharp = gcd(*push.f_sharp.column_tuple(0))
         wq = push.universal_cover_matrix * Fraction(1, a_sharp)
         w = self.kernel_direction
         _, a, b = xgcd(w[0, 0], w[1, 0])  # a·w1 + b·w2 = 1 since w is primitive
         vq = Matrix([[-b], [a]])  # completes w to a unimodular basis
         l_tilde = abs((wq * push.source.pairing * vq)[0, 0])
-        a_hash = l_tilde * a_sharp / push.target.pairing[0, 0]
+        a_hash = Fraction(l_tilde * a_sharp, push.target.pairing[0, 0])
         return GammaData(l_tilde, a_sharp, a_hash)
 
     @cached_property

@@ -1,9 +1,13 @@
 """Exact integer/rational linear algebra for lattice computations.
 
 Everything here works over arbitrary-precision rationals; floating point is
-never used.  The central normal form is Smith (``U*A*V = S``) with a pinned
-pivot rule — smallest absolute value, ties broken by lowest (row, column) —
-so that every downstream coordinate choice is reproducible run to run.
+never used.  A matrix entry has one representation: a plain ``int`` when it
+is integral and a ``fractions.Fraction`` otherwise, so an integer matrix
+holds ints and the normal forms work on its rows as they are.  Only this
+module decides how an entry is stored.  The central normal form is Smith
+(``U*A*V = S``) with a pinned pivot rule — smallest absolute value, ties
+broken by lowest (row, column) — so that every downstream coordinate choice
+is reproducible run to run.
 
 >>> u, s, v = smith_normal_form(Matrix([[2, 1], [1, 2]]))
 >>> s == Matrix([[1, 0], [0, 3]])
@@ -81,18 +85,43 @@ class _Value(_Immutable):
         return hash((type(self), self._values(self)))
 
 
+def _entry(x):
+    """The one representation of an exact rational: an int when it is
+    integral, a Fraction otherwise.  Floats are rejected."""
+    if type(x) is int:
+        return x
+    if isinstance(x, float):
+        raise ValueError(f"matrix entries must be exact rationals, not the float {x!r}")
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _divide(a, b):
+    """Exact quotient of two entries; int / int would give a float."""
+    if type(a) is int and type(b) is int:
+        return Fraction(a, b)
+    return a / b
+
+
 class Matrix:
     """Immutable matrix with exact rational entries.
 
-    Zero-row and zero-column shapes are first class (rank-0 tori use them),
-    which is why the constructor takes an explicit ``ncols`` when there are
-    no rows to infer it from.
+    Each entry is stored as an int when it is integral and as a Fraction
+    otherwise, whatever exact type it was given as; a float raises
+    ValueError.  Zero-row and zero-column shapes are first class (rank-0
+    tori use them), which is why the constructor takes an explicit ``ncols``
+    when there are no rows to infer it from.
+
+    >>> Matrix([[Fraction(4, 2), Fraction(1, 3)]])
+    Matrix([[2, Fraction(1, 3)]], ncols=2)
     """
 
     __slots__ = ("_rows", "_ncols")
 
     def __init__(self, rows, ncols=None):
-        converted = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        # ints, the common entry, skip the call
+        converted = tuple(tuple(x if type(x) is int else _entry(x) for x in row) for row in rows)
         if converted:
             width = len(converted[0])
             if ncols is not None and ncols != width:
@@ -179,7 +208,7 @@ class Matrix:
     # -- predicates ---------------------------------------------------------
 
     def is_integral(self):
-        return all(x.denominator == 1 for row in self._rows for x in row)
+        return all(type(x) is int for row in self._rows for x in row)
 
     def is_zero(self):
         return all(x == 0 for row in self._rows for x in row)
@@ -226,10 +255,10 @@ class Matrix:
                 [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self._rows],
                 ncols=other.ncols,
             )
-        return Matrix([[x * Fraction(other) for x in row] for row in self._rows], ncols=self._ncols)
+        scalar = _entry(other)
+        return Matrix([[x * scalar for x in row] for row in self._rows], ncols=self._ncols)
 
-    def __rmul__(self, other):
-        return Matrix([[Fraction(other) * x for x in row] for row in self._rows], ncols=self._ncols)
+    __rmul__ = __mul__  # only a scalar reaches it, and scalars commute
 
     def transpose(self):
         return Matrix(
@@ -247,33 +276,33 @@ class Matrix:
         for col in range(n):
             pivot_row = next((i for i in range(col, n) if work[i][col] != 0), None)
             if pivot_row is None:
-                return Fraction(0)
+                return 0
             if pivot_row != col:
                 work[col], work[pivot_row] = work[pivot_row], work[col]
                 sign = -sign
             pivot = work[col][col]
             for i in range(col + 1, n):
                 if work[i][col] != 0:
-                    factor = work[i][col] / pivot
+                    factor = _divide(work[i][col], pivot)
                     work[i] = [a - factor * b for a, b in zip(work[i], work[col])]
-        result = Fraction(sign)
+        result = sign
         for i in range(n):
             result *= work[i][i]
-        return result
+        return _entry(result)
 
     def inv(self):
         """Exact inverse; raises ValueError when singular."""
         if not self.is_square:
             raise ValueError("inverse of a non-square matrix")
         n = self._ncols
-        work = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(self._rows)]
+        work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self._rows)]
         for col in range(n):
             pivot_row = next((i for i in range(col, n) if work[i][col] != 0), None)
             if pivot_row is None:
                 raise ValueError("matrix is singular")
             work[col], work[pivot_row] = work[pivot_row], work[col]
             pivot = work[col][col]
-            work[col] = [x / pivot for x in work[col]]
+            work[col] = [_divide(x, pivot) for x in work[col]]
             for i in range(n):
                 if i != col and work[i][col] != 0:
                     factor = work[i][col]
@@ -281,10 +310,7 @@ class Matrix:
         return Matrix([row[n:] for row in work], ncols=n)
 
     def __repr__(self):
-        def fmt(x):
-            return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-        body = ", ".join("[" + ", ".join(fmt(x) for x in row) + "]" for row in self._rows)
+        body = ", ".join("[" + ", ".join(map(repr, row)) + "]" for row in self._rows)
         return f"Matrix([{body}], ncols={self._ncols})"
 
 
@@ -343,7 +369,7 @@ def smith_normal_form(a):
     """
     _require_integral(a, "smith_normal_form")
     m, n = a.shape
-    s = [[int(x) for x in row] for row in a.entries()]
+    s = [list(row) for row in a.entries()]
     u = [[int(i == j) for j in range(m)] for i in range(m)]
     v = [[int(i == j) for j in range(n)] for i in range(n)]
 
@@ -436,7 +462,7 @@ def snf_rank(s):
 def invariant_factors(a):
     """Nonzero diagonal entries of the Smith form of ``a``."""
     _, s, _ = smith_normal_form(a)
-    return tuple(int(s[i, i]) for i in range(min(s.shape)) if s[i, i] != 0)
+    return tuple(s[i, i] for i in range(min(s.shape)) if s[i, i] != 0)
 
 
 def row_hnf(a):
@@ -448,7 +474,7 @@ def row_hnf(a):
     iff their forms are equal.
     """
     _require_integral(a, "row_hnf")
-    rows = [[int(x) for x in row] for row in a.entries()]
+    rows = [list(row) for row in a.entries()]
     n = a.ncols
     r = 0
     for col in range(n):
@@ -533,8 +559,7 @@ def lattice_index(sub, sup):
         raise ContainmentViolation("first lattice is not a subgroup of the second")
     if basis_sub.ncols < basis_sup.ncols:
         return INFINITE
-    index = abs(coords.det())
-    return int(index)
+    return abs(coords.det())
 
 
 def rational_solve(a, b):
@@ -552,7 +577,7 @@ def rational_solve(a, b):
             continue
         work[row], work[pivot_row] = work[pivot_row], work[row]
         pivot = work[row][col]
-        work[row] = [x / pivot for x in work[row]]
+        work[row] = [_divide(x, pivot) for x in work[row]]
         for i in range(m):
             if i != row and work[i][col] != 0:
                 factor = work[i][col]
@@ -564,7 +589,7 @@ def rational_solve(a, b):
     for i in range(row, m):
         if any(work[i][n + j] != 0 for j in range(k)):
             return None
-    solution = [[Fraction(0)] * k for _ in range(n)]
+    solution = [[0] * k for _ in range(n)]
     for i, col in enumerate(pivot_cols):
         solution[col] = work[i][n:]
     return Matrix(solution, ncols=k)
@@ -580,13 +605,13 @@ def integer_solve(a, b):
     c = u * b
     m, n = a.shape
     k = b.ncols
-    y = [[Fraction(0)] * k for _ in range(n)]
+    y = [[0] * k for _ in range(n)]
     for i in range(r):
         for j in range(k):
-            value = c[i, j] / s[i, i]
-            if value.denominator != 1:
+            quotient, remainder = divmod(c[i, j], s[i, i])
+            if remainder:
                 return None
-            y[i][j] = value
+            y[i][j] = quotient
     for i in range(r, m):
         for j in range(k):
             if c[i, j] != 0:

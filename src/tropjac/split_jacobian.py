@@ -91,7 +91,7 @@ def _walk_cover(graph, row, length):
     """
     cycles = graph.cycle_basis()
     slopes = [
-        int(sum(entry * cycle[edge] for entry, cycle in zip(row, cycles)))
+        sum(entry * cycle[edge] for entry, cycle in zip(row, cycles))
         for edge in range(len(graph.edges))
     ]
     root = graph.vertices[0]

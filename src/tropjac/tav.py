@@ -104,7 +104,7 @@ def dual_polarization(pv):
     if n == 0:
         return Polarization(Matrix([], ncols=0))
     u, s, v = smith_normal_form(pv.pol.zeta)
-    alphas = [int(s[i, i]) for i in range(n)]
+    alphas = [s[i, i] for i in range(n)]
     coefficient = alphas[0] * alphas[-1]
     scaled = Matrix.diagonal([coefficient // a for a in alphas])
     return Polarization(v * scaled * u)
@@ -268,7 +268,7 @@ def isogeny_kernel_points(m):
     n = m.source.rank
     reps = [[]]
     for i in range(n):
-        size = int(s[i, i])
+        size = s[i, i]
         reps = [prefix + [j] for prefix in reps for j in range(size)]
     points = {}
     for rep in reps:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from tropjac.errors import ContainmentViolation
+from tropjac.torus_category import circle
 from tropjac.exact_lattice import (
     INFINITE,
     Matrix,
@@ -58,6 +59,116 @@ def test_matrix_product_and_transpose():
     assert a * b == Matrix([[3], [3]])
     assert a.transpose() == a
     assert (2 * b) == Matrix([[2], [2]])
+
+
+# -- entry representation --------------------------------------------------
+
+
+def test_integral_entries_are_ints_and_others_fractions():
+    m = Matrix([[Fraction(4, 2), Fraction(1, 3), 5]])
+    assert [type(x) for x in m.row_tuple(0)] == [int, Fraction, int]
+    assert m.row_tuple(0) == (2, Fraction(1, 3), 5)
+    assert m.is_integral() is False
+    assert Matrix([[Fraction(4, 2)]]).is_integral()
+    # equal entries of either type give equal matrices and hashes
+    assert hash(Matrix([[Fraction(2)]])) == hash(Matrix([[2]]))
+
+
+def test_matrix_rejects_floats():
+    pytest.raises(ValueError, Matrix, [[0.5]])
+    pytest.raises(ValueError, Matrix, [[1, 2.0]])
+    pytest.raises(ValueError, lambda: Matrix([[1]]) * 0.25)
+    pytest.raises(ValueError, lambda: 0.25 * Matrix([[1]]))
+    pytest.raises(ValueError, circle, 0.5)
+
+
+def test_repr_prints_each_entry_with_its_own_repr():
+    m = Matrix([[2, Fraction(1, 3)], [Fraction(-6, 3), 0]])
+    assert repr(m) == "Matrix([[2, Fraction(1, 3)], [-2, 0]], ncols=2)"
+
+
+def rational_entries():
+    return st.one_of(
+        st.integers(-6, 6),
+        st.fractions(min_value=-4, max_value=4, max_denominator=4),
+    )
+
+
+def rational_matrix_lists(m, n):
+    row = st.lists(rational_entries(), min_size=n, max_size=n)
+    return st.lists(row, min_size=m, max_size=m)
+
+
+def _fractions(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def _ref_product(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+
+def _ref_inverse(a):
+    """Gauss–Jordan on plain Fractions; None when singular."""
+    n = len(a)
+    work = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if work[i][col] != 0), None)
+        if pivot is None:
+            return None
+        work[col], work[pivot] = work[pivot], work[col]
+        work[col] = [x / work[col][col] for x in work[col]]
+        for i in range(n):
+            if i != col:
+                work[i] = [x - work[i][col] * y for x, y in zip(work[i], work[col])]
+    return [row[n:] for row in work]
+
+
+def _assert_represents(m, reference):
+    """Every entry is an int exactly when it is integral, never a float, and
+    the matrix equals the plain-Fraction reference."""
+    for row in m.entries():
+        for x in row:
+            assert type(x) in (int, Fraction), x
+            assert (type(x) is int) == (Fraction(x).denominator == 1), x
+    assert [list(row) for row in m.entries()] == reference
+
+
+@settings(max_examples=80)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_every_operation_keeps_one_representation(m, n, data):
+    rows_a = data.draw(rational_matrix_lists(m, n))
+    rows_b = data.draw(rational_matrix_lists(m, n))
+    rows_c = data.draw(rational_matrix_lists(n, 2))
+    rows_s = data.draw(rational_matrix_lists(m, m))
+    scalar = data.draw(rational_entries())
+    picked_rows = data.draw(st.lists(st.integers(0, m - 1), max_size=3))
+    picked_cols = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+    a, b, c, square = Matrix(rows_a), Matrix(rows_b), Matrix(rows_c), Matrix(rows_s)
+    ra, rb, rc, rs = map(_fractions, (rows_a, rows_b, rows_c, rows_s))
+    _assert_represents(a, ra)
+    _assert_represents(a + b, [[x + y for x, y in zip(p, q)] for p, q in zip(ra, rb)])
+    _assert_represents(a - b, [[x - y for x, y in zip(p, q)] for p, q in zip(ra, rb)])
+    _assert_represents(-a, [[-x for x in row] for row in ra])
+    _assert_represents(a * c, _ref_product(ra, rc))
+    scaled = [[x * Fraction(scalar) for x in row] for row in ra]
+    _assert_represents(a * scalar, scaled)
+    _assert_represents(scalar * a, scaled)
+    _assert_represents(a.transpose(), [list(col) for col in zip(*ra)])
+    _assert_represents(
+        a.submatrix(picked_rows, picked_cols), [[ra[i][j] for j in picked_cols] for i in picked_rows]
+    )
+    _assert_represents(hstack(a, b), [p + q for p, q in zip(ra, rb)])
+    _assert_represents(vstack(a, b), ra + rb)
+    inverse = _ref_inverse(rs)
+    solution = rational_solve(square, a)
+    if inverse is None:
+        pytest.raises(ValueError, square.inv)
+        if solution is not None:
+            _assert_represents(solution, _fractions(solution.entries()))
+            assert _ref_product(rs, _fractions(solution.entries())) == ra
+    else:
+        _assert_represents(square.inv(), inverse)
+        _assert_represents(solution, _ref_product(inverse, ra))
 
 
 def test_matrix_inverse_exact():
@@ -115,6 +226,42 @@ def test_invariant_factors():
     assert invariant_factors(Matrix.identity(3)) == (1, 1, 1)
     assert invariant_factors(Matrix.zeros(2, 2)) == ()
     assert invariant_factors(Matrix.diagonal([4, 6])) == (2, 12)
+
+
+def integer_matrices_with_zero_rows(max_dim=6):
+    """Integer matrices up to max_dim x max_dim in which a row may be zero or
+    a multiple of the first row, so rank-deficient inputs come up often."""
+
+    def assemble(drawn):
+        first = drawn[0][2]
+        return [
+            row if kind == "random" else [factor * x for x in first] if kind == "multiple" else [0] * len(row)
+            for kind, factor, row in drawn
+        ]
+
+    def build(shape):
+        m, n = shape
+        row = st.tuples(
+            st.sampled_from(["random", "random", "zero", "multiple"]),
+            st.integers(-3, 3),
+            st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+        )
+        return st.lists(row, min_size=m, max_size=m).map(assemble)
+
+    return st.tuples(st.integers(1, max_dim), st.integers(1, max_dim)).flatmap(build)
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_matrices_with_zero_rows())
+def test_invariant_factors_match_sympy(rows):
+    pytest.importorskip("sympy")
+    from sympy import ZZ
+    from sympy import Matrix as SympyMatrix
+    from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
+
+    theirs = sympy_invariant_factors(SympyMatrix(rows), domain=ZZ)
+    expected = tuple(abs(int(d)) for d in theirs if d != 0)
+    assert invariant_factors(Matrix(rows)) == expected
 
 
 @settings(max_examples=80)

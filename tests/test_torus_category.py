@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
@@ -8,7 +10,13 @@ from tropjac.errors import (
     NotSurjective,
     ShapeMismatch,
 )
-from tropjac.exact_lattice import Matrix
+from oracles import (
+    cover_corpus,
+    random_covolume_preserving_isogeny,
+    random_subtorus_sequence,
+)
+from tropjac.cover_analysis import pushforward_morphism
+from tropjac.exact_lattice import Matrix, lattice_index
 from tropjac.torus_category import (
     IntegralTorus,
     TorusMorphism,
@@ -295,6 +303,28 @@ def test_component_count_of_dilation_and_its_dual():
     assert kernel_component_count(dual_morphism(m)) == 2
 
 
+def _stein_component_count(m):
+    """The reference: the index of im(phi.f_hash) for the isogeny part phi
+    of the Stein factorization."""
+    phi = stein_factorization(m).phi
+    return lattice_index(phi.f_hash, Matrix.identity(m.target.rank))
+
+
+def test_component_count_agrees_with_the_stein_route():
+    rng = random.Random(5)
+    surjections = [pushforward_morphism(cover) for cover in cover_corpus()]
+    surjections += [random_subtorus_sequence(rng, max_rank=4)[1] for _ in range(40)]
+    isogenies = [random_covolume_preserving_isogeny(rng) for _ in range(40)]
+    surjections += isogenies + [dual_morphism(m) for m in isogenies]
+    counts = set()
+    for m in surjections:
+        count = kernel_component_count(m)
+        assert count == _stein_component_count(m), m
+        counts.add(count)
+    assert len(counts) >= 4  # several component counts, not only connected kernels
+    pytest.raises(NotSurjective, lambda: kernel_component_count(pullback()))
+
+
 def test_compose_shape_mismatch():
     pytest.raises(ShapeMismatch, lambda: compose(pushforward(), pushforward()))
 
@@ -351,3 +381,4 @@ def test_stein_properties_on_generated_surjections(diag, data):
     assert compose(sf.phi, sf.pi) == m
     assert classify(sf.phi).isogeny
     assert kernel_component_count(sf.pi) == 1
+    assert kernel_component_count(m) == _stein_component_count(m)

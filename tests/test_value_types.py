@@ -87,9 +87,13 @@ def test_equal_fields_give_equal_values_and_hashes(name):
         assert len({first, second}) == 1
 
 
-@pytest.mark.parametrize("name", sorted(set(VALUES) - {"ComplementaryCover"}))
+# Matrix is not a _Value, but its repr must rebuild it too, with a 1/3 entry
+REPR_VALUES = {**VALUES, "Matrix": lambda: Matrix([[2, Fraction(1, 3)], [Fraction(-4, 2), 0]])}
+
+
+@pytest.mark.parametrize("name", sorted(set(REPR_VALUES) - {"ComplementaryCover"}))
 def test_repr_rebuilds_an_equal_value(name):
-    value = VALUES[name]()
+    value = REPR_VALUES[name]()
     namespace = {**vars(tropjac), "Fraction": Fraction, "MorphismFlags": MorphismFlags}
     assert eval(repr(value), namespace) == value
 
