@@ -5,6 +5,10 @@ factor (two cover files).  Cover documents are JSON objects with a "kind"
 of "theta", "dumbbell", or "general_circle"; every rational number is read
 and written as an exact "p/q" string (or an integer), never a float.
 
+Every cover of a genus-2 graph, a curve model or not, gets the same report
+and commands.  A cover of another genus gets the genus-free analyze fields;
+optimal, complement and split refuse it with UNSUPPORTED_GENUS.
+
 Exit codes: 0 on success, 1 when the library rejects the input (the error
 code and message go to stderr), 2 on usage errors.
 """
@@ -201,15 +205,6 @@ def parse_cover(text):
 # ---------------------------------------------------------------- reports
 
 
-def _verdict_dict(verdict):
-    return {
-        "kernel_connected": verdict.kernel_connected,
-        "dumbbell_gcd_free": verdict.dumbbell_gcd_free,
-        "component_count": verdict.component_count,
-        "note": verdict.note,
-    }
-
-
 def _torsion_list(divisors):
     return [{"position": _rat(d.position), "order": d.order} for d in divisors]
 
@@ -224,55 +219,40 @@ def _split_dict(report):
     }
 
 
+# the document kind of each cover type
+_KINDS = {ThetaCover: "theta", DumbbellCover: "dumbbell", GeneralCircleCover: "general_circle"}
+
+
 def _analysis_report(cover, include_split):
-    if isinstance(cover, GeneralCircleCover):
-        return {
-            "kind": "general_circle",
-            "degree": cover_degree(cover),
-            "target_length": _rat(cover.target_length),
-            "dilations": list(cover.dilations),
-            "pullback_kernel": _torsion_list(pullback_kernel(cover)),
-        }
-    push = pushforward_morphism(cover)
-    gamma = quotient_and_gamma(cover)
     report = {
-        "kind": "theta" if isinstance(cover, ThetaCover) else "dumbbell",
+        "kind": _KINDS[type(cover)],
         "degree": cover_degree(cover),
         "target_length": _rat(target_length(cover)),
-        "windings": list(cover.windings),
-        "dilations": list(cover.dilations),
-        "pushforward": {
-            "f_sharp": push.f_sharp.entries(),
-            "f_hash": push.f_hash.entries(),
-        },
-        "kernel_length": _rat(kernel_length(cover)),
-        "gamma": {
-            "l_tilde": _rat(gamma.l_tilde),
-            "a_sharp": gamma.a_sharp,
-            "a_hash": int(gamma.a_hash),
-        },
-        "component_count": component_count(cover),
-        "optimality": _verdict_dict(is_optimal(cover)),
-        "pullback_kernel": _torsion_list(pullback_kernel(cover)),
     }
+    if hasattr(cover, "windings"):
+        report["windings"] = list(cover.windings)
+    report["dilations"] = list(cover.dilations)
+    split = {}
+    if cover.source.genus == 2:
+        push = pushforward_morphism(cover)
+        gamma = quotient_and_gamma(cover)
+        report["pushforward"] = {"f_sharp": push.f_sharp.entries(), "f_hash": push.f_hash.entries()}
+        report["kernel_length"] = _rat(kernel_length(cover))
+        report["gamma"] = {**gamma._asdict(), "l_tilde": _rat(gamma.l_tilde)}
+        report["component_count"] = component_count(cover)
+        report["optimality"] = is_optimal(cover)._asdict()
+        if include_split:
+            gap = strong_optimality_gap(cover)
+            if gap is None:
+                split["split"] = _split_dict(verify_split_package(cover))
+            else:
+                split["split"] = {"applicable": False, "reason": gap}
+    report["pullback_kernel"] = _torsion_list(pullback_kernel(cover))
     arcs = validate_cover(cover).arcs
     if arcs is not None:
         report["arcs"] = [_rat(arcs[0]), _rat(arcs[1])]
-    if include_split:
-        gap = strong_optimality_gap(cover)
-        if gap is None:
-            report["split"] = _split_dict(verify_split_package(cover))
-        else:
-            report["split"] = {"applicable": False, "reason": gap}
+    report.update(split)
     return report
-
-
-def _require_model_cover(cover, command):
-    if isinstance(cover, GeneralCircleCover):
-        raise ValidationError(
-            f"the {command} command requires a theta or dumbbell cover"
-        )
-    return cover
 
 
 def _complement_report(cover):
@@ -386,19 +366,13 @@ def run_command(argv):
         if args.command == "analyze":
             report = _analysis_report(cover, args.split)
         elif args.command == "optimal":
-            _require_model_cover(cover, "optimal")
-            report = _verdict_dict(is_optimal(cover))
+            report = is_optimal(cover)._asdict()
         elif args.command == "complement":
-            _require_model_cover(cover, "complement")
             report = _complement_report(cover)
         elif args.command == "split":
-            _require_model_cover(cover, "split")
             report = _split_dict(verify_split_package(cover))
         else:
-            _require_model_cover(cover, "factor")
-            second = parse_cover(_read_file(args.file2))
-            _require_model_cover(second, "factor")
-            report = _factor_report(cover, second)
+            report = _factor_report(cover, parse_cover(_read_file(args.file2)))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

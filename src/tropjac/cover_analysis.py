@@ -22,7 +22,7 @@ from math import gcd
 from .curves_covers import DumbbellCover, _analysis_of, harmonic_form
 from .curves_covers import GammaData  # noqa: F401  (returned by quotient_and_gamma)
 from .curves_covers import require_valid  # noqa: F401  (bound here for bench/test_bench.py)
-from .errors import InvalidCover, SourceMismatch
+from .errors import SourceMismatch
 from .exact_lattice import Matrix
 from .torus_category import TorusMorphism, circle, compose
 
@@ -73,15 +73,9 @@ def quotient_and_gamma(cover):
     return _analysis_of(cover).gamma
 
 
-def _component_count(gamma):
-    if Fraction(gamma.a_hash).denominator != 1:
-        raise InvalidCover("component count of an invalid cover")
-    return int(gamma.a_hash)
-
-
 def component_count(cover):
     """Number of connected components of the kernel of the pushforward."""
-    return _component_count(quotient_and_gamma(cover))
+    return quotient_and_gamma(cover).a_hash
 
 
 def pullback_kernel(cover):
@@ -122,7 +116,7 @@ def is_optimal(cover):
     factors through a dilation (a_sharp > 1); the note records that case.
     """
     gamma = quotient_and_gamma(cover)
-    count = _component_count(gamma)
+    count = gamma.a_hash
     kernel_connected = count == 1
     if isinstance(cover, DumbbellCover):
         d1, d2 = cover.dilations
@@ -157,10 +151,7 @@ def factor_pushforward(first, second):
     """
     if _source(first) != _source(second):
         raise SourceMismatch("covers must share the same source curve")
-    analysis1, analysis2 = _analysis_of(first), _analysis_of(second)
-    if analysis1.kernel_direction != analysis2.kernel_direction:
-        return None
-    push1, push2 = analysis1.pushforward, analysis2.pushforward
+    push1, push2 = _analysis_of(first).pushforward, _analysis_of(second).pushforward
     g1 = gcd(*push1.f_sharp.column_tuple(0))
     g2 = gcd(*push2.f_sharp.column_tuple(0))
     if g1 % g2 != 0:

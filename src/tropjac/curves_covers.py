@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
-from .errors import InvalidCover, OffsetOutOfRange
+from .errors import InvalidCover, InvariantViolation, OffsetOutOfRange, UnsupportedGenus
 from .exact_lattice import Matrix, _Immutable, _Value, xgcd
 from .tav import PolarizedVariety, Polarization, reduce_point
 from .torus_category import IntegralTorus, TorusMorphism, circle, dual_morphism, kernel0
@@ -441,7 +441,7 @@ class ValidationReport(_Value):
 
 # Kernel-quotient data of a pushforward: the length of the quotient circle,
 # the multiplicity a_sharp of the quotient map on lattices, and the
-# multiplicity a_hash on dual lattices (the component count).
+# multiplicity a_hash on dual lattices (the component count, an int).
 GammaData = namedtuple("GammaData", ["l_tilde", "a_sharp", "a_hash"])
 
 
@@ -507,7 +507,10 @@ class CoverAnalysis(_Immutable):
 
     @cached_property
     def kernel(self):
-        """kernel0 of the pushforward: the kernel circle and its inclusion."""
+        """kernel0 of the pushforward: the kernel circle and its inclusion.
+        It is a circle only on a genus-2 graph, so every invariant read off
+        it is refused here for any other genus."""
+        _require_genus_2(self.form.graph)
         return kernel0(self.pushforward)
 
     @cached_property
@@ -526,7 +529,12 @@ class CoverAnalysis(_Immutable):
         _, a, b = xgcd(w[0, 0], w[1, 0])  # a·w1 + b·w2 = 1 since w is primitive
         vq = Matrix([[-b], [a]])  # completes w to a unimodular basis
         l_tilde = abs((wq * push.source.pairing * vq)[0, 0])
-        a_hash = Fraction(l_tilde * a_sharp, push.target.pairing[0, 0])
+        a_hash, rest = divmod(l_tilde * a_sharp, push.target.pairing[0, 0])
+        if rest:
+            raise InvariantViolation(
+                f"component count l_tilde·a_sharp/l = {l_tilde * a_sharp}/"
+                f"{push.target.pairing[0, 0]} is not an integer"
+            )
         return GammaData(l_tilde, a_sharp, a_hash)
 
     @cached_property
@@ -611,6 +619,12 @@ def _dumbbell_violations(cover):
         violations.append("realizability on loop2: d2·l_loop2 = n2·l")
     degree = n1 * d1 + n2 * d2
     return violations, degree
+
+
+def _require_genus_2(graph):
+    """The one genus guard: refuse a graph whose genus is not 2."""
+    if graph.genus != 2:
+        raise UnsupportedGenus(f"needs a genus-2 graph, not one of genus {graph.genus}")
 
 
 def _analysis_of(cover):

@@ -73,6 +73,13 @@ class NotOptimal(TropjacError):
     code = "NOT_OPTIMAL"
 
 
+class UnsupportedGenus(TropjacError):
+    """An invariant that exists only for covers of genus-2 graphs was asked
+    of a cover of another genus."""
+
+    code = "UNSUPPORTED_GENUS"
+
+
 class NotProductTarget(TropjacError):
     code = "NOT_PRODUCT_TARGET"
 

@@ -104,14 +104,16 @@ def _divide(a, b):
     return a / b
 
 
-class Matrix:
+class Matrix(_Immutable):
     """Immutable matrix with exact rational entries.
 
     Each entry is stored as an int when it is integral and as a Fraction
     otherwise, whatever exact type it was given as; a float raises
     ValueError.  Zero-row and zero-column shapes are first class (rank-0
     tori use them), which is why the constructor takes an explicit ``ncols``
-    when there are no rows to infer it from.
+    when there are no rows to infer it from.  Like every _Immutable, a
+    matrix refuses assignment once it is built: matrices are kept inside
+    cover analyses and used as set members and dict keys.
 
     >>> Matrix([[Fraction(4, 2), Fraction(1, 3)]])
     Matrix([[2, Fraction(1, 3)]], ncols=2)
@@ -132,8 +134,8 @@ class Matrix:
             ncols = width
         elif ncols is None:
             raise ValueError("ncols is required for a matrix with no rows")
-        self._rows = converted
-        self._ncols = ncols
+        _set_rows(self, converted)
+        _set_ncols(self, ncols)
 
     @classmethod
     def identity(cls, n):
@@ -157,15 +159,6 @@ class Matrix:
     def row(cls, entries):
         entries = list(entries)
         return cls([entries], ncols=len(entries))
-
-    @classmethod
-    def from_columns(cls, columns, nrows=None):
-        columns = [list(c) for c in columns]
-        if columns:
-            nrows = len(columns[0])
-        elif nrows is None:
-            raise ValueError("nrows is required for a matrix with no columns")
-        return cls([[col[i] for col in columns] for i in range(nrows)], ncols=len(columns))
 
     # -- shape and access ---------------------------------------------------
 
@@ -314,6 +307,11 @@ class Matrix:
         return f"Matrix([{body}], ncols={self._ncols})"
 
 
+# the slot setters, which fill a matrix while it is built; _Immutable
+# refuses every later assignment
+_set_rows, _set_ncols = Matrix._rows.__set__, Matrix._ncols.__set__
+
+
 def hstack(a, b):
     if a.nrows != b.nrows:
         raise ValueError("row count mismatch in hstack")
@@ -339,10 +337,14 @@ def xgcd(a, b):
     """Extended Euclid: returns (g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g.
 
     The classical iterative scheme; deterministic, with xgcd(0, 0) = (0, 0, 0).
+    Both arguments must be ints: anything else raises ValueError rather than
+    being truncated.
     """
+    if type(a) is not int or type(b) is not int:
+        raise ValueError(f"xgcd takes two ints, not {a!r} and {b!r}")
     if a == 0 and b == 0:
         return 0, 0, 0
-    old_r, r = int(a), int(b)
+    old_r, r = a, b
     old_s, s = 1, 0
     old_t, t = 0, 1
     while r != 0:

@@ -10,12 +10,11 @@ complementary cover realizes the projection onto TE' geometrically.
 from collections import namedtuple
 from fractions import Fraction
 
-from .cover_analysis import component_count, kernel_length, quotient_and_gamma
+from .cover_analysis import kernel_length, quotient_and_gamma
 from .curves_covers import (
-    DumbbellCurve,
     GeneralCircleCover,
-    ThetaCurve,
     _analysis_of,
+    _require_genus_2,
     cover_degree,
     jacobian,
     validate_cover,
@@ -67,7 +66,7 @@ def strong_optimality_gap(cover):
     pushforward kernel, no dilation factor), else the reason it does not."""
     gamma = quotient_and_gamma(cover)
     if gamma.a_hash != 1:
-        return f"pushforward kernel has {component_count(cover)} components"
+        return f"pushforward kernel has {gamma.a_hash} components"
     if gamma.a_sharp > 1:
         return (
             f"cover factors through the multiplication-by-{gamma.a_sharp} "
@@ -220,15 +219,15 @@ def verify_split_package(cover):
 def cover_from_splitting(curve, iso, factor=1):
     """Reconstruct the circle cover of a factor from a splitting isogeny.
 
-    iso must be an isogeny from the curve's Jacobian to a product of two
-    circles (diagonal pairing); the selected factor's universal cover row
-    dictates the per-edge slopes of the walk cover.
+    curve is any genus-2 MetricGraph, a curve model or not, and iso must be
+    an isogeny from its Jacobian to a product of two circles (diagonal
+    pairing); the selected factor's universal cover row dictates the
+    per-edge slopes of the walk cover.
     """
-    if not isinstance(curve, (ThetaCurve, DumbbellCurve)):
-        raise ValueError("cover_from_splitting expects a genus-2 curve model")
     if factor not in (1, 2):
         raise ValueError("factor must be 1 or 2")
     jac = jacobian(curve).torus
+    _require_genus_2(curve)
     if iso.source != jac:
         raise ShapeMismatch("isogeny must start at the curve's Jacobian")
     if not classify(iso).isogeny:

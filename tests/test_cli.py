@@ -20,6 +20,19 @@ GENERAL = json.dumps(
         "walks": [{"dilation": 2, "start": "0", "signed_length": "4"}],
     }
 )
+# two loops at one vertex: a genus-2 graph that is not a curve model
+FIGURE_EIGHT = json.dumps(
+    {
+        "kind": "general_circle",
+        "target_length": "1",
+        "vertices": ["v"],
+        "edges": [["v", "v", "1"], ["v", "v", "2"]],
+        "walks": [
+            {"dilation": 1, "start": "0", "signed_length": "1"},
+            {"dilation": 1, "start": "0", "signed_length": "2"},
+        ],
+    }
+)
 
 
 def run(capsys, *argv):
@@ -246,11 +259,50 @@ def test_contracted_general_cover_is_rejected(tmp_path, capsys):
     assert err.startswith("VALIDATION_ERROR: surjectivity")
 
 
-def test_general_circle_rejected_by_model_commands(tmp_path, capsys):
-    path = write(tmp_path, "g.json", GENERAL)
-    code, _, err = run(capsys, "optimal", path)
-    assert code == 1
-    assert err.startswith("VALIDATION_ERROR:")
+@pytest.mark.parametrize("command", ["optimal", "complement", "split"])
+@pytest.mark.parametrize(
+    "document, code",
+    [(GENERAL, 1), (FIGURE_EIGHT, 0)],
+    ids=["genus-1", "figure-eight"],
+)
+def test_genus_2_commands_on_general_covers(command, document, code, tmp_path, capsys):
+    exit_code, out, err = run(capsys, command, write(tmp_path, "g.json", document))
+    assert exit_code == code
+    if code:
+        assert out == "" and err.startswith("UNSUPPORTED_GENUS:")
+    else:
+        assert err == "" and json.loads(out)
+
+
+THETA_KEYS = [
+    "kind", "degree", "target_length", "windings", "dilations", "pushforward",
+    "kernel_length", "gamma", "component_count", "optimality", "pullback_kernel",
+    "arcs", "split",
+]
+
+
+@pytest.mark.parametrize(
+    "document, keys",
+    # windings and arcs are the only model-only keys
+    [
+        (DEGREE_TWO, THETA_KEYS),
+        (FIGURE_EIGHT, [k for k in THETA_KEYS if k not in ("windings", "arcs")]),
+        (GENERAL, ["kind", "degree", "target_length", "dilations", "pullback_kernel"]),
+    ],
+    ids=["theta", "figure-eight", "genus-1"],
+)
+def test_analyze_reports_one_key_order(document, keys, tmp_path, capsys):
+    code, out, _ = run(capsys, "analyze", write(tmp_path, "c.json", document), "--split")
+    assert code == 0
+    assert list(json.loads(out)) == keys
+
+
+def test_factor_on_general_covers(tmp_path, capsys):
+    for document in (GENERAL, FIGURE_EIGHT):
+        path = write(tmp_path, "g.json", document)
+        code, out, _ = run(capsys, "factor", path, path)
+        assert code == 0
+        assert json.loads(out)["factors"] is True
 
 
 def test_help_exits_zero(capsys):

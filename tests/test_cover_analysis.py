@@ -16,6 +16,7 @@ from oracles import (
     winding_pushforward,
     xgcd_kernel_length,
 )
+from tropjac import UnsupportedGenus
 from tropjac.cover_analysis import (
     GammaData,
     TorsionDivisor,
@@ -33,8 +34,10 @@ from tropjac.curves_covers import (
     DumbbellCover,
     DumbbellCurve,
     GeneralCircleCover,
+    MetricGraph,
     ThetaCover,
     ThetaCurve,
+    _analysis_of,
     circle_graph,
     cover_degree,
     harmonic_form,
@@ -42,9 +45,17 @@ from tropjac.curves_covers import (
 )
 from tropjac.errors import InvalidCover, SourceMismatch
 from tropjac.exact_lattice import Matrix
+from tropjac.split_jacobian import (
+    complementary_cover,
+    complementary_pushforward,
+    splitting_isogeny,
+    strong_optimality_gap,
+    verify_split_package,
+)
 from tropjac.torus_category import (
     classify,
     compose,
+    dual_morphism,
     kernel0,
     kernel_component_count,
 )
@@ -274,6 +285,70 @@ def test_factor_compares_source_graphs_and_cycle_bases():
     pytest.raises(SourceMismatch, lambda: factor_pushforward(theta, plain))
     double = GeneralCircleCover(circle_graph(2), 1, [(1, 0, 2)])
     pytest.raises(SourceMismatch, lambda: factor_pushforward(double, theta))
+
+
+# ------------------------------------------------------------ genus guard
+
+
+def other_genus_covers():
+    """A double cover by a circle (genus 1) and a degree-3 cover by a
+    bouquet of three loops (genus 3)."""
+    bouquet = MetricGraph(["v"], [("v", "v", 1)] * 3)
+    return {
+        "genus-1": GeneralCircleCover(circle_graph(2), 1, [(2, 0, 4)]),
+        "genus-3": GeneralCircleCover(bouquet, 1, [(1, 0, 1)] * 3),
+    }
+
+
+GENUS_2_ONLY = {
+    "kernel_length": kernel_length,
+    "kernel_direction": lambda cover: _analysis_of(cover).kernel_direction,
+    "quotient_and_gamma": quotient_and_gamma,
+    "component_count": component_count,
+    "is_optimal": is_optimal,
+    "strong_optimality_gap": strong_optimality_gap,
+    "complementary_cover": complementary_cover,
+    "complementary_pushforward": complementary_pushforward,
+    "splitting_isogeny": splitting_isogeny,
+    "verify_split_package": verify_split_package,
+}
+
+GENUS_FREE = {
+    "cover_degree": cover_degree,
+    "target_length": target_length,
+    "pushforward_morphism": pushforward_morphism,
+    "pullback_morphism": pullback_morphism,
+    "pullback_kernel": pullback_kernel,
+    "factor_pushforward": lambda cover: factor_pushforward(cover, cover),
+}
+
+
+@pytest.mark.parametrize("genus", sorted(other_genus_covers()))
+@pytest.mark.parametrize("name", sorted(GENUS_2_ONLY))
+def test_genus_2_invariants_refuse_other_genera(name, genus):
+    cover = other_genus_covers()[genus]
+    with pytest.raises(UnsupportedGenus) as info:
+        GENUS_2_ONLY[name](cover)
+    assert info.value.code == "UNSUPPORTED_GENUS"
+    assert f"genus {genus[-1]}" in str(info.value)
+
+
+@pytest.mark.parametrize("genus", sorted(other_genus_covers()))
+def test_genus_free_invariants_hold_for_other_genera(genus):
+    cover = other_genus_covers()[genus]
+    values = {name: invariant(cover) for name, invariant in GENUS_FREE.items()}
+    assert values["cover_degree"] == {"genus-1": 8, "genus-3": 3}[genus]
+    assert values["target_length"] == 1
+    assert values["pushforward_morphism"].source.rank == int(genus[-1])
+    assert values["pullback_morphism"] == dual_morphism(values["pushforward_morphism"])
+    assert len(values["pullback_kernel"]) == {"genus-1": 2, "genus-3": 1}[genus]
+    assert values["factor_pushforward"].f_sharp == Matrix([[1]])
+
+
+def test_component_count_is_an_int():
+    for cover in (degree_two_cover(), big_cover(), db_cover()):
+        assert type(quotient_and_gamma(cover).a_hash) is int
+        assert type(component_count(cover)) is int
 
 
 # ------------------------------------------------------- closed-form oracles

@@ -193,6 +193,13 @@ def test_xgcd_small_cases():
     assert g == 2 and -4 * x + 6 * y == 2
 
 
+@pytest.mark.parametrize("a", [Fraction(1, 2), Fraction(2), 2.7, 2.0, True, "2"])
+def test_xgcd_refuses_anything_but_ints(a):
+    # int() would truncate 1/2 and 2.7 to a wrong gcd
+    pytest.raises(ValueError, xgcd, a, 1)
+    pytest.raises(ValueError, xgcd, 1, a)
+
+
 # -- Smith normal form -----------------------------------------------------
 
 

@@ -50,6 +50,16 @@ GENERAL = {
     "edges": [["v", "v", "2"]],
     "walks": [{"dilation": 2, "start": "0", "signed_length": "4"}],
 }
+FIGURE_EIGHT = {
+    "kind": "general_circle",
+    "target_length": "1",
+    "vertices": ["v"],
+    "edges": [["v", "v", "1"], ["v", "v", "2"]],
+    "walks": [
+        {"dilation": 1, "start": "0", "signed_length": "1"},
+        {"dilation": 1, "start": "0", "signed_length": "2"},
+    ],
+}
 
 
 def _count_calls(monkeypatch, owner, name, counter):
@@ -64,9 +74,10 @@ def _count_calls(monkeypatch, owner, name, counter):
 
 @pytest.mark.parametrize(
     "document, pushforwards",
-    # the general cover gets the reduced report, which needs no pushforward
-    [(THETA, 1), (DUMBBELL, 1), (GENERAL, 0)],
-    ids=["theta", "dumbbell", "general"],
+    # the genus-1 general cover gets only the genus-free fields, which need
+    # no pushforward; the genus-2 figure eight gets the full report
+    [(THETA, 1), (DUMBBELL, 1), (GENERAL, 0), (FIGURE_EIGHT, 1)],
+    ids=["theta", "dumbbell", "general", "figure-eight"],
 )
 def test_analyze_split_validates_and_pushes_forward_once(
     document, pushforwards, tmp_path, monkeypatch, capsys

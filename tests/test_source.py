@@ -48,3 +48,27 @@ def test_equality_and_hash_are_defined_only_on_matrix_and_the_value_base():
 def test_module_doctests_pass(name):
     module = importlib.import_module("tropjac" if name == "__init__" else f"tropjac.{name}")
     assert doctest.testmod(module).failed == 0
+
+
+COVER_TYPES = {"ThetaCover", "DumbbellCover", "GeneralCircleCover", "ThetaCurve", "DumbbellCurve"}
+
+
+def test_no_isinstance_forks_on_cover_types():
+    # every genus-2 cover takes one path; only the dumbbell gcd criterion,
+    # which reads the dumbbell's windings, stays model-only
+    found = []
+    for name in ("cli.py", "cover_analysis.py", "split_jacobian.py"):
+        path = Path(tropjac.__file__).parent / name
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance"
+                ):
+                    named = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                    found += [f"{name}:{function.name}:{t}" for t in sorted(named & COVER_TYPES)]
+    assert found == ["cover_analysis.py:is_optimal:DumbbellCover"]

@@ -9,8 +9,11 @@ from tropjac.cover_analysis import is_optimal, quotient_and_gamma
 from tropjac.curves_covers import (
     DumbbellCover,
     DumbbellCurve,
+    GeneralCircleCover,
+    MetricGraph,
     ThetaCover,
     ThetaCurve,
+    circle_graph,
     cover_degree,
     jacobian,
     validate_general_cover,
@@ -21,6 +24,7 @@ from tropjac.errors import (
     NotOptimal,
     NotProductTarget,
     ShapeMismatch,
+    UnsupportedGenus,
 )
 from tropjac.exact_lattice import Matrix
 from tropjac.split_jacobian import (
@@ -191,6 +195,39 @@ def test_cover_from_splitting_input_checking():
         lambda: cover_from_splitting(ThetaCurve(1, 1, 2), tilde),
     )
     pytest.raises(ValueError, lambda: cover_from_splitting(curve, tilde, factor=3))
+
+
+def figure_eight_cover():
+    """Degree 3 from two loops at one vertex, a genus-2 graph that is not a
+    curve model."""
+    graph = MetricGraph(["v"], [("v", "v", 1), ("v", "v", 2)])
+    return GeneralCircleCover(graph, 1, [(1, 0, 1), (1, 0, 2)])
+
+
+def test_cover_from_splitting_on_a_graph_that_is_not_a_model():
+    cover = figure_eight_cover()
+    report = verify_split_package(cover)
+    assert report.degree == 3 and report.all_flags_hold
+    comp = complementary_cover(cover)
+    graph = cover.graph
+    recovered = cover_from_splitting(graph, report.phi_tilde_morphism, factor=2)
+    assert (recovered.edge_data, recovered.target_length) == (cover.edge_data, 1)
+    other = cover_from_splitting(graph, report.phi_tilde_morphism, factor=1)
+    assert (other.edge_data, other.target_length) == (
+        comp.general.edge_data,
+        comp.target_length,
+    )
+
+
+def test_cover_from_splitting_refuses_other_genera():
+    bouquet = MetricGraph(["v"], [("v", "v", 1)] * 3)
+    ident = identity_morphism(jacobian(bouquet).torus)
+    with pytest.raises(UnsupportedGenus) as info:
+        cover_from_splitting(bouquet, ident)
+    assert info.value.code == "UNSUPPORTED_GENUS"
+    circle = circle_graph(1)
+    with pytest.raises(UnsupportedGenus):
+        cover_from_splitting(circle, identity_morphism(jacobian(circle).torus))
 
 
 def test_inconsistent_walk_cover_raises_a_coded_error():
