@@ -355,10 +355,13 @@ def _build_parser():
     return parser
 
 
+# parse_args leaves the parser unchanged, so one serves every call
+_PARSER = _build_parser()
+
+
 def run_command(argv):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

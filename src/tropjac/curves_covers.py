@@ -6,7 +6,8 @@ harmonic_form returns that form, and every invariant is derived from it, so
 the theta and dumbbell models supply only their graph, their fixed cycle
 basis and their realizability equations.
 
-A plain MetricGraph uses the fundamental cycles of its BFS spanning tree.
+A plain MetricGraph builds its BFS spanning tree once, when it is
+constructed, and uses the fundamental cycles of that tree.
 The curve models keep fixed bases, so that their coordinates never depend
 on a tree.  On the theta graph the edge e runs from P0 to P1 while e1 and e2
 run from P1 back to P0, and the basis is B1 = e + e2, B2 = e2 - e1.  The
@@ -63,9 +64,9 @@ def _nonnegative_int(value, what):
 class MetricGraph(_Value):
     """An immutable connected graph with positive rational edge lengths.  Its
     edges are named by their index, and its cycle basis comes from the BFS
-    tree."""
+    tree, which the graph builds once, when it is constructed."""
 
-    __slots__ = ("vertices", "edges")
+    __slots__ = ("vertices", "edges", "__dict__")  # the tree is kept in __dict__
 
     EDGES = None  # edge names; None names each edge by its index
 
@@ -81,20 +82,26 @@ class MetricGraph(_Value):
                 raise ValueError(f"edge ({tail!r}, {head!r}) uses unknown vertices")
             cleaned.append((tail, head, _positive_rational(length, "edge length")))
         self._set(vertices=vertices, edges=tuple(cleaned))
-        if len(self._reachable(self.vertices[0])) != len(self.vertices):
+        if len(self._root_paths) != len(self.vertices):
             raise ValueError("metric graph must be connected")
 
-    def _reachable(self, start):
-        seen = {start}
-        frontier = [start]
+    @cached_property
+    def _root_paths(self):
+        """The deterministic BFS tree from the first vertex: maps each vertex
+        it reaches to the edge coefficients of its tree path from the root."""
+        root = self.vertices[0]
+        paths = {root: (0,) * len(self.edges)}
+        frontier = [root]
         while frontier:
-            v = frontier.pop()
-            for tail, head, _ in self.edges:
-                for a, b in ((tail, head), (head, tail)):
-                    if a == v and b not in seen:
-                        seen.add(b)
-                        frontier.append(b)
-        return seen
+            v = frontier.pop(0)
+            for index, (tail, head, _) in enumerate(self.edges):
+                for near, far, sign in ((tail, head, 1), (head, tail, -1)):
+                    if near == v and far not in paths:
+                        path = list(paths[v])
+                        path[index] += sign
+                        paths[far] = tuple(path)
+                        frontier.append(far)
+        return paths
 
     @property
     def genus(self):
@@ -109,54 +116,21 @@ class MetricGraph(_Value):
             return edge
         raise ValueError(f"unknown edge {edge!r}")
 
-    def spanning_tree(self):
-        """Deterministic BFS tree: maps each non-root vertex to
-        (edge index, +1 if the edge is traversed tail->head to reach it)."""
-        root = self.vertices[0]
-        parent = {root: None}
-        frontier = [root]
-        while frontier:
-            v = frontier.pop(0)
-            for index, (tail, head, _) in enumerate(self.edges):
-                if tail == v and head not in parent:
-                    parent[head] = (index, 1)
-                    frontier.append(head)
-                elif head == v and tail not in parent:
-                    parent[tail] = (index, -1)
-                    frontier.append(tail)
-        return parent
-
-    def _path_to_root(self, vertex, parent):
-        steps = []
-        v = vertex
-        while parent[v] is not None:
-            index, sign = parent[v]
-            tail, head, _ = self.edges[index]
-            steps.append((index, -sign))
-            v = tail if sign == 1 else head
-        return steps  # traversal from `vertex` up to the root
-
     def tree_path(self, start, end):
-        """Edge steps (index, sign) of the tree path from start to end."""
-        parent = self.spanning_tree()
-        up = self._path_to_root(start, parent)
-        down = [(i, -s) for i, s in reversed(self._path_to_root(end, parent))]
-        return up + down
+        """Edge coefficients of the tree path from start to end."""
+        paths = self._root_paths
+        return tuple(b - a for a, b in zip(paths[start], paths[end]))
 
     def cycle_basis(self):
         """One fundamental cycle per non-tree edge, as edge-coefficient
-        vectors in input edge order."""
-        parent = self.spanning_tree()
-        tree_edges = {entry[0] for entry in parent.values() if entry is not None}
+        vectors in input edge order: the edge, then the tree path from its
+        head back to its tail.  That sum vanishes exactly on tree edges."""
         cycles = []
         for index, (tail, head, _) in enumerate(self.edges):
-            if index in tree_edges:
-                continue
-            coefficients = [0] * len(self.edges)
-            coefficients[index] = 1
-            for step_index, sign in self.tree_path(head, tail):
-                coefficients[step_index] += sign
-            cycles.append(tuple(coefficients))
+            cycle = list(self.tree_path(head, tail))
+            cycle[index] += 1
+            if any(cycle):
+                cycles.append(tuple(cycle))
         return cycles
 
     def period_matrix(self):
@@ -710,12 +684,13 @@ def abel_jacobi(graph, basepoint, point):
     offset = _rational(offset, "offset")
     if offset < 0 or offset > length:
         raise OffsetOutOfRange(f"offset {offset} outside [0, {length}] on edge {edge}")
-    cycles = graph.cycle_basis()
-    coords = [Fraction(0)] * len(cycles)
-    for step_index, sign in graph.tree_path(basepoint, tail):
-        step_length = graph.edges[step_index][2]
-        for i, cycle in enumerate(cycles):
-            coords[i] += sign * step_length * cycle[step_index]
-    for i, cycle in enumerate(cycles):
-        coords[i] += offset * cycle[index]
+    path = graph.tree_path(basepoint, tail)
+    coords = [
+        sum(
+            coefficient * edge_length * on_cycle
+            for coefficient, (_, _, edge_length), on_cycle in zip(path, graph.edges, cycle)
+        )
+        + offset * cycle[index]
+        for cycle in graph.cycle_basis()
+    ]
     return reduce_point(jacobian(graph).torus, coords)

@@ -287,20 +287,10 @@ class Matrix(_Immutable):
         """Exact inverse; raises ValueError when singular."""
         if not self.is_square:
             raise ValueError("inverse of a non-square matrix")
-        n = self._ncols
-        work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self._rows)]
-        for col in range(n):
-            pivot_row = next((i for i in range(col, n) if work[i][col] != 0), None)
-            if pivot_row is None:
-                raise ValueError("matrix is singular")
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            pivot = work[col][col]
-            work[col] = [_divide(x, pivot) for x in work[col]]
-            for i in range(n):
-                if i != col and work[i][col] != 0:
-                    factor = work[i][col]
-                    work[i] = [a - factor * b for a, b in zip(work[i], work[col])]
-        return Matrix([row[n:] for row in work], ncols=n)
+        inverse = rational_solve(self, Matrix.identity(self._ncols))
+        if inverse is None:
+            raise ValueError("matrix is singular")
+        return inverse
 
     def __repr__(self):
         body = ", ".join("[" + ", ".join(map(repr, row)) + "]" for row in self._rows)

@@ -27,8 +27,8 @@ from .exact_lattice import (
     _Value,
     column_hnf,
     hstack,
-    integer_kernel,
     invariant_factors,
+    lattice_index,
     smith_normal_form,
 )
 from .torus_category import (
@@ -39,7 +39,6 @@ from .torus_category import (
     dual_morphism,
     image,
     kernel0,
-    kernel_component_count,
     quotient_by_subtorus,
 )
 
@@ -154,15 +153,17 @@ def check_exact_sequence(f, g):
 
     Requires: f injective, g surjective with connected kernel, and the image
     of f equal to the kernel component of g as saturated sublattices of the
-    middle torus.
+    middle torus.  "g surjective with connected kernel" is one check, that
+    im(g.f_hash) has index 1.  For a surjection that index is the kernel
+    component count (see torus_category.kernel_component_count).  When g is
+    not onto, g.f_hash has the rank of g.f_sharp (by the pairing law), below
+    the target rank, so the index is infinite.
     """
     if f.target != g.source:
         raise ShapeMismatch("sequence morphisms are not composable")
     if not classify(f).injective:
         return False
-    if not classify(g).surjective:
-        return False
-    if kernel_component_count(g) != 1:
+    if lattice_index(g.f_hash, Matrix.identity(g.target.rank)) != 1:
         return False
     _, image_inclusion = image(f)
     _, kernel_inclusion = kernel0(g)

@@ -170,27 +170,14 @@ def kernel0(m):
 
 
 def cokernel(m):
-    """Cokernel torus with its projection.
+    """Cokernel torus with its projection: the dual of the kernel of the
+    dual morphism.
 
     In coordinates: (ker(f_sharp), Lambda'_tgt / im(f_hash) saturated,
     induced pairing), quotient coordinates from the Smith form of f_hash.
     """
-    n2 = m.target.rank
-    lambda_basis = integer_kernel(m.f_sharp)
-    u, s, _ = smith_normal_form(m.f_hash)
-    r = snf_rank(s)
-    k = n2 - r
-    uinv = u.inv()
-    projection = u.submatrix(range(r, n2), range(n2))
-    section = uinv.submatrix(range(n2), range(r, n2))
-    pairing = lambda_basis.transpose() * m.target.pairing * section
-    if k == 1 and pairing[0, 0] < 0:
-        # orient rank-1 cokernels positively, mirroring kernel0
-        projection = -projection
-        pairing = -pairing
-    torus = IntegralTorus(k, pairing)
-    proj = TorusMorphism(m.target, torus, lambda_basis, projection)
-    return torus, proj
+    torus, inclusion = kernel0(dual_morphism(m))
+    return dual(torus), dual_morphism(inclusion)
 
 
 def image(m):

@@ -2,6 +2,8 @@
 
 import json
 from collections import Counter
+from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,12 @@ from hypothesis import strategies as st
 
 import tropjac.cli as cli
 import tropjac.curves_covers as curves_covers
+import tropjac.exact_lattice as exact_lattice
 import tropjac.split_jacobian as split_jacobian
+import tropjac.tav as tav
+import tropjac.torus_category as torus_category
 from oracles import degree_two_cover, dumbbell_covers, theta_covers
+from test_presentations import subdivided
 from tropjac.cli import run_command
 from tropjac.cover_analysis import (
     component_count,
@@ -114,6 +120,48 @@ def test_each_general_cover_is_validated_once(command, document, tmp_path, monke
     assert run_command([command, str(path)]) == 0
     capsys.readouterr()
     assert calls == Counter(validate_general_cover=1)
+
+
+def test_split_package_classifies_each_morphism_once(monkeypatch):
+    # an analysed, strongly optimal cover of degree 101: the package reuses
+    # what the analysis holds and classifies phi, the kernel inclusion and
+    # the pullback once each
+    cover = DumbbellCover(DumbbellCurve(Fraction(1, 50), Fraction(1, 51), 1), (1, 1), (50, 51))
+    assert strong_optimality_gap(cover) is None and pullback_morphism(cover)
+    calls = Counter()
+    classified = []
+    for module in (exact_lattice, torus_category, tav, split_jacobian):
+        if hasattr(module, "smith_normal_form"):
+            _count_calls(monkeypatch, module, "smith_normal_form", calls)
+    for module in (torus_category, tav, split_jacobian):
+        if hasattr(module, "classify"):
+            original = getattr(module, "classify")
+            monkeypatch.setattr(
+                module, "classify", lambda m, original=original: classified.append(m) or original(m)
+            )
+    assert verify_split_package(cover).all_flags_hold
+    assert calls["smith_normal_form"] <= 22
+    assert len(classified) <= 3
+    assert len(set(classified)) == len(classified)
+
+
+def test_each_graph_builds_one_bfs_tree(monkeypatch):
+    # the theta cover over its plain graph with the edge e subdivided, so
+    # the cycle basis, the tree paths and the walk cover all read the tree
+    trees = Counter()
+    build = curves_covers.MetricGraph._root_paths.func
+
+    def counting(graph):
+        trees[id(graph)] += 1
+        return build(graph)
+
+    counted = cached_property(counting)
+    counted.__set_name__(curves_covers.MetricGraph, "_root_paths")
+    monkeypatch.setattr(curves_covers.MetricGraph, "_root_paths", counted)
+    cover = subdivided(degree_two_cover(), 0)
+    assert verify_split_package(cover).all_flags_hold
+    complementary_cover(cover)
+    assert trees and max(trees.values()) == 1
 
 
 def test_covers_and_what_they_keep_refuse_assignment():

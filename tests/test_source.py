@@ -72,3 +72,27 @@ def test_no_isinstance_forks_on_cover_types():
                     named = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
                     found += [f"{name}:{function.name}:{t}" for t in sorted(named & COVER_TYPES)]
     assert found == ["cover_analysis.py:is_optimal:DumbbellCover"]
+
+
+def test_every_import_is_used():
+    # an import that nothing reads is dead code; one kept on purpose, as a
+    # re-export or for a binding that others patch, says so with noqa
+    found = []
+    for path in sorted(Path(tropjac.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        tree = ast.parse(source, filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used |= {item.value for item in node.value.elts}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    found.append(f"{path.name}:{alias.lineno}:{name}")
+    assert found == []

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+import tropjac.split_jacobian as split_jacobian
 from oracles import cover_corpus, degree_two_cover
-from tropjac.cover_analysis import is_optimal, quotient_and_gamma
+from tropjac.cover_analysis import is_optimal, pushforward_morphism, quotient_and_gamma
 from tropjac.curves_covers import (
     DumbbellCover,
     DumbbellCurve,
@@ -36,6 +37,7 @@ from tropjac.split_jacobian import (
     verify_split_package,
 )
 from tropjac.torus_category import (
+    TorusMorphism,
     classify,
     compose,
     identity_morphism,
@@ -150,6 +152,84 @@ def test_verify_split_package_across_corpus_sample():
         report = verify_split_package(cover)
         assert report.all_flags_hold
         assert len(report.kernel_points) == report.degree == cover_degree(cover)
+
+
+def _doubled(m):
+    return TorusMorphism(m.source, m.target, 2 * m.f_sharp, 2 * m.f_hash)
+
+
+def _zeroed(coordinate):
+    """Kernel points with one circle coordinate moved to 0."""
+    return lambda points, cover: lambda phi: [
+        Matrix([[0 if i == coordinate else p[i, 0]] for i in range(2)]) for p in points(phi)
+    ]
+
+
+def _scaled_phi(splitting, cover):
+    def doubled_phi(c):
+        phi, points = splitting(c)
+        return _doubled(phi), points
+
+    return doubled_phi
+
+
+def _scaled_phi_tilde(compose_, cover):
+    # phi_tilde is the outer factor of the one composite
+    return lambda outer, inner: compose_(_doubled(outer), inner)
+
+
+def _push_doubled(check, cover):
+    # the doubled pushforward has a kernel of two components
+    push = pushforward_morphism(cover)
+    return lambda f, g: check(f, _doubled(g) if g == push else g)
+
+
+def _complement_doubled(complement, cover):
+    return lambda c: _doubled(complement(c))
+
+
+# each case breaks the object behind one flag through the split_jacobian
+# binding that supplies it; other flags that read the same object fail too
+BROKEN_FLAGS = {
+    "kernel points off TE'": (
+        "isogeny_kernel_points", _zeroed(0), {"kernel_matches_d_torsion_TEprime"}),
+    "kernel points off TE": (
+        "isogeny_kernel_points", _zeroed(1), {"kernel_matches_d_torsion_TE"}),
+    "kernel point dropped": (
+        "isogeny_kernel_points",
+        lambda points, cover: lambda phi: points(phi)[1:],
+        {"kernel_matches_d_torsion_TEprime", "kernel_matches_d_torsion_TE"},
+    ),
+    "phi_tilde scaled": ("compose", _scaled_phi_tilde, {"composite_is_mult_d"}),
+    "phi scaled": (
+        "splitting_isogeny",
+        _scaled_phi,
+        {"composite_is_mult_d", "polarization_pullback_is_d_times_principal"},
+    ),
+    "pushforward doubled": (
+        "check_exact_sequence", _push_doubled, {"kernel_sequence_exact"}),
+    "complementary pushforward scaled": (
+        "complementary_pushforward",
+        _complement_doubled,
+        {"composite_is_mult_d", "pullback_sequence_exact"},
+    ),
+}
+
+
+def test_every_flag_has_a_breaking_case():
+    broken = set().union(*(flags for _, _, flags in BROKEN_FLAGS.values()))
+    assert broken == set(verify_split_package(degree_two_cover()).flags)
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_FLAGS))
+@pytest.mark.parametrize("cover", [degree_two_cover, tall_cover], ids=["degree-2", "tall"])
+def test_each_split_flag_fails_on_a_broken_splitting(case, cover, monkeypatch):
+    binding, patch, expected = BROKEN_FLAGS[case]
+    cover = cover()
+    original = getattr(split_jacobian, binding)
+    monkeypatch.setattr(split_jacobian, binding, patch(original, cover))
+    report = verify_split_package(cover)
+    assert {flag for flag, holds in report.flags.items() if not holds} == expected
 
 
 # ------------------------------------------------------- cover from splitting

@@ -272,6 +272,12 @@ def test_check_exact_sequence_fails_when_composite_is_nonzero():
     assert not check_exact_sequence(inclusion, projection)
 
 
+def test_check_exact_sequence_fails_when_g_is_not_onto():
+    # the zero map kills the whole image of the identity, but is not onto
+    jac = theta_jacobian()
+    assert not check_exact_sequence(identity_morphism(jac), zero_morphism(jac, circle(3)))
+
+
 def test_check_exact_sequence_requires_composable():
     push = degree_two_pushforward()
     pytest.raises(ShapeMismatch, lambda: check_exact_sequence(push, push))
