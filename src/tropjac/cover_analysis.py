@@ -24,6 +24,7 @@ from .curves_covers import GammaData  # noqa: F401  (returned by quotient_and_ga
 from .curves_covers import require_valid  # noqa: F401  (bound here for bench/test_bench.py)
 from .errors import SourceMismatch
 from .exact_lattice import Matrix
+from .tav import _require_listable
 from .torus_category import TorusMorphism, circle, compose
 
 
@@ -84,9 +85,12 @@ def pullback_kernel(cover):
     A class of order m at position j·l/m, gcd(j, m) = 1, lies in the kernel
     exactly when m divides d·j, hence d, for every dilation d.  The kernel is
     therefore the g-torsion of the target circle, g the gcd of all dilations.
+    A kernel of more than tav.MAX_LISTED_POINTS points raises KernelTooLarge
+    before any divisor is listed.
     """
     form = harmonic_form(cover)
     g = gcd(*form.dilations)
+    _require_listable(g, "the pullback kernel")
     return [
         TorsionDivisor(Fraction(j, g) * form.target_length, g // gcd(j, g))
         for j in range(g)

@@ -80,6 +80,13 @@ class UnsupportedGenus(TropjacError):
     code = "UNSUPPORTED_GENUS"
 
 
+class KernelTooLarge(TropjacError):
+    """A finite kernel has more points than a listing may hold
+    (tav.MAX_LISTED_POINTS); it is refused before any point is listed."""
+
+    code = "KERNEL_TOO_LARGE"
+
+
 class NotProductTarget(TropjacError):
     code = "NOT_PRODUCT_TARGET"
 

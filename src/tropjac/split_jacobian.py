@@ -9,6 +9,7 @@ complementary cover realizes the projection onto TE' geometrically.
 
 from collections import namedtuple
 from fractions import Fraction
+from math import lcm
 
 from .cover_analysis import kernel_length, quotient_and_gamma
 from .curves_covers import (
@@ -162,8 +163,18 @@ def complementary_pushforward(cover):
     return TorusMorphism(push.source, te_prime, w, f_hash)
 
 
-def _torsion_positions(length, degree):
-    return [Fraction(j, degree) * length for j in range(degree)]
+def _is_d_torsion(positions, length, degree):
+    """Whether the positions, in any order, are exactly the degree-torsion
+    j·length/degree (j = 0..degree-1) of a circle of the given length.
+
+    The positions and the step length/degree are scaled to one common
+    denominator, so the comparison runs on ints.
+    """
+    step = Fraction(length) / degree
+    den = lcm(step.denominator, *(x.denominator for x in positions))
+    unit = step.numerator * (den // step.denominator)
+    scaled = sorted(x.numerator * (den // x.denominator) for x in positions)
+    return scaled == [j * unit for j in range(degree)]
 
 
 def verify_split_package(cover):
@@ -191,11 +202,13 @@ def verify_split_package(cover):
     composite = compose(phi_tilde, phi)
     length_prime = phi.source.pairing[0, 0]
     length = phi.source.pairing[1, 1]
-    first = sorted(point[0, 0] for point in kernel_points)
-    second = sorted(point[1, 0] for point in kernel_points)
     flags = {
-        "kernel_matches_d_torsion_TEprime": first == _torsion_positions(length_prime, degree),
-        "kernel_matches_d_torsion_TE": second == _torsion_positions(length, degree),
+        "kernel_matches_d_torsion_TEprime": _is_d_torsion(
+            [point[0, 0] for point in kernel_points], length_prime, degree
+        ),
+        "kernel_matches_d_torsion_TE": _is_d_torsion(
+            [point[1, 0] for point in kernel_points], length, degree
+        ),
         "composite_is_mult_d": composite.f_sharp == scaled and composite.f_hash == scaled,
         # the pullback of the principal polarization along phi, an isogeny
         # (isogeny_kernel_points checked it)

@@ -12,9 +12,10 @@ equality and torsion orders decidable.
 """
 
 from fractions import Fraction
-from math import floor, lcm
+from math import floor, lcm, prod
 
 from .errors import (
+    KernelTooLarge,
     NotExact,
     NotFinite,
     NotIsogeny,
@@ -27,8 +28,10 @@ from .exact_lattice import (
     _Value,
     column_hnf,
     hstack,
+    integer_kernel,
     invariant_factors,
     lattice_index,
+    saturate,
     smith_normal_form,
 )
 from .torus_category import (
@@ -37,8 +40,6 @@ from .torus_category import (
     classify,
     dual,
     dual_morphism,
-    image,
-    kernel0,
     quotient_by_subtorus,
 )
 
@@ -157,7 +158,10 @@ def check_exact_sequence(f, g):
     im(g.f_hash) has index 1.  For a surjection that index is the kernel
     component count (see torus_category.kernel_component_count).  When g is
     not onto, g.f_hash has the rank of g.f_sharp (by the pairing law), below
-    the target rank, so the index is infinite.
+    the target rank, so the index is infinite.  The image of f is read as
+    saturate(f.f_hash) and the kernel component of g as
+    integer_kernel(g.f_hash), the second lattices that the inclusions of
+    image(f) and kernel0(g) carry, without building either torus.
     """
     if f.target != g.source:
         raise ShapeMismatch("sequence morphisms are not composable")
@@ -165,11 +169,9 @@ def check_exact_sequence(f, g):
         return False
     if lattice_index(g.f_hash, Matrix.identity(g.target.rank)) != 1:
         return False
-    _, image_inclusion = image(f)
-    _, kernel_inclusion = kernel0(g)
     # both are canonical bases of saturated sublattices of the middle second
     # lattice, so lattice equality is literal matrix equality
-    return image_inclusion.f_hash == kernel_inclusion.f_hash
+    return saturate(f.f_hash) == integer_kernel(g.f_hash)
 
 
 def dualize_sequence(seq):
@@ -204,14 +206,9 @@ def reduce_point(torus, coords):
     """Canonical representative of a universal-cover point, with pairing
     coordinates reduced into [0, 1)^n."""
     x = _as_fraction_column(torus, coords)
-    return _reduce(torus.pairing, torus.pairing.inv(), x)
-
-
-def _reduce(pairing, inverse, x):
-    """reduce_point with the inverse of the pairing already at hand."""
-    c = inverse * x
+    c = torus.pairing.inv() * x
     reduced = Matrix.column([ci - floor(ci) for ci in c.column_tuple(0)])
-    return pairing * reduced
+    return torus.pairing * reduced
 
 
 def point_order(torus, coords):
@@ -221,39 +218,83 @@ def point_order(torus, coords):
     return lcm(*[ci.denominator for ci in c.column_tuple(0)]) if torus.rank else 1
 
 
+# Finite groups of points are listed point by point, so a listing is refused
+# before it starts when the group has more points than this.
+MAX_LISTED_POINTS = 10**6
+
+
+def _require_listable(count, what):
+    if count > MAX_LISTED_POINTS:
+        raise KernelTooLarge(
+            f"{what} has {count} points, above the listing bound of {MAX_LISTED_POINTS}"
+        )
+
+
+def _over_common_denominator(vectors):
+    """Rational vectors as int tuples over the lcm of their denominators,
+    as (denominator, tuples); the denominator of no entries is 1."""
+    den = lcm(*(x.denominator for vector in vectors for x in vector))
+    return den, [tuple(x.numerator * (den // x.denominator) for x in vector) for vector in vectors]
+
+
+def _subgroup(gens, den, n):
+    """All points of the subgroup of (Z/den)^n generated by int tuples.
+
+    Each generator g adds the cosets S + g, S + 2g, ... of the group S
+    generated so far, until a multiple of g lies in S, so every point is
+    made once by one tuple addition.
+    """
+    group = [(0,) * n]
+    for g in gens:
+        g = tuple(x % den for x in g)
+        members = set(group)
+        cosets, step = [], g
+        while step not in members:
+            cosets += [tuple((a + b) % den for a, b in zip(p, step)) for p in group]
+            step = tuple((a + b) % den for a, b in zip(step, g))
+        group += cosets
+    return group
+
+
+def _listed_points(pairing, den, coords):
+    """The canonical points pairing * (c / den) of pairing coordinates c in
+    [0, den)^n, sorted coordinate-wise, as columns.
+
+    The points are computed as int numerators over one positive common
+    denominator, so sorting the numerators sorts the points.
+    """
+    pairing_den, scaled = _over_common_denominator(pairing.entries())
+    total = den * pairing_den
+    numerators = sorted(
+        tuple(sum(a * b for a, b in zip(row, c)) for row in scaled) for c in coords
+    )
+    return [Matrix.column([Fraction(x, total) for x in num]) for num in numerators]
+
+
 def subgroup_generated(torus, gens):
     """All points of the finite subgroup generated by rational points.
 
-    Breadth-first closure under addition of the generators; returns
-    canonical representatives sorted coordinate-wise.
+    The generators' pairing coordinates are written once over their common
+    denominator; the closure under addition runs on those int tuples mod the
+    denominator.  Returns canonical representatives sorted coordinate-wise.
     """
     pairing = torus.pairing
     inverse = pairing.inv()
-
-    def reduce(coords):
-        return _reduce(pairing, inverse, _as_fraction_column(torus, coords))
-
-    gen_columns = [reduce(g) for g in gens]
-    zero = reduce([0] * torus.rank)
-    seen = {zero.column_tuple(0): zero}
-    frontier = [zero]
-    while frontier:
-        point = frontier.pop()
-        for g in gen_columns:
-            candidate = _reduce(pairing, inverse, point + g)
-            key = candidate.column_tuple(0)
-            if key not in seen:
-                seen[key] = candidate
-                frontier.append(candidate)
-    return sorted(seen.values(), key=lambda p: p.column_tuple(0))
+    coords = [(inverse * _as_fraction_column(torus, g)).column_tuple(0) for g in gens]
+    den, gen_coords = _over_common_denominator(coords)
+    return _listed_points(pairing, den, _subgroup(gen_coords, den, torus.rank))
 
 
 def isogeny_kernel_points(m):
     """All group-kernel points of an isogeny, as canonical source points.
 
-    The kernel is (U^{-1} L_tgt) / L_src for the universal-cover matrix U;
-    coset representatives are enumerated through the Smith form of the
-    relating integer matrix, then reduced and sorted.
+    The kernel is (U^{-1} L_tgt) / L_src for the universal-cover matrix U.
+    The Smith form of the relating integer matrix gives one coset generator
+    per invariant factor; their pairing coordinates are written once over
+    a common denominator, and the Smith box of sums is listed on those int
+    tuples.  Only the returned points become matrices, sorted.  A kernel of
+    more than MAX_LISTED_POINTS points raises KernelTooLarge before any is
+    listed.
     """
     if not classify(m).isogeny:
         raise NotIsogeny("kernel-point enumeration requires an isogeny")
@@ -263,19 +304,11 @@ def isogeny_kernel_points(m):
     if not relation.is_integral():
         raise NotIsogeny("source periods do not lie in the lifted lattice")
     u, s, _ = smith_normal_form(relation)
-    coset_basis = lifted * u.inv()
-    pairing = m.source.pairing
-    inverse = pairing.inv()
     n = m.source.rank
-    reps = [[]]
-    for i in range(n):
-        size = s[i, i]
-        reps = [prefix + [j] for prefix in reps for j in range(size)]
-    points = {}
-    for rep in reps:
-        candidate = _reduce(pairing, inverse, coset_basis * Matrix.column(rep))
-        points[candidate.column_tuple(0)] = candidate
-    return sorted(points.values(), key=lambda p: p.column_tuple(0))
+    _require_listable(prod(s[i, i] for i in range(n)), "the isogeny kernel")
+    pairing = m.source.pairing
+    den, gen_coords = _over_common_denominator((pairing.inv() * lifted * u.inv()).columns())
+    return _listed_points(pairing, den, _subgroup(gen_coords, den, n))
 
 
 # -- quotients -------------------------------------------------------------

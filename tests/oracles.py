@@ -5,12 +5,15 @@ so the same corpus is rebuilt identically on every run.
 """
 
 from fractions import Fraction
+from math import floor
 
-from tropjac.exact_lattice import Matrix
+from tropjac.errors import NotIsogeny
+from tropjac.exact_lattice import Matrix, smith_normal_form
 from tropjac.torus_category import (
     IntegralTorus,
     TorusMorphism,
     circle,
+    classify,
     compose,
     image,
     quotient_by_subtorus,
@@ -53,7 +56,7 @@ def splitting_phi():
 def random_unimodular(rng, n):
     """A unimodular matrix built from random shears and signed swaps."""
     m = Matrix.identity(n)
-    for _ in range(2 * n + 2):
+    for _ in range(2 * n + 2 if n else 0):
         i = rng.randrange(n)
         j = rng.randrange(n)
         if i == j:
@@ -87,9 +90,9 @@ def random_subtorus_sequence(rng, max_rank=3):
     return inclusion, projection
 
 
-def random_covolume_preserving_isogeny(rng, max_rank=3):
+def random_covolume_preserving_isogeny(rng, max_rank=3, min_rank=1):
     """An isogeny u2 . dilation . u1 between tori of equal covolume."""
-    n = rng.randint(1, max_rank)
+    n = rng.randint(min_rank, max_rank)
     base = IntegralTorus(n, Matrix.diagonal([rng.randint(1, 4) for _ in range(n)]))
     factors = [rng.randint(1, 3) for _ in range(n)]
     dilation = TorusMorphism(
@@ -104,9 +107,32 @@ def random_covolume_preserving_isogeny(rng, max_rank=3):
     return compose(u2, compose(dilation, u1))
 
 
+def matrix_isogeny_kernel_points(m):
+    """The kernel points of an isogeny, listed by Matrix arithmetic on every
+    coset representative: the reference for tav.isogeny_kernel_points,
+    which lists them on int tuples over one common denominator."""
+    if not classify(m).isogeny:
+        raise NotIsogeny("kernel-point enumeration requires an isogeny")
+    lifted = m.universal_cover_matrix.inv() * m.target.pairing
+    relation = lifted.inv() * m.source.pairing
+    u, s, _ = smith_normal_form(relation)
+    coset_basis = lifted * u.inv()
+    pairing = m.source.pairing
+    inverse = pairing.inv()
+    reps = [[]]
+    for i in range(m.source.rank):
+        reps = [prefix + [j] for prefix in reps for j in range(s[i, i])]
+    points = {}
+    for rep in reps:
+        c = inverse * (coset_basis * Matrix.column(rep))
+        point = pairing * Matrix.column([ci - floor(ci) for ci in c.column_tuple(0)])
+        points[point.column_tuple(0)] = point
+    return sorted(points.values(), key=lambda p: p.column_tuple(0))
+
+
 # -- cover corpus ----------------------------------------------------------
 
-from math import ceil, floor, gcd  # noqa: E402
+from math import ceil, gcd  # noqa: E402
 
 from tropjac.curves_covers import (  # noqa: E402
     DumbbellCover,

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import time
 
 from tropjac.cli import parse_cover, run_command
 from tropjac.curves_covers import DumbbellCover, GeneralCircleCover, ThetaCover
@@ -236,6 +237,22 @@ def test_not_optimal_exits_one(tmp_path, capsys):
     code, _, err = run(capsys, "complement", write(tmp_path, "b.json", BIG))
     assert code == 1
     assert err.startswith("NOT_OPTIMAL:")
+
+
+def test_oversized_kernel_listing_exits_one_before_listing(tmp_path, capsys):
+    # dilations (10^9, 10^9): the pullback kernel has 10^9 points
+    huge = write(
+        tmp_path,
+        "huge.json",
+        '{"kind": "dumbbell", "lengths": [1, 1, 1], "windings": [1, 1], '
+        '"dilations": [1000000000, 1000000000]}',
+    )
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", huge)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.startswith("KERNEL_TOO_LARGE:")
+    assert "1000000000 points" in err
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):

@@ -122,11 +122,16 @@ def test_each_general_cover_is_validated_once(command, document, tmp_path, monke
     assert calls == Counter(validate_general_cover=1)
 
 
+def _ladder_cover(k):
+    """The strongly optimal dumbbell cover of degree 2k + 1."""
+    return DumbbellCover(DumbbellCurve(Fraction(1, k), Fraction(1, k + 1), 1), (1, 1), (k, k + 1))
+
+
 def test_split_package_classifies_each_morphism_once(monkeypatch):
     # an analysed, strongly optimal cover of degree 101: the package reuses
     # what the analysis holds and classifies phi, the kernel inclusion and
     # the pullback once each
-    cover = DumbbellCover(DumbbellCurve(Fraction(1, 50), Fraction(1, 51), 1), (1, 1), (50, 51))
+    cover = _ladder_cover(50)
     assert strong_optimality_gap(cover) is None and pullback_morphism(cover)
     calls = Counter()
     classified = []
@@ -140,9 +145,23 @@ def test_split_package_classifies_each_morphism_once(monkeypatch):
                 module, "classify", lambda m, original=original: classified.append(m) or original(m)
             )
     assert verify_split_package(cover).all_flags_hold
-    assert calls["smith_normal_form"] <= 22
+    assert calls["smith_normal_form"] <= 14
     assert len(classified) <= 3
     assert len(set(classified)) == len(classified)
+
+
+def test_kernel_listing_makes_no_matrix_products_per_point(monkeypatch):
+    # the points are listed on int tuples, so degrees 101 and 2001 cost the
+    # same Matrix products; only the returned columns are matrices
+    products = []
+    for k in (50, 1000):
+        phi, _ = splitting_isogeny(_ladder_cover(k))
+        calls = Counter()
+        _count_calls(monkeypatch, exact_lattice.Matrix, "__mul__", calls)
+        assert len(tav.isogeny_kernel_points(phi)) == 2 * k + 1
+        monkeypatch.undo()
+        products.append(calls["__mul__"])
+    assert products[0] == products[1]
 
 
 def test_each_graph_builds_one_bfs_tree(monkeypatch):

@@ -200,6 +200,11 @@ BROKEN_FLAGS = {
         lambda points, cover: lambda phi: points(phi)[1:],
         {"kernel_matches_d_torsion_TEprime", "kernel_matches_d_torsion_TE"},
     ),
+    "kernel point repeated": (
+        "isogeny_kernel_points",
+        lambda points, cover: lambda phi: points(phi) + points(phi)[-1:],
+        {"kernel_matches_d_torsion_TEprime", "kernel_matches_d_torsion_TE"},
+    ),
     "phi_tilde scaled": ("compose", _scaled_phi_tilde, {"composite_is_mult_d"}),
     "phi scaled": (
         "splitting_isogeny",

@@ -4,17 +4,23 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tropjac.tav as tav
 from oracles import (
     degree_two_pullback,
     degree_two_pushforward,
+    matrix_isogeny_kernel_points,
+    random_covolume_preserving_isogeny,
     random_subtorus_sequence,
     splitting_phi,
     theta_jacobian,
 )
+from tropjac.cover_analysis import pullback_kernel
+from tropjac.curves_covers import DumbbellCover, DumbbellCurve
 from tropjac.errors import (
+    KernelTooLarge,
     NotExact,
     NotFinite,
     NotInjective,
@@ -24,7 +30,9 @@ from tropjac.errors import (
     ShapeMismatch,
 )
 from tropjac.exact_lattice import Matrix, column_hnf
+from tropjac.split_jacobian import splitting_isogeny
 from tropjac.tav import (
+    MAX_LISTED_POINTS,
     ExactSequence,
     PolarizedVariety,
     Polarization,
@@ -392,6 +400,55 @@ def test_subgroup_generated_inverts_the_pairing_once(monkeypatch):
 
 def test_isogeny_kernel_points_requires_isogeny():
     pytest.raises(NotIsogeny, lambda: isogeny_kernel_points(degree_two_pushforward()))
+
+
+@st.composite
+def isogenies(draw):
+    """u2 . diag(factors) . u1 of rank 0 to 4, as the torus_rank benchmark
+    builds them."""
+    rank = draw(st.integers(0, 4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return random_covolume_preserving_isogeny(rng, rank, rank)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(isogenies())
+def test_isogeny_kernel_points_match_the_matrix_listing(iso):
+    assert isogeny_kernel_points(iso) == matrix_isogeny_kernel_points(iso)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.integers(2, 250))
+@example(250)  # degree 501
+def test_splitting_kernels_match_the_matrix_listing_up_to_degree_501(k):
+    cover = DumbbellCover(DumbbellCurve(Fraction(1, k), Fraction(1, k + 1), 1), (1, 1), (k, k + 1))
+    phi, points = splitting_isogeny(cover)
+    assert len(points) == 2 * k + 1
+    assert points == matrix_isogeny_kernel_points(phi)
+
+
+def test_kernel_listings_are_refused_above_the_bound(monkeypatch):
+    jac = theta_jacobian()
+    # 1001^2 points: refused before any is listed
+    scaled = 1001 * Matrix.identity(2)
+    with pytest.raises(KernelTooLarge) as raised:
+        isogeny_kernel_points(TorusMorphism(jac, jac, scaled, scaled))
+    assert raised.value.code == "KERNEL_TOO_LARGE"
+    assert str(MAX_LISTED_POINTS) in str(raised.value)
+    # the bound itself is listed, one point more is not
+    monkeypatch.setattr(tav, "MAX_LISTED_POINTS", 4)
+    doubling = 2 * Matrix.identity(2)
+    assert len(isogeny_kernel_points(TorusMorphism(jac, jac, doubling, doubling))) == 4
+    tripling = 3 * Matrix.identity(1)
+    assert len(isogeny_kernel_points(TorusMorphism(circle(1), circle(1), tripling, tripling))) == 3
+    scaled = 5 * Matrix.identity(1)
+    with pytest.raises(KernelTooLarge):
+        isogeny_kernel_points(TorusMorphism(circle(1), circle(1), scaled, scaled))
+    # the pullback kernel of the (g, g) dumbbell has g points
+    curve = DumbbellCurve(1, 1, 1)
+    assert len(pullback_kernel(DumbbellCover(curve, (1, 1), (4, 4)))) == 4
+    with pytest.raises(KernelTooLarge):
+        pullback_kernel(DumbbellCover(curve, (1, 1), (5, 5)))
 
 
 def test_quotient_by_finite_subgroup_on_circle():
