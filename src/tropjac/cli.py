@@ -54,11 +54,13 @@ class _UsageError(Exception):
 
 
 def _rat(value):
-    return str(Fraction(value))
+    """An int or a Fraction as "p/q" (or "n"); every number that reaches it
+    already is one, as Matrix entries and parsed lengths are."""
+    return str(value)
 
 
 def _point(column):
-    return [_rat(column[i, 0]) for i in range(column.nrows)]
+    return [_rat(x) for x in column.column_tuple(0)]
 
 
 # ---------------------------------------------------------------- parsing

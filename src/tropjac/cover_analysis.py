@@ -86,15 +86,14 @@ def pullback_kernel(cover):
     exactly when m divides d·j, hence d, for every dilation d.  The kernel is
     therefore the g-torsion of the target circle, g the gcd of all dilations.
     A kernel of more than tav.MAX_LISTED_POINTS points raises KernelTooLarge
-    before any divisor is listed.
+    before any divisor is listed.  With l = p/q, the j-th divisor sits at
+    j·p/(q·g): one Fraction per divisor, built from ints.
     """
     form = harmonic_form(cover)
     g = gcd(*form.dilations)
     _require_listable(g, "the pullback kernel")
-    return [
-        TorsionDivisor(Fraction(j, g) * form.target_length, g // gcd(j, g))
-        for j in range(g)
-    ]
+    p, q = form.target_length.numerator, form.target_length.denominator
+    return [TorsionDivisor(Fraction(j * p, q * g), g // gcd(j, g)) for j in range(g)]
 
 
 def q_gamma_profile(cover, position):

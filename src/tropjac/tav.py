@@ -31,7 +31,6 @@ from .exact_lattice import (
     integer_kernel,
     invariant_factors,
     lattice_index,
-    saturate,
     smith_normal_form,
 )
 from .torus_category import (
@@ -158,20 +157,19 @@ def check_exact_sequence(f, g):
     im(g.f_hash) has index 1.  For a surjection that index is the kernel
     component count (see torus_category.kernel_component_count).  When g is
     not onto, g.f_hash has the rank of g.f_sharp (by the pairing law), below
-    the target rank, so the index is infinite.  The image of f is read as
-    saturate(f.f_hash) and the kernel component of g as
-    integer_kernel(g.f_hash), the second lattices that the inclusions of
-    image(f) and kernel0(g) carry, without building either torus.
+    the target rank, so the index is infinite.  The rest is one comparison:
+    the lattice column_hnf(f.f_hash) spanned by f.f_hash has full rank and
+    equals integer_kernel(g.f_hash), the second lattice of kernel0(g).  A
+    kernel lattice is saturated, so an image equal to one is saturated too,
+    which with full rank makes f injective; no torus is built.
     """
     if f.target != g.source:
         raise ShapeMismatch("sequence morphisms are not composable")
-    if not classify(f).injective:
-        return False
     if lattice_index(g.f_hash, Matrix.identity(g.target.rank)) != 1:
         return False
-    # both are canonical bases of saturated sublattices of the middle second
-    # lattice, so lattice equality is literal matrix equality
-    return saturate(f.f_hash) == integer_kernel(g.f_hash)
+    # both are canonical bases, so lattice equality is literal matrix equality
+    image = column_hnf(f.f_hash)
+    return image.ncols == f.source.rank and image == integer_kernel(g.f_hash)
 
 
 def dualize_sequence(seq):

@@ -470,3 +470,32 @@ def dumbbell_covers(draw):
 
 def model_covers():
     return st.one_of(theta_covers(), dumbbell_covers())
+
+
+MAX_KERNEL_GCD = 3000
+
+# target lengths with denominators that share factors with g or not
+_target_lengths = st.builds(Fraction, st.integers(1, 97), st.integers(1, 60))
+
+
+@st.composite
+def wide_kernel_covers(draw):
+    """Valid theta and dumbbell covers whose dilations are g·a and g·b with
+    g up to MAX_KERNEL_GCD, so that the pullback kernel lists at least g
+    points, over a target of any positive rational length."""
+    g = draw(st.integers(1, MAX_KERNEL_GCD))
+    a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n1, n2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        length = draw(_target_lengths)
+        curve = DumbbellCurve(n1 * length / (g * a), n2 * length / (g * b), draw(_target_lengths))
+        return DumbbellCover(curve, (n1, n2), (g * a, g * b))
+    # the target arcs l~1, l~2 come first, as in theta_covers
+    first, second = draw(_target_lengths), draw(_target_lengths)
+    n = draw(st.integers(1, 3))
+    curve = ThetaCurve(
+        (n * first + (n - 1) * second) / (g * (a + b)),
+        ((n1 - 1) * first + n1 * second) / (g * a),
+        ((n2 - 1) * first + n2 * second) / (g * b),
+    )
+    return ThetaCover(curve, (n, n1, n2), (g * (a + b), g * a, g * b))

@@ -12,6 +12,7 @@ from oracles import (
     divisor_pullback_kernel,
     model_covers,
     model_period_matrix,
+    wide_kernel_covers,
     winding_component_count,
     winding_pushforward,
     xgcd_kernel_length,
@@ -386,3 +387,14 @@ def test_invariants_match_closed_forms_on_corpus():
 )
 def test_invariants_match_closed_forms_beyond_the_corpus(cover):
     _check_against_closed_forms(cover)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(wide_kernel_covers())
+@example(  # 3000 positions j·7/15000
+    DumbbellCover(DumbbellCurve(Fraction(7, 15000), Fraction(7, 7500), 1), (1, 2), (3000, 3000))
+)
+def test_pullback_kernel_matches_divisor_loop_on_wide_kernels(cover):
+    kernel = pullback_kernel(cover)
+    assert all(type(divisor.position) is Fraction for divisor in kernel)
+    assert [(divisor.position, divisor.order) for divisor in kernel] == divisor_pullback_kernel(cover)

@@ -5,7 +5,12 @@ recorded digests say.
 its ``analyze --split`` stdout.  ``complement_digests.json`` holds the same
 for ``complement`` on every strongly optimal corpus cover; it was recorded
 before the cover pipeline was unified, so it pins the complementary walk
-covers to their earlier output.  Both files are only read here.
+covers to their earlier output.  ``wide_digests.json`` holds the same for
+``analyze --split`` on eight covers past the corpus, (g, g) dumbbells and
+(2g, g, g) thetas with g in {97, 360, 5040}, some with a target length that
+is not an integer, so that the pullback kernel lists thousands of positions
+with denominators other than g; it was recorded before the pullback kernel
+was built from integers.  The three files are only read here.
 """
 
 import contextlib
@@ -19,6 +24,7 @@ from tropjac.cli import run_command
 TESTS = Path(__file__).resolve().parent
 CORPUS = TESTS.parent / "bench" / "corpus.json"
 COMPLEMENTS = TESTS / "complement_digests.json"
+WIDE = TESTS / "wide_digests.json"
 
 
 def _load(path):
@@ -51,3 +57,9 @@ def test_complement_matches_recorded_digests(tmp_path):
     assert len(entries) == 83
     assert _mismatches(entries, ["complement"], tmp_path) == []
 
+
+
+def test_analyze_split_matches_wide_kernel_digests(tmp_path):
+    entries = _load(WIDE)
+    assert len(entries) == 8
+    assert _mismatches(entries, ["analyze", "--split"], tmp_path) == []

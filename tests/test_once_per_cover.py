@@ -164,6 +164,67 @@ def test_kernel_listing_makes_no_matrix_products_per_point(monkeypatch):
     assert products[0] == products[1]
 
 
+def test_exactness_check_saturates_and_classifies_nothing(monkeypatch):
+    # the two sequences of the degree-2 theta cover's split package: one
+    # HNF of f.f_hash against the kernel of g.f_hash decides injectivity too
+    cover = degree_two_cover()
+    push = pushforward_morphism(cover)
+    _, inclusion = torus_category.kernel0(push)
+    pairs = [(inclusion, push), (pullback_morphism(cover), complementary_pushforward(cover))]
+    calls = Counter()
+    for module in (exact_lattice, torus_category, tav):
+        for name in ("saturate", "classify"):
+            if hasattr(module, name):
+                _count_calls(monkeypatch, module, name, calls)
+    assert all(tav.check_exact_sequence(f, g) for f, g in pairs)
+    assert calls == Counter()
+
+
+def _wide_dumbbell(g):
+    """The (g, g) dumbbell over a target of length 7/5, whose pullback kernel
+    is the g-torsion of the circle."""
+    return DumbbellCover(DumbbellCurve(Fraction(7, 5 * g), Fraction(14, 5 * g), 1), (1, 2), (g, g))
+
+
+def _count_fractions(monkeypatch, name, calls):
+    # patched on the class, so Fraction arithmetic inside fractions counts too
+    original = getattr(Fraction, name)
+
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(Fraction, name, staticmethod(counting) if name == "__new__" else counting)
+
+
+def test_pullback_kernel_builds_one_fraction_per_divisor(monkeypatch):
+    # each position is Fraction(j·p, q·g) for l = p/q: no Fraction products,
+    # whatever g is
+    products = []
+    for g in (1000, 2000):
+        cover = _wide_dumbbell(g)
+        harmonic_form(cover)
+        calls = Counter()
+        _count_fractions(monkeypatch, "__mul__", calls)
+        _count_fractions(monkeypatch, "__new__", calls)
+        kernel = pullback_kernel(cover)
+        monkeypatch.undo()
+        assert len(kernel) == g and all(type(d.position) is Fraction for d in kernel)
+        assert calls["__new__"] == g
+        products.append(calls["__mul__"])
+    assert products == [0, 0]
+
+
+def test_cli_prints_the_pullback_kernel_without_building_fractions(monkeypatch):
+    kernel = pullback_kernel(_wide_dumbbell(1000))
+    calls = Counter()
+    _count_fractions(monkeypatch, "__new__", calls)
+    listed = cli._torsion_list(kernel)
+    monkeypatch.undo()
+    assert calls == Counter()
+    assert listed[1] == {"position": "7/5000", "order": 1000}
+
+
 def test_each_graph_builds_one_bfs_tree(monkeypatch):
     # the theta cover over its plain graph with the edge e subdivided, so
     # the cycle basis, the tree paths and the walk cover all read the tree

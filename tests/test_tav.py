@@ -286,6 +286,32 @@ def test_check_exact_sequence_fails_when_g_is_not_onto():
     assert not check_exact_sequence(identity_morphism(jac), zero_morphism(jac, circle(3)))
 
 
+def test_check_exact_sequence_fails_when_f_is_not_injective():
+    # f through the projection of K x C(1) onto K, K the kernel circle: its
+    # image is still the kernel of push, but f kills the second factor
+    inclusion = kernel_inclusion_of_pushforward()
+    source = IntegralTorus(2, Matrix.diagonal([inclusion.source.pairing[0, 0], 1]))
+    padded = TorusMorphism(
+        source,
+        inclusion.target,
+        Matrix([list(inclusion.f_sharp.row_tuple(0)), [0, 0]]),
+        Matrix([[x, 0] for x in inclusion.f_hash.column_tuple(0)]),
+    )
+    assert column_hnf(padded.f_hash) == column_hnf(inclusion.f_hash)
+    assert not check_exact_sequence(padded, degree_two_pushforward())
+
+
+def test_check_exact_sequence_fails_when_the_image_is_not_saturated():
+    # twice the inclusion of the kernel circle is finite, not injective (it
+    # kills the 2-torsion); its image has index 2 in the kernel of push
+    inclusion = kernel_inclusion_of_pushforward()
+    doubled = TorusMorphism(
+        inclusion.source, inclusion.target, 2 * inclusion.f_sharp, 2 * inclusion.f_hash
+    )
+    assert classify(doubled).injective is False and classify(doubled).finite
+    assert not check_exact_sequence(doubled, degree_two_pushforward())
+
+
 def test_check_exact_sequence_requires_composable():
     push = degree_two_pushforward()
     pytest.raises(ShapeMismatch, lambda: check_exact_sequence(push, push))

@@ -108,6 +108,12 @@ def test_values_of_different_classes_are_never_equal():
     assert plain != curve
 
 
+def test_records_are_plain_tuple_data():
+    # records carry no invariants, so a record equals the plain tuple of its
+    # items; only the validated values refuse other types
+    assert TorsionDivisor(0, 1) == (0, 1)
+
+
 def test_covers_compare_by_identity():
     first, second = degree_two_cover(), degree_two_cover()
     assert first == first and first != second
