@@ -39,6 +39,7 @@ from .curves_covers import (
     validate_cover,
 )
 from .errors import ParseError, TropjacError, ValidationError
+from .exact_lattice import _read_exact
 from .split_jacobian import (
     complementary_cover,
     strong_optimality_gap,
@@ -74,12 +75,9 @@ def _as_int(value, what, problems):
 
 
 def _as_rational(value, what, problems):
-    if isinstance(value, bool) or isinstance(value, float):
-        problems.append(f'{what} must be an exact rational ("p/q" string or integer)')
-        return Fraction(0)
     try:
-        return Fraction(value) if isinstance(value, int) else Fraction(str(value))
-    except (ValueError, ZeroDivisionError):
+        return _read_exact(value)
+    except ValueError:
         problems.append(f'{what} must be an exact rational ("p/q" string or integer)')
         return Fraction(0)
 
@@ -185,7 +183,7 @@ def parse_cover(text):
     """
     try:
         document = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int above the str-to-int digit limit
         raise ParseError(f"malformed JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise ParseError("cover document must be a JSON object")

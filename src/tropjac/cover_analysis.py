@@ -23,7 +23,7 @@ from .curves_covers import DumbbellCover, _analysis_of, harmonic_form
 from .curves_covers import GammaData  # noqa: F401  (returned by quotient_and_gamma)
 from .curves_covers import require_valid  # noqa: F401  (bound here for bench/test_bench.py)
 from .errors import SourceMismatch
-from .exact_lattice import Matrix
+from .exact_lattice import Matrix, _read_exact
 from .tav import _require_listable
 from .torus_category import TorusMorphism, circle, compose
 
@@ -65,11 +65,12 @@ def kernel_length(cover):
 def quotient_and_gamma(cover):
     """Quotient data of the pushforward kernel.
 
-    The quotient map to a circle of length l_tilde has lattice multiplicity
-    a_sharp = the gcd of the entries of f_sharp and dual multiplicity
-    a_hash, tied together by l_tilde · a_sharp = l · a_hash.  l_tilde pairs
-    the primitive row f_sharp^T / a_sharp with a vector completing the
-    kernel direction to a unimodular basis.
+    mu_* factors as the quotient by its kernel circle, onto a circle of
+    length l_tilde, followed by an isogeny of circles with lattice
+    multiplicity a_sharp, the gcd of the entries of f_sharp, and dual
+    multiplicity a_hash, the gcd of the entries of f_hash (the index of its
+    image, hence the component count).  The pairing law of that isogeny,
+    l_tilde · a_sharp = l · a_hash, gives l_tilde.
     """
     return _analysis_of(cover).gamma
 
@@ -103,10 +104,11 @@ def q_gamma_profile(cover, position):
     circle; the opposite-arc branch differs from this one by the integer
     d_e, so integrality of the profile does not depend on the branch.
     """
-    if isinstance(position, float):
-        raise ValueError("position must be an exact rational")
+    try:
+        t = _read_exact(position)
+    except ValueError as exc:
+        raise ValueError(f"position must be an exact rational, {exc}") from exc
     form = harmonic_form(cover)
-    t = Fraction(position)
     return tuple(Fraction(d) * t / form.target_length for d in form.dilations)
 
 

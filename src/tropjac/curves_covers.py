@@ -4,7 +4,9 @@ Every cover lowers to one form, a GeneralCircleCover: a metric graph with a
 cycle basis and one affine walk per edge (dilation, start, signed length).
 harmonic_form returns that form, and every invariant is derived from it, so
 the theta and dumbbell models supply only their graph, their fixed cycle
-basis and their realizability equations.
+basis and their realizability equations.  One builder, _walk_form, makes
+the form of a curve model and every walk cover split_jacobian builds from
+a universal cover row: a cover is fixed by its slopes and its target length.
 
 A plain MetricGraph builds its BFS spanning tree once, when it is
 constructed, and uses the fundamental cycles of that tree.
@@ -25,7 +27,9 @@ Covers and graphs are immutable.  Each cover builds one CoverAnalysis on
 first use and keeps it for its lifetime: the validation report, the harmonic
 form, the Jacobian, the pushforward mu_* and what is read off it.  Every
 public invariant here, in cover_analysis and in split_jacobian reads that
-analysis, so nothing is derived twice for one cover.
+analysis, so nothing is derived twice for one cover.  The gamma data are the
+contents of mu_*: a_sharp = gcd(f_sharp), a_hash = gcd(f_hash), and
+l_tilde = l·a_hash/a_sharp by the pairing law of the quotient isogeny.
 """
 
 from collections import namedtuple
@@ -33,19 +37,17 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
-from .errors import InvalidCover, InvariantViolation, OffsetOutOfRange, UnsupportedGenus
-from .exact_lattice import Matrix, _Immutable, _Value, xgcd
+from .errors import InvalidCover, OffsetOutOfRange, UnsupportedGenus
+from .exact_lattice import Matrix, _entry, _Immutable, _read_exact, _Value
 from .tav import PolarizedVariety, Polarization, reduce_point
 from .torus_category import IntegralTorus, TorusMorphism, circle, dual_morphism, kernel0
 
 
 def _rational(value, what):
-    if isinstance(value, float):
-        raise ValueError(f"{what} must be an exact rational, not a float")
     try:
-        return Fraction(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{what} must be an exact rational") from exc
+        return _read_exact(value)
+    except ValueError as exc:
+        raise ValueError(f"{what} must be an exact rational, {exc}") from exc
 
 
 def _positive_rational(value, what):
@@ -64,9 +66,10 @@ def _nonnegative_int(value, what):
 class MetricGraph(_Value):
     """An immutable connected graph with positive rational edge lengths.  Its
     edges are named by their index, and its cycle basis comes from the BFS
-    tree, which the graph builds once, when it is constructed."""
+    tree, which the graph builds once, when it is constructed, and keeps
+    with the basis."""
 
-    __slots__ = ("vertices", "edges", "__dict__")  # the tree is kept in __dict__
+    __slots__ = ("vertices", "edges", "__dict__")  # the tree and basis live in __dict__
 
     EDGES = None  # edge names; None names each edge by its index
 
@@ -121,7 +124,8 @@ class MetricGraph(_Value):
         paths = self._root_paths
         return tuple(b - a for a, b in zip(paths[start], paths[end]))
 
-    def cycle_basis(self):
+    @cached_property
+    def _cycles(self):
         """One fundamental cycle per non-tree edge, as edge-coefficient
         vectors in input edge order: the edge, then the tree path from its
         head back to its tail.  That sum vanishes exactly on tree edges."""
@@ -131,7 +135,11 @@ class MetricGraph(_Value):
             cycle[index] += 1
             if any(cycle):
                 cycles.append(tuple(cycle))
-        return cycles
+        return tuple(cycles)
+
+    def cycle_basis(self):
+        """The cycle basis as a list of edge-coefficient tuples."""
+        return list(self._cycles)
 
     def period_matrix(self):
         cycles = self.cycle_basis()
@@ -214,16 +222,27 @@ class DumbbellCurve(_CurveModel):
         super().__init__((l_loop1, l_loop2, l_bridge))
 
 
-def _forward_cover(curve, dilations, p1_position, length):
-    """The cover of a curve model whose edges all run forward at slope equal
-    to their dilation, with P0 over 0 and P1 over p1_position."""
-    positions = {"P0": 0, "P1": p1_position}
+def _walk_form(graph, slopes, length):
+    """The GeneralCircleCover of the graph over a circle of the given length
+    whose edges run at the given integer slopes.  The first vertex lies over
+    0 and every other vertex over the integral of the slopes along its BFS
+    tree path."""
+    root = graph.vertices[0]
+    positions = {
+        vertex: sum(
+            coefficient * slope * edge_length
+            for coefficient, slope, (_, _, edge_length) in zip(
+                graph.tree_path(root, vertex), slopes, graph.edges
+            )
+        )
+        for vertex in graph.vertices
+    }
     return GeneralCircleCover(
-        curve,
+        graph,
         length,
         [
-            (dilation, positions[tail], dilation * edge_length)
-            for dilation, (tail, _, edge_length) in zip(dilations, curve.edges)
+            (abs(slope), positions[tail], slope * edge_length)
+            for slope, (tail, _, edge_length) in zip(slopes, graph.edges)
         ],
     )
 
@@ -267,8 +286,9 @@ class ThetaCover(_CircleCover):
         return ValidationReport(*_theta_violations(self))
 
     def _lower(self, report):
-        first, second = report.arcs
-        return _forward_cover(self.curve, self.dilations, first, first + second)
+        # P1 lies over d_e·l_e, which is l~1 modulo l~1 + l~2 by the
+        # realizability equation on e
+        return _walk_form(self.curve, self.dilations, sum(report.arcs))
 
 
 class DumbbellCover(_CircleCover):
@@ -306,7 +326,7 @@ class DumbbellCover(_CircleCover):
         return ValidationReport(*_dumbbell_violations(self))
 
     def _lower(self, report):
-        return _forward_cover(self.curve, self.dilations + (0,), 0, self.target_length)
+        return _walk_form(self.curve, self.dilations + (0,), self.target_length)
 
 
 class GeneralCircleCover(_CircleCover):
@@ -368,33 +388,24 @@ def validate_general_cover(cover):
     if not any(cover.dilations):
         violations.append("surjectivity: some edge must have a nonzero dilation")
     length = cover.target_length
-    slopes = []
+    positions = {}
+    consistent = True
+    balance = dict.fromkeys(cover.graph.vertices, 0)  # outgoing minus incoming slopes
     for (tail, head, edge_length), (dilation, start, signed) in zip(
         cover.graph.edges, cover.edge_data
     ):
         if abs(signed) != dilation * edge_length:
             violations.append(f"image length on ({tail}, {head}): |walk| = dilation·length")
-        slopes.append(signed / edge_length)
-        # the walk must land on the image of the head vertex; checked via
-        # the harmonicity bookkeeping below when positions are consistent
-    positions = {}
-    consistent = True
-    for (tail, head, _), (dilation, start, signed) in zip(cover.graph.edges, cover.edge_data):
-        end = (start + signed) % length
-        for vertex, value in ((tail, start), (head, end)):
-            if vertex in positions and positions[vertex] != value:
+        slope = signed / edge_length
+        balance[tail] += slope
+        balance[head] -= slope
+        for vertex, value in ((tail, start), (head, (start + signed) % length)):
+            if positions.setdefault(vertex, value) != value:
                 consistent = False
-            positions[vertex] = value
     if not consistent:
         violations.append("walk endpoints: edge images must agree at shared vertices")
-    for vertex in cover.graph.vertices:
-        balance = Fraction(0)
-        for (tail, head, _), slope in zip(cover.graph.edges, slopes):
-            if tail == vertex:
-                balance += slope
-            if head == vertex:
-                balance -= slope
-        if balance != 0:
+    for vertex, net in balance.items():
+        if net != 0:
             violations.append(f"harmonicity at {vertex}: outgoing slopes must cancel")
     return violations
 
@@ -446,8 +457,9 @@ class CoverAnalysis(_Immutable):
     cover, and reading it raises InvalidCover otherwise.  The pushforward
     mu_* : Jac(source) -> C(l) is read off the harmonic form: f_sharp is the
     universal cover row of the slopes, and f_hash follows from the pairing
-    law f_sharp^T P = l·f_hash.  The kernel circle, the kernel direction,
-    the gamma data and the pullback mu^* are then read off mu_*.
+    law f_sharp^T P = l·f_hash.  The kernel circle, the kernel direction
+    and the pullback mu^* are then read off mu_*, and the gamma data off the
+    contents of f_sharp and f_hash alone, with no kernel circle.
     """
 
     __slots__ = ("cover", "__dict__")  # the parts are kept in __dict__
@@ -495,20 +507,13 @@ class CoverAnalysis(_Immutable):
     @cached_property
     def gamma(self):
         """Quotient data of the pushforward kernel (see
-        cover_analysis.quotient_and_gamma)."""
+        cover_analysis.quotient_and_gamma): the contents of f_sharp and
+        f_hash, and l_tilde from the pairing law of the quotient isogeny."""
+        _require_genus_2(self.form.graph)
         push = self.pushforward
         a_sharp = gcd(*push.f_sharp.column_tuple(0))
-        wq = push.universal_cover_matrix * Fraction(1, a_sharp)
-        w = self.kernel_direction
-        _, a, b = xgcd(w[0, 0], w[1, 0])  # a·w1 + b·w2 = 1 since w is primitive
-        vq = Matrix([[-b], [a]])  # completes w to a unimodular basis
-        l_tilde = abs((wq * push.source.pairing * vq)[0, 0])
-        a_hash, rest = divmod(l_tilde * a_sharp, push.target.pairing[0, 0])
-        if rest:
-            raise InvariantViolation(
-                f"component count l_tilde·a_sharp/l = {l_tilde * a_sharp}/"
-                f"{push.target.pairing[0, 0]} is not an integer"
-            )
+        a_hash = gcd(*push.f_hash.row_tuple(0))
+        l_tilde = _entry(push.target.pairing[0, 0] * Fraction(a_hash, a_sharp))
         return GammaData(l_tilde, a_sharp, a_hash)
 
     @cached_property
@@ -516,33 +521,15 @@ class CoverAnalysis(_Immutable):
         return dual_morphism(self.pushforward)
 
 
-def _solve_theta_arcs(cover):
-    """Resolve (l~1, l~2) from the three realizability equations.
-
-    Returns (arcs, failure): given arcs are passed through; otherwise the
-    equations are solved exactly. failure is a violation name or None.
-    """
-    n, n1, n2 = cover.windings
-    d_e, d_e1, d_e2 = cover.dilations
-    curve = cover.curve
-    rows = [
-        (Fraction(n), Fraction(n - 1), Fraction(d_e) * curve.l_e),
-        (Fraction(n1 - 1), Fraction(n1), Fraction(d_e1) * curve.l_e1),
-        (Fraction(n2 - 1), Fraction(n2), Fraction(d_e2) * curve.l_e2),
-    ]
-    if cover.arcs is not None:
-        return cover.arcs, None
-    # pick two independent equations, then check the third
-    for i in range(3):
-        for j in range(i + 1, 3):
-            a1, b1, c1 = rows[i]
-            a2, b2, c2 = rows[j]
+def _solve_arcs(equations):
+    """(l~1, l~2) from the first independent pair of realizability
+    equations a·l~1 + b·l~2 = d·l, or None when no pair is independent."""
+    for i, (a1, b1, c1, _) in enumerate(equations):
+        for a2, b2, c2, _ in equations[i + 1:]:
             determinant = a1 * b2 - a2 * b1
-            if determinant != 0:
-                x = (c1 * b2 - c2 * b1) / determinant
-                y = (a1 * c2 - a2 * c1) / determinant
-                return (x, y), None
-    return None, "metric realizability: target arcs underdetermined"
+            if determinant:
+                return (c1 * b2 - c2 * b1) / determinant, (a1 * c2 - a2 * c1) / determinant
+    return None
 
 
 def _theta_violations(cover):
@@ -554,25 +541,26 @@ def _theta_violations(cover):
         violations.append("balancing: d_e = d_e1 + d_e2")
     if gcd(d_e, d_e1) == 0:
         violations.append("surjectivity: gcd(d_e, d_e1) != 0")
-    arcs, failure = _solve_theta_arcs(cover)
-    if failure is not None:
-        violations.append(failure)
+    # the realizability equation a·l~1 + b·l~2 = d·l of each edge
+    equations = (
+        (n, n - 1, d_e * curve.l_e,
+         "realizability on e: d_e·l_e = n·l~1 + (n−1)·l~2"),
+        (n1 - 1, n1, d_e1 * curve.l_e1,
+         "realizability on e1: d_e1·l_e1 = (n1−1)·l~1 + n1·l~2"),
+        (n2 - 1, n2, d_e2 * curve.l_e2,
+         "realizability on e2: d_e2·l_e2 = (n2−1)·l~1 + n2·l~2"),
+    )
+    arcs = _solve_arcs(equations) if cover.arcs is None else cover.arcs
+    if arcs is None:
+        violations.append("metric realizability: target arcs underdetermined")
         return violations, None, None
     a1, a2 = arcs
     if a1 < 0 or a2 < 0:
         violations.append("nonnegative target arcs")
     if a1 + a2 <= 0:
         violations.append("positive target length: l~1 + l~2 > 0")
-    checks = [
-        (Fraction(d_e) * curve.l_e, n * a1 + (n - 1) * a2,
-         "realizability on e: d_e·l_e = n·l~1 + (n−1)·l~2"),
-        (Fraction(d_e1) * curve.l_e1, (n1 - 1) * a1 + n1 * a2,
-         "realizability on e1: d_e1·l_e1 = (n1−1)·l~1 + n1·l~2"),
-        (Fraction(d_e2) * curve.l_e2, (n2 - 1) * a1 + n2 * a2,
-         "realizability on e2: d_e2·l_e2 = (n2−1)·l~1 + n2·l~2"),
-    ]
-    for left, right, name in checks:
-        if left != right:
+    for a, b, image_length, name in equations:
+        if a * a1 + b * a2 != image_length:
             violations.append(name)
     degree = n * d_e + (n1 - 1) * d_e1 + (n2 - 1) * d_e2
     return violations, degree, arcs

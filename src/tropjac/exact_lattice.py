@@ -85,15 +85,36 @@ class _Value(_Immutable):
         return hash((type(self), self._values(self)))
 
 
+def _read_exact(x):
+    """The one reader of exact numbers: x as a Fraction.
+
+    Ints and Fractions pass first; any other value is read by Fraction,
+    except a float or a bool, which is not an exact rational, and a string
+    with an exponent, whose reading takes time exponential in its length
+    ("1e10000000").  A refusal raises ValueError saying what x is not.
+    """
+    if type(x) is Fraction:
+        return x
+    if type(x) is int:
+        return Fraction(x)
+    if isinstance(x, (bool, float)) or (isinstance(x, str) and ("e" in x or "E" in x)):
+        raise ValueError(f"not the {type(x).__name__} {x!r}")
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not {x!r}") from exc
+
+
 def _entry(x):
     """The one representation of an exact rational: an int when it is
-    integral, a Fraction otherwise.  Floats are rejected."""
+    integral, a Fraction otherwise.  What _read_exact refuses raises
+    ValueError."""
     if type(x) is int:
         return x
-    if isinstance(x, float):
-        raise ValueError(f"matrix entries must be exact rationals, not the float {x!r}")
-    if type(x) is not Fraction:
-        x = Fraction(x)
+    try:
+        x = _read_exact(x)
+    except ValueError as exc:
+        raise ValueError(f"matrix entries must be exact rationals, {exc}") from exc
     return x.numerator if x.denominator == 1 else x
 
 

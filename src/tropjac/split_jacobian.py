@@ -13,9 +13,9 @@ from math import lcm
 
 from .cover_analysis import kernel_length, quotient_and_gamma
 from .curves_covers import (
-    GeneralCircleCover,
     _analysis_of,
     _require_genus_2,
+    _walk_form,
     cover_degree,
     jacobian,
     validate_cover,
@@ -78,35 +78,14 @@ def _require_strongly_optimal(cover):
 
 
 def _walk_cover(graph, row, length):
-    """GeneralCircleCover of the graph with the given universal cover row.
-
-    Each edge's slope pairs the row with the edge's cycle coefficients, and
-    each vertex lies over the integral of the slopes along the BFS tree path
-    from the root, which lies over 0.
-    """
+    """GeneralCircleCover of the graph with the given universal cover row:
+    each edge's slope pairs the row with the edge's cycle coefficients."""
     cycles = graph.cycle_basis()
     slopes = [
         sum(entry * cycle[edge] for entry, cycle in zip(row, cycles))
         for edge in range(len(graph.edges))
     ]
-    root = graph.vertices[0]
-    positions = {
-        vertex: sum(
-            coefficient * slope * edge_length
-            for coefficient, slope, (_, _, edge_length) in zip(
-                graph.tree_path(root, vertex), slopes, graph.edges
-            )
-        ) % length
-        for vertex in graph.vertices
-    }
-    general = GeneralCircleCover(
-        graph,
-        length,
-        [
-            (abs(slope), positions[tail], slope * edge_length)
-            for slope, (tail, _, edge_length) in zip(slopes, graph.edges)
-        ],
-    )
+    general = _walk_form(graph, slopes, length)
     violations = validate_cover(general).violations
     if violations:
         raise InvariantViolation(

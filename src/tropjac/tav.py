@@ -25,6 +25,7 @@ from .errors import (
 )
 from .exact_lattice import (
     Matrix,
+    _read_exact,
     _Value,
     column_hnf,
     hstack,
@@ -189,11 +190,9 @@ def _as_fraction_column(torus, coords):
         return coords
     values = []
     for x in coords:
-        if isinstance(x, float):
-            raise NotTorsion("floating-point coordinates do not define exact torsion points")
         try:
-            values.append(Fraction(x))
-        except (TypeError, ValueError) as exc:
+            values.append(_read_exact(x))
+        except ValueError as exc:
             raise NotTorsion(f"coordinate {x!r} is not an exact rational") from exc
     if len(values) != torus.rank:
         raise ValueError("point has the wrong number of coordinates")

@@ -352,6 +352,23 @@ def model_target_length(cover):
     return cover.target_length
 
 
+def forward_form(cover):
+    """The edge walks (dilation, start, signed length) of a valid curve-model
+    cover whose edges all run forward at slope equal to their dilation: P0
+    lies over 0, and P1 over the first target arc on the theta curve and
+    over 0 on the dumbbell, whose bridge is contracted."""
+    length = model_target_length(cover)
+    if isinstance(cover, ThetaCover):
+        dilations, p1_position = cover.dilations, validate_cover(cover).arcs[0]
+    else:
+        dilations, p1_position = cover.dilations + (0,), Fraction(0)
+    positions = {"P0": Fraction(0), "P1": p1_position % length}
+    return tuple(
+        (dilation, positions[tail], dilation * edge_length)
+        for dilation, (tail, _, edge_length) in zip(dilations, cover.curve.edges)
+    )
+
+
 def winding_pushforward(cover):
     """(f_sharp, f_hash) of the pushforward, read from dilations and windings."""
     if isinstance(cover, ThetaCover):

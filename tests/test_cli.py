@@ -255,6 +255,29 @@ def test_oversized_kernel_listing_exits_one_before_listing(tmp_path, capsys):
     assert "1000000000 points" in err
 
 
+@pytest.mark.parametrize(
+    "length, error",
+    [
+        ('"1e10000000"', "VALIDATION_ERROR: lengths must be an exact rational"),
+        ("true", "VALIDATION_ERROR: lengths must be an exact rational"),
+        ("1" * 5000, "PARSE_ERROR: malformed JSON"),
+    ],
+    ids=["exponent", "bool", "5000-digits"],
+)
+def test_inexact_or_oversized_lengths_exit_one_at_once(length, error, tmp_path, capsys):
+    document = write(
+        tmp_path,
+        "d.json",
+        f'{{"kind": "dumbbell", "lengths": [{length}, 1, 1], "windings": [1, 1], '
+        '"dilations": [1, 1]}',
+    )
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", document)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.startswith(error)
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(tmp_path / "missing.json"))
     assert code == 2

@@ -208,6 +208,8 @@ def test_q_gamma_profile():
     # the dumbbell profile carries the contracted bridge as a zero
     assert q_gamma_profile(db_cover(), 1) == (1, 1, 0)
     pytest.raises(ValueError, lambda: q_gamma_profile(db_cover(), 0.5))
+    pytest.raises(ValueError, lambda: q_gamma_profile(db_cover(), True))
+    pytest.raises(ValueError, lambda: q_gamma_profile(db_cover(), "1e10000000"))
 
 
 # ---------------------------------------------------------------- optimality

@@ -1,9 +1,13 @@
 """Tests for metric graphs, curve models, cover validation, and Abel-Jacobi."""
 
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import cover_corpus, forward_form, model_covers
 from tropjac.curves_covers import (
     DumbbellCover,
     DumbbellCurve,
@@ -14,6 +18,7 @@ from tropjac.curves_covers import (
     abel_jacobi,
     circle_graph,
     cover_degree,
+    harmonic_form,
     jacobian,
     ramification_index,
     target_length,
@@ -132,6 +137,13 @@ def test_underdetermined_arcs_are_reported():
     assert "metric realizability: target arcs underdetermined" in report.violations
 
 
+def test_arcs_come_from_the_first_independent_pair_of_equations():
+    # e and e1 give (2, 1), which breaks e2; e1 and e2 would give (-1, 1)
+    report = validate_cover(ThetaCover(ThetaCurve(1, 1, 1), (1, 1, 2), (2, 1, 1)))
+    assert report.arcs == (2, 1)
+    assert report.violations == ("realizability on e2: d_e2·l_e2 = (n2−1)·l~1 + n2·l~2",)
+
+
 def test_negative_derived_arc_is_reported():
     cover = ThetaCover(ThetaCurve(2, 1, 1), (1, 2, 0), (2, 1, 1))
     report = validate_cover(cover)
@@ -165,6 +177,23 @@ def test_constructor_input_checking():
     pytest.raises(ValueError, lambda: ThetaCover(curve, (1, 1), (2, 1, 1)))
     pytest.raises(ValueError, lambda: ThetaCurve(1, 0, 1))
     pytest.raises(ValueError, lambda: DumbbellCover(curve, (1, 1), (1, 1)))
+
+
+@pytest.mark.parametrize(
+    "lengths",
+    [("1e10000000", 1, 1), (1, "2E3", 1), (True, 1, 1), ("1" * 5000, 1, 1)],
+    ids=["exponent", "capital-exponent", "bool", "5000-digits"],
+)
+def test_curve_lengths_refuse_inexact_input_at_once(lengths):
+    for model in (ThetaCurve, DumbbellCurve):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="must be an exact rational"):
+            model(*lengths)
+        assert time.perf_counter() - start < 1
+
+
+def test_curve_lengths_read_plain_strings():
+    assert DumbbellCurve("3/2", "1.5", " 7 ") == DumbbellCurve(Fraction(3, 2), Fraction(3, 2), 7)
 
 
 def test_cover_degree_requires_validity():
@@ -312,6 +341,48 @@ def test_general_cover_endpoint_violation():
     assert "walk endpoints: edge images must agree at shared vertices" in violations
 
 
+def test_general_cover_violations_keep_their_order():
+    # image lengths in edge order, then the endpoints, then harmonicity in
+    # vertex order, then the degree
+    graph = MetricGraph(
+        ["a", "b", "c"], [("c", "a", 1), ("a", "b", 1), ("b", "c", 2), ("b", "b", 1)]
+    )
+    cover = GeneralCircleCover(graph, 3, [(1, 0, 1), (2, 0, 1), (1, 1, -2), (1, 0, 0)])
+    assert validate_cover(cover).violations == (
+        "image length on (a, b): |walk| = dilation·length",
+        "image length on (b, b): |walk| = dilation·length",
+        "walk endpoints: edge images must agree at shared vertices",
+        "harmonicity at b: outgoing slopes must cancel",
+        "harmonicity at c: outgoing slopes must cancel",
+        "degree: sum of d_e^2·l_e must be a multiple of l",
+    )
+
+
 def test_general_cover_non_integer_degree():
     cover = GeneralCircleCover(circle_graph(2), 3, [(1, 0, 2)])
     pytest.raises(InvalidCover, lambda: cover_degree(cover))
+
+
+# ---------------------------------------------------------- harmonic form
+
+
+def _pinned(cover):
+    """The same cover with its target arcs or target length given, not
+    derived."""
+    if isinstance(cover, ThetaCover):
+        return ThetaCover(cover.curve, cover.windings, cover.dilations, validate_cover(cover).arcs)
+    return DumbbellCover(cover.curve, cover.windings, cover.dilations, cover.target_length)
+
+
+def test_harmonic_form_matches_forward_walks_on_corpus():
+    for cover in cover_corpus():
+        assert harmonic_form(cover).edge_data == forward_form(cover)
+        assert harmonic_form(_pinned(cover)).edge_data == forward_form(cover)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(model_covers(), st.booleans())
+def test_harmonic_form_matches_forward_walks_beyond_the_corpus(cover, pinned):
+    if pinned:
+        cover = _pinned(cover)
+    assert harmonic_form(cover).edge_data == forward_form(cover)

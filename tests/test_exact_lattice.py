@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from tropjac.torus_category import circle
 from tropjac.exact_lattice import (
     INFINITE,
     Matrix,
+    _read_exact,
     column_hnf,
     hstack,
     integer_kernel,
@@ -77,9 +79,27 @@ def test_integral_entries_are_ints_and_others_fractions():
 def test_matrix_rejects_floats():
     pytest.raises(ValueError, Matrix, [[0.5]])
     pytest.raises(ValueError, Matrix, [[1, 2.0]])
+    pytest.raises(ValueError, Matrix, [[True]])
+    pytest.raises(ValueError, Matrix, [["1e10000000"]])
     pytest.raises(ValueError, lambda: Matrix([[1]]) * 0.25)
     pytest.raises(ValueError, lambda: 0.25 * Matrix([[1]]))
     pytest.raises(ValueError, circle, 0.5)
+
+
+@pytest.mark.parametrize(
+    "value", [0.5, True, "1e10000000", "2E3", "1" * 5000, "1/0", "abc", None]
+)
+def test_exact_reader_refuses_at_once(value):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^not "):
+        _read_exact(value)
+    assert time.perf_counter() - start < 1
+
+
+def test_exact_reader_reads_ints_fractions_and_plain_strings():
+    values = [_read_exact(x) for x in (3, Fraction(1, 3), "3/2", "1.5", " -7 ")]
+    assert values == [3, Fraction(1, 3), Fraction(3, 2), Fraction(3, 2), -7]
+    assert all(type(x) is Fraction for x in values)
 
 
 def test_repr_prints_each_entry_with_its_own_repr():

@@ -225,23 +225,52 @@ def test_cli_prints_the_pullback_kernel_without_building_fractions(monkeypatch):
     assert listed[1] == {"position": "7/5000", "order": 1000}
 
 
-def test_each_graph_builds_one_bfs_tree(monkeypatch):
-    # the theta cover over its plain graph with the edge e subdivided, so
-    # the cycle basis, the tree paths and the walk cover all read the tree
-    trees = Counter()
-    build = curves_covers.MetricGraph._root_paths.func
+def _count_builds(monkeypatch, name):
+    """Count, per graph, the builds of a part a MetricGraph keeps."""
+    builds = Counter()
+    build = getattr(curves_covers.MetricGraph, name).func
 
     def counting(graph):
-        trees[id(graph)] += 1
+        builds[id(graph)] += 1
         return build(graph)
 
     counted = cached_property(counting)
-    counted.__set_name__(curves_covers.MetricGraph, "_root_paths")
-    monkeypatch.setattr(curves_covers.MetricGraph, "_root_paths", counted)
+    counted.__set_name__(curves_covers.MetricGraph, name)
+    monkeypatch.setattr(curves_covers.MetricGraph, name, counted)
+    return builds
+
+
+def test_each_graph_builds_one_bfs_tree(monkeypatch):
+    # the theta cover over its plain graph with the edge e subdivided, so
+    # the cycle basis, the tree paths and the walk cover all read the tree
+    trees = _count_builds(monkeypatch, "_root_paths")
     cover = subdivided(degree_two_cover(), 0)
     assert verify_split_package(cover).all_flags_hold
     complementary_cover(cover)
     assert trees and max(trees.values()) == 1
+
+
+def test_each_graph_builds_one_cycle_basis(monkeypatch):
+    # the Jacobian, the pushforward row and the complementary walk cover all
+    # read the basis of the subdivided theta graph
+    bases = _count_builds(monkeypatch, "_cycles")
+    cover = subdivided(degree_two_cover(), 0)
+    assert is_optimal(cover).kernel_connected
+    kernel_length(cover)
+    pullback_kernel(cover)
+    assert verify_split_package(cover).all_flags_hold
+    complementary_cover(cover)
+    assert bases and max(bases.values()) == 1
+
+
+def test_optimality_builds_no_kernel_circle(monkeypatch):
+    # gamma is read off the contents of f_sharp and f_hash
+    calls = Counter()
+    for module in (curves_covers, torus_category):
+        _count_calls(monkeypatch, module, "kernel0", calls)
+    for cover in (degree_two_cover(), _ladder_cover(50), _wide_dumbbell(6)):
+        assert is_optimal(cover).component_count >= 1
+    assert calls == Counter()
 
 
 def test_covers_and_what_they_keep_refuse_assignment():

@@ -363,6 +363,8 @@ def test_point_order_on_product():
 
 def test_points_reject_floats():
     pytest.raises(NotTorsion, lambda: reduce_point(circle(3), [0.5]))
+    pytest.raises(NotTorsion, lambda: reduce_point(circle(3), [True]))
+    pytest.raises(NotTorsion, lambda: reduce_point(circle(3), ["1e10000000"]))
 
 
 def test_subgroup_generated():
