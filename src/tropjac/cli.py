@@ -9,14 +9,21 @@ Every cover of a genus-2 graph, a curve model or not, gets the same report
 and commands.  A cover of another genus gets the genus-free analyze fields;
 optimal, complement and split refuse it with UNSUPPORTED_GENUS.
 
-Exit codes: 0 on success, 1 when the library rejects the input (the error
-code and message go to stderr), 2 on usage errors.
+Reports are printed by _json, a recursive renderer that writes what
+json.dumps(report, indent=2) writes, with strings quoted by the C string
+encoder of the json module.  It never runs the pure-Python indent encoder,
+to which json.dumps falls back whenever it is given an indent.
+
+Exit codes: 0 on success, 1 when the library rejects the input or a number
+of the report is too long to print (the error code and message go to
+stderr), 2 on usage errors.
 """
 
 import argparse
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .cover_analysis import (
     component_count,
@@ -38,7 +45,7 @@ from .curves_covers import (
     target_length,
     validate_cover,
 )
-from .errors import ParseError, TropjacError, ValidationError
+from .errors import NumberTooLarge, ParseError, TropjacError, ValidationError
 from .exact_lattice import _read_exact
 from .split_jacobian import (
     complementary_cover,
@@ -54,10 +61,22 @@ class _UsageError(Exception):
 # ----------------------------------------------------------- serialization
 
 
+def _too_large():
+    # only reached where int-to-str conversion has a digit limit (3.11+)
+    return NumberTooLarge(
+        "a number of the report has more than "
+        f"{sys.get_int_max_str_digits()} digits, the most Python prints"
+    )
+
+
 def _rat(value):
     """An int or a Fraction as "p/q" (or "n"); every number that reaches it
-    already is one, as Matrix entries and parsed lengths are."""
-    return str(value)
+    already is one, as Matrix entries and parsed lengths are.  A number past
+    Python's digit limit raises NumberTooLarge."""
+    try:
+        return str(value)
+    except ValueError:
+        raise _too_large() from None
 
 
 def _point(column):
@@ -299,10 +318,59 @@ def _text_lines(data, prefix=""):
     return lines
 
 
+def _json(value, newline):
+    """value as json.dumps(value, indent=2) writes it, where newline is the
+    line break and indent of the line value starts on.
+
+    Each container is one join over its children, and a string child is
+    quoted in place.  A value that is not a dict with str keys, a list, a
+    tuple, a str, an int, a bool or None raises TypeError.
+    """
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        return (
+            "{" + inner
+            + ("," + inner).join([
+                _quote(k) + ": " + (_quote(v) if type(v) is str else _json(v, inner))
+                for k, v in value.items()
+            ])
+            + newline + "}"
+        )
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return (
+            "[" + inner
+            + ("," + inner).join([_quote(v) if type(v) is str else _json(v, inner) for v in value])
+            + newline + "]"
+        )
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _render(report, fmt):
-    if fmt == "text":
-        return "\n".join(_text_lines(report))
-    return json.dumps(report, indent=2)
+    """The report as text lines or as indented JSON.  JSON is written by
+    _json, never by the pure-Python indent encoder of json.dumps; an int
+    past Python's digit limit raises NumberTooLarge."""
+    try:
+        if fmt == "text":
+            return "\n".join(_text_lines(report))
+        return _json(report, "\n")
+    except ValueError:
+        raise _too_large() from None
 
 
 # ------------------------------------------------------------------ driver
@@ -376,13 +444,14 @@ def run_command(argv):
             report = _split_dict(verify_split_package(cover))
         else:
             report = _factor_report(cover, parse_cover(_read_file(args.file2)))
+        text = _render(report, args.format)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except TropjacError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return 1
-    print(_render(report, args.format))
+    print(text)
     return 0
 
 

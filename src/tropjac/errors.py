@@ -87,6 +87,13 @@ class KernelTooLarge(TropjacError):
     code = "KERNEL_TOO_LARGE"
 
 
+class NumberTooLarge(TropjacError):
+    """A number of a report has more digits than Python converts to a
+    string (sys.get_int_max_str_digits); nothing of the report is printed."""
+
+    code = "NUMBER_TOO_LARGE"
+
+
 class NotProductTarget(TropjacError):
     code = "NOT_PRODUCT_TARGET"
 

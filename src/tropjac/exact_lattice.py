@@ -16,6 +16,7 @@ True
 True
 """
 
+from decimal import Decimal
 from fractions import Fraction
 from operator import attrgetter
 
@@ -89,15 +90,16 @@ def _read_exact(x):
     """The one reader of exact numbers: x as a Fraction.
 
     Ints and Fractions pass first; any other value is read by Fraction,
-    except a float or a bool, which is not an exact rational, and a string
-    with an exponent, whose reading takes time exponential in its length
-    ("1e10000000").  A refusal raises ValueError saying what x is not.
+    except a float or a bool, which is not an exact rational, and a Decimal
+    or a string with an exponent, whose reading takes time exponential in
+    its length (Decimal("1e10000000"), "1e10000000").  A refusal raises
+    ValueError saying what x is not.
     """
     if type(x) is Fraction:
         return x
     if type(x) is int:
         return Fraction(x)
-    if isinstance(x, (bool, float)) or (isinstance(x, str) and ("e" in x or "E" in x)):
+    if isinstance(x, (bool, float, Decimal)) or (isinstance(x, str) and ("e" in x or "E" in x)):
         raise ValueError(f"not the {type(x).__name__} {x!r}")
     try:
         return Fraction(x)

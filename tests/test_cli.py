@@ -1,11 +1,16 @@
 """Tests for the command-line interface."""
 
 import json
+import sys
 import time
+from fractions import Fraction
 
-from tropjac.cli import parse_cover, run_command
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tropjac.cli import _json, _render, parse_cover, run_command
 from tropjac.curves_covers import DumbbellCover, GeneralCircleCover, ThetaCover
-from tropjac.errors import ParseError, ValidationError
+from tropjac.errors import NumberTooLarge, ParseError, ValidationError
 
 import pytest
 
@@ -278,6 +283,42 @@ def test_inexact_or_oversized_lengths_exit_one_at_once(length, error, tmp_path, 
     assert err.startswith(error)
 
 
+# the most digits Python converts an int to a string with; 0 is no limit
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    not 0 < DIGIT_LIMIT < 5000, reason="no int-to-str digit limit below 5000 digits"
+)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_number_past_the_digit_limit_exits_one(fmt, tmp_path, capsys):
+    # a valid cover whose target length has a 5001-digit denominator
+    p1, p2 = 10**2500 + 1, 10**2500 + 3
+    document = write(
+        tmp_path,
+        "d.json",
+        json.dumps(
+            {
+                "kind": "theta",
+                "lengths": [f"1/{p1}", f"1/{p2}", f"1/{p2}"],
+                "windings": [1, 1, 1],
+                "dilations": [2, 1, 1],
+            }
+        ),
+    )
+    code, out, err = run(capsys, "analyze", document, "--format", fmt)
+    assert code == 1 and out == ""
+    assert err.startswith(f"NUMBER_TOO_LARGE: a number of the report has more than {DIGIT_LIMIT} digits")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_rendering_an_int_past_the_digit_limit_raises(fmt):
+    with pytest.raises(NumberTooLarge):
+        _render({"entries": [[1, 10**5000]]}, fmt)
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(tmp_path / "missing.json"))
     assert code == 2
@@ -348,3 +389,45 @@ def test_factor_on_general_covers(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
+
+
+# ------------------------------------------------------------- rendering
+
+# quotes, backslashes, control characters, non-ASCII and lone surrogates
+_CHARACTERS = st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'),
+    st.characters(blacklist_categories=()),
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.text(_CHARACTERS),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(_CHARACTERS, max_size=4), children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES)
+def test_renderer_writes_what_json_dumps_writes(value):
+    assert _json(value, "\n") == json.dumps(value, indent=2)
+    assert _render(value, "json") == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0.5, Fraction(1, 3), {1: "one"}, {None: 0}, {"a": [1, 2.0]}, [{"b": Fraction(2)}], {1, 2}],
+    ids=["float", "fraction", "int-key", "none-key", "nested-float", "nested-fraction", "set"],
+)
+def test_renderer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _json(value, "\n")

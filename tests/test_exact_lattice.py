@@ -1,4 +1,5 @@
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -87,7 +88,8 @@ def test_matrix_rejects_floats():
 
 
 @pytest.mark.parametrize(
-    "value", [0.5, True, "1e10000000", "2E3", "1" * 5000, "1/0", "abc", None]
+    "value",
+    [0.5, True, "1e10000000", "2E3", "1" * 5000, "1/0", "abc", None, Decimal("1e10000000")],
 )
 def test_exact_reader_refuses_at_once(value):
     start = time.perf_counter()

@@ -122,6 +122,29 @@ def test_each_general_cover_is_validated_once(command, document, tmp_path, monke
     assert calls == Counter(validate_general_cover=1)
 
 
+@pytest.mark.parametrize(
+    "document",
+    # g = 2000: pullback kernels of 2000 points
+    [
+        {"kind": "dumbbell", "lengths": [1, 1, 1], "windings": [1, 1], "dilations": [2000, 2000]},
+        {"kind": "theta", "lengths": [1, 1, 1], "windings": [1, 1, 1], "dilations": [4000, 2000, 2000]},
+    ],
+    ids=["dumbbell", "theta"],
+)
+def test_reports_never_run_the_pure_python_encoder(document, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps(document))
+    report = cli._analysis_report(cli.parse_cover(path.read_text()), True)
+    expected = json.dumps(report, indent=2) + "\n"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    assert run_command(["analyze", str(path), "--split"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def _ladder_cover(k):
     """The strongly optimal dumbbell cover of degree 2k + 1."""
     return DumbbellCover(DumbbellCurve(Fraction(1, k), Fraction(1, k + 1), 1), (1, 1), (k, k + 1))
