@@ -4,10 +4,15 @@ Everything here works over arbitrary-precision rationals; floating point is
 never used.  A matrix entry has one representation: a plain ``int`` when it
 is integral and a ``fractions.Fraction`` otherwise, so an integer matrix
 holds ints and the normal forms work on its rows as they are.  Only this
-module decides how an entry is stored.  The central normal form is Smith
-(``U*A*V = S``) with a pinned pivot rule — smallest absolute value, ties
-broken by lowest (row, column) — so that every downstream coordinate choice
-is reproducible run to run.
+module decides how an entry is stored.  Solving, inverting, multiplying and
+taking determinants run on ints over one denominator: the input is scaled
+once to int numerators over the lcm of its denominators (each row of
+[A|B] over its own when solving), the elimination or product works on
+those ints alone, and each output entry is one exact quotient, so at most
+one ``Fraction`` is built per entry and no ``Fraction`` arithmetic is done.
+The central normal form is Smith (``U*A*V = S``) with a pinned pivot rule —
+smallest absolute value, ties broken by lowest (row, column) — so that
+every downstream coordinate choice is reproducible run to run.
 
 >>> u, s, v = smith_normal_form(Matrix([[2, 1], [1, 2]]))
 >>> s == Matrix([[1, 0], [0, 3]])
@@ -18,7 +23,8 @@ True
 
 from decimal import Decimal
 from fractions import Fraction
-from operator import attrgetter
+from math import gcd, lcm
+from operator import attrgetter, mul
 
 from .errors import ContainmentViolation
 
@@ -120,11 +126,25 @@ def _entry(x):
     return x.numerator if x.denominator == 1 else x
 
 
-def _divide(a, b):
-    """Exact quotient of two entries; int / int would give a float."""
-    if type(a) is int and type(b) is int:
-        return Fraction(a, b)
-    return a / b
+def _over_lcm(rows):
+    """Rows of entries as (den, rows of ints): int numerators over the lcm
+    of all their denominators.  All-int rows come back as they are, over 1."""
+    den = lcm(*[x.denominator for row in rows for x in row if type(x) is not int])
+    if den == 1:
+        return 1, rows
+    return den, [
+        [x * den if type(x) is int else x.numerator * (den // x.denominator) for x in row]
+        for row in rows
+    ]
+
+
+def _quotient(num, den):
+    """The entry num/den of two ints, den != 0: an int when den divides num,
+    else the one Fraction built for it."""
+    if den == 1:
+        return num
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 class Matrix(_Immutable):
@@ -263,14 +283,23 @@ class Matrix(_Immutable):
         return Matrix([[-x for x in row] for row in self._rows], ncols=self._ncols)
 
     def __mul__(self, other):
+        """Matrix product, or the product with a scalar.
+
+        A product of two matrices multiplies int numerators: each operand
+        over the lcm of its denominators, and, when the product of the two
+        denominators is not 1, each entry one quotient of an int sum by it.
+        A zero-row operand keeps its shape."""
         if isinstance(other, Matrix):
             if self._ncols != other.nrows:
                 raise ValueError("shape mismatch in multiplication")
-            cols = [other.column_tuple(j) for j in range(other.ncols)]
-            return Matrix(
-                [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self._rows],
-                ncols=other.ncols,
-            )
+            a_den, a = _over_lcm(self._rows)
+            b_den, b = _over_lcm(other._rows)
+            cols = list(zip(*b)) if b else [()] * other._ncols
+            product = [[sum(map(mul, row, col)) for col in cols] for row in a]
+            den = a_den * b_den
+            if den != 1:
+                product = [[_quotient(x, den) for x in row] for row in product]
+            return Matrix(product, ncols=other._ncols)
         scalar = _entry(other)
         return Matrix([[x * scalar for x in row] for row in self._rows], ncols=self._ncols)
 
@@ -283,28 +312,34 @@ class Matrix(_Immutable):
         )
 
     def det(self):
-        """Determinant by exact fraction elimination; det of the 0x0 matrix is 1."""
+        """Determinant by Bareiss elimination on ints; det of the 0x0 matrix is 1.
+
+        The rows are scaled to int numerators over one lcm denominator, and
+        the int determinant is divided by den**n at the end.  Each step of
+        the elimination divides exactly by the previous pivot, so every
+        entry it holds is a minor of the scaled matrix (Bareiss, Math.
+        Comp. 22, 1968)."""
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
-        n = self._ncols
-        work = [list(row) for row in self._rows]
-        sign = 1
-        for col in range(n):
-            pivot_row = next((i for i in range(col, n) if work[i][col] != 0), None)
+        den, rows = _over_lcm(self._rows)
+        rows = list(rows)
+        sign, previous = 1, 1
+        while rows:
+            pivot_row = next((i for i, row in enumerate(rows) if row[0] != 0), None)
             if pivot_row is None:
                 return 0
-            if pivot_row != col:
-                work[col], work[pivot_row] = work[pivot_row], work[col]
+            if pivot_row:
+                rows[0], rows[pivot_row] = rows[pivot_row], rows[0]
                 sign = -sign
-            pivot = work[col][col]
-            for i in range(col + 1, n):
-                if work[i][col] != 0:
-                    factor = _divide(work[i][col], pivot)
-                    work[i] = [a - factor * b for a, b in zip(work[i], work[col])]
-        result = sign
-        for i in range(n):
-            result *= work[i][i]
-        return _entry(result)
+            top = rows[0]
+            pivot = top[0]
+            # the rows below, with the pivot column dropped
+            rows = [
+                [(pivot * x - row[0] * y) // previous for x, y in zip(row[1:], top[1:])]
+                for row in rows[1:]
+            ]
+            previous = pivot
+        return _quotient(sign * previous, den**self._ncols)
 
     def inv(self):
         """Exact inverse; raises ValueError when singular."""
@@ -578,12 +613,23 @@ def lattice_index(sub, sup):
 
 
 def rational_solve(a, b):
-    """One exact solution X of A*X = B (free variables set to 0), or None."""
+    """One exact solution X of A*X = B (free variables set to 0), or None.
+
+    Fraction-free Gauss–Jordan on ints.  Each row of [A|B] is scaled once
+    to int numerators over its lcm denominator.  The first nonzero entry at
+    or below the current row is the pivot, and every other row with a
+    nonzero entry in the pivot column becomes pivot·row − entry·pivot_row,
+    divided by its content, so entries stay the size of minors.  Each row
+    stays a nonzero multiple of the row that Fraction Gauss–Jordan would
+    hold, so the pivots and the solution are the same; the solution entry
+    of pivot row i is row[n + j] / row[pivot column], one quotient each.
+    """
     m, n = a.shape
     if b.nrows != m:
         raise ValueError("shape mismatch in rational_solve")
     k = b.ncols
-    work = [list(a.row_tuple(i)) + list(b.row_tuple(i)) for i in range(m)]
+    # each row of [A|B] over the lcm of its own denominators
+    work = [_over_lcm((ra + rb,))[1][0] for ra, rb in zip(a.entries(), b.entries())]
     pivot_cols = []
     row = 0
     for col in range(n):
@@ -591,22 +637,25 @@ def rational_solve(a, b):
         if pivot_row is None:
             continue
         work[row], work[pivot_row] = work[pivot_row], work[row]
-        pivot = work[row][col]
-        work[row] = [_divide(x, pivot) for x in work[row]]
+        top = work[row]
+        pivot = top[col]
         for i in range(m):
-            if i != row and work[i][col] != 0:
-                factor = work[i][col]
-                work[i] = [x - factor * y for x, y in zip(work[i], work[row])]
+            factor = work[i][col]
+            if i != row and factor != 0:
+                updated = [pivot * x - factor * y for x, y in zip(work[i], top)]
+                content = gcd(*updated)
+                work[i] = [x // content for x in updated] if content > 1 else updated
         pivot_cols.append(col)
         row += 1
         if row == m:
             break
     for i in range(row, m):
-        if any(work[i][n + j] != 0 for j in range(k)):
+        if any(work[i][n:]):
             return None
     solution = [[0] * k for _ in range(n)]
     for i, col in enumerate(pivot_cols):
-        solution[col] = work[i][n:]
+        pivot = work[i][col]
+        solution[col] = [_quotient(x, pivot) for x in work[i][n:]]
     return Matrix(solution, ncols=k)
 
 

@@ -222,8 +222,12 @@ MAX_LISTED_POINTS = 10**6
 
 def _require_listable(count, what):
     if count > MAX_LISTED_POINTS:
+        try:
+            size = str(count)
+        except ValueError:  # more digits than Python converts to a string
+            size = f"at least 2^{count.bit_length() - 1}"
         raise KernelTooLarge(
-            f"{what} has {count} points, above the listing bound of {MAX_LISTED_POINTS}"
+            f"{what} has {size} points, above the listing bound of {MAX_LISTED_POINTS}"
         )
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import floor
 
 from tropjac.errors import NotIsogeny
-from tropjac.exact_lattice import Matrix, smith_normal_form
+from tropjac.exact_lattice import Matrix, _entry, smith_normal_form
 from tropjac.torus_category import (
     IntegralTorus,
     TorusMorphism,
@@ -128,6 +128,77 @@ def matrix_isogeny_kernel_points(m):
         point = pairing * Matrix.column([ci - floor(ci) for ci in c.column_tuple(0)])
         points[point.column_tuple(0)] = point
     return sorted(points.values(), key=lambda p: p.column_tuple(0))
+
+
+# -- Fraction eliminations ---------------------------------------------------
+# The eliminations that exact_lattice ran on Fraction entries before it ran
+# them on ints over one denominator: the references for rational_solve,
+# Matrix.inv and Matrix.det.
+
+
+def _divide(a, b):
+    """Exact quotient of two entries; int / int would give a float."""
+    if type(a) is int and type(b) is int:
+        return Fraction(a, b)
+    return a / b
+
+
+def fraction_rational_solve(a, b):
+    """One exact solution X of A*X = B (free variables set to 0), or None."""
+    m, n = a.shape
+    if b.nrows != m:
+        raise ValueError("shape mismatch in rational_solve")
+    k = b.ncols
+    work = [list(a.row_tuple(i)) + list(b.row_tuple(i)) for i in range(m)]
+    pivot_cols = []
+    row = 0
+    for col in range(n):
+        pivot_row = next((i for i in range(row, m) if work[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        work[row], work[pivot_row] = work[pivot_row], work[row]
+        pivot = work[row][col]
+        work[row] = [_divide(x, pivot) for x in work[row]]
+        for i in range(m):
+            if i != row and work[i][col] != 0:
+                factor = work[i][col]
+                work[i] = [x - factor * y for x, y in zip(work[i], work[row])]
+        pivot_cols.append(col)
+        row += 1
+        if row == m:
+            break
+    for i in range(row, m):
+        if any(work[i][n + j] != 0 for j in range(k)):
+            return None
+    solution = [[0] * k for _ in range(n)]
+    for i, col in enumerate(pivot_cols):
+        solution[col] = work[i][n:]
+    return Matrix(solution, ncols=k)
+
+
+def fraction_det(a):
+    """Determinant by exact fraction elimination; det of the 0x0 matrix is 1."""
+    if not a.is_square:
+        raise ValueError("determinant of a non-square matrix")
+    n = a.ncols
+    work = [list(row) for row in a.entries()]
+    sign = 1
+    for col in range(n):
+        pivot_row = next((i for i in range(col, n) if work[i][col] != 0), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+            sign = -sign
+        pivot = work[col][col]
+        for i in range(col + 1, n):
+            if work[i][col] != 0:
+                factor = _divide(work[i][col], pivot)
+                work[i] = [a - factor * b for a, b in zip(work[i], work[col])]
+    result = sign
+    for i in range(n):
+        result *= work[i][i]
+    return _entry(result)
 
 
 # -- cover corpus ----------------------------------------------------------

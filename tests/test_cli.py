@@ -260,6 +260,22 @@ def test_oversized_kernel_listing_exits_one_before_listing(tmp_path, capsys):
     assert "1000000000 points" in err
 
 
+def test_split_kernel_with_a_count_past_the_digit_limit_exits_one(tmp_path, capsys):
+    # the strongly optimal dumbbell with k = 5·10^4299: its split kernel has
+    # 2k + 1 = 10^4300 + 1 points, a count of more digits than Python
+    # converts to a string (4300 by default)
+    k = 5 * 10**4299
+    document = write(
+        tmp_path,
+        "d.json",
+        f'{{"kind": "dumbbell", "lengths": ["1/{k}", "1/{k + 1}", 1], "windings": [1, 1], '
+        f'"dilations": [{k}, {k + 1}]}}',
+    )
+    code, out, err = run(capsys, "split", document)
+    assert code == 1 and out == ""
+    assert err.startswith("KERNEL_TOO_LARGE:")
+
+
 @pytest.mark.parametrize(
     "length, error",
     [

@@ -1,3 +1,4 @@
+import random
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from oracles import fraction_det, fraction_rational_solve
 from tropjac.errors import ContainmentViolation
 from tropjac.torus_category import circle
 from tropjac.exact_lattice import (
@@ -125,8 +127,10 @@ def _fractions(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
-def _ref_product(a, b):
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+def _ref_product(a, b, ncols):
+    """The product of two lists of rows on plain Fractions; an empty inner
+    dimension gives zeros."""
+    return [[sum((x * row[j] for x, row in zip(r, b)), Fraction(0)) for j in range(ncols)] for r in a]
 
 
 def _ref_inverse(a):
@@ -171,7 +175,7 @@ def test_every_operation_keeps_one_representation(m, n, data):
     _assert_represents(a + b, [[x + y for x, y in zip(p, q)] for p, q in zip(ra, rb)])
     _assert_represents(a - b, [[x - y for x, y in zip(p, q)] for p, q in zip(ra, rb)])
     _assert_represents(-a, [[-x for x in row] for row in ra])
-    _assert_represents(a * c, _ref_product(ra, rc))
+    _assert_represents(a * c, _ref_product(ra, rc, 2))
     scaled = [[x * Fraction(scalar) for x in row] for row in ra]
     _assert_represents(a * scalar, scaled)
     _assert_represents(scalar * a, scaled)
@@ -187,10 +191,10 @@ def test_every_operation_keeps_one_representation(m, n, data):
         pytest.raises(ValueError, square.inv)
         if solution is not None:
             _assert_represents(solution, _fractions(solution.entries()))
-            assert _ref_product(rs, _fractions(solution.entries())) == ra
+            assert _ref_product(rs, _fractions(solution.entries()), n) == ra
     else:
         _assert_represents(square.inv(), inverse)
-        _assert_represents(solution, _ref_product(inverse, ra))
+        _assert_represents(solution, _ref_product(inverse, ra, n))
 
 
 def test_matrix_inverse_exact():
@@ -437,3 +441,108 @@ def test_rational_solve_inconsistent():
 def test_column_hnf_drops_dependent_columns():
     assert column_hnf(Matrix([[1, 2], [2, 4]])) == Matrix([[1], [2]])
     assert column_hnf(Matrix.zeros(2, 2)).shape == (2, 0)
+
+
+# -- ints over one denominator, against the Fraction eliminations ---------------
+
+
+def wide_entries():
+    """Ints up to 2^200 and Fractions with denominators up to 10^6; small
+    ints and zeros come often enough to give dependent rows and columns."""
+    big = st.integers(-(2**200), 2**200)
+    return st.one_of(
+        st.integers(-2, 2),
+        big,
+        st.builds(Fraction, big, st.integers(1, 10**6)),
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 10**6)),
+    )
+
+
+def wide_lists(m, n):
+    return st.lists(st.lists(wide_entries(), min_size=n, max_size=n), min_size=m, max_size=m)
+
+
+@st.composite
+def wide_matrices(draw, m, n):
+    """An m x n matrix of wide entries, or, half the time, one of rank below
+    min(m, n) drawn as a product through a narrower inner dimension."""
+    if min(m, n) and draw(st.booleans()):
+        r = draw(st.integers(0, min(m, n) - 1))
+        return Matrix(_ref_product(draw(wide_lists(m, r)), draw(wide_lists(r, n)), n), ncols=n)
+    return Matrix(draw(wide_lists(m, n)), ncols=n)
+
+
+dims = st.integers(0, 7)
+
+
+@st.composite
+def linear_systems(draw):
+    """(A, B) with A m x n and B m x k, from 0 to 7 each: B is A times a
+    wide matrix (a consistent system) or drawn on its own (over-determined
+    and rank-deficient ones are then mostly inconsistent)."""
+    m, n, k = draw(dims), draw(dims), draw(dims)
+    a = draw(wide_matrices(m, n))
+    if draw(st.booleans()):
+        x = draw(wide_lists(n, k))
+        return a, Matrix(_ref_product([list(row) for row in a.entries()], x, k), ncols=k)
+    return a, draw(wide_matrices(m, k))
+
+
+def _assert_same(got, expected):
+    """Equal to the oracle in value and in each entry's type; None for None."""
+    if expected is None:
+        assert got is None
+        return
+    assert got == expected
+    assert [list(map(type, row)) for row in got.entries()] == [
+        list(map(type, row)) for row in expected.entries()
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_systems())
+def test_rational_solve_matches_the_fraction_elimination(system):
+    a, b = system
+    _assert_same(rational_solve(a, b), fraction_rational_solve(a, b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dims.flatmap(lambda n: wide_matrices(n, n)))
+def test_inverse_and_det_match_the_fraction_elimination(a):
+    n = a.ncols
+    expected = fraction_rational_solve(a, Matrix.identity(n))
+    if expected is None:
+        pytest.raises(ValueError, a.inv)
+    else:
+        _assert_same(a.inv(), expected)
+    det = a.det()
+    assert det == fraction_det(a) and type(det) is type(fraction_det(a))
+    assert (det == 0) == (expected is None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(dims, dims, dims), st.data())
+def test_product_matches_the_fraction_product(shape, data):
+    m, n, k = shape
+    a, b = data.draw(wide_matrices(m, n)), data.draw(wide_matrices(n, k))
+    rows = [list(row) for row in a.entries()]
+    expected = Matrix(_ref_product(rows, [list(row) for row in b.entries()], k), ncols=k)
+    product = a * b
+    assert product.shape == (m, k)
+    _assert_same(product, expected)
+
+
+def test_solve_and_inverse_cost_grows_with_the_answer():
+    # a 16 x 16 system with 32-bit entries: the answer has entries of some
+    # 500 bits, and the elimination on ints keeps its rows that size
+    rng = random.Random(16)
+    a = Matrix([[rng.randrange(-(2**31), 2**31) for _ in range(16)] for _ in range(16)])
+    b = Matrix([[rng.randrange(-(2**31), 2**31) for _ in range(3)] for _ in range(16)])
+    start = time.perf_counter()
+    solution = rational_solve(a, b)
+    inverse = a.inv()
+    elapsed = time.perf_counter() - start
+    _assert_same(solution, fraction_rational_solve(a, b))
+    _assert_same(inverse, fraction_rational_solve(a, Matrix.identity(16)))
+    assert a * inverse == Matrix.identity(16)
+    assert elapsed < 2

@@ -1,6 +1,7 @@
 """Each cover derives its invariants once: one immutable analysis per cover."""
 
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
@@ -15,7 +16,7 @@ import tropjac.exact_lattice as exact_lattice
 import tropjac.split_jacobian as split_jacobian
 import tropjac.tav as tav
 import tropjac.torus_category as torus_category
-from oracles import degree_two_cover, dumbbell_covers, theta_covers
+from oracles import degree_two_cover, dumbbell_covers, random_unimodular, theta_covers
 from test_presentations import subdivided
 from tropjac.cli import run_command
 from tropjac.cover_analysis import (
@@ -246,6 +247,53 @@ def test_cli_prints_the_pullback_kernel_without_building_fractions(monkeypatch):
     monkeypatch.undo()
     assert calls == Counter()
     assert listed[1] == {"position": "7/5000", "order": 1000}
+
+
+# Fraction addition, subtraction and multiplication, in both operand orders
+FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__")
+
+
+def _count_fraction_work(monkeypatch):
+    calls = Counter()
+    for name in FRACTION_ARITHMETIC + ("__new__",):
+        _count_fractions(monkeypatch, name, calls)
+    return calls
+
+
+def _fraction_entries(m):
+    return sum(type(x) is Fraction for row in m.entries() for x in row)
+
+
+def test_solve_and_inverse_run_on_ints(monkeypatch):
+    rng = random.Random(7)
+    unimodular = random_unimodular(rng, 6)
+    system = exact_lattice.Matrix([[rng.randrange(-99, 100) for _ in range(6)] for _ in range(6)])
+    rhs = exact_lattice.Matrix([[rng.randrange(-99, 100) for _ in range(2)] for _ in range(6)])
+    calls = _count_fraction_work(monkeypatch)
+    inverse = unimodular.inv()
+    solution = exact_lattice.rational_solve(system, rhs)
+    monkeypatch.undo()
+    assert inverse.is_integral() and unimodular * inverse == exact_lattice.Matrix.identity(6)
+    # one Fraction per non-integral entry of the answer, and no arithmetic
+    assert 0 < _fraction_entries(solution) == calls.pop("__new__")
+    assert calls == Counter()
+
+
+def test_product_of_rational_matrices_builds_one_fraction_per_entry(monkeypatch):
+    rng = random.Random(4)
+
+    def rational():
+        rows = [[Fraction(rng.randrange(-50, 50), rng.randrange(1, 30)) for _ in range(4)] for _ in range(4)]
+        return rows, exact_lattice.Matrix(rows)
+
+    (rows_a, a), (rows_b, b) = rational(), rational()
+    calls = _count_fraction_work(monkeypatch)
+    product = a * b
+    monkeypatch.undo()
+    assert calls.pop("__new__") == _fraction_entries(product) <= 16
+    assert calls == Counter()
+    expected = [[sum(x * y for x, y in zip(row, col)) for col in zip(*rows_b)] for row in rows_a]
+    assert product == exact_lattice.Matrix(expected)
 
 
 def _count_builds(monkeypatch, name):
