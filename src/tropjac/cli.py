@@ -79,8 +79,14 @@ def _rat(value):
         raise _too_large() from None
 
 
-def _point(column):
-    return [_rat(x) for x in column.column_tuple(0)]
+def _points(columns):
+    """Column matrices as lists of "p/q" strings, one comprehension per
+    column over its entries; a number past Python's digit limit raises
+    NumberTooLarge, as in _rat."""
+    try:
+        return [[str(x) for (x,) in column.entries()] for column in columns]
+    except ValueError:
+        raise _too_large() from None
 
 
 # ---------------------------------------------------------------- parsing
@@ -233,7 +239,7 @@ def _split_dict(report):
         "phi": report.phi.entries(),
         "phi_tilde": report.phi_tilde.entries(),
         "degree": report.degree,
-        "kernel_points": [_point(p) for p in report.kernel_points],
+        "kernel_points": _points(report.kernel_points),
         "flags": dict(report.flags),
     }
 
@@ -322,9 +328,10 @@ def _json(value, newline):
     """value as json.dumps(value, indent=2) writes it, where newline is the
     line break and indent of the line value starts on.
 
-    Each container is one join over its children, and a string child is
-    quoted in place.  A value that is not a dict with str keys, a list, a
-    tuple, a str, an int, a bool or None raises TypeError.
+    Each container is one join over its children, and a string or int
+    child is written in place, with no call for it.  A value that is not a
+    dict with str keys, a list, a tuple, a str, an int, a bool or None
+    raises TypeError.
     """
     kind = type(value)
     if kind is dict:
@@ -334,7 +341,11 @@ def _json(value, newline):
         return (
             "{" + inner
             + ("," + inner).join([
-                _quote(k) + ": " + (_quote(v) if type(v) is str else _json(v, inner))
+                _quote(k) + ": " + (
+                    _quote(v) if type(v) is str
+                    else int.__repr__(v) if type(v) is int
+                    else _json(v, inner)
+                )
                 for k, v in value.items()
             ])
             + newline + "}"
@@ -345,7 +356,12 @@ def _json(value, newline):
         inner = newline + "  "
         return (
             "[" + inner
-            + ("," + inner).join([_quote(v) if type(v) is str else _json(v, inner) for v in value])
+            + ("," + inner).join([
+                _quote(v) if type(v) is str
+                else int.__repr__(v) if type(v) is int
+                else _json(v, inner)
+                for v in value
+            ])
             + newline + "]"
         )
     if kind is str:

@@ -360,6 +360,17 @@ class Matrix(_Immutable):
 _set_rows, _set_ncols = Matrix._rows.__set__, Matrix._ncols.__set__
 
 
+def _quotient_column(numerators, den):
+    """The column Matrix of the entries num/den, for ints num and a nonzero
+    int den.  Each entry is one _quotient, an int when integral and else one
+    Fraction, which is how a Matrix stores it, so the finished entries are
+    not read again by Matrix.__init__."""
+    column = Matrix.__new__(Matrix)
+    _set_rows(column, tuple([(_quotient(x, den),) for x in numerators]))
+    _set_ncols(column, 1)
+    return column
+
+
 def hstack(a, b):
     if a.nrows != b.nrows:
         raise ValueError("row count mismatch in hstack")

@@ -13,6 +13,7 @@ equality and torsion orders decidable.
 
 from fractions import Fraction
 from math import floor, lcm, prod
+from operator import mul
 
 from .errors import (
     KernelTooLarge,
@@ -25,6 +26,8 @@ from .errors import (
 )
 from .exact_lattice import (
     Matrix,
+    _over_lcm,
+    _quotient_column,
     _read_exact,
     _Value,
     column_hnf,
@@ -231,71 +234,82 @@ def _require_listable(count, what):
         )
 
 
-def _over_common_denominator(vectors):
-    """Rational vectors as int tuples over the lcm of their denominators,
-    as (denominator, tuples); the denominator of no entries is 1."""
-    den = lcm(*(x.denominator for vector in vectors for x in vector))
-    return den, [tuple(x.numerator * (den // x.denominator) for x in vector) for vector in vectors]
-
-
-def _subgroup(gens, den, n):
-    """All points of the subgroup of (Z/den)^n generated by int tuples.
-
-    Each generator g adds the cosets S + g, S + 2g, ... of the group S
-    generated so far, until a multiple of g lies in S, so every point is
-    made once by one tuple addition.
-    """
-    group = [(0,) * n]
-    for g in gens:
-        g = tuple(x % den for x in g)
-        members = set(group)
-        cosets, step = [], g
-        while step not in members:
-            cosets += [tuple((a + b) % den for a, b in zip(p, step)) for p in group]
-            step = tuple((a + b) % den for a, b in zip(step, g))
-        group += cosets
-    return group
+def _box_points(n, gens, counts, den):
+    """The points sum k_i·g_i mod den, 0 <= k_i < count_i, of int tuples g_i
+    of length n, as int tuples in [0, den)^n.  Both callers pass a box in
+    which every point of the group generated by the g_i has one such sum,
+    so each is listed once.  The box is listed factor by factor, each point
+    made by one tuple addition, with no set and no membership test."""
+    zero = (0,) * n
+    points = [zero]
+    for g, count in zip(gens, counts):
+        multiples, step = [zero], zero
+        for _ in range(count - 1):
+            step = tuple([(a + b) % den for a, b in zip(step, g)])
+            multiples.append(step)
+        if len(points) == 1:
+            points = multiples
+        elif count > 1:
+            points = [tuple([(a + b) % den for a, b in zip(p, m)]) for p in points for m in multiples]
+    return points
 
 
 def _listed_points(pairing, den, coords):
     """The canonical points pairing * (c / den) of pairing coordinates c in
     [0, den)^n, sorted coordinate-wise, as columns.
 
-    The points are computed as int numerators over one positive common
-    denominator, so sorting the numerators sorts the points.
+    Each point is one tuple of int numerators, the scaled pairing rows
+    times c, over one positive common denominator, so sorting the
+    numerators sorts the points.  Each sorted tuple becomes one column of
+    quotients, built in exact_lattice, which alone decides how an entry is
+    stored.
     """
-    pairing_den, scaled = _over_common_denominator(pairing.entries())
+    pairing_den, scaled = _over_lcm(pairing.entries())
     total = den * pairing_den
-    numerators = sorted(
-        tuple(sum(a * b for a, b in zip(row, c)) for row in scaled) for c in coords
-    )
-    return [Matrix.column([Fraction(x, total) for x in num]) for num in numerators]
+    numerators = sorted([tuple([sum(map(mul, row, c)) for row in scaled]) for c in coords])
+    return [_quotient_column(num, total) for num in numerators]
 
 
 def subgroup_generated(torus, gens):
     """All points of the finite subgroup generated by rational points.
 
-    The generators' pairing coordinates are written once over their common
-    denominator; the closure under addition runs on those int tuples mod the
-    denominator.  Returns canonical representatives sorted coordinate-wise.
+    The generators' pairing coordinates are written once as int tuples over
+    their common denominator den.  The subgroup is L / den·Z^n for the
+    lattice L spanned by them and den·Z^n.  The column HNF of [gens | den·I]
+    is a lower-triangular basis b_j of L whose pivots h_j divide den, and
+    the box of sums k_j·b_j, 0 <= k_j < den/h_j, lists each point once:
+    two sums that agree mod den agree in k_1, then in k_2, and so on down
+    the triangle, and there are den^n / prod(h_j) = [L : den·Z^n] of them.
+    Returns canonical representatives sorted coordinate-wise; a subgroup of
+    more than MAX_LISTED_POINTS points raises KernelTooLarge before any is
+    listed.
     """
     pairing = torus.pairing
     inverse = pairing.inv()
+    n = torus.rank
     coords = [(inverse * _as_fraction_column(torus, g)).column_tuple(0) for g in gens]
-    den, gen_coords = _over_common_denominator(coords)
-    return _listed_points(pairing, den, _subgroup(gen_coords, den, torus.rank))
+    den, gen_coords = _over_lcm(coords)
+    lattice = Matrix(
+        [[c[i] for c in gen_coords] + [den if i == j else 0 for j in range(n)] for i in range(n)],
+        ncols=len(gen_coords) + n,
+    )
+    basis = column_hnf(lattice)
+    counts = [den // basis[j, j] for j in range(n)]
+    _require_listable(prod(counts), "the generated subgroup")
+    return _listed_points(pairing, den, _box_points(n, basis.columns(), counts, den))
 
 
 def isogeny_kernel_points(m):
     """All group-kernel points of an isogeny, as canonical source points.
 
     The kernel is (U^{-1} L_tgt) / L_src for the universal-cover matrix U.
-    The Smith form of the relating integer matrix gives one coset generator
-    per invariant factor; their pairing coordinates are written once over
-    a common denominator, and the Smith box of sums is listed on those int
-    tuples.  Only the returned points become matrices, sorted.  A kernel of
-    more than MAX_LISTED_POINTS points raises KernelTooLarge before any is
-    listed.
+    The Smith form of the relating integer matrix gives independent coset
+    generators g_i of exact orders s_i, its invariant factors; their
+    pairing coordinates are written once as int tuples over a common
+    denominator den, and the points are the Smith box sum k_i·g_i mod den,
+    0 <= k_i < s_i, listed on those tuples.  Only the returned points
+    become matrices, sorted.  A kernel of more than MAX_LISTED_POINTS
+    points raises KernelTooLarge before any is listed.
     """
     if not classify(m).isogeny:
         raise NotIsogeny("kernel-point enumeration requires an isogeny")
@@ -306,10 +320,11 @@ def isogeny_kernel_points(m):
         raise NotIsogeny("source periods do not lie in the lifted lattice")
     u, s, _ = smith_normal_form(relation)
     n = m.source.rank
-    _require_listable(prod(s[i, i] for i in range(n)), "the isogeny kernel")
+    orders = [s[i, i] for i in range(n)]
+    _require_listable(prod(orders), "the isogeny kernel")
     pairing = m.source.pairing
-    den, gen_coords = _over_common_denominator((pairing.inv() * lifted * u.inv()).columns())
-    return _listed_points(pairing, den, _subgroup(gen_coords, den, n))
+    den, gen_coords = _over_lcm((pairing.inv() * lifted * u.inv()).columns())
+    return _listed_points(pairing, den, _box_points(n, gen_coords, orders, den))
 
 
 # -- quotients -------------------------------------------------------------

@@ -5,7 +5,7 @@ so the same corpus is rebuilt identically on every run.
 """
 
 from fractions import Fraction
-from math import floor
+from math import floor, lcm
 
 from tropjac.errors import NotIsogeny
 from tropjac.exact_lattice import Matrix, _entry, smith_normal_form
@@ -128,6 +128,42 @@ def matrix_isogeny_kernel_points(m):
         point = pairing * Matrix.column([ci - floor(ci) for ci in c.column_tuple(0)])
         points[point.column_tuple(0)] = point
     return sorted(points.values(), key=lambda p: p.column_tuple(0))
+
+
+def _subgroup(gens, den, n):
+    """All points of the subgroup of (Z/den)^n generated by int tuples.
+
+    Each generator g adds the cosets S + g, S + 2g, ... of the group S
+    generated so far, until a multiple of g lies in S, so every point is
+    made once by one tuple addition.
+    """
+    group = [(0,) * n]
+    for g in gens:
+        g = tuple(x % den for x in g)
+        members = set(group)
+        cosets, step = [], g
+        while step not in members:
+            cosets += [tuple((a + b) % den for a, b in zip(p, step)) for p in group]
+            step = tuple((a + b) % den for a, b in zip(step, g))
+        group += cosets
+    return group
+
+
+def closure_subgroup_generated(torus, gens):
+    """The points of the subgroup generated by rational points, by the coset
+    closure on int pairing coordinates over their lcm denominator, each
+    point made a Matrix by Matrix arithmetic: the reference for
+    tav.subgroup_generated, which lists the Smith box of an HNF basis."""
+    pairing = torus.pairing
+    inverse = pairing.inv()
+    coords = [(inverse * Matrix.column(g)).column_tuple(0) for g in gens]
+    den = lcm(*(Fraction(x).denominator for c in coords for x in c))
+    scaled = [tuple(int(x * den) for x in c) for c in coords]
+    points = [
+        pairing * Matrix.column([Fraction(x, den) for x in c])
+        for c in _subgroup(scaled, den, torus.rank)
+    ]
+    return sorted(points, key=lambda p: p.column_tuple(0))
 
 
 # -- Fraction eliminations ---------------------------------------------------

@@ -8,9 +8,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropjac.cli import _json, _render, parse_cover, run_command
+from tropjac.cli import _json, _render, _split_dict, parse_cover, run_command
 from tropjac.curves_covers import DumbbellCover, GeneralCircleCover, ThetaCover
 from tropjac.errors import NumberTooLarge, ParseError, ValidationError
+from tropjac.exact_lattice import Matrix
+from tropjac.split_jacobian import SplitReport
 
 import pytest
 
@@ -333,6 +335,17 @@ def test_number_past_the_digit_limit_exits_one(fmt, tmp_path, capsys):
 def test_rendering_an_int_past_the_digit_limit_raises(fmt):
     with pytest.raises(NumberTooLarge):
         _render({"entries": [[1, 10**5000]]}, fmt)
+    with pytest.raises(NumberTooLarge):
+        _render({"order": 10**5000}, fmt)
+
+
+@needs_digit_limit
+def test_kernel_point_past_the_digit_limit_raises():
+    point = Matrix.column([0, Fraction(1, 10**5000 + 1)])
+    identity = Matrix.identity(2)
+    report = SplitReport(identity, identity, [point], 1, {}, None, None)
+    with pytest.raises(NumberTooLarge):
+        _split_dict(report)
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):

@@ -10,7 +10,12 @@ covers to their earlier output.  ``wide_digests.json`` holds the same for
 (2g, g, g) thetas with g in {97, 360, 5040}, some with a target length that
 is not an integer, so that the pullback kernel lists thousands of positions
 with denominators other than g; it was recorded before the pullback kernel
-was built from integers.  The three files are only read here.
+was built from integers.  ``ladder_digests.json`` holds the same for
+``analyze --split`` on three strongly optimal dumbbells of the benchmark's
+degree ladder, lengths 1/k, 1/(k+1), 1 with dilations (k, k+1) for k in
+{50, 500, 1000}, whose split kernels list 101, 1001 and 2001 points; it was
+recorded while the split kernel was still listed by a coset closure, before
+the Smith box replaced it.  The four files are only read here.
 """
 
 import contextlib
@@ -25,6 +30,7 @@ TESTS = Path(__file__).resolve().parent
 CORPUS = TESTS.parent / "bench" / "corpus.json"
 COMPLEMENTS = TESTS / "complement_digests.json"
 WIDE = TESTS / "wide_digests.json"
+LADDER = TESTS / "ladder_digests.json"
 
 
 def _load(path):
@@ -58,8 +64,13 @@ def test_complement_matches_recorded_digests(tmp_path):
     assert _mismatches(entries, ["complement"], tmp_path) == []
 
 
-
 def test_analyze_split_matches_wide_kernel_digests(tmp_path):
     entries = _load(WIDE)
     assert len(entries) == 8
+    assert _mismatches(entries, ["analyze", "--split"], tmp_path) == []
+
+
+def test_analyze_split_matches_ladder_digests(tmp_path):
+    entries = _load(LADDER)
+    assert [entry["doc"]["dilations"] for entry in entries] == [[50, 51], [500, 501], [1000, 1001]]
     assert _mismatches(entries, ["analyze", "--split"], tmp_path) == []

@@ -72,9 +72,9 @@ FIGURE_EIGHT = {
 def _count_calls(monkeypatch, owner, name, counter):
     original = getattr(owner, name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         counter[name] += 1
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counting)
 
@@ -176,16 +176,24 @@ def test_split_package_classifies_each_morphism_once(monkeypatch):
 
 def test_kernel_listing_makes_no_matrix_products_per_point(monkeypatch):
     # the points are listed on int tuples, so degrees 101 and 2001 cost the
-    # same Matrix products; only the returned columns are matrices
-    products = []
+    # same Matrix products and the same reads by Matrix.__init__; each
+    # returned column is built from its quotients, with at most one Fraction
+    # per coordinate, two per point at rank 2
+    counts, sizes = [], []
     for k in (50, 1000):
         phi, _ = splitting_isogeny(_ladder_cover(k))
         calls = Counter()
         _count_calls(monkeypatch, exact_lattice.Matrix, "__mul__", calls)
-        assert len(tav.isogeny_kernel_points(phi)) == 2 * k + 1
+        _count_calls(monkeypatch, exact_lattice.Matrix, "__init__", calls)
+        _count_fractions(monkeypatch, "__new__", calls)
+        points = tav.isogeny_kernel_points(phi)
         monkeypatch.undo()
-        products.append(calls["__mul__"])
-    assert products[0] == products[1]
+        assert len(points) == 2 * k + 1
+        counts.append(calls)
+        sizes.append(len(points))
+    assert counts[0]["__mul__"] == counts[1]["__mul__"]
+    assert counts[0]["__init__"] == counts[1]["__init__"]
+    assert counts[1]["__new__"] - counts[0]["__new__"] <= 2 * (sizes[1] - sizes[0])
 
 
 def test_exactness_check_saturates_and_classifies_nothing(monkeypatch):
@@ -237,6 +245,20 @@ def test_pullback_kernel_builds_one_fraction_per_divisor(monkeypatch):
         assert calls["__new__"] == g
         products.append(calls["__mul__"])
     assert products == [0, 0]
+
+
+def test_renderer_writes_int_children_in_place(monkeypatch):
+    # the divisor dicts of 1000 and 2000 points cost one _json call each,
+    # and their int orders none
+    counts = []
+    for g in (1000, 2000):
+        report = {"pullback_kernel": cli._torsion_list(pullback_kernel(_wide_dumbbell(g)))}
+        calls = Counter()
+        _count_calls(monkeypatch, cli, "_json", calls)
+        cli._json(report, "\n")
+        monkeypatch.undo()
+        counts.append(calls["_json"] - g)
+    assert counts[0] == counts[1] == 2
 
 
 def test_cli_prints_the_pullback_kernel_without_building_fractions(monkeypatch):

@@ -96,3 +96,30 @@ def test_every_import_is_used():
                 if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
                     found.append(f"{path.name}:{alias.lineno}:{name}")
     assert found == []
+
+
+def test_every_private_helper_is_used():
+    # a private module-level function or class that nothing in the package
+    # names is dead code; a replaced helper must go, not linger beside the
+    # code that replaced it
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(Path(tropjac.__file__).parent.glob("*.py"))
+    }
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    found = [
+        f"{name}:{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in used
+    ]
+    assert found == []

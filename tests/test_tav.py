@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 import tropjac.tav as tav
 from oracles import (
+    closure_subgroup_generated,
     degree_two_pullback,
     degree_two_pushforward,
     matrix_isogeny_kernel_points,
     random_covolume_preserving_isogeny,
     random_subtorus_sequence,
+    random_unimodular,
     splitting_phi,
     theta_jacobian,
 )
@@ -377,6 +379,70 @@ def test_subgroup_generated():
     ]
 
 
+@st.composite
+def subgroup_problems(draw):
+    """A torus of rank 0 to 4 and 0 to 3 rational points on it, drawn in
+    pairing coordinates with denominators dividing 12 and mapped through
+    the pairing; some are zero and some repeat an earlier one.  Everything
+    comes from one drawn seed, so that the ranks are drawn evenly."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rank = rng.randint(0, 4)
+    lengths = [Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(rank)]
+    pairing = random_unimodular(rng, rank) * Matrix.diagonal(lengths) if rank else Matrix([], ncols=0)
+    gens = []
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.choice(["point", "point", "zero", "repeat"] if gens else ["point", "point", "zero"])
+        if kind == "repeat":
+            gens.append(rng.choice(gens))
+        else:
+            c = [
+                Fraction(rng.randint(-11, 11), rng.choice([1, 2, 3, 4, 6, 12])) if kind == "point" else 0
+                for _ in range(rank)
+            ]
+            gens.append(list((pairing * Matrix.column(c)).column_tuple(0)))
+    return IntegralTorus(rank, pairing), gens
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(subgroup_problems())
+def test_subgroup_generated_matches_the_coset_closure(problem):
+    torus, gens = problem
+    points = subgroup_generated(torus, gens)
+    assert points == closure_subgroup_generated(torus, gens)
+    assert _stored_as_entries(points)
+
+
+def _stored_as_entries(points):
+    # == cannot tell Fraction(1) from 1, so read the types: a listed
+    # coordinate is stored as a Matrix entry is, an int when integral and
+    # a Fraction with denominator > 1 otherwise
+    return all(
+        type(x) is int or (type(x) is Fraction and x.denominator > 1)
+        for point in points
+        for (x,) in point.entries()
+    )
+
+
+def test_listed_coordinates_are_stored_as_matrix_entries():
+    # circle(3) with 1 and 1/2: the six points j/2, with 1 and 2 among them
+    points = subgroup_generated(circle(3), [[1], [Fraction(1, 2)]])
+    assert [p.column_tuple(0) for p in points] == [(Fraction(j, 2),) for j in range(6)]
+    jac = theta_jacobian()
+    doubling = TorusMorphism(jac, jac, 2 * Matrix.identity(2), 2 * Matrix.identity(2))
+    _, ladder = splitting_isogeny(
+        DumbbellCover(DumbbellCurve(Fraction(1, 50), Fraction(1, 51), 1), (1, 1), (50, 51))
+    )
+    doubled = isogeny_kernel_points(doubling)
+    # the doubling's kernel too holds an integral coordinate other than 0
+    assert (1, Fraction(1, 2)) in [p.column_tuple(0) for p in doubled]
+    for points in (points, doubled, ladder):
+        assert _stored_as_entries(points)
+        # a listed column is the Matrix that reading its entries builds
+        for p in points:
+            rebuilt = Matrix.column(p.column_tuple(0))
+            assert p.shape == rebuilt.shape and p == rebuilt and hash(p) == hash(rebuilt)
+
+
 def test_isogeny_kernel_points_of_splitting():
     pts = isogeny_kernel_points(splitting_phi())
     assert [p.column_tuple(0) for p in pts] == [
@@ -442,7 +508,9 @@ def isogenies(draw):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(isogenies())
 def test_isogeny_kernel_points_match_the_matrix_listing(iso):
-    assert isogeny_kernel_points(iso) == matrix_isogeny_kernel_points(iso)
+    points = isogeny_kernel_points(iso)
+    assert points == matrix_isogeny_kernel_points(iso)
+    assert _stored_as_entries(points)
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
@@ -472,6 +540,10 @@ def test_kernel_listings_are_refused_above_the_bound(monkeypatch):
     scaled = 5 * Matrix.identity(1)
     with pytest.raises(KernelTooLarge):
         isogeny_kernel_points(TorusMorphism(circle(1), circle(1), scaled, scaled))
+    # so is a generated subgroup: 4 points of order 4, not the 5 of order 5
+    assert len(subgroup_generated(circle(1), [[Fraction(1, 4)]])) == 4
+    with pytest.raises(KernelTooLarge):
+        subgroup_generated(circle(1), [[Fraction(1, 5)]])
     # the pullback kernel of the (g, g) dumbbell has g points
     curve = DumbbellCurve(1, 1, 1)
     assert len(pullback_kernel(DumbbellCover(curve, (1, 1), (4, 4)))) == 4
