@@ -231,7 +231,13 @@ def parse_cover(text):
 
 
 def _torsion_list(divisors):
-    return [{"position": _rat(d.position), "order": d.order} for d in divisors]
+    """Torsion divisors as {"position": "p/q", "order": m} dicts, one
+    comprehension over them; a position past Python's digit limit raises
+    NumberTooLarge, as in _rat."""
+    try:
+        return [{"position": str(position), "order": order} for position, order in divisors]
+    except ValueError:
+        raise _too_large() from None
 
 
 def _split_dict(report):
@@ -324,57 +330,58 @@ def _text_lines(data, prefix=""):
     return lines
 
 
+# how json.dumps writes each scalar
+_SCALARS = {
+    str: _quote,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
 def _json(value, newline):
     """value as json.dumps(value, indent=2) writes it, where newline is the
     line break and indent of the line value starts on.
 
-    Each container is one join over its children, and a string or int
-    child is written in place, with no call for it.  A value that is not a
-    dict with str keys, a list, a tuple, a str, an int, a bool or None
-    raises TypeError.
+    Each container is one loop and one join over its children.  A scalar
+    child is written in place, and so is a dict or list child whose own
+    children are all scalars (a divisor, a kernel point): its items are one
+    comprehension inside its parent's loop, with no call for it.  Only a
+    deeper container recurses.  A value that is not a dict with str keys, a
+    list, a tuple, a str, an int, a bool or None raises TypeError.
     """
     kind = type(value)
+    if kind is not dict and kind is not list and kind is not tuple:
+        try:
+            return _SCALARS[kind](value)
+        except KeyError:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable") from None
+    if not value:
+        return "{}" if kind is dict else "[]"
+    inner = newline + "  "
+    deeper = inner + "  "
+    between = "," + deeper
+    texts = []
+    for child in value.values() if kind is dict else value:
+        child_kind = type(child)
+        try:  # KeyError: the child is neither a scalar nor a container of scalars
+            if child_kind is dict:
+                text = "{" + deeper + between.join(
+                    [f"{_quote(k)}: {_SCALARS[type(x)](x)}" for k, x in child.items()]
+                ) + inner + "}" if child else "{}"
+            elif child_kind is list or child_kind is tuple:
+                text = "[" + deeper + between.join(
+                    [_SCALARS[type(x)](x) for x in child]
+                ) + inner + "]" if child else "[]"
+            else:
+                text = _SCALARS[child_kind](child)
+        except KeyError:
+            text = _json(child, inner)
+        texts.append(text)
     if kind is dict:
-        if not value:
-            return "{}"
-        inner = newline + "  "
-        return (
-            "{" + inner
-            + ("," + inner).join([
-                _quote(k) + ": " + (
-                    _quote(v) if type(v) is str
-                    else int.__repr__(v) if type(v) is int
-                    else _json(v, inner)
-                )
-                for k, v in value.items()
-            ])
-            + newline + "}"
-        )
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        return (
-            "[" + inner
-            + ("," + inner).join([
-                _quote(v) if type(v) is str
-                else int.__repr__(v) if type(v) is int
-                else _json(v, inner)
-                for v in value
-            ])
-            + newline + "]"
-        )
-    if kind is str:
-        return _quote(value)
-    if kind is int:
-        return int.__repr__(value)
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if value is None:
-        return "null"
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        texts = [f"{_quote(k)}: {text}" for k, text in zip(value, texts)]
+        return "{" + inner + ("," + inner).join(texts) + newline + "}"
+    return "[" + inner + ("," + inner).join(texts) + newline + "]"
 
 
 def _render(report, fmt):

@@ -23,13 +23,14 @@ from .curves_covers import DumbbellCover, _analysis_of, harmonic_form
 from .curves_covers import GammaData  # noqa: F401  (returned by quotient_and_gamma)
 from .curves_covers import require_valid  # noqa: F401  (bound here for bench/test_bench.py)
 from .errors import SourceMismatch
-from .exact_lattice import Matrix, _read_exact
+from .exact_lattice import Matrix, _quotient, _read_exact
 from .tav import _require_listable
 from .torus_category import TorusMorphism, circle, compose
 
 
 # A divisor class P - P0 of finite order in the target Jacobian, recorded by
-# the position of P on the circle and the order.
+# the position of P on the circle and the order.  A position is stored as a
+# Matrix entry is: an int when it is integral, else a Fraction.
 TorsionDivisor = namedtuple("TorsionDivisor", ["position", "order"])
 
 # Both optimality readings, reported side by side: connectedness of the
@@ -88,13 +89,18 @@ def pullback_kernel(cover):
     therefore the g-torsion of the target circle, g the gcd of all dilations.
     A kernel of more than tav.MAX_LISTED_POINTS points raises KernelTooLarge
     before any divisor is listed.  With l = p/q, the j-th divisor sits at
-    j·p/(q·g): one Fraction per divisor, built from ints.
+    j·p/(q·g), one exact_lattice._quotient of two ints, as a Matrix entry
+    is: an int when it is integral, else the one Fraction built for it.
     """
     form = harmonic_form(cover)
     g = gcd(*form.dilations)
     _require_listable(g, "the pullback kernel")
     p, q = form.target_length.numerator, form.target_length.denominator
-    return [TorsionDivisor(Fraction(j * p, q * g), g // gcd(j, g)) for j in range(g)]
+    # the step p/(q·g) in lowest terms, num/den: when it is integral, each
+    # _quotient returns at once
+    c = gcd(p, q * g)
+    num, den = p // c, q * g // c
+    return [TorsionDivisor(_quotient(j * num, den), g // gcd(j, g)) for j in range(g)]
 
 
 def q_gamma_profile(cover, position):

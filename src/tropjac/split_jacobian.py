@@ -150,9 +150,9 @@ def _is_d_torsion(positions, length, degree):
     denominator, so the comparison runs on ints.
     """
     step = Fraction(length) / degree
-    den = lcm(step.denominator, *(x.denominator for x in positions))
+    den = lcm(step.denominator, *[x.denominator for x in positions])
     unit = step.numerator * (den // step.denominator)
-    scaled = sorted(x.numerator * (den // x.denominator) for x in positions)
+    scaled = sorted([x.numerator * (den // x.denominator) for x in positions])
     return scaled == [j * unit for j in range(degree)]
 
 
@@ -181,12 +181,14 @@ def verify_split_package(cover):
     composite = compose(phi_tilde, phi)
     length_prime = phi.source.pairing[0, 0]
     length = phi.source.pairing[1, 1]
+    # each kernel point's entries, read once: its position on TE', then on TE
+    columns = list(map(Matrix.entries, kernel_points))
     flags = {
         "kernel_matches_d_torsion_TEprime": _is_d_torsion(
-            [point[0, 0] for point in kernel_points], length_prime, degree
+            [x for (x,), _ in columns], length_prime, degree
         ),
         "kernel_matches_d_torsion_TE": _is_d_torsion(
-            [point[1, 0] for point in kernel_points], length, degree
+            [y for _, (y,) in columns], length, degree
         ),
         "composite_is_mult_d": composite.f_sharp == scaled and composite.f_hash == scaled,
         # the pullback of the principal polarization along phi, an isogeny

@@ -8,7 +8,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropjac.cli import _json, _render, _split_dict, parse_cover, run_command
+from tropjac.cli import _json, _render, _split_dict, _torsion_list, parse_cover, run_command
+from tropjac.cover_analysis import TorsionDivisor
 from tropjac.curves_covers import DumbbellCover, GeneralCircleCover, ThetaCover
 from tropjac.errors import NumberTooLarge, ParseError, ValidationError
 from tropjac.exact_lattice import Matrix
@@ -348,6 +349,13 @@ def test_kernel_point_past_the_digit_limit_raises():
         _split_dict(report)
 
 
+@needs_digit_limit
+@pytest.mark.parametrize("position", [10**5000, Fraction(1, 10**5000 + 1)], ids=["int", "fraction"])
+def test_divisor_position_past_the_digit_limit_raises(position):
+    with pytest.raises(NumberTooLarge):
+        _torsion_list([TorsionDivisor(0, 1), TorsionDivisor(position, 2)])
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(tmp_path / "missing.json"))
     assert code == 2
@@ -454,8 +462,8 @@ def test_renderer_writes_what_json_dumps_writes(value):
 
 @pytest.mark.parametrize(
     "value",
-    [0.5, Fraction(1, 3), {1: "one"}, {None: 0}, {"a": [1, 2.0]}, [{"b": Fraction(2)}], {1, 2}],
-    ids=["float", "fraction", "int-key", "none-key", "nested-float", "nested-fraction", "set"],
+    [0.5, Fraction(1, 3), {1: "one"}, {None: 0}, {"a": [1, 2.0]}, [{"b": Fraction(2)}], [{1: "one"}], {1, 2}],
+    ids=["float", "fraction", "int-key", "none-key", "nested-float", "nested-fraction", "nested-int-key", "set"],
 )
 def test_renderer_refuses_other_types(value):
     with pytest.raises(TypeError):

@@ -229,27 +229,40 @@ def _count_fractions(monkeypatch, name, calls):
     monkeypatch.setattr(Fraction, name, staticmethod(counting) if name == "__new__" else counting)
 
 
+def _integral_dumbbell(g):
+    """The (g, g) dumbbell over a target of length g, whose pullback kernel
+    sits at the integers 0..g-1."""
+    return DumbbellCover(DumbbellCurve(1, 1, 1), (1, 1), (g, g))
+
+
 def test_pullback_kernel_builds_one_fraction_per_divisor(monkeypatch):
-    # each position is Fraction(j·p, q·g) for l = p/q: no Fraction products,
-    # whatever g is
+    # each position is one _quotient of ints, j·l/g over the step l/g in
+    # lowest terms: an int when it is integral, else one Fraction, with no
+    # Fraction products, whatever g is; the integral dumbbells build none
     products = []
     for g in (1000, 2000):
-        cover = _wide_dumbbell(g)
-        harmonic_form(cover)
-        calls = Counter()
-        _count_fractions(monkeypatch, "__mul__", calls)
-        _count_fractions(monkeypatch, "__new__", calls)
-        kernel = pullback_kernel(cover)
-        monkeypatch.undo()
-        assert len(kernel) == g and all(type(d.position) is Fraction for d in kernel)
-        assert calls["__new__"] == g
-        products.append(calls["__mul__"])
-    assert products == [0, 0]
+        # only 0 is integral in 7/5 · j/g, with g prime to 7
+        for cover, length, fractions in (
+            (_wide_dumbbell(g), Fraction(7, 5), g - 1),
+            (_integral_dumbbell(g), g, 0),
+        ):
+            expected = [Fraction(j * length, g) for j in range(g)]
+            harmonic_form(cover)
+            calls = Counter()
+            _count_fractions(monkeypatch, "__mul__", calls)
+            _count_fractions(monkeypatch, "__new__", calls)
+            kernel = pullback_kernel(cover)
+            monkeypatch.undo()
+            assert [d.position for d in kernel] == expected
+            assert sum(x.denominator != 1 for x in expected) == fractions
+            assert calls["__new__"] == fractions == sum(type(d.position) is Fraction for d in kernel)
+            products.append(calls["__mul__"])
+    assert products == [0, 0, 0, 0]
 
 
 def test_renderer_writes_int_children_in_place(monkeypatch):
-    # the divisor dicts of 1000 and 2000 points cost one _json call each,
-    # and their int orders none
+    # the divisor dicts of 1000 and 2000 points are written inside the
+    # kernel list's loop, their int orders too: the same two _json calls
     counts = []
     for g in (1000, 2000):
         report = {"pullback_kernel": cli._torsion_list(pullback_kernel(_wide_dumbbell(g)))}
@@ -257,8 +270,39 @@ def test_renderer_writes_int_children_in_place(monkeypatch):
         _count_calls(monkeypatch, cli, "_json", calls)
         cli._json(report, "\n")
         monkeypatch.undo()
-        counts.append(calls["_json"] - g)
-    assert counts[0] == counts[1] == 2
+        counts.append(calls["_json"])
+    assert counts == [2, 2]
+
+
+def test_renderer_writes_kernel_points_in_place(monkeypatch):
+    # the analyze --split reports of the ladder dumbbells of degree 101 and
+    # 2001 cost the same _json calls: each kernel point, a list of strings,
+    # is written inside the point list's loop
+    counts = []
+    for k in (50, 1000):
+        report = cli._analysis_report(_ladder_cover(k), True)
+        assert len(report["split"]["kernel_points"]) == 2 * k + 1
+        calls = Counter()
+        _count_calls(monkeypatch, cli, "_json", calls)
+        text = cli._json(report, "\n")
+        monkeypatch.undo()
+        assert text == json.dumps(report, indent=2)
+        counts.append(calls["_json"])
+    assert counts[0] == counts[1]
+
+
+def test_split_package_reads_each_kernel_point_once(monkeypatch):
+    # the kernel columns are read through Matrix.entries, so degrees 101
+    # and 2001 cost the same Matrix.__getitem__ calls
+    counts = []
+    for k in (50, 1000):
+        cover = _ladder_cover(k)
+        calls = Counter()
+        _count_calls(monkeypatch, exact_lattice.Matrix, "__getitem__", calls)
+        assert verify_split_package(cover).all_flags_hold
+        monkeypatch.undo()
+        counts.append(calls["__getitem__"])
+    assert counts[0] == counts[1]
 
 
 def test_cli_prints_the_pullback_kernel_without_building_fractions(monkeypatch):

@@ -37,9 +37,21 @@ from tropjac.split_jacobian import (
 SCALE = Fraction(3, 2)
 
 
+def _leaves(value):
+    """The scalars inside nested dicts, lists and tuples."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [leaf for item in value for leaf in _leaves(item)]
+    return [value]
+
+
 def invariants(cover, scale=1):
     """The basis-free invariants of a cover, with every length divided by
-    scale, so that a cover scaled by that factor gives the same values."""
+    scale, so that a cover scaled by that factor gives the same values.  A
+    length or position may be an int, so scale is made a Fraction first and
+    every quotient stays exact."""
+    scale = Fraction(scale)
     gamma = quotient_and_gamma(cover)
     gap = strong_optimality_gap(cover)
     found = {
@@ -56,6 +68,7 @@ def invariants(cover, scale=1):
         comp = complementary_cover(cover)
         found["flags"] = verify_split_package(cover).flags
         found["complement"] = (comp.degree, comp.target_length / scale)
+    assert not any(type(leaf) is float for leaf in _leaves(found))
     return found
 
 
