@@ -22,7 +22,6 @@ stderr), 2 on usage errors.
 import argparse
 import json
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from .cover_analysis import (
@@ -104,7 +103,7 @@ def _as_rational(value, what, problems):
         return _read_exact(value)
     except ValueError:
         problems.append(f'{what} must be an exact rational ("p/q" string or integer)')
-        return Fraction(0)
+        return 0
 
 
 def _as_list(document, key, length, problems):

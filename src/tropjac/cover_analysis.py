@@ -16,14 +16,13 @@ never goes stale; the values returned here are shared, never copied.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from math import gcd
 
-from .curves_covers import DumbbellCover, _analysis_of, harmonic_form
+from .curves_covers import DumbbellCover, _analysis_of, _rational, harmonic_form
 from .curves_covers import GammaData  # noqa: F401  (returned by quotient_and_gamma)
 from .curves_covers import require_valid  # noqa: F401  (bound here for bench/test_bench.py)
 from .errors import SourceMismatch
-from .exact_lattice import Matrix, _quotient, _read_exact
+from .exact_lattice import Matrix, _quotient
 from .tav import _require_listable
 from .torus_category import TorusMorphism, circle, compose
 
@@ -110,12 +109,9 @@ def q_gamma_profile(cover, position):
     circle; the opposite-arc branch differs from this one by the integer
     d_e, so integrality of the profile does not depend on the branch.
     """
-    try:
-        t = _read_exact(position)
-    except ValueError as exc:
-        raise ValueError(f"position must be an exact rational, {exc}") from exc
+    t = _rational(position, "position")
     form = harmonic_form(cover)
-    return tuple(Fraction(d) * t / form.target_length for d in form.dilations)
+    return tuple(_quotient(d * t, form.target_length) for d in form.dilations)
 
 
 def is_optimal(cover):

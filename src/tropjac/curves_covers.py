@@ -33,12 +33,11 @@ l_tilde = l·a_hash/a_sharp by the pairing law of the quotient isogeny.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
 from .errors import InvalidCover, OffsetOutOfRange, UnsupportedGenus
-from .exact_lattice import Matrix, _entry, _Immutable, _read_exact, _Value
+from .exact_lattice import Matrix, _Immutable, _quotient, _read_exact, _Value
 from .tav import PolarizedVariety, Polarization, reduce_point
 from .torus_category import IntegralTorus, TorusMorphism, circle, dual_morphism, kernel0
 
@@ -319,8 +318,8 @@ class DumbbellCover(_CircleCover):
             (self.windings[1], self.dilations[1], self.curve.l_loop2),
         ):
             if n > 0:
-                return Fraction(d) * length / n
-        return Fraction(0)
+                return _quotient(d * length, n)
+        return 0
 
     def _validate(self):
         return ValidationReport(*_dumbbell_violations(self))
@@ -343,10 +342,11 @@ class GeneralCircleCover(_CircleCover):
             raise ValueError("edge_data must align with the graph's edges")
         cleaned = []
         for dilation, start, signed_length in edge_data:
+            start = _rational(start, "start position") % target_length
             cleaned.append(
                 (
                     _nonnegative_int(dilation, "dilation"),
-                    _rational(start, "start position") % target_length,
+                    _read_exact(start),  # a remainder of Fractions can be integral
                     _rational(signed_length, "signed walk length"),
                 )
             )
@@ -369,12 +369,12 @@ class GeneralCircleCover(_CircleCover):
     def _validate(self):
         violations = validate_general_cover(self)
         total = sum(
-            Fraction(dilation) ** 2 * length
+            dilation**2 * length
             for (_, _, length), dilation in zip(self.graph.edges, self.dilations)
         )
-        degree = total / self.target_length
-        if degree.denominator == 1:
-            return ValidationReport(violations, int(degree))
+        degree = _quotient(total, self.target_length)
+        if type(degree) is int:
+            return ValidationReport(violations, degree)
         violations.append("degree: sum of d_e^2·l_e must be a multiple of l")
         return ValidationReport(violations, None)
 
@@ -396,7 +396,7 @@ def validate_general_cover(cover):
     ):
         if abs(signed) != dilation * edge_length:
             violations.append(f"image length on ({tail}, {head}): |walk| = dilation·length")
-        slope = signed / edge_length
+        slope = _quotient(signed, edge_length)
         balance[tail] += slope
         balance[head] -= slope
         for vertex, value in ((tail, start), (head, (start + signed) % length)):
@@ -488,7 +488,7 @@ class CoverAnalysis(_Immutable):
         form = self.form
         torus = self.jacobian.torus
         f_sharp = Matrix.column(_universal_row(form.graph, form.slopes))
-        f_hash = f_sharp.transpose() * torus.pairing * (1 / form.target_length)
+        f_hash = f_sharp.transpose() * torus.pairing * _quotient(1, form.target_length)
         return TorusMorphism(torus, circle(form.target_length), f_sharp, f_hash)
 
     @cached_property
@@ -513,7 +513,7 @@ class CoverAnalysis(_Immutable):
         push = self.pushforward
         a_sharp = gcd(*push.f_sharp.column_tuple(0))
         a_hash = gcd(*push.f_hash.row_tuple(0))
-        l_tilde = _entry(push.target.pairing[0, 0] * Fraction(a_hash, a_sharp))
+        l_tilde = _quotient(push.target.pairing[0, 0] * a_hash, a_sharp)
         return GammaData(l_tilde, a_sharp, a_hash)
 
     @cached_property
@@ -528,7 +528,10 @@ def _solve_arcs(equations):
         for a2, b2, c2, _ in equations[i + 1:]:
             determinant = a1 * b2 - a2 * b1
             if determinant:
-                return (c1 * b2 - c2 * b1) / determinant, (a1 * c2 - a2 * c1) / determinant
+                return (
+                    _quotient(c1 * b2 - c2 * b1, determinant),
+                    _quotient(a1 * c2 - a2 * c1, determinant),
+                )
     return None
 
 
@@ -575,9 +578,9 @@ def _dumbbell_violations(cover):
         violations.append("surjectivity: (d1, d2) != (0, 0)")
     if length <= 0:
         violations.append("positive target length: l > 0")
-    if Fraction(d1) * cover.curve.l_loop1 != n1 * length:
+    if d1 * cover.curve.l_loop1 != n1 * length:
         violations.append("realizability on loop1: d1·l_loop1 = n1·l")
-    if Fraction(d2) * cover.curve.l_loop2 != n2 * length:
+    if d2 * cover.curve.l_loop2 != n2 * length:
         violations.append("realizability on loop2: d2·l_loop2 = n2·l")
     degree = n1 * d1 + n2 * d2
     return violations, degree

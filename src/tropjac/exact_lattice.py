@@ -1,15 +1,20 @@
 """Exact integer/rational linear algebra for lattice computations.
 
 Everything here works over arbitrary-precision rationals; floating point is
-never used.  A matrix entry has one representation: a plain ``int`` when it
-is integral and a ``fractions.Fraction`` otherwise, so an integer matrix
-holds ints and the normal forms work on its rows as they are.  Only this
-module decides how an entry is stored.  Solving, inverting, multiplying and
-taking determinants run on ints over one denominator: the input is scaled
-once to int numerators over the lcm of its denominators (each row of
-[A|B] over its own when solving), the elimination or product works on
-those ints alone, and each output entry is one exact quotient, so at most
-one ``Fraction`` is built per entry and no ``Fraction`` arithmetic is done.
+never used.  Every number the package stores has one representation: a
+plain ``int`` when it is integral and a ``fractions.Fraction`` otherwise,
+so an integer matrix holds ints and the normal forms work on its rows as
+they are.  Only this module decides how a number is stored: _read_exact
+reads every number that comes in, a matrix entry, a length or a point
+coordinate, and _quotient is the package's one division.  No other module
+imports ``fractions`` or divides with ``/``.
+
+Solving, inverting, multiplying and taking determinants run on ints over
+one denominator: the input is scaled once to int numerators over the lcm
+of its denominators (each row of [A|B] over its own when solving), the
+elimination or product works on those ints alone, and each output entry
+is one exact quotient, so at most one ``Fraction`` is built per entry and
+no ``Fraction`` arithmetic is done.
 The central normal form is Smith (``U*A*V = S``) with a pinned pivot rule —
 smallest absolute value, ties broken by lowest (row, column) — so that
 every downstream coordinate choice is reproducible run to run.
@@ -93,36 +98,25 @@ class _Value(_Immutable):
 
 
 def _read_exact(x):
-    """The one reader of exact numbers: x as a Fraction.
+    """The one reader of exact numbers: x as the package stores a number,
+    an int when it is integral and a Fraction otherwise.
 
-    Ints and Fractions pass first; any other value is read by Fraction,
-    except a float or a bool, which is not an exact rational, and a Decimal
-    or a string with an exponent, whose reading takes time exponential in
-    its length (Decimal("1e10000000"), "1e10000000").  A refusal raises
-    ValueError saying what x is not.
+    Ints pass as they are and a Fraction becomes its int when integral;
+    any other value is read by Fraction, except a float or a bool, which is
+    not an exact rational, and a Decimal or a string with an exponent,
+    whose reading takes time exponential in its length
+    (Decimal("1e10000000"), "1e10000000").  A refusal raises ValueError
+    saying what x is not.
     """
-    if type(x) is Fraction:
-        return x
-    if type(x) is int:
-        return Fraction(x)
-    if isinstance(x, (bool, float, Decimal)) or (isinstance(x, str) and ("e" in x or "E" in x)):
-        raise ValueError(f"not the {type(x).__name__} {x!r}")
-    try:
-        return Fraction(x)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not {x!r}") from exc
-
-
-def _entry(x):
-    """The one representation of an exact rational: an int when it is
-    integral, a Fraction otherwise.  What _read_exact refuses raises
-    ValueError."""
     if type(x) is int:
         return x
-    try:
-        x = _read_exact(x)
-    except ValueError as exc:
-        raise ValueError(f"matrix entries must be exact rationals, {exc}") from exc
+    if type(x) is not Fraction:
+        if isinstance(x, (bool, float, Decimal)) or (isinstance(x, str) and ("e" in x or "E" in x)):
+            raise ValueError(f"not the {type(x).__name__} {x!r}")
+        try:
+            x = Fraction(x)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"not {x!r}") from exc
     return x.numerator if x.denominator == 1 else x
 
 
@@ -139,12 +133,16 @@ def _over_lcm(rows):
 
 
 def _quotient(num, den):
-    """The entry num/den of two ints, den != 0: an int when den divides num,
-    else the one Fraction built for it."""
-    if den == 1:
-        return num
-    q, r = divmod(num, den)
-    return Fraction(num, den) if r else q
+    """The exact quotient num/den of two stored numbers, den != 0, stored as
+    every number is: an int when it is integral, else one Fraction.  This
+    is the package's one division.  Two ints take divmod; any other pair
+    becomes one Fraction, read back by _read_exact."""
+    if type(num) is int and type(den) is int:
+        if den == 1:
+            return num
+        q, r = divmod(num, den)
+        return Fraction(num, den) if r else q
+    return _read_exact(Fraction(num, den))
 
 
 class Matrix(_Immutable):
@@ -166,7 +164,12 @@ class Matrix(_Immutable):
 
     def __init__(self, rows, ncols=None):
         # ints, the common entry, skip the call
-        converted = tuple(tuple(x if type(x) is int else _entry(x) for x in row) for row in rows)
+        try:
+            converted = tuple(
+                tuple(x if type(x) is int else _read_exact(x) for x in row) for row in rows
+            )
+        except ValueError as exc:
+            raise ValueError(f"matrix entries must be exact rationals, {exc}") from exc
         if converted:
             width = len(converted[0])
             if ncols is not None and ncols != width:
@@ -300,7 +303,7 @@ class Matrix(_Immutable):
             if den != 1:
                 product = [[_quotient(x, den) for x in row] for row in product]
             return Matrix(product, ncols=other._ncols)
-        scalar = _entry(other)
+        scalar = _read_exact(other)
         return Matrix([[x * scalar for x in row] for row in self._rows], ncols=self._ncols)
 
     __rmul__ = __mul__  # only a scalar reaches it, and scalars commute

@@ -8,8 +8,6 @@ complementary cover realizes the projection onto TE' geometrically.
 """
 
 from collections import namedtuple
-from fractions import Fraction
-from math import lcm
 
 from .cover_analysis import kernel_length, quotient_and_gamma
 from .curves_covers import (
@@ -27,7 +25,7 @@ from .errors import (
     NotProductTarget,
     ShapeMismatch,
 )
-from .exact_lattice import Matrix, block_diagonal, hstack, vstack
+from .exact_lattice import Matrix, _over_lcm, _quotient, block_diagonal, hstack, vstack
 from .tav import check_exact_sequence, isogeny_kernel_points
 from .torus_category import IntegralTorus, TorusMorphism, classify, compose
 
@@ -138,7 +136,7 @@ def complementary_pushforward(cover):
     te_prime, _ = analysis.kernel
     w = analysis.kernel_direction
     length = te_prime.pairing[0, 0]
-    f_hash = (w.transpose() * push.source.pairing) * Fraction(1, length)
+    f_hash = (w.transpose() * push.source.pairing) * _quotient(1, length)
     return TorusMorphism(push.source, te_prime, w, f_hash)
 
 
@@ -149,11 +147,9 @@ def _is_d_torsion(positions, length, degree):
     The positions and the step length/degree are scaled to one common
     denominator, so the comparison runs on ints.
     """
-    step = Fraction(length) / degree
-    den = lcm(step.denominator, *[x.denominator for x in positions])
-    unit = step.numerator * (den // step.denominator)
-    scaled = sorted([x.numerator * (den // x.denominator) for x in positions])
-    return scaled == [j * unit for j in range(degree)]
+    step = _quotient(length, degree)
+    _, (scaled, (unit,)) = _over_lcm([positions, [step]])
+    return sorted(scaled) == [j * unit for j in range(degree)]
 
 
 def verify_split_package(cover):

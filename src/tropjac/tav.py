@@ -11,7 +11,6 @@ representative has pairing-coordinates in [0, 1)^n, which makes point
 equality and torsion orders decidable.
 """
 
-from fractions import Fraction
 from math import floor, lcm, prod
 from operator import mul
 
@@ -27,6 +26,7 @@ from .errors import (
 from .exact_lattice import (
     Matrix,
     _over_lcm,
+    _quotient,
     _quotient_column,
     _read_exact,
     _Value,
@@ -236,7 +236,7 @@ def _require_listable(count, what):
 
 def _box_points(n, gens, counts, den):
     """The points sum k_i·g_i mod den, 0 <= k_i < count_i, of int tuples g_i
-    of length n, as int tuples in [0, den)^n.  Both callers pass a box in
+    of length n, as int tuples in [0, den)^n.  The caller passes a box in
     which every point of the group generated by the g_i has one such sum,
     so each is listed once.  The box is listed factor by factor, each point
     made by one tuple addition, with no set and no membership test."""
@@ -270,24 +270,21 @@ def _listed_points(pairing, den, coords):
     return [_quotient_column(num, total) for num in numerators]
 
 
-def subgroup_generated(torus, gens):
-    """All points of the finite subgroup generated by rational points.
+def _generated_points(pairing, coords, what):
+    """The points of the finite subgroup generated by points with the given
+    pairing coordinates, on the torus of the pairing.
 
-    The generators' pairing coordinates are written once as int tuples over
-    their common denominator den.  The subgroup is L / den·Z^n for the
-    lattice L spanned by them and den·Z^n.  The column HNF of [gens | den·I]
-    is a lower-triangular basis b_j of L whose pivots h_j divide den, and
-    the box of sums k_j·b_j, 0 <= k_j < den/h_j, lists each point once:
-    two sums that agree mod den agree in k_1, then in k_2, and so on down
-    the triangle, and there are den^n / prod(h_j) = [L : den·Z^n] of them.
-    Returns canonical representatives sorted coordinate-wise; a subgroup of
-    more than MAX_LISTED_POINTS points raises KernelTooLarge before any is
-    listed.
+    The coordinates are written once as int tuples over their common
+    denominator den.  The subgroup is L / den·Z^n for the lattice L
+    spanned by them and den·Z^n.  The column HNF of [coords | den·I] is a
+    lower-triangular basis b_j of L whose pivots h_j divide den, and the
+    box of sums k_j·b_j, 0 <= k_j < den/h_j, lists each point once: two
+    sums that agree mod den agree in k_1, then in k_2, and so on down the
+    triangle, and there are den^n / prod(h_j) = [L : den·Z^n] of them.  A
+    subgroup of more than MAX_LISTED_POINTS points raises KernelTooLarge,
+    naming it as what, before any is listed.
     """
-    pairing = torus.pairing
-    inverse = pairing.inv()
-    n = torus.rank
-    coords = [(inverse * _as_fraction_column(torus, g)).column_tuple(0) for g in gens]
+    n = pairing.nrows
     den, gen_coords = _over_lcm(coords)
     lattice = Matrix(
         [[c[i] for c in gen_coords] + [den if i == j else 0 for j in range(n)] for i in range(n)],
@@ -295,36 +292,37 @@ def subgroup_generated(torus, gens):
     )
     basis = column_hnf(lattice)
     counts = [den // basis[j, j] for j in range(n)]
-    _require_listable(prod(counts), "the generated subgroup")
+    _require_listable(prod(counts), what)
     return _listed_points(pairing, den, _box_points(n, basis.columns(), counts, den))
+
+
+def subgroup_generated(torus, gens):
+    """All points of the finite subgroup generated by rational points, as
+    canonical representatives sorted coordinate-wise (see
+    _generated_points); a subgroup of more than MAX_LISTED_POINTS points
+    raises KernelTooLarge before any is listed.
+    """
+    inverse = torus.pairing.inv()
+    coords = [(inverse * _as_fraction_column(torus, g)).column_tuple(0) for g in gens]
+    return _generated_points(torus.pairing, coords, "the generated subgroup")
 
 
 def isogeny_kernel_points(m):
     """All group-kernel points of an isogeny, as canonical source points.
 
-    The kernel is (U^{-1} L_tgt) / L_src for the universal-cover matrix U.
-    The Smith form of the relating integer matrix gives independent coset
-    generators g_i of exact orders s_i, its invariant factors; their
-    pairing coordinates are written once as int tuples over a common
-    denominator den, and the points are the Smith box sum k_i·g_i mod den,
-    0 <= k_i < s_i, listed on those tuples.  Only the returned points
-    become matrices, sorted.  A kernel of more than MAX_LISTED_POINTS
-    points raises KernelTooLarge before any is listed.
+    The kernel is (U^{-1} L_tgt) / L_src for the universal-cover matrix U:
+    the subgroup of the source torus generated by the columns of
+    U^{-1} * (target pairing), listed as subgroup_generated lists one.  A
+    kernel of more than MAX_LISTED_POINTS points raises KernelTooLarge
+    before any is listed.
     """
     if not classify(m).isogeny:
         raise NotIsogeny("kernel-point enumeration requires an isogeny")
-    cover = m.universal_cover_matrix
-    lifted = cover.inv() * m.target.pairing  # basis of the preimage lattice
-    relation = lifted.inv() * m.source.pairing
-    if not relation.is_integral():
+    lifted = m.universal_cover_matrix.inv() * m.target.pairing  # basis of the preimage lattice
+    if not (lifted.inv() * m.source.pairing).is_integral():
         raise NotIsogeny("source periods do not lie in the lifted lattice")
-    u, s, _ = smith_normal_form(relation)
-    n = m.source.rank
-    orders = [s[i, i] for i in range(n)]
-    _require_listable(prod(orders), "the isogeny kernel")
     pairing = m.source.pairing
-    den, gen_coords = _over_lcm((pairing.inv() * lifted * u.inv()).columns())
-    return _listed_points(pairing, den, _box_points(n, gen_coords, orders, den))
+    return _generated_points(pairing, (pairing.inv() * lifted).columns(), "the isogeny kernel")
 
 
 # -- quotients -------------------------------------------------------------
@@ -342,20 +340,19 @@ def quotient_by_finite_subgroup(pv, gens):
     columns = torus.pairing
     for g in gens:
         columns = hstack(columns, _as_fraction_column(torus, g))
-    denominator = lcm(*[x.denominator for row in columns.entries() for x in row]) if n else 1
-    scaled = denominator * columns
-    joined = column_hnf(scaled) * Fraction(1, denominator)
+    den, scaled = _over_lcm(columns.entries())
+    joined = column_hnf(Matrix(scaled, ncols=columns.ncols)) * _quotient(1, den)
     if joined.ncols != n:
         raise NotTorsion("generators do not span a full-rank lattice with the periods")
-    # keep the original pairing when the subgroup was trivial
     relation = joined.inv() * torus.pairing
     if not relation.is_integral():
         raise NotTorsion("generated lattice does not contain the periods")
+    # the isogeny's f_hash is relation, the quotient pairing's inverse times
+    # the old one; keep the original pairing when the subgroup was trivial
     if abs(relation.det()) == 1:
-        quotient_torus = torus
+        quotient_torus, f_hash = torus, Matrix.identity(n)
     else:
-        quotient_torus = IntegralTorus(n, joined)
-    f_hash = quotient_torus.pairing.inv() * torus.pairing
+        quotient_torus, f_hash = IntegralTorus(n, joined), relation
     iso = TorusMorphism(torus, quotient_torus, Matrix.identity(n), f_hash)
     pol = pushforward_polarization(iso, pv.pol)
     return PolarizedVariety(quotient_torus, pol), iso

@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import floor, lcm
 
 from tropjac.errors import NotIsogeny
-from tropjac.exact_lattice import Matrix, _entry, smith_normal_form
+from tropjac.exact_lattice import Matrix, _read_exact, smith_normal_form
 from tropjac.torus_category import (
     IntegralTorus,
     TorusMorphism,
@@ -234,7 +234,7 @@ def fraction_det(a):
     result = sign
     for i in range(n):
         result *= work[i][i]
-    return _entry(result)
+    return _read_exact(result)
 
 
 # -- cover corpus ----------------------------------------------------------

@@ -101,9 +101,11 @@ def test_exact_reader_refuses_at_once(value):
 
 
 def test_exact_reader_reads_ints_fractions_and_plain_strings():
+    # a number is stored as an int when it is integral, else as a Fraction
     values = [_read_exact(x) for x in (3, Fraction(1, 3), "3/2", "1.5", " -7 ")]
     assert values == [3, Fraction(1, 3), Fraction(3, 2), Fraction(3, 2), -7]
-    assert all(type(x) is Fraction for x in values)
+    assert [type(x) for x in values] == [int, Fraction, Fraction, Fraction, int]
+    assert [type(_read_exact(x)) for x in (Fraction(6, 3), "4/2", "2.0")] == [int, int, int]
 
 
 def test_repr_prints_each_entry_with_its_own_repr():

@@ -123,3 +123,27 @@ def test_every_private_helper_is_used():
         and node.name not in used
     ]
     assert found == []
+
+
+def test_only_exact_lattice_builds_or_divides_numbers():
+    # every stored number is an int when integral, else a Fraction, and only
+    # exact_lattice decides which: its reader and its one division,
+    # _quotient; a / elsewhere would rely on an operand happening to be a
+    # Fraction to stay exact
+    found = []
+    for path in sorted(Path(tropjac.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(getattr(node, "op", None), ast.Div):  # a / b or a /= b
+                found.append(f"{path.name}:{node.lineno}: /")
+            if path.name == "exact_lattice.py":
+                continue
+            if isinstance(node, ast.Import):
+                found += [f"{path.name}:{node.lineno}: import fractions" for a in node.names if a.name == "fractions"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
+                found.append(f"{path.name}:{node.lineno}: from fractions")
+            elif (isinstance(node, ast.Name) and node.id == "Fraction") or (
+                isinstance(node, ast.Attribute) and node.attr == "Fraction"
+            ):
+                found.append(f"{path.name}:{node.lineno}: Fraction")
+    assert found == []
