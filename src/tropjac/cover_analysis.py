@@ -7,18 +7,18 @@ circle, the connectedness data and the kernel of the pullback mu^* then
 follow from mu_* by exact integer linear algebra, the same way for every
 cover.
 
-Each cover builds these once.  Its analysis (curves_covers.CoverAnalysis) is
-made on first use and lives as long as the cover: it keeps the validation
-report, the harmonic form, the Jacobian, mu_*, the kernel circle and
-direction, the gamma data and mu^*, and every function here reads them from
-it.  Covers, their graphs and the kept values are immutable, so a kept value
-never goes stale; the values returned here are shared, never copied.
+Each cover builds these once.  The cover is its own analysis: on first use
+it derives and then keeps the validation report, the harmonic form, mu_*,
+the kernel circle and its inclusion, the gamma data and mu^*, and every
+function here reads them from the cover.  Covers, their graphs and the kept
+values are immutable, so a kept value never goes stale; the values returned
+here are shared, never copied.
 """
 
 from collections import namedtuple
 from math import gcd
 
-from .curves_covers import DumbbellCover, _analysis_of, _rational, harmonic_form
+from .curves_covers import DumbbellCover, _circle_cover, _rational, harmonic_form
 from .curves_covers import GammaData  # noqa: F401  (returned by quotient_and_gamma)
 from .curves_covers import require_valid  # noqa: F401  (bound here for bench/test_bench.py)
 from .errors import SourceMismatch
@@ -48,17 +48,17 @@ def pushforward_morphism(cover):
     f_sharp is the universal cover row of the slopes; f_hash then follows
     from the pairing law f_sharp^T P = l·f_hash.
     """
-    return _analysis_of(cover).pushforward
+    return _circle_cover(cover)._pushforward
 
 
 def pullback_morphism(cover):
     """mu^* : C(l) -> Jac(source), the dual of the pushforward."""
-    return _analysis_of(cover).pullback
+    return _circle_cover(cover)._pullback
 
 
 def kernel_length(cover):
     """Length of the connected kernel circle of the pushforward."""
-    kernel_circle, _ = _analysis_of(cover).kernel
+    kernel_circle, _ = _circle_cover(cover)._kernel
     return kernel_circle.pairing[0, 0]
 
 
@@ -72,7 +72,7 @@ def quotient_and_gamma(cover):
     image, hence the component count).  The pairing law of that isogeny,
     l_tilde · a_sharp = l · a_hash, gives l_tilde.
     """
-    return _analysis_of(cover).gamma
+    return _circle_cover(cover)._gamma
 
 
 def component_count(cover):
@@ -158,7 +158,7 @@ def factor_pushforward(first, second):
     """
     if _source(first) != _source(second):
         raise SourceMismatch("covers must share the same source curve")
-    push1, push2 = _analysis_of(first).pushforward, _analysis_of(second).pushforward
+    push1, push2 = _circle_cover(first)._pushforward, _circle_cover(second)._pushforward
     g1 = gcd(*push1.f_sharp.column_tuple(0))
     g2 = gcd(*push2.f_sharp.column_tuple(0))
     if g1 % g2 != 0:

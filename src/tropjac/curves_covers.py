@@ -23,12 +23,13 @@ numbers (how often each edge walk wraps the target) and dilation factors (the
 integer slope on each edge); the target arc lengths of a theta cover may be
 given explicitly or derived from the metric realizability equations.
 
-Covers and graphs are immutable.  Each cover builds one CoverAnalysis on
-first use and keeps it for its lifetime: the validation report, the harmonic
-form, the Jacobian, the pushforward mu_* and what is read off it.  Every
-public invariant here, in cover_analysis and in split_jacobian reads that
-analysis, so nothing is derived twice for one cover.  The gamma data are the
-contents of mu_*: a_sharp = gcd(f_sharp), a_hash = gcd(f_hash), and
+Covers and graphs are immutable.  A cover is its own analysis: it derives
+each part on first use and keeps it for its lifetime, the validation report,
+the harmonic form, the pushforward mu_* and what is read off it.  Every
+public invariant here, in cover_analysis and in split_jacobian reads those
+parts, so nothing is derived twice for one cover.  No kept part refers back
+to its cover, so reference counting alone frees a cover.  The gamma data are
+the contents of mu_*: a_sharp = gcd(f_sharp), a_hash = gcd(f_hash), and
 l_tilde = l·a_hash/a_sharp by the pairing law of the quotient isogeny.
 """
 
@@ -75,7 +76,11 @@ class MetricGraph(_Value):
     def __init__(self, vertices, edges):
         if not vertices:
             raise ValueError("a metric graph needs at least one vertex")
-        if len(set(vertices)) != len(vertices):
+        try:
+            labels = set(vertices)
+        except TypeError:
+            raise ValueError("vertex labels must be hashable") from None
+        if len(labels) != len(vertices):
             raise ValueError("vertex labels must be distinct")
         vertices = tuple(vertices)
         cleaned = []
@@ -247,18 +252,65 @@ def _walk_form(graph, slopes, length):
 
 
 class _CircleCover(_Immutable):
-    """Base of the cover types.  A cover never changes, so the analysis it
-    builds on first use and keeps can never go stale."""
+    """Base of the cover types.  A cover never changes, so each part it
+    derives on first use and keeps can never go stale.
 
-    @cached_property
-    def _analysis(self):
-        return CoverAnalysis(self)
+    _report holds for any cover; every other part exists only for a valid
+    cover, and reading it raises InvalidCover otherwise.  The pushforward
+    mu_* : Jac(source) -> C(l) is read off the harmonic form: f_sharp is the
+    universal cover row of the slopes, and f_hash follows from the pairing
+    law f_sharp^T P = l·f_hash.  The kernel circle, whose inclusion holds
+    the kernel direction, and the pullback mu^* are then read off mu_*, and
+    the gamma data off the contents of f_sharp and f_hash alone, with no
+    kernel circle.
+    """
 
     @property
     def source(self):
         """The source graph; its cycle basis fixes the Jacobian coordinates
         of every invariant.  A curve model is its own harmonic form's graph."""
         return self.curve
+
+    @cached_property
+    def _report(self):
+        return self._validate()
+
+    @cached_property
+    def _form(self):
+        return self._lower(require_valid(self))
+
+    @cached_property
+    def _pushforward(self):
+        form = self._form
+        torus = jacobian(form.graph).torus
+        f_sharp = Matrix.column(_universal_row(form.graph, form.slopes))
+        f_hash = f_sharp.transpose() * torus.pairing * _quotient(1, form.target_length)
+        return TorusMorphism(torus, circle(form.target_length), f_sharp, f_hash)
+
+    @cached_property
+    def _kernel(self):
+        """kernel0 of the pushforward: the kernel circle and its inclusion,
+        whose f_hash is the canonical basis of ker(f_hash) of mu_*.  It is a
+        circle only on a genus-2 graph, so every invariant read off it is
+        refused here for any other genus."""
+        _require_genus_2(self._form.graph)
+        return kernel0(self._pushforward)
+
+    @cached_property
+    def _gamma(self):
+        """Quotient data of the pushforward kernel (see
+        cover_analysis.quotient_and_gamma): the contents of f_sharp and
+        f_hash, and l_tilde from the pairing law of the quotient isogeny."""
+        _require_genus_2(self._form.graph)
+        push = self._pushforward
+        a_sharp = gcd(*push.f_sharp.column_tuple(0))
+        a_hash = gcd(*push.f_hash.row_tuple(0))
+        l_tilde = _quotient(push.target.pairing[0, 0] * a_hash, a_sharp)
+        return GammaData(l_tilde, a_sharp, a_hash)
+
+    @cached_property
+    def _pullback(self):
+        return dual_morphism(self._pushforward)
 
 
 class ThetaCover(_CircleCover):
@@ -366,6 +418,13 @@ class GeneralCircleCover(_CircleCover):
     def source(self):
         return self.graph
 
+    @property
+    def _form(self):
+        """A general cover is its own form.  It is checked on every read
+        and never kept, since a kept reference to itself would be a cycle."""
+        require_valid(self)
+        return self
+
     def _validate(self):
         violations = validate_general_cover(self)
         total = sum(
@@ -377,9 +436,6 @@ class GeneralCircleCover(_CircleCover):
             return ValidationReport(violations, degree)
         violations.append("degree: sum of d_e^2·l_e must be a multiple of l")
         return ValidationReport(violations, None)
-
-    def _lower(self, report):
-        return self
 
 
 def validate_general_cover(cover):
@@ -447,78 +503,6 @@ def _universal_row(graph, slopes):
         )
         row.append(slopes[private] * cycle[private])
     return row
-
-
-class CoverAnalysis(_Immutable):
-    """Everything derived from one cover, each part built on first use and
-    then kept for the life of the cover.
-
-    report holds for any cover; every other part exists only for a valid
-    cover, and reading it raises InvalidCover otherwise.  The pushforward
-    mu_* : Jac(source) -> C(l) is read off the harmonic form: f_sharp is the
-    universal cover row of the slopes, and f_hash follows from the pairing
-    law f_sharp^T P = l·f_hash.  The kernel circle, the kernel direction
-    and the pullback mu^* are then read off mu_*, and the gamma data off the
-    contents of f_sharp and f_hash alone, with no kernel circle.
-    """
-
-    __slots__ = ("cover", "__dict__")  # the parts are kept in __dict__
-
-    def __init__(self, cover):
-        self._set(cover=cover)
-
-    @cached_property
-    def report(self):
-        return self.cover._validate()
-
-    @cached_property
-    def valid_report(self):
-        return require_valid(self.cover)
-
-    @cached_property
-    def form(self):
-        return self.cover._lower(self.valid_report)
-
-    @cached_property
-    def jacobian(self):
-        return jacobian(self.form.graph)
-
-    @cached_property
-    def pushforward(self):
-        form = self.form
-        torus = self.jacobian.torus
-        f_sharp = Matrix.column(_universal_row(form.graph, form.slopes))
-        f_hash = f_sharp.transpose() * torus.pairing * _quotient(1, form.target_length)
-        return TorusMorphism(torus, circle(form.target_length), f_sharp, f_hash)
-
-    @cached_property
-    def kernel(self):
-        """kernel0 of the pushforward: the kernel circle and its inclusion.
-        It is a circle only on a genus-2 graph, so every invariant read off
-        it is refused here for any other genus."""
-        _require_genus_2(self.form.graph)
-        return kernel0(self.pushforward)
-
-    @cached_property
-    def kernel_direction(self):
-        """Canonical basis of ker(f_hash); kernel0 puts it in the inclusion."""
-        return self.kernel[1].f_hash
-
-    @cached_property
-    def gamma(self):
-        """Quotient data of the pushforward kernel (see
-        cover_analysis.quotient_and_gamma): the contents of f_sharp and
-        f_hash, and l_tilde from the pairing law of the quotient isogeny."""
-        _require_genus_2(self.form.graph)
-        push = self.pushforward
-        a_sharp = gcd(*push.f_sharp.column_tuple(0))
-        a_hash = gcd(*push.f_hash.row_tuple(0))
-        l_tilde = _quotient(push.target.pairing[0, 0] * a_hash, a_sharp)
-        return GammaData(l_tilde, a_sharp, a_hash)
-
-    @cached_property
-    def pullback(self):
-        return dual_morphism(self.pushforward)
 
 
 def _solve_arcs(equations):
@@ -592,16 +576,17 @@ def _require_genus_2(graph):
         raise UnsupportedGenus(f"needs a genus-2 graph, not one of genus {graph.genus}")
 
 
-def _analysis_of(cover):
+def _circle_cover(cover):
+    """The cover itself, once it is checked to be a circle cover."""
     if not isinstance(cover, _CircleCover):
         raise ValueError("validate_cover expects a circle cover")
-    return cover._analysis
+    return cover
 
 
 def validate_cover(cover):
     """Check every combinatorial and metric invariant of a cover.  The
     report is built once per cover and shared by every later call."""
-    return _analysis_of(cover).report
+    return _circle_cover(cover)._report
 
 
 def require_valid(cover):
@@ -615,11 +600,11 @@ def require_valid(cover):
 def harmonic_form(cover):
     """The GeneralCircleCover form of a valid cover, over the cover's own
     graph and cycle basis; every invariant is computed from it."""
-    return _analysis_of(cover).form
+    return _circle_cover(cover)._form
 
 
 def cover_degree(cover):
-    return _analysis_of(cover).valid_report.degree
+    return require_valid(cover).degree
 
 
 def target_length(cover):

@@ -11,7 +11,7 @@ from collections import namedtuple
 
 from .cover_analysis import kernel_length, quotient_and_gamma
 from .curves_covers import (
-    _analysis_of,
+    _circle_cover,
     _require_genus_2,
     _walk_form,
     cover_degree,
@@ -97,11 +97,9 @@ def complementary_cover(cover):
     cover; its slopes are the kernel direction paired with the cycle basis.
     """
     _require_strongly_optimal(cover)
-    analysis = _analysis_of(cover)
     length = kernel_length(cover)
-    general = _walk_cover(
-        analysis.form.graph, analysis.kernel_direction.column_tuple(0), length
-    )
+    _, inclusion = cover._kernel
+    general = _walk_cover(cover._form.graph, inclusion.f_hash.column_tuple(0), length)
     degree = cover_degree(general)
     if degree != cover_degree(cover):
         raise InvariantViolation(f"complementary degree {degree} differs from the cover's")
@@ -113,16 +111,15 @@ def splitting_isogeny(cover):
     """The isogeny TE' x TE -> Jac of a strongly optimal cover, assembled
     from the kernel inclusion and the pullback, with its kernel points."""
     _require_strongly_optimal(cover)
-    analysis = _analysis_of(cover)
-    te_prime, inclusion = analysis.kernel
-    pull = analysis.pullback
-    length = analysis.form.target_length
+    te_prime, inclusion = cover._kernel
+    pull = cover._pullback
+    length = cover._form.target_length
     source = IntegralTorus(
         2, block_diagonal(te_prime.pairing, Matrix([[length]]))
     )
     phi = TorusMorphism(
         source,
-        analysis.jacobian.torus,
+        cover._pushforward.source,
         vstack(inclusion.f_sharp, pull.f_sharp),
         hstack(inclusion.f_hash, pull.f_hash),
     )
@@ -131,10 +128,9 @@ def splitting_isogeny(cover):
 
 def complementary_pushforward(cover):
     """Jac -> TE', the projection killing the pulled-back circle."""
-    analysis = _analysis_of(cover)
-    push = analysis.pushforward
-    te_prime, _ = analysis.kernel
-    w = analysis.kernel_direction
+    push = _circle_cover(cover)._pushforward
+    te_prime, inclusion = cover._kernel
+    w = inclusion.f_hash
     length = te_prime.pairing[0, 0]
     f_hash = (w.transpose() * push.source.pairing) * _quotient(1, length)
     return TorusMorphism(push.source, te_prime, w, f_hash)
@@ -162,10 +158,9 @@ def verify_split_package(cover):
     then complementary pushforward) are exact.
     """
     phi, kernel_points = splitting_isogeny(cover)
-    analysis = _analysis_of(cover)
-    degree = analysis.valid_report.degree
-    push, pull = analysis.pushforward, analysis.pullback
-    _, inclusion = analysis.kernel
+    degree = cover_degree(cover)
+    push, pull = cover._pushforward, cover._pullback
+    _, inclusion = cover._kernel
     comp = complementary_pushforward(cover)
     phi_tilde = TorusMorphism(
         push.source,

@@ -235,6 +235,17 @@ def test_validation_error_exits_one(tmp_path, capsys):
     assert "balancing" in err
 
 
+@pytest.mark.parametrize("label", [["a"], {"a": 1}], ids=["list", "dict"])
+def test_unhashable_vertex_label_exits_one(label, tmp_path, capsys):
+    # valid JSON whose vertex label cannot key a set or a dict
+    document = json.loads(GENERAL)
+    document["vertices"] = [label]
+    document["edges"] = [[label, label, "2"]]
+    code, out, err = run(capsys, "analyze", write(tmp_path, "u.json", json.dumps(document)))
+    assert code == 1 and out == ""
+    assert err == "VALIDATION_ERROR: vertex labels must be hashable\n"
+
+
 def test_parse_error_exits_one(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", write(tmp_path, "x.json", "{"))
     assert code == 1

@@ -38,7 +38,7 @@ from tropjac.curves_covers import (
     MetricGraph,
     ThetaCover,
     ThetaCurve,
-    _analysis_of,
+    _circle_cover,
     circle_graph,
     cover_degree,
     harmonic_form,
@@ -305,7 +305,8 @@ def other_genus_covers():
 
 GENUS_2_ONLY = {
     "kernel_length": kernel_length,
-    "kernel_direction": lambda cover: _analysis_of(cover).kernel_direction,
+    # the kernel direction is the f_hash of the kernel inclusion
+    "kernel_direction": lambda cover: _circle_cover(cover)._kernel[1].f_hash,
     "quotient_and_gamma": quotient_and_gamma,
     "component_count": component_count,
     "is_optimal": is_optimal,

@@ -55,6 +55,12 @@ def test_metric_graph_rejects_unknown_endpoints_and_duplicates():
     pytest.raises(ValueError, lambda: MetricGraph(["a", "a"], [("a", "a", 1)]))
 
 
+def test_metric_graph_rejects_unhashable_labels():
+    for label in (["a"], {"a": 1}, ("a", ["b"])):
+        with pytest.raises(ValueError, match="hashable"):
+            MetricGraph([label], [(label, label, 1)])
+
+
 def test_genus():
     assert circle_graph(3).genus == 1
     assert ThetaCurve(1, 1, 1).graph().genus == 2

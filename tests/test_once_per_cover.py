@@ -1,7 +1,9 @@
 """Each cover derives its invariants once: one immutable analysis per cover."""
 
+import gc
 import json
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
@@ -491,3 +493,46 @@ def test_invariants_do_not_depend_on_query_order(cover, order):
     fresh = _rebuilt(cover)
     for invariant in sorted(INVARIANTS):
         assert answers[invariant] == _outcome(invariant, fresh), invariant
+
+
+def _lifetime_covers():
+    """Makers of the covers whose lifetime is checked: the degree-2 theta
+    cover, the DUMBBELL document, the theta cover subdivided, a ladder
+    dumbbell of degree 1001 (past the corpus) and the complementary walk
+    cover."""
+    return {
+        "theta": degree_two_cover,
+        "dumbbell": lambda: cli.parse_cover(json.dumps(DUMBBELL)),
+        "subdivided": lambda: subdivided(degree_two_cover(), 0),
+        "ladder-1001": lambda: _ladder_cover(500),
+        "complement": lambda: complementary_cover(degree_two_cover()).general,
+    }
+
+
+def _analyse_fully(cover):
+    cli._analysis_report(cover, True)
+    if strong_optimality_gap(cover) is None:
+        assert verify_split_package(cover).all_flags_hold
+        complementary_cover(cover)
+
+
+def test_reference_counting_alone_frees_an_analysed_cover():
+    # nothing a cover keeps refers back to it, so the cover dies on del
+    # with the cyclic collector off, and it leaves no cycle behind
+    makers = _lifetime_covers()
+    for make in makers.values():  # warm-up: anything built once per process
+        _analyse_fully(make())
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for name, make in makers.items():
+            cover = make()
+            _analyse_fully(cover)
+            alive = weakref.ref(cover)
+            del cover
+            assert alive() is None, name
+            assert gc.collect() == 0, name
+    finally:
+        if enabled:
+            gc.enable()
