@@ -495,18 +495,15 @@ def test_invariants_do_not_depend_on_query_order(cover, order):
         assert answers[invariant] == _outcome(invariant, fresh), invariant
 
 
-def _lifetime_covers():
-    """Makers of the covers whose lifetime is checked: the degree-2 theta
-    cover, the DUMBBELL document, the theta cover subdivided, a ladder
-    dumbbell of degree 1001 (past the corpus) and the complementary walk
-    cover."""
-    return {
-        "theta": degree_two_cover,
-        "dumbbell": lambda: cli.parse_cover(json.dumps(DUMBBELL)),
-        "subdivided": lambda: subdivided(degree_two_cover(), 0),
-        "ladder-1001": lambda: _ladder_cover(500),
-        "complement": lambda: complementary_cover(degree_two_cover()).general,
-    }
+# makers of the covers whose lifetime is checked; the ladder dumbbell of
+# degree 1001 is past the corpus
+LIFETIME_COVERS = {
+    "theta": degree_two_cover,
+    "dumbbell": lambda: cli.parse_cover(json.dumps(DUMBBELL)),
+    "subdivided": lambda: subdivided(degree_two_cover(), 0),
+    "ladder-1001": lambda: _ladder_cover(500),
+    "complement": lambda: complementary_cover(degree_two_cover()).general,
+}
 
 
 def _analyse_fully(cover):
@@ -519,14 +516,13 @@ def _analyse_fully(cover):
 def test_reference_counting_alone_frees_an_analysed_cover():
     # nothing a cover keeps refers back to it, so the cover dies on del
     # with the cyclic collector off, and it leaves no cycle behind
-    makers = _lifetime_covers()
-    for make in makers.values():  # warm-up: anything built once per process
+    for make in LIFETIME_COVERS.values():  # warm-up: anything built once per process
         _analyse_fully(make())
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        for name, make in makers.items():
+        for name, make in LIFETIME_COVERS.items():
             cover = make()
             _analyse_fully(cover)
             alive = weakref.ref(cover)
