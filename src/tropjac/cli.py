@@ -12,7 +12,11 @@ optimal, complement and split refuse it with UNSUPPORTED_GENUS.
 Reports are printed by _json, a recursive renderer that writes what
 json.dumps(report, indent=2) writes, with strings quoted by the C string
 encoder of the json module.  It never runs the pure-Python indent encoder,
-to which json.dumps falls back whenever it is given an indent.
+to which json.dumps falls back whenever it is given an indent.  The analyze
+report holds the pullback kernel as its generator, a CyclicKernel; _json
+writes it as the list of {"position": "p/q", "order": m} divisors that
+json.dumps would write, from ints, with no Fraction, TorsionDivisor or
+dict per divisor.
 
 Exit codes: 0 on success, 1 when the library rejects the input or a number
 of the report is too long to print (the error code and message go to
@@ -23,13 +27,16 @@ import argparse
 import json
 import sys
 from json.encoder import encode_basestring_ascii as _quote
+from math import gcd
 
 from .cover_analysis import (
+    CyclicKernel,
+    _listable,
     component_count,
     factor_pushforward,
     is_optimal,
     kernel_length,
-    pullback_kernel,
+    pullback_kernel_group,
     pushforward_morphism,
     quotient_and_gamma,
 )
@@ -229,16 +236,6 @@ def parse_cover(text):
 # ---------------------------------------------------------------- reports
 
 
-def _torsion_list(divisors):
-    """Torsion divisors as {"position": "p/q", "order": m} dicts, one
-    comprehension over them; a position past Python's digit limit raises
-    NumberTooLarge, as in _rat."""
-    try:
-        return [{"position": str(position), "order": order} for position, order in divisors]
-    except ValueError:
-        raise _too_large() from None
-
-
 def _split_dict(report):
     return {
         "phi": report.phi.entries(),
@@ -277,7 +274,7 @@ def _analysis_report(cover, include_split):
                 split["split"] = _split_dict(verify_split_package(cover))
             else:
                 split["split"] = {"applicable": False, "reason": gap}
-    report["pullback_kernel"] = _torsion_list(pullback_kernel(cover))
+    report["pullback_kernel"] = _listable(pullback_kernel_group(cover))
     arcs = validate_cover(cover).arcs
     if arcs is not None:
         report["arcs"] = [_rat(arcs[0]), _rat(arcs[1])]
@@ -319,11 +316,31 @@ def _factor_report(first, second):
 # -------------------------------------------------------------- rendering
 
 
+def _divisors(kernel, opening, between, closing):
+    """The divisors of a cyclic kernel, order g and generator num/den, as
+    the texts opening "position": "p/q" between "order": m closing, one
+    f-string per divisor built from ints (and one for a position that is
+    not integral).  The j-th sits at j·num/den, written in lowest terms as
+    j·num//k over den//k with k = gcd(j, den), and has order g//gcd(j, g).
+    A number past Python's digit limit raises ValueError, which _render
+    turns into NumberTooLarge."""
+    g, step = kernel
+    num, den = step.numerator, step.denominator
+    texts = []
+    for j in range(g):
+        k = gcd(j, den)
+        position = j * num // k if k == den else f"{j * num // k}/{den // k}"
+        texts.append(f'{opening}"position": "{position}"{between}"order": {g // gcd(j, g)}{closing}')
+    return texts
+
+
 def _text_lines(data, prefix=""):
     lines = []
     for key, value in data.items():
         if isinstance(value, dict):
             lines.extend(_text_lines(value, f"{prefix}{key}."))
+        elif type(value) is CyclicKernel:
+            lines.append(f"{prefix}{key}: [{', '.join(_divisors(value, '{', ', ', '}'))}]")
         else:
             lines.append(f"{prefix}{key}: {json.dumps(value)}")
     return lines
@@ -344,12 +361,18 @@ def _json(value, newline):
 
     Each container is one loop and one join over its children.  A scalar
     child is written in place, and so is a dict or list child whose own
-    children are all scalars (a divisor, a kernel point): its items are one
+    children are all scalars (a kernel point): its items are one
     comprehension inside its parent's loop, with no call for it.  Only a
-    deeper container recurses.  A value that is not a dict with str keys, a
-    list, a tuple, a str, an int, a bool or None raises TypeError.
+    deeper container recurses.  A CyclicKernel is written as the list of
+    its divisor dicts, from _divisors, with no dict built.  Any other value
+    that is not a dict with str keys, a list, a tuple, a str, an int, a
+    bool or None raises TypeError.
     """
     kind = type(value)
+    if kind is CyclicKernel:
+        inner = newline + "  "
+        divisors = _divisors(value, "{" + inner + "  ", "," + inner + "  ", inner + "}")
+        return "[" + inner + ("," + inner).join(divisors) + newline + "]"
     if kind is not dict and kind is not list and kind is not tuple:
         try:
             return _SCALARS[kind](value)

@@ -32,6 +32,10 @@ from .torus_category import TorusMorphism, circle, compose
 # Matrix entry is: an int when it is integral, else a Fraction.
 TorsionDivisor = namedtuple("TorsionDivisor", ["position", "order"])
 
+# A finite cyclic group of the target Jacobian: its order and the position of
+# its generator, a divisor class of that order, stored as a position is.
+CyclicKernel = namedtuple("CyclicKernel", ["order", "generator"])
+
 # Both optimality readings, reported side by side: connectedness of the
 # pushforward kernel, the dumbbell gcd criterion (None for theta covers), and
 # the component count.  When the two criteria disagree, note says why.
@@ -80,26 +84,43 @@ def component_count(cover):
     return quotient_and_gamma(cover).a_hash
 
 
-def pullback_kernel(cover):
-    """Kernel of mu^* : Jac(target) -> Jac(source) as torsion divisors.
+def pullback_kernel_group(cover):
+    """Kernel of mu^* : Jac(target) -> Jac(source) as a cyclic group.
 
     A class of order m at position j·l/m, gcd(j, m) = 1, lies in the kernel
     exactly when m divides d·j, hence d, for every dilation d.  The kernel is
-    therefore the g-torsion of the target circle, g the gcd of all dilations.
-    A kernel of more than tav.MAX_LISTED_POINTS points raises KernelTooLarge
-    before any divisor is listed.  With l = p/q, the j-th divisor sits at
-    j·p/(q·g), one exact_lattice._quotient of two ints, as a Matrix entry
-    is: an int when it is integral, else the one Fraction built for it.
+    therefore the g-torsion of the target circle, g the gcd of all
+    dilations, generated by the class at l/g: CyclicKernel(g, l/g), with the
+    step stored as every number is, by one exact_lattice._quotient.  Nothing
+    is listed, so no order is refused.
     """
     form = harmonic_form(cover)
     g = gcd(*form.dilations)
-    _require_listable(g, "the pullback kernel")
-    p, q = form.target_length.numerator, form.target_length.denominator
-    # the step p/(q·g) in lowest terms, num/den: when it is integral, each
-    # _quotient returns at once
-    c = gcd(p, q * g)
-    num, den = p // c, q * g // c
-    return [TorsionDivisor(_quotient(j * num, den), g // gcd(j, g)) for j in range(g)]
+    return CyclicKernel(g, _quotient(form.target_length, g))
+
+
+def _listable(kernel):
+    """kernel, once its order is checked: a kernel of more than
+    tav.MAX_LISTED_POINTS points raises KernelTooLarge before any divisor
+    is listed."""
+    _require_listable(kernel.order, "the pullback kernel")
+    return kernel
+
+
+def pullback_kernel(cover):
+    """Kernel of mu^* as its torsion divisors, listed from
+    pullback_kernel_group: the j-th multiple of the generator num/den sits
+    at j·num/den and has order g/gcd(j, g).  The first multiple is the
+    generator itself; each other is one exact_lattice._quotient of two ints,
+    an int when it is integral, else the one Fraction built for it.  A
+    kernel too large to list raises KernelTooLarge first.
+    """
+    g, step = _listable(pullback_kernel_group(cover))
+    num, den = step.numerator, step.denominator
+    return [
+        TorsionDivisor(step if j == 1 else _quotient(j * num, den), g // gcd(j, g))
+        for j in range(g)
+    ]
 
 
 def q_gamma_profile(cover, position):

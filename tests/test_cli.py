@@ -4,13 +4,23 @@ import json
 import sys
 import time
 from fractions import Fraction
+from math import gcd
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tropjac.cli import _json, _render, _split_dict, _torsion_list, parse_cover, run_command
-from tropjac.cover_analysis import TorsionDivisor
-from tropjac.curves_covers import DumbbellCover, GeneralCircleCover, ThetaCover
+from oracles import MAX_KERNEL_GCD, divisor_pullback_kernel, wide_kernel_covers
+from tropjac.cli import _json, _render, _split_dict, parse_cover, run_command
+from tropjac.cover_analysis import CyclicKernel, TorsionDivisor, pullback_kernel, pullback_kernel_group
+from tropjac.curves_covers import (
+    DumbbellCover,
+    DumbbellCurve,
+    GeneralCircleCover,
+    MetricGraph,
+    ThetaCover,
+    ThetaCurve,
+    target_length,
+)
 from tropjac.errors import NumberTooLarge, ParseError, ValidationError
 from tropjac.exact_lattice import Matrix
 from tropjac.split_jacobian import SplitReport
@@ -363,8 +373,64 @@ def test_kernel_point_past_the_digit_limit_raises():
 @needs_digit_limit
 @pytest.mark.parametrize("position", [10**5000, Fraction(1, 10**5000 + 1)], ids=["int", "fraction"])
 def test_divisor_position_past_the_digit_limit_raises(position):
-    with pytest.raises(NumberTooLarge):
-        _torsion_list([TorsionDivisor(0, 1), TorsionDivisor(position, 2)])
+    # the kernel of order 2 generated by position: its second divisor sits there
+    for fmt in ("json", "text"):
+        with pytest.raises(NumberTooLarge):
+            _render({"pullback_kernel": CyclicKernel(2, position)}, fmt)
+
+
+NON_INTEGRAL = st.builds(Fraction, st.integers(1, 97), st.integers(2, 60)).filter(lambda x: x.denominator > 1)
+
+
+@st.composite
+def bouquet_covers(draw, loops):
+    """Covers of a circle by a bouquet of loops (genus 2 or 3), loop i of
+    dilation g·a_i winding n_i times, over a target of non-integral length,
+    so the pullback kernel is the g-torsion with g up to MAX_KERNEL_GCD."""
+    g = draw(st.integers(1, MAX_KERNEL_GCD))
+    length = draw(NON_INTEGRAL)
+    edges, walks = [], []
+    for _ in range(loops):
+        a, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        edges.append(("v", "v", n * length / (g * a)))
+        walks.append((g * a, 0, n * length))
+    return GeneralCircleCover(MetricGraph(["v"], edges), length, walks)
+
+
+WIDE_COVERS = st.one_of(
+    wide_kernel_covers().filter(lambda cover: target_length(cover).denominator > 1),
+    bouquet_covers(2),
+    bouquet_covers(3),
+)
+
+
+def _bouquet(loops, edge_length, target, dilation, walk_length):
+    graph = MetricGraph(["v"], [("v", "v", edge_length)] * loops)
+    return GeneralCircleCover(graph, target, [(dilation, 0, walk_length)] * loops)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(WIDE_COVERS)
+# one of each kind, of kernels of 3000 or 2999 points
+@example(DumbbellCover(DumbbellCurve(Fraction(7, 15000), Fraction(7, 7500), 1), (1, 2), (3000, 3000)))
+@example(
+    ThetaCover(
+        ThetaCurve(Fraction(1, 17994), Fraction(1, 5998), Fraction(1, 5998)), (1, 1, 1), (5998, 2999, 2999)
+    )
+)
+@example(_bouquet(2, Fraction(1, 2000), Fraction(3, 2), 3000, Fraction(3, 2)))
+@example(_bouquet(3, Fraction(7, 4500), Fraction(7, 3), 3000, Fraction(14, 3)))
+def test_kernel_writer_matches_the_divisor_dicts(cover):
+    # the kernel written from its generator is what json.dumps writes for
+    # the divisor dicts of the divisor loop, in both formats
+    kernel = pullback_kernel_group(cover)
+    listed = divisor_pullback_kernel(cover)
+    order, step = kernel
+    expanded = [TorsionDivisor(j * Fraction(step), order // gcd(j, order)) for j in range(order)]
+    assert pullback_kernel(cover) == expanded == listed
+    dicts = [{"position": str(position), "order": m} for position, m in listed]
+    assert _render({"pullback_kernel": kernel}, "json") == json.dumps({"pullback_kernel": dicts}, indent=2)
+    assert _render({"pullback_kernel": kernel}, "text") == f"pullback_kernel: {json.dumps(dicts)}"
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):

@@ -15,7 +15,12 @@ was built from integers.  ``ladder_digests.json`` holds the same for
 degree ladder, lengths 1/k, 1/(k+1), 1 with dilations (k, k+1) for k in
 {50, 500, 1000}, whose split kernels list 101, 1001 and 2001 points; it was
 recorded while the split kernel was still listed by a coset closure, before
-the Smith box replaced it.  The four files are only read here.
+the Smith box replaced it.  ``text_digests.json`` holds, in the order of
+``corpus.json`` and ``wide_digests.json``, the SHA-256 of the
+``analyze --split --format text`` stdout of each of those covers; it was
+recorded while the CLI still built one dict per pullback-kernel divisor,
+before the divisors were written from the kernel's generator.  The five
+files are only read here.
 """
 
 import contextlib
@@ -31,6 +36,7 @@ CORPUS = TESTS.parent / "bench" / "corpus.json"
 COMPLEMENTS = TESTS / "complement_digests.json"
 WIDE = TESTS / "wide_digests.json"
 LADDER = TESTS / "ladder_digests.json"
+TEXT = TESTS / "text_digests.json"
 
 
 def _load(path):
@@ -74,3 +80,15 @@ def test_analyze_split_matches_ladder_digests(tmp_path):
     entries = _load(LADDER)
     assert [entry["doc"]["dilations"] for entry in entries] == [[50, 51], [500, 501], [1000, 1001]]
     assert _mismatches(entries, ["analyze", "--split"], tmp_path) == []
+
+
+def test_analyze_split_text_matches_recorded_digests(tmp_path):
+    with open(TEXT, encoding="utf-8") as handle:
+        digests = json.load(handle)
+    assert [len(digests["wide"]), len(digests["corpus"])] == [8, 406]
+    entries = [
+        {"doc": entry["doc"], "sha256": digest}
+        for name, path in (("wide", WIDE), ("corpus", CORPUS))
+        for entry, digest in zip(_load(path), digests[name], strict=True)
+    ]
+    assert _mismatches(entries, ["analyze", "--split", "--format", "text"], tmp_path) == []

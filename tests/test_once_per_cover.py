@@ -22,6 +22,7 @@ from oracles import degree_two_cover, dumbbell_covers, random_unimodular, theta_
 from test_presentations import subdivided
 from tropjac.cli import run_command
 from tropjac.cover_analysis import (
+    TorsionDivisor,
     component_count,
     is_optimal,
     kernel_length,
@@ -125,6 +126,13 @@ def test_each_general_cover_is_validated_once(command, document, tmp_path, monke
     assert calls == Counter(validate_general_cover=1)
 
 
+def _listed_report(report, cover):
+    """report with its pullback kernel as the list of divisor dicts it
+    prints as, which json.dumps can write"""
+    divisors = [{"position": str(position), "order": order} for position, order in pullback_kernel(cover)]
+    return {**report, "pullback_kernel": divisors}
+
+
 @pytest.mark.parametrize(
     "document",
     # g = 2000: pullback kernels of 2000 points
@@ -137,8 +145,8 @@ def test_each_general_cover_is_validated_once(command, document, tmp_path, monke
 def test_reports_never_run_the_pure_python_encoder(document, tmp_path, monkeypatch, capsys):
     path = tmp_path / "cover.json"
     path.write_text(json.dumps(document))
-    report = cli._analysis_report(cli.parse_cover(path.read_text()), True)
-    expected = json.dumps(report, indent=2) + "\n"
+    cover = cli.parse_cover(path.read_text())
+    expected = json.dumps(_listed_report(cli._analysis_report(cover, True), cover), indent=2) + "\n"
 
     def refuse(*args, **kwargs):
         raise AssertionError("the pure-Python JSON encoder ran")
@@ -262,18 +270,30 @@ def test_pullback_kernel_builds_one_fraction_per_divisor(monkeypatch):
     assert products == [0, 0, 0, 0]
 
 
-def test_renderer_writes_int_children_in_place(monkeypatch):
-    # the divisor dicts of 1000 and 2000 points are written inside the
-    # kernel list's loop, their int orders too: the same two _json calls
+def test_rendering_the_pullback_kernel_builds_no_divisor_objects(monkeypatch):
+    # the report holds the kernel as its generator, and the renderer writes
+    # each divisor from ints: on an analysed cover, building the report
+    # makes one Fraction, the generator 7/(5g), and no TorsionDivisor, and
+    # rendering it makes neither, with the same _json calls for kernels of
+    # 1000 and 2000 points
     counts = []
     for g in (1000, 2000):
-        report = {"pullback_kernel": cli._torsion_list(pullback_kernel(_wide_dumbbell(g)))}
-        calls = Counter()
-        _count_calls(monkeypatch, cli, "_json", calls)
-        cli._json(report, "\n")
+        cover = _wide_dumbbell(g)
+        cli._analysis_report(cover, True)  # the cover keeps its parts
+        fractions, divisors, renders = Counter(), Counter(), Counter()
+        _count_fractions(monkeypatch, "__new__", fractions)
+        _count_calls(monkeypatch, TorsionDivisor, "__new__", divisors)
+        _count_calls(monkeypatch, cli, "_json", renders)
+        report = cli._analysis_report(cover, True)
+        built = [fractions["__new__"], divisors["__new__"]]
+        texts = [cli._render(report, fmt) for fmt in ("json", "text")]
         monkeypatch.undo()
-        counts.append(calls["_json"])
-    assert counts == [2, 2]
+        assert built == [fractions["__new__"], divisors["__new__"]] == [1, 0]
+        counts.append(renders["_json"])
+        listed = json.loads(texts[0])["pullback_kernel"]
+        assert listed[1] == {"position": f"7/{5 * g}", "order": g}
+        assert texts[0] == json.dumps(_listed_report(report, cover), indent=2)
+    assert counts[0] == counts[1]
 
 
 def test_renderer_writes_kernel_points_in_place(monkeypatch):
@@ -282,13 +302,14 @@ def test_renderer_writes_kernel_points_in_place(monkeypatch):
     # is written inside the point list's loop
     counts = []
     for k in (50, 1000):
-        report = cli._analysis_report(_ladder_cover(k), True)
+        cover = _ladder_cover(k)
+        report = cli._analysis_report(cover, True)
         assert len(report["split"]["kernel_points"]) == 2 * k + 1
         calls = Counter()
         _count_calls(monkeypatch, cli, "_json", calls)
         text = cli._json(report, "\n")
         monkeypatch.undo()
-        assert text == json.dumps(report, indent=2)
+        assert text == json.dumps(_listed_report(report, cover), indent=2)
         counts.append(calls["_json"])
     assert counts[0] == counts[1]
 
@@ -305,16 +326,6 @@ def test_split_package_reads_each_kernel_point_once(monkeypatch):
         monkeypatch.undo()
         counts.append(calls["__getitem__"])
     assert counts[0] == counts[1]
-
-
-def test_cli_prints_the_pullback_kernel_without_building_fractions(monkeypatch):
-    kernel = pullback_kernel(_wide_dumbbell(1000))
-    calls = Counter()
-    _count_fractions(monkeypatch, "__new__", calls)
-    listed = cli._torsion_list(kernel)
-    monkeypatch.undo()
-    assert calls == Counter()
-    assert listed[1] == {"position": "7/5000", "order": 1000}
 
 
 # Fraction addition, subtraction and multiplication, in both operand orders

@@ -15,6 +15,7 @@ from tropjac import DumbbellCover, DumbbellCurve
 from tropjac.cover_analysis import (
     kernel_length,
     pullback_kernel,
+    pullback_kernel_group,
     q_gamma_profile,
     quotient_and_gamma,
 )
@@ -38,6 +39,7 @@ def stored_numbers(cover):
         "kernel_length": kernel_length(cover),
         "l_tilde": quotient_and_gamma(cover).l_tilde,
         "pullback_kernel": [d.position for d in pullback_kernel(cover)],
+        "pullback_kernel_group": pullback_kernel_group(cover).generator,
         "q_gamma_profile": [
             q_gamma_profile(cover, t) for t in (0, 1, Fraction(1, 3), length * Fraction(1, 2), length)
         ],
@@ -67,6 +69,17 @@ def test_corpus_numbers_are_ints_when_integral(start):
 def test_model_cover_numbers_are_ints_when_integral(covers, data):
     cover = data.draw(covers())
     assert _misstored(cover) == []
+
+
+def test_pullback_kernel_generator_is_an_int_when_integral():
+    # (g, g) dumbbells over a target of length g: the generator l/g is 1;
+    # over 7/5 it is 7/(5g)
+    for g in (1, 6, 1000):
+        kernel = pullback_kernel_group(DumbbellCover(DumbbellCurve(1, 1, 1), (1, 1), (g, g)))
+        assert kernel == (g, 1) and type(kernel.generator) is int
+        curve = DumbbellCurve(Fraction(7, 5 * g), Fraction(14, 5 * g), 1)
+        kernel = pullback_kernel_group(DumbbellCover(curve, (1, 2), (g, g)))
+        assert kernel == (g, Fraction(7, 5 * g)) and _is_stored_form(kernel.generator)
 
 
 def test_q_gamma_profile_is_ints_when_integral():

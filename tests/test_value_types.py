@@ -14,6 +14,7 @@ import tropjac
 from oracles import degree_two_cover, degree_two_pushforward, theta_jacobian
 from tropjac import (
     ComplementaryCover,
+    CyclicKernel,
     ExactSequence,
     GammaData,
     Matrix,
@@ -39,6 +40,7 @@ WALK_COVER = complementary_cover(degree_two_cover()).general
 VALUES = {
     # records
     "TorsionDivisor": lambda: TorsionDivisor(Fraction(3, 2), 2),
+    "CyclicKernel": lambda: CyclicKernel(3, Fraction(1, 2)),
     "OptimalityVerdict": lambda: OptimalityVerdict(True, None, 1),
     "GammaData": lambda: GammaData(Fraction(3), 1, 1),
     # the walk cover is shared: covers compare by identity
