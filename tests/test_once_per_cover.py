@@ -27,6 +27,7 @@ from tropjac.cover_analysis import (
     is_optimal,
     kernel_length,
     pullback_kernel,
+    pullback_kernel_group,
     pullback_morphism,
     pushforward_morphism,
     quotient_and_gamma,
@@ -270,30 +271,42 @@ def test_pullback_kernel_builds_one_fraction_per_divisor(monkeypatch):
     assert products == [0, 0, 0, 0]
 
 
-def test_rendering_the_pullback_kernel_builds_no_divisor_objects(monkeypatch):
-    # the report holds the kernel as its generator, and the renderer writes
-    # each divisor from ints: on an analysed cover, building the report
-    # makes one Fraction, the generator 7/(5g), and no TorsionDivisor, and
-    # rendering it makes neither, with the same _json calls for kernels of
-    # 1000 and 2000 points
+def test_renderer_writes_int_children_in_place(monkeypatch):
+    # the report holds the kernel as its generator, and the divisors of
+    # 1000 and 2000 points are written from ints inside one _json call for
+    # the kernel: the same two _json calls
     counts = []
     for g in (1000, 2000):
         cover = _wide_dumbbell(g)
+        report = {"pullback_kernel": pullback_kernel_group(cover)}
+        calls = Counter()
+        _count_calls(monkeypatch, cli, "_json", calls)
+        text = cli._json(report, "\n")
+        monkeypatch.undo()
+        assert text == json.dumps(_listed_report(report, cover), indent=2)
+        counts.append(calls["_json"])
+    assert counts == [2, 2]
+
+
+def test_cli_prints_the_pullback_kernel_without_building_fractions(monkeypatch):
+    # on an analysed cover, building the report makes one Fraction, the
+    # generator 7/(5g), and no TorsionDivisor, and rendering it in either
+    # format makes neither, for kernels of 1000 and 2000 points
+    for g in (1000, 2000):
+        cover = _wide_dumbbell(g)
         cli._analysis_report(cover, True)  # the cover keeps its parts
-        fractions, divisors, renders = Counter(), Counter(), Counter()
+        fractions, divisors = Counter(), Counter()
         _count_fractions(monkeypatch, "__new__", fractions)
         _count_calls(monkeypatch, TorsionDivisor, "__new__", divisors)
-        _count_calls(monkeypatch, cli, "_json", renders)
         report = cli._analysis_report(cover, True)
         built = [fractions["__new__"], divisors["__new__"]]
         texts = [cli._render(report, fmt) for fmt in ("json", "text")]
         monkeypatch.undo()
         assert built == [fractions["__new__"], divisors["__new__"]] == [1, 0]
-        counts.append(renders["_json"])
         listed = json.loads(texts[0])["pullback_kernel"]
         assert listed[1] == {"position": f"7/{5 * g}", "order": g}
         assert texts[0] == json.dumps(_listed_report(report, cover), indent=2)
-    assert counts[0] == counts[1]
+        assert f"pullback_kernel: {json.dumps(listed)}" in texts[1].splitlines()
 
 
 def test_renderer_writes_kernel_points_in_place(monkeypatch):
