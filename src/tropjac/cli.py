@@ -16,7 +16,11 @@ to which json.dumps falls back whenever it is given an indent.  The analyze
 report holds the pullback kernel as its generator, a CyclicKernel; _json
 writes it as the list of {"position": "p/q", "order": m} divisors that
 json.dumps would write, from ints, with no Fraction, TorsionDivisor or
-dict per divisor.
+dict per divisor.  The split report holds the kernel of the splitting
+isogeny as the ScaledPoints that tav lists, int numerators over one
+denominator; _json and _text_lines write each point as the list of "p/q"
+strings json.dumps would write, from those ints, with no Fraction, Matrix
+or str() call per point.
 
 Exit codes: 0 on success, 1 when the library rejects the input or a number
 of the report is too long to print (the error code and message go to
@@ -58,6 +62,7 @@ from .split_jacobian import (
     strong_optimality_gap,
     verify_split_package,
 )
+from .tav import ScaledPoints
 
 
 class _UsageError(Exception):
@@ -81,16 +86,6 @@ def _rat(value):
     Python's digit limit raises NumberTooLarge."""
     try:
         return str(value)
-    except ValueError:
-        raise _too_large() from None
-
-
-def _points(columns):
-    """Column matrices as lists of "p/q" strings, one comprehension per
-    column over its entries; a number past Python's digit limit raises
-    NumberTooLarge, as in _rat."""
-    try:
-        return [[str(x) for (x,) in column.entries()] for column in columns]
     except ValueError:
         raise _too_large() from None
 
@@ -241,7 +236,7 @@ def _split_dict(report):
         "phi": report.phi.entries(),
         "phi_tilde": report.phi_tilde.entries(),
         "degree": report.degree,
-        "kernel_points": _points(report.kernel_points),
+        "kernel_points": report.kernel,
         "flags": dict(report.flags),
     }
 
@@ -334,6 +329,25 @@ def _divisors(kernel, opening, between, closing):
     return texts
 
 
+def _scaled_points(points, opening, between, closing):
+    """The points of a ScaledPoints, int numerators over one denominator
+    den, as the texts opening "p/q" between "p/q" ... closing.  Each
+    coordinate is one f-string built from ints, the numerator n in lowest
+    terms as n//k over den//k with k = gcd(n, den), or as the int n//den
+    when den divides it, all in one comprehension; each point is then one
+    join of its coordinates.  A number past Python's digit limit raises
+    ValueError, which _render turns into NumberTooLarge."""
+    numerators, den = points
+    coordinates = iter([
+        f'"{n // k}"' if (k := gcd(n, den)) == den else f'"{n // k}/{den // k}"'
+        for point in numerators
+        for n in point
+    ])
+    # zip over one iterator, once per coordinate, groups each point's texts
+    rank = len(numerators[0])
+    return [opening + between.join(point) + closing for point in zip(*[coordinates] * rank)]
+
+
 def _text_lines(data, prefix=""):
     lines = []
     for key, value in data.items():
@@ -341,6 +355,8 @@ def _text_lines(data, prefix=""):
             lines.extend(_text_lines(value, f"{prefix}{key}."))
         elif type(value) is CyclicKernel:
             lines.append(f"{prefix}{key}: [{', '.join(_divisors(value, '{', ', ', '}'))}]")
+        elif type(value) is ScaledPoints:
+            lines.append(f"{prefix}{key}: [{', '.join(_scaled_points(value, '[', ', ', ']'))}]")
         else:
             lines.append(f"{prefix}{key}: {json.dumps(value)}")
     return lines
@@ -364,7 +380,9 @@ def _json(value, newline):
     children are all scalars (a kernel point): its items are one
     comprehension inside its parent's loop, with no call for it.  Only a
     deeper container recurses.  A CyclicKernel is written as the list of
-    its divisor dicts, from _divisors, with no dict built.  Any other value
+    its divisor dicts, from _divisors, with no dict built, and ScaledPoints
+    as the list of its points, each a list of "p/q" strings, from
+    _scaled_points, with no list built per point.  Any other value
     that is not a dict with str keys, a list, a tuple, a str, an int, a
     bool or None raises TypeError.
     """
@@ -373,6 +391,11 @@ def _json(value, newline):
         inner = newline + "  "
         divisors = _divisors(value, "{" + inner + "  ", "," + inner + "  ", inner + "}")
         return "[" + inner + ("," + inner).join(divisors) + newline + "]"
+    if kind is ScaledPoints:
+        inner = newline + "  "
+        deeper = inner + "  "
+        points = _scaled_points(value, "[" + deeper, "," + deeper, inner + "]")
+        return "[" + inner + ("," + inner).join(points) + newline + "]"
     if kind is not dict and kind is not list and kind is not tuple:
         try:
             return _SCALARS[kind](value)

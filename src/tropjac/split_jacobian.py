@@ -5,6 +5,12 @@ factor) splits the Jacobian: the kernel circle TE' and the target circle TE
 assemble into an isogeny TE' x TE -> Jac whose kernel, degree, and
 polarization behaviour are all pinned down by the degree of mu.  The
 complementary cover realizes the projection onto TE' geometrically.
+
+The isogeny's kernel stays as the ScaledPoints that tav lists, sorted int
+tuples over one denominator: the two torsion flags compare those ints with
+the multiples of one int step, and the report keeps them for the CLI to
+write.  It becomes column matrices only where a caller asks for columns,
+through splitting_isogeny or SplitReport.kernel_points.
 """
 
 from collections import namedtuple
@@ -25,8 +31,8 @@ from .errors import (
     NotProductTarget,
     ShapeMismatch,
 )
-from .exact_lattice import Matrix, _over_lcm, _quotient, block_diagonal, hstack, vstack
-from .tav import check_exact_sequence, isogeny_kernel_points
+from .exact_lattice import Matrix, _quotient, block_diagonal, hstack, vstack
+from .tav import check_exact_sequence, isogeny_kernel_numerators
 from .torus_category import IntegralTorus, TorusMorphism, classify, compose
 
 
@@ -41,14 +47,21 @@ ComplementaryCover = namedtuple(
 class SplitReport(
     namedtuple(
         "SplitReport",
-        ["phi", "phi_tilde", "kernel_points", "degree", "flags",
+        ["phi", "phi_tilde", "kernel", "degree", "flags",
          "phi_morphism", "phi_tilde_morphism"],
     )
 ):
     """Everything verify_split_package checks about a splitting, with the
-    two isogenies recorded by their universal cover matrices."""
+    two isogenies recorded by their universal cover matrices and the kernel
+    of phi as the ScaledPoints that tav lists."""
 
     __slots__ = ()
+
+    @property
+    def kernel_points(self):
+        """The kernel of phi as canonical source points, one column each,
+        sorted coordinate-wise, as isogeny_kernel_points lists them."""
+        return self.kernel.columns()
 
     @property
     def all_flags_hold(self):
@@ -107,9 +120,10 @@ def complementary_cover(cover):
     return ComplementaryCover(length, general.dilations, signs, degree, general)
 
 
-def splitting_isogeny(cover):
+def _splitting(cover):
     """The isogeny TE' x TE -> Jac of a strongly optimal cover, assembled
-    from the kernel inclusion and the pullback, with its kernel points."""
+    from the kernel inclusion and the pullback, with its kernel as
+    ScaledPoints."""
     _require_strongly_optimal(cover)
     te_prime, inclusion = cover._kernel
     pull = cover._pullback
@@ -123,7 +137,14 @@ def splitting_isogeny(cover):
         vstack(inclusion.f_sharp, pull.f_sharp),
         hstack(inclusion.f_hash, pull.f_hash),
     )
-    return phi, isogeny_kernel_points(phi)
+    return phi, isogeny_kernel_numerators(phi)
+
+
+def splitting_isogeny(cover):
+    """The isogeny TE' x TE -> Jac of a strongly optimal cover, with its
+    kernel points as columns, as isogeny_kernel_points lists them."""
+    phi, kernel = _splitting(cover)
+    return phi, kernel.columns()
 
 
 def complementary_pushforward(cover):
@@ -136,16 +157,19 @@ def complementary_pushforward(cover):
     return TorusMorphism(push.source, te_prime, w, f_hash)
 
 
-def _is_d_torsion(positions, length, degree):
-    """Whether the positions, in any order, are exactly the degree-torsion
-    j·length/degree (j = 0..degree-1) of a circle of the given length.
+def _is_d_torsion(positions, den, length, degree):
+    """Whether the positions n/den of the int numerators n, in any order,
+    are exactly the degree-torsion j·length/degree (j = 0..degree-1) of a
+    circle of the given length, where den is a multiple of the denominator
+    of length, as the denominator of a kernel listing is.
 
-    The positions and the step length/degree are scaled to one common
-    denominator, so the comparison runs on ints.
+    When den·length/degree is an int, unit, the positions are compared with
+    the multiples j·unit as they are.  When it is not, the step is no
+    position over den, so nothing matches; a degree of 1 never gets there,
+    as den·length is an int.
     """
-    step = _quotient(length, degree)
-    _, (scaled, (unit,)) = _over_lcm([positions, [step]])
-    return sorted(scaled) == [j * unit for j in range(degree)]
+    unit, rest = divmod(length.numerator * den, length.denominator * degree)
+    return not rest and sorted(positions) == [j * unit for j in range(degree)]
 
 
 def verify_split_package(cover):
@@ -157,7 +181,7 @@ def verify_split_package(cover):
     and both short sequences (kernel inclusion then pushforward; pullback
     then complementary pushforward) are exact.
     """
-    phi, kernel_points = splitting_isogeny(cover)
+    phi, kernel = _splitting(cover)
     degree = cover_degree(cover)
     push, pull = cover._pushforward, cover._pullback
     _, inclusion = cover._kernel
@@ -172,18 +196,18 @@ def verify_split_package(cover):
     composite = compose(phi_tilde, phi)
     length_prime = phi.source.pairing[0, 0]
     length = phi.source.pairing[1, 1]
-    # each kernel point's entries, read once: its position on TE', then on TE
-    columns = list(map(Matrix.entries, kernel_points))
+    # each kernel point's numerators: its position on TE', then on TE
+    numerators, den = kernel
     flags = {
         "kernel_matches_d_torsion_TEprime": _is_d_torsion(
-            [x for (x,), _ in columns], length_prime, degree
+            [x for x, _ in numerators], den, length_prime, degree
         ),
         "kernel_matches_d_torsion_TE": _is_d_torsion(
-            [y for _, (y,) in columns], length, degree
+            [y for _, y in numerators], den, length, degree
         ),
         "composite_is_mult_d": composite.f_sharp == scaled and composite.f_hash == scaled,
         # the pullback of the principal polarization along phi, an isogeny
-        # (isogeny_kernel_points checked it)
+        # (isogeny_kernel_numerators checked it)
         "polarization_pullback_is_d_times_principal": phi.f_sharp * phi.f_hash == scaled,
         "kernel_sequence_exact": check_exact_sequence(inclusion, push),
         "pullback_sequence_exact": check_exact_sequence(pull, comp),
@@ -191,7 +215,7 @@ def verify_split_package(cover):
     return SplitReport(
         phi.universal_cover_matrix,
         phi_tilde.universal_cover_matrix,
-        kernel_points,
+        kernel,
         degree,
         flags,
         phi,

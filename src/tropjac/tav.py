@@ -8,11 +8,15 @@ quotients (by subvarieties and by finite subgroups of rational points).
 
 Points of a torus are rational vectors on the universal cover; the canonical
 representative has pairing-coordinates in [0, 1)^n, which makes point
-equality and torsion orders decidable.
+equality and torsion orders decidable.  A finite subgroup is listed as a
+ScaledPoints record, its points as sorted tuples of int numerators over one
+positive denominator; subgroup_generated and isogeny_kernel_points expand
+that record into columns, while the split package and the CLI read the
+ints as they are.
 """
 
+from collections import namedtuple
 from math import floor, lcm, prod
-from operator import mul
 
 from .errors import (
     KernelTooLarge,
@@ -234,45 +238,63 @@ def _require_listable(count, what):
         )
 
 
+class ScaledPoints(namedtuple("ScaledPoints", ["numerators", "denominator"])):
+    """Points of a torus as a tuple of int tuples over one positive common
+    denominator: the i-th point is numerators[i] / denominator
+    coordinate-wise.  The tuples are sorted, so they list the points sorted
+    coordinate-wise."""
+
+    __slots__ = ()
+
+    def columns(self):
+        """The points as columns of quotients, each entry an int when
+        integral and else one Fraction, as a Matrix stores it."""
+        den = self.denominator
+        return [_quotient_column(num, den) for num in self.numerators]
+
+
 def _box_points(n, gens, counts, den):
     """The points sum k_i·g_i mod den, 0 <= k_i < count_i, of int tuples g_i
-    of length n, as int tuples in [0, den)^n.  The caller passes a box in
-    which every point of the group generated by the g_i has one such sum,
-    so each is listed once.  The box is listed factor by factor, each point
-    made by one tuple addition, with no set and no membership test."""
-    zero = (0,) * n
-    points = [zero]
+    of length n, in [0, den)^n, as n lists of coordinates: list j holds
+    coordinate j of every point, in one order of the points shared by all
+    n lists.  The caller passes a box in which every point of the group
+    generated by the g_i has one such sum, so each is listed once.  The box
+    is listed factor by factor and coordinate by coordinate, each step one
+    comprehension over all points, with no set, no membership test and no
+    call per point."""
+    coordinates = [[0] for _ in range(n)]
     for g, count in zip(gens, counts):
-        multiples, step = [zero], zero
-        for _ in range(count - 1):
-            step = tuple([(a + b) % den for a, b in zip(step, g)])
-            multiples.append(step)
-        if len(points) == 1:
-            points = multiples
-        elif count > 1:
-            points = [tuple([(a + b) % den for a, b in zip(p, m)]) for p in points for m in multiples]
-    return points
+        if count > 1:
+            for j in range(n):
+                multiples = [k * g[j] % den for k in range(count)]
+                coordinates[j] = [(a + b) % den for a in coordinates[j] for b in multiples]
+    return coordinates
 
 
-def _listed_points(pairing, den, coords):
-    """The canonical points pairing * (c / den) of pairing coordinates c in
-    [0, den)^n, sorted coordinate-wise, as columns.
-
-    Each point is one tuple of int numerators, the scaled pairing rows
-    times c, over one positive common denominator, so sorting the
-    numerators sorts the points.  Each sorted tuple becomes one column of
-    quotients, built in exact_lattice, which alone decides how an entry is
-    stored.
+def _listed_points(pairing, den, coordinates, count):
+    """The count canonical points pairing * (c / den) of the pairing
+    coordinates c in [0, den)^n that _box_points lists, sorted
+    coordinate-wise, as ScaledPoints.  Each coordinate of the points is
+    one int comprehension per nonzero entry of its row of the pairing,
+    scaled to ints over the lcm of its denominators, so the numerators are
+    over the one denominator den times that lcm.
     """
     pairing_den, scaled = _over_lcm(pairing.entries())
-    total = den * pairing_den
-    numerators = sorted([tuple([sum(map(mul, row, c)) for row in scaled]) for c in coords])
-    return [_quotient_column(num, total) for num in numerators]
+    rows = []
+    for row in scaled:
+        values = [0] * count
+        for entry, column in zip(row, coordinates):
+            if entry:
+                values = [v + entry * c for v, c in zip(values, column)]
+        rows.append(values)
+    # a rank-0 torus has one point, the empty tuple
+    numerators = tuple(sorted(zip(*rows))) if rows else ((),)
+    return ScaledPoints(numerators, den * pairing_den)
 
 
 def _generated_points(pairing, coords, what):
     """The points of the finite subgroup generated by points with the given
-    pairing coordinates, on the torus of the pairing.
+    pairing coordinates, on the torus of the pairing, as ScaledPoints.
 
     The coordinates are written once as int tuples over their common
     denominator den.  The subgroup is L / den·Z^n for the lattice L
@@ -292,23 +314,25 @@ def _generated_points(pairing, coords, what):
     )
     basis = column_hnf(lattice)
     counts = [den // basis[j, j] for j in range(n)]
-    _require_listable(prod(counts), what)
-    return _listed_points(pairing, den, _box_points(n, basis.columns(), counts, den))
+    count = prod(counts)
+    _require_listable(count, what)
+    return _listed_points(pairing, den, _box_points(n, basis.columns(), counts, den), count)
 
 
 def subgroup_generated(torus, gens):
     """All points of the finite subgroup generated by rational points, as
-    canonical representatives sorted coordinate-wise (see
-    _generated_points); a subgroup of more than MAX_LISTED_POINTS points
-    raises KernelTooLarge before any is listed.
+    canonical representatives sorted coordinate-wise: the columns of the
+    ScaledPoints that _generated_points lists.  A subgroup of more than
+    MAX_LISTED_POINTS points raises KernelTooLarge before any is listed.
     """
     inverse = torus.pairing.inv()
     coords = [(inverse * _as_fraction_column(torus, g)).column_tuple(0) for g in gens]
-    return _generated_points(torus.pairing, coords, "the generated subgroup")
+    return _generated_points(torus.pairing, coords, "the generated subgroup").columns()
 
 
-def isogeny_kernel_points(m):
-    """All group-kernel points of an isogeny, as canonical source points.
+def isogeny_kernel_numerators(m):
+    """All group-kernel points of an isogeny, as canonical source points
+    listed in ScaledPoints: sorted int tuples over one denominator.
 
     The kernel is (U^{-1} L_tgt) / L_src for the universal-cover matrix U:
     the subgroup of the source torus generated by the columns of
@@ -323,6 +347,12 @@ def isogeny_kernel_points(m):
         raise NotIsogeny("source periods do not lie in the lifted lattice")
     pairing = m.source.pairing
     return _generated_points(pairing, (pairing.inv() * lifted).columns(), "the isogeny kernel")
+
+
+def isogeny_kernel_points(m):
+    """All group-kernel points of an isogeny, as canonical source points
+    sorted coordinate-wise: the columns of isogeny_kernel_numerators(m)."""
+    return isogeny_kernel_numerators(m).columns()
 
 
 # -- quotients -------------------------------------------------------------

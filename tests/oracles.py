@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import floor, lcm
 
 from tropjac.errors import NotIsogeny
-from tropjac.exact_lattice import Matrix, _read_exact, smith_normal_form
+from tropjac.exact_lattice import Matrix, _over_lcm, _quotient, _read_exact, smith_normal_form
 from tropjac.torus_category import (
     IntegralTorus,
     TorusMorphism,
@@ -128,6 +128,17 @@ def matrix_isogeny_kernel_points(m):
         point = pairing * Matrix.column([ci - floor(ci) for ci in c.column_tuple(0)])
         points[point.column_tuple(0)] = point
     return sorted(points.values(), key=lambda p: p.column_tuple(0))
+
+
+def over_lcm_is_d_torsion(positions, length, degree):
+    """Whether the stored-number positions, in any order, are exactly the
+    degree-torsion j·length/degree of a circle of the given length, with
+    the positions and the step rescaled to ints over their lcm: the
+    reference for split_jacobian._is_d_torsion, which compares the int
+    numerators of a kernel listing as they are."""
+    step = _quotient(length, degree)
+    _, (scaled, (unit,)) = _over_lcm([positions, [step]])
+    return sorted(scaled) == [j * unit for j in range(degree)]
 
 
 def _subgroup(gens, den, n):
@@ -623,3 +634,57 @@ def wide_kernel_covers(draw):
         ((n2 - 1) * first + n2 * second) / (g * b),
     )
     return ThetaCover(curve, (n, n1, n2), (g * (a + b), g * a, g * b))
+
+
+# -- strongly optimal covers beyond the corpus --------------------------------
+
+from tropjac.curves_covers import MetricGraph, jacobian  # noqa: E402
+from tropjac.split_jacobian import _walk_cover, strong_optimality_gap  # noqa: E402
+
+MAX_SPLIT_DEGREE = 2001
+
+
+def row_walk_cover(graph, row):
+    """The walk cover of a genus-2 graph with the primitive universal cover
+    row r: its target length is the content of P·r, the largest rational
+    dividing both entries, for the period matrix P."""
+    values = (jacobian(graph).torus.pairing * Matrix.column(row)).column_tuple(0)
+    den = lcm(*(Fraction(x).denominator for x in values))
+    return _walk_cover(graph, row, Fraction(gcd(*(int(x * den) for x in values)), den))
+
+
+@st.composite
+def _split_candidates(draw):
+    kind = draw(st.sampled_from(["ladder", "dumbbell", "walk"]))
+    length = draw(_target_lengths)
+    if kind == "ladder":
+        # the benchmark's ladder over a target of length l: degree 2k + 1
+        k = draw(st.integers(1, (MAX_SPLIT_DEGREE - 1) // 2))
+        curve = DumbbellCurve(length / k, length / (k + 1), draw(_target_lengths))
+        return DumbbellCover(curve, (1, 1), (k, k + 1))
+    if kind == "dumbbell":
+        d1, d2 = draw(st.integers(1, 1000)), draw(st.integers(1, 1000))
+        n1, n2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        curve = DumbbellCurve(n1 * length / d1, n2 * length / d2, draw(_target_lengths))
+        return DumbbellCover(curve, (n1, n2), (d1, d2))
+    a, b, c = draw(_positive_rationals), draw(_positive_rationals), draw(_positive_rationals)
+    graph = draw(
+        st.sampled_from(
+            [
+                ThetaCurve(a, b, c).graph(),
+                DumbbellCurve(a, b, c).graph(),
+                MetricGraph(["v"], [("v", "v", a), ("v", "v", b)]),
+            ]
+        )
+    )
+    row = draw(st.tuples(st.integers(-12, 12), st.integers(-12, 12)).filter(lambda r: gcd(*r) == 1))
+    return row_walk_cover(graph, row)
+
+
+def split_covers():
+    """Strongly optimal covers up to degree MAX_SPLIT_DEGREE: ladder
+    dumbbells and other dumbbells over rational targets, and the walk
+    covers of theta, dumbbell and figure-eight graphs of rational lengths."""
+    return _split_candidates().filter(
+        lambda cover: strong_optimality_gap(cover) is None and cover_degree(cover) <= MAX_SPLIT_DEGREE
+    )

@@ -9,7 +9,15 @@ from math import gcd
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import MAX_KERNEL_GCD, divisor_pullback_kernel, wide_kernel_covers
+from oracles import (
+    MAX_KERNEL_GCD,
+    divisor_pullback_kernel,
+    matrix_isogeny_kernel_points,
+    over_lcm_is_d_torsion,
+    row_walk_cover,
+    split_covers,
+    wide_kernel_covers,
+)
 from tropjac.cli import _json, _render, _split_dict, parse_cover, run_command
 from tropjac.cover_analysis import CyclicKernel, TorsionDivisor, pullback_kernel, pullback_kernel_group
 from tropjac.curves_covers import (
@@ -22,8 +30,9 @@ from tropjac.curves_covers import (
     target_length,
 )
 from tropjac.errors import NumberTooLarge, ParseError, ValidationError
-from tropjac.exact_lattice import Matrix
-from tropjac.split_jacobian import SplitReport
+from tropjac.exact_lattice import Matrix, _quotient
+from tropjac.split_jacobian import SplitReport, _is_d_torsion, verify_split_package
+from tropjac.tav import ScaledPoints
 
 import pytest
 
@@ -363,11 +372,14 @@ def test_rendering_an_int_past_the_digit_limit_raises(fmt):
 
 @needs_digit_limit
 def test_kernel_point_past_the_digit_limit_raises():
-    point = Matrix.column([0, Fraction(1, 10**5000 + 1)])
+    # crafted split kernels of one point, (0, 1/(10^5000 + 1)) and
+    # (10^5000, 0): the writer meets the long int in either format
     identity = Matrix.identity(2)
-    report = SplitReport(identity, identity, [point], 1, {}, None, None)
-    with pytest.raises(NumberTooLarge):
-        _split_dict(report)
+    for kernel in (ScaledPoints(((0, 1),), 10**5000 + 1), ScaledPoints(((10**5000, 0),), 1)):
+        report = _split_dict(SplitReport(identity, identity, kernel, 1, {}, None, None))
+        for fmt in ("json", "text"):
+            with pytest.raises(NumberTooLarge):
+                _render(report, fmt)
 
 
 @needs_digit_limit
@@ -431,6 +443,43 @@ def test_kernel_writer_matches_the_divisor_dicts(cover):
     dicts = [{"position": str(position), "order": m} for position, m in listed]
     assert _render({"pullback_kernel": kernel}, "json") == json.dumps({"pullback_kernel": dicts}, indent=2)
     assert _render({"pullback_kernel": kernel}, "text") == f"pullback_kernel: {json.dumps(dicts)}"
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(split_covers())
+# the ladder dumbbell of degree 2001, and walk covers of degrees 1981 and 1983
+@example(DumbbellCover(DumbbellCurve(Fraction(1, 1000), Fraction(1, 1001), 1), (1, 1), (1000, 1001)))
+@example(row_walk_cover(ThetaCurve(Fraction(3, 2), Fraction(5, 3), Fraction(7, 4)).graph(), (-11, 2)))
+@example(row_walk_cover(MetricGraph(["v"], [("v", "v", Fraction(5, 7)), ("v", "v", Fraction(9, 8))]), (-33, 8)))
+def test_split_kernel_writer_matches_the_matrix_listing(cover):
+    # the split kernel, kept as int numerators, is written as json.dumps
+    # writes the str of every entry of the kernel listed by Matrix
+    # arithmetic, in both formats, and expands to that listing
+    report = verify_split_package(cover)
+    listed = matrix_isogeny_kernel_points(report.phi_morphism)
+    assert report.kernel_points == listed
+    split = _split_dict(report)
+    strings = {**split, "kernel_points": [[str(x) for (x,) in p.entries()] for p in listed]}
+    assert _render(split, "json") == json.dumps(strings, indent=2)
+    assert _render(split, "text") == _render(strings, "text")
+    # both torsion flags, and the int check on broken listings, agree with
+    # the check on stored numbers rescaled over their lcm
+    degree, (numerators, den) = report.degree, report.kernel
+    pairing = report.phi_morphism.source.pairing
+    for i, flag in enumerate(["kernel_matches_d_torsion_TEprime", "kernel_matches_d_torsion_TE"]):
+        length = pairing[i, i]
+        assert report.flags[flag] is over_lcm_is_d_torsion([p[i, 0] for p in listed], length, degree) is True
+        broken = [
+            numerators[1:],
+            numerators + numerators[-1:],
+            [point[::-1] for point in numerators],
+            [tuple(x + 1 for x in point) for point in numerators],
+        ]
+        for points in [numerators, *broken]:
+            positions = [point[i] for point in points]
+            assert _is_d_torsion(positions, den, length, degree) == over_lcm_is_d_torsion(
+                [_quotient(n, den) for n in positions], length, degree
+            )
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):

@@ -19,7 +19,14 @@ the Smith box replaced it.  ``text_digests.json`` holds, in the order of
 ``corpus.json`` and ``wide_digests.json``, the SHA-256 of the
 ``analyze --split --format text`` stdout of each of those covers; it was
 recorded while the CLI still built one dict per pullback-kernel divisor,
-before the divisors were written from the kernel's generator.  The five
+before the divisors were written from the kernel's generator.
+``split_digests.json`` holds, in the order of ``complement_digests.json``
+(the 83 strongly optimal corpus covers) and then ``ladder_digests.json``,
+the SHA-256 of the ``split`` stdout of each cover in the json and the text
+format, and the SHA-256 of the ``analyze --split --format text`` stdout of
+the three ladder covers; it was recorded while each split kernel point was
+still built as a column of Fractions and printed through ``str``, before
+the split kernel was kept as int numerators up to its writer.  The six
 files are only read here.
 """
 
@@ -29,6 +36,8 @@ import io
 import json
 from pathlib import Path
 
+import pytest
+
 from tropjac.cli import run_command
 
 TESTS = Path(__file__).resolve().parent
@@ -37,6 +46,7 @@ COMPLEMENTS = TESTS / "complement_digests.json"
 WIDE = TESTS / "wide_digests.json"
 LADDER = TESTS / "ladder_digests.json"
 TEXT = TESTS / "text_digests.json"
+SPLIT = TESTS / "split_digests.json"
 
 
 def _load(path):
@@ -92,3 +102,26 @@ def test_analyze_split_text_matches_recorded_digests(tmp_path):
         for entry, digest in zip(_load(path), digests[name], strict=True)
     ]
     assert _mismatches(entries, ["analyze", "--split", "--format", "text"], tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "name, command",
+    [
+        ("split", ["split"]),
+        ("split_text", ["split", "--format", "text"]),
+        ("analyze_split_text", ["analyze", "--split", "--format", "text"]),
+    ],
+)
+def test_split_kernels_match_recorded_digests(name, command, tmp_path):
+    with open(SPLIT, encoding="utf-8") as handle:
+        digests = json.load(handle)[name]
+    paths = {"complement": COMPLEMENTS, "ladder": LADDER}
+    assert {group: len(digests[group]) for group in digests} == (
+        {"ladder": 3} if name == "analyze_split_text" else {"complement": 83, "ladder": 3}
+    )
+    entries = [
+        {"doc": entry["doc"], "sha256": digest}
+        for group in sorted(digests)
+        for entry, digest in zip(_load(paths[group]), digests[group], strict=True)
+    ]
+    assert _mismatches(entries, command, tmp_path) == []

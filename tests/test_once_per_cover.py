@@ -129,9 +129,14 @@ def test_each_general_cover_is_validated_once(command, document, tmp_path, monke
 
 def _listed_report(report, cover):
     """report with its pullback kernel as the list of divisor dicts it
-    prints as, which json.dumps can write"""
+    prints as, and its split kernel, if any, as the lists of "p/q" strings
+    of its points, which json.dumps can write"""
     divisors = [{"position": str(position), "order": order} for position, order in pullback_kernel(cover)]
-    return {**report, "pullback_kernel": divisors}
+    listed = {**report, "pullback_kernel": divisors}
+    if "kernel_points" in report.get("split", {}):
+        points = [[str(x) for (x,) in p.entries()] for p in verify_split_package(cover).kernel_points]
+        listed["split"] = {**report["split"], "kernel_points": points}
+    return listed
 
 
 @pytest.mark.parametrize(
@@ -317,7 +322,7 @@ def test_renderer_writes_kernel_points_in_place(monkeypatch):
     for k in (50, 1000):
         cover = _ladder_cover(k)
         report = cli._analysis_report(cover, True)
-        assert len(report["split"]["kernel_points"]) == 2 * k + 1
+        assert len(report["split"]["kernel_points"].numerators) == 2 * k + 1
         calls = Counter()
         _count_calls(monkeypatch, cli, "_json", calls)
         text = cli._json(report, "\n")
@@ -339,6 +344,32 @@ def test_split_package_reads_each_kernel_point_once(monkeypatch):
         monkeypatch.undo()
         counts.append(calls["__getitem__"])
     assert counts[0] == counts[1]
+
+
+def test_split_kernel_builds_no_fraction_or_matrix_per_point(monkeypatch):
+    # building and rendering, in both formats, the analyze --split reports
+    # of the ladder dumbbells of degree 101 and 2001 makes the same
+    # Fraction and Matrix constructions, and so does verify_split_package
+    # alone: the kernel stays int numerators from its listing to its text.
+    # A listed column skips Matrix.__init__, so its builder is counted too.
+    def report(cover):
+        built = cli._analysis_report(cover, True)
+        return [cli._render(built, fmt) for fmt in ("json", "text")]
+
+    runs = {"report": report, "package": lambda cover: verify_split_package(cover).all_flags_hold}
+    counts = {name: [] for name in runs}
+    for k in (50, 1000):
+        for name, run in runs.items():
+            cover = _ladder_cover(k)
+            calls = Counter()
+            _count_fractions(monkeypatch, "__new__", calls)
+            _count_calls(monkeypatch, exact_lattice.Matrix, "__init__", calls)
+            _count_calls(monkeypatch, tav, "_quotient_column", calls)
+            assert run(cover)
+            monkeypatch.undo()
+            counts[name].append(calls)
+    assert counts["report"][0] == counts["report"][1]
+    assert counts["package"][0] == counts["package"][1]
 
 
 # Fraction addition, subtraction and multiplication, in both operand orders

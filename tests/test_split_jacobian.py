@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import tropjac.split_jacobian as split_jacobian
-from oracles import cover_corpus, degree_two_cover
+from oracles import cover_corpus, degree_two_cover, over_lcm_is_d_torsion
 from tropjac.cover_analysis import is_optimal, pushforward_morphism, quotient_and_gamma
 from tropjac.curves_covers import (
     DumbbellCover,
@@ -28,7 +28,9 @@ from tropjac.errors import (
     UnsupportedGenus,
 )
 from tropjac.exact_lattice import Matrix
+from tropjac.tav import ScaledPoints
 from tropjac.split_jacobian import (
+    _is_d_torsion,
     _walk_cover,
     complementary_cover,
     complementary_pushforward,
@@ -160,9 +162,24 @@ def _doubled(m):
 
 def _zeroed(coordinate):
     """Kernel points with one circle coordinate moved to 0."""
-    return lambda points, cover: lambda phi: [
-        Matrix([[0 if i == coordinate else p[i, 0]] for i in range(2)]) for p in points(phi)
-    ]
+
+    def patch(kernel, cover):
+        def zeroed(phi):
+            numerators, den = kernel(phi)
+            return ScaledPoints(
+                [tuple(0 if i == coordinate else x for i, x in enumerate(p)) for p in numerators], den
+            )
+
+        return zeroed
+
+    return patch
+
+
+def _edited(edit):
+    """Kernel points with their list of numerator tuples edited."""
+    return lambda kernel, cover: lambda phi: kernel(phi)._replace(
+        numerators=edit(kernel(phi).numerators)
+    )
 
 
 def _scaled_phi(splitting, cover):
@@ -189,25 +206,27 @@ def _complement_doubled(complement, cover):
 
 
 # each case breaks the object behind one flag through the split_jacobian
-# binding that supplies it; other flags that read the same object fail too
+# binding that supplies it; other flags that read the same object fail too.
+# The kernel points come from isogeny_kernel_numerators, as int tuples over
+# one denominator, and phi with them from _splitting.
 BROKEN_FLAGS = {
     "kernel points off TE'": (
-        "isogeny_kernel_points", _zeroed(0), {"kernel_matches_d_torsion_TEprime"}),
+        "isogeny_kernel_numerators", _zeroed(0), {"kernel_matches_d_torsion_TEprime"}),
     "kernel points off TE": (
-        "isogeny_kernel_points", _zeroed(1), {"kernel_matches_d_torsion_TE"}),
+        "isogeny_kernel_numerators", _zeroed(1), {"kernel_matches_d_torsion_TE"}),
     "kernel point dropped": (
-        "isogeny_kernel_points",
-        lambda points, cover: lambda phi: points(phi)[1:],
+        "isogeny_kernel_numerators",
+        _edited(lambda numerators: numerators[1:]),
         {"kernel_matches_d_torsion_TEprime", "kernel_matches_d_torsion_TE"},
     ),
     "kernel point repeated": (
-        "isogeny_kernel_points",
-        lambda points, cover: lambda phi: points(phi) + points(phi)[-1:],
+        "isogeny_kernel_numerators",
+        _edited(lambda numerators: numerators + numerators[-1:]),
         {"kernel_matches_d_torsion_TEprime", "kernel_matches_d_torsion_TE"},
     ),
     "phi_tilde scaled": ("compose", _scaled_phi_tilde, {"composite_is_mult_d"}),
     "phi scaled": (
-        "splitting_isogeny",
+        "_splitting",
         _scaled_phi,
         {"composite_is_mult_d", "polarization_pullback_is_d_times_principal"},
     ),
@@ -219,6 +238,25 @@ BROKEN_FLAGS = {
         {"composite_is_mult_d", "pullback_sequence_exact"},
     ),
 }
+
+
+@pytest.mark.parametrize(
+    "positions, den, length, degree",
+    [
+        ([0, 2, 1], 6, 1, 3),  # 0, 1/3, 2/3: the 3-torsion of a circle of length 1
+        ([0, 3, 1], 6, 1, 3),
+        ([0, 1, 2], 4, Fraction(3, 2), 3),  # step 1/2 over 4: 0, 1/4, 1/2 miss it
+        ([0, 2, 4], 4, Fraction(3, 2), 3),
+        # over 1 the step 1/2 is no position; the floor of den·step, 0,
+        # must not stand in for it
+        ([0, 0], 1, 1, 2),
+        ([0], 3, Fraction(5, 3), 1),
+        ([1], 3, Fraction(5, 3), 1),
+    ],
+)
+def test_torsion_check_on_ints_agrees_with_the_rescaled_check(positions, den, length, degree):
+    expected = over_lcm_is_d_torsion([Fraction(n, den) for n in positions], length, degree)
+    assert _is_d_torsion(positions, den, length, degree) is expected
 
 
 def test_every_flag_has_a_breaking_case():

@@ -21,6 +21,7 @@ from tropjac import (
     MetricGraph,
     OptimalityVerdict,
     Polarization,
+    ScaledPoints,
     ThetaCurve,
     TorsionDivisor,
     circle_graph,
@@ -41,6 +42,7 @@ VALUES = {
     # records
     "TorsionDivisor": lambda: TorsionDivisor(Fraction(3, 2), 2),
     "CyclicKernel": lambda: CyclicKernel(3, Fraction(1, 2)),
+    "ScaledPoints": lambda: ScaledPoints(((0, 0), (1, 3)), 2),
     "OptimalityVerdict": lambda: OptimalityVerdict(True, None, 1),
     "GammaData": lambda: GammaData(Fraction(3), 1, 1),
     # the walk cover is shared: covers compare by identity
@@ -65,7 +67,7 @@ VALUES = {
     "Matrix": lambda: Matrix([[2, Fraction(1, 3)], [Fraction(-4, 2), 0]]),
 }
 
-# the split report holds its flags in a dict and its kernel points in a list
+# the split report holds its flags in a dict
 UNHASHABLE = {"SplitReport"}
 
 
