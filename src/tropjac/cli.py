@@ -348,15 +348,19 @@ def _scaled_points(points, opening, between, closing):
     return [opening + between.join(point) + closing for point in zip(*[coordinates] * rank)]
 
 
+# the kernels a report holds unlisted: the writer of each one's items, and
+# the brackets of an item
+_KERNELS = {CyclicKernel: (_divisors, "{", "}"), ScaledPoints: (_scaled_points, "[", "]")}
+
+
 def _text_lines(data, prefix=""):
     lines = []
     for key, value in data.items():
         if isinstance(value, dict):
             lines.extend(_text_lines(value, f"{prefix}{key}."))
-        elif type(value) is CyclicKernel:
-            lines.append(f"{prefix}{key}: [{', '.join(_divisors(value, '{', ', ', '}'))}]")
-        elif type(value) is ScaledPoints:
-            lines.append(f"{prefix}{key}: [{', '.join(_scaled_points(value, '[', ', ', ']'))}]")
+        elif type(value) in _KERNELS:
+            items, opening, closing = _KERNELS[type(value)]
+            lines.append(f"{prefix}{key}: [{', '.join(items(value, opening, ', ', closing))}]")
         else:
             lines.append(f"{prefix}{key}: {json.dumps(value)}")
     return lines
@@ -377,7 +381,7 @@ def _json(value, newline):
 
     Each container is one loop and one join over its children.  A scalar
     child is written in place, and so is a dict or list child whose own
-    children are all scalars (a kernel point): its items are one
+    children are all scalars (a matrix row): its items are one
     comprehension inside its parent's loop, with no call for it.  Only a
     deeper container recurses.  A CyclicKernel is written as the list of
     its divisor dicts, from _divisors, with no dict built, and ScaledPoints
@@ -387,15 +391,11 @@ def _json(value, newline):
     bool or None raises TypeError.
     """
     kind = type(value)
-    if kind is CyclicKernel:
+    if kind in _KERNELS:
+        items, opening, closing = _KERNELS[kind]
         inner = newline + "  "
-        divisors = _divisors(value, "{" + inner + "  ", "," + inner + "  ", inner + "}")
-        return "[" + inner + ("," + inner).join(divisors) + newline + "]"
-    if kind is ScaledPoints:
-        inner = newline + "  "
-        deeper = inner + "  "
-        points = _scaled_points(value, "[" + deeper, "," + deeper, inner + "]")
-        return "[" + inner + ("," + inner).join(points) + newline + "]"
+        texts = items(value, opening + inner + "  ", "," + inner + "  ", inner + closing)
+        return "[" + inner + ("," + inner).join(texts) + newline + "]"
     if kind is not dict and kind is not list and kind is not tuple:
         try:
             return _SCALARS[kind](value)
