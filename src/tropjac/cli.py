@@ -16,7 +16,11 @@ to which json.dumps falls back whenever it is given an indent.  The analyze
 report holds the pullback kernel as its generator, a CyclicKernel; _json
 writes it as the list of {"position": "p/q", "order": m} divisors that
 json.dumps would write, from ints, with no Fraction, TorsionDivisor or
-dict per divisor.  The split report holds the kernel of the splitting
+dict per divisor.  The orders come from the divisor sieve of
+cover_analysis._torsion_orders, one slice store per divisor of the kernel's
+order g, so an int generator costs no gcd per divisor; a generator num/den
+with den > 1 costs one gcd(j, den) per divisor, for its position in lowest
+terms.  The split report holds the kernel of the splitting
 isogeny as the ScaledPoints that tav lists, int numerators over one
 denominator; _json and _text_lines write each point as the list of "p/q"
 strings json.dumps would write, from those ints, with no Fraction, Matrix
@@ -36,6 +40,7 @@ from math import gcd
 from .cover_analysis import (
     CyclicKernel,
     _listable,
+    _torsion_orders,
     component_count,
     factor_pushforward,
     is_optimal,
@@ -313,20 +318,26 @@ def _factor_report(first, second):
 
 def _divisors(kernel, opening, between, closing):
     """The divisors of a cyclic kernel, order g and generator num/den, as
-    the texts opening "position": "p/q" between "order": m closing, one
-    f-string per divisor built from ints (and one for a position that is
-    not integral).  The j-th sits at j·num/den, written in lowest terms as
-    j·num//k over den//k with k = gcd(j, den), and has order g//gcd(j, g).
-    A number past Python's digit limit raises ValueError, which _render
-    turns into NumberTooLarge."""
+    the texts opening "position": "p/q" between "order": m closing.  The
+    j-th sits at j·num/den and has order g//gcd(j, g).  The divisor sieve
+    of cover_analysis._torsion_orders writes the tail of each order, from
+    the quote that closes the position to closing, once per divisor of g,
+    with no gcd per divisor.  Each divisor is then one f-string of its
+    position and its tail, in one comprehension: the int j·num when den is
+    1, and else j·num//k over den//k in lowest terms, k = gcd(j, den), the
+    one gcd still made per divisor (den is not sieved, as it can have large
+    prime factors).  A number past Python's digit limit raises ValueError,
+    which _render turns into NumberTooLarge."""
     g, step = kernel
     num, den = step.numerator, step.denominator
-    texts = []
-    for j in range(g):
-        k = gcd(j, den)
-        position = j * num // k if k == den else f"{j * num // k}/{den // k}"
-        texts.append(f'{opening}"position": "{position}"{between}"order": {g // gcd(j, g)}{closing}')
-    return texts
+    head = opening + '"position": "'
+    tails = _torsion_orders(g, lambda m: f'"{between}"order": {m}{closing}')
+    if den == 1:
+        return [f"{head}{position}{tail}" for position, tail in zip(range(0, g * num, num), tails)]
+    return [
+        f"{head}{j * num // k}{tail}" if (k := gcd(j, den)) == den else f"{head}{j * num // k}/{den // k}{tail}"
+        for j, tail in enumerate(tails)
+    ]
 
 
 def _scaled_points(points, opening, between, closing):
@@ -338,13 +349,15 @@ def _scaled_points(points, opening, between, closing):
     join of its coordinates.  A number past Python's digit limit raises
     ValueError, which _render turns into NumberTooLarge."""
     numerators, den = points
+    rank = len(numerators[0])
+    if not rank:  # the one point of a rank-0 torus is empty: [] in either format
+        return ["[]"] * len(numerators)
     coordinates = iter([
         f'"{n // k}"' if (k := gcd(n, den)) == den else f'"{n // k}/{den // k}"'
         for point in numerators
         for n in point
     ])
     # zip over one iterator, once per coordinate, groups each point's texts
-    rank = len(numerators[0])
     return [opening + between.join(point) + closing for point in zip(*[coordinates] * rank)]
 
 

@@ -16,7 +16,7 @@ here are shared, never copied.
 """
 
 from collections import namedtuple
-from math import gcd
+from math import gcd, isqrt
 
 from .curves_covers import DumbbellCover, _circle_cover, _rational, harmonic_form
 from .curves_covers import GammaData  # noqa: F401  (returned by quotient_and_gamma)
@@ -107,19 +107,43 @@ def _listable(kernel):
     return kernel
 
 
+def _torsion_orders(g, write=int):
+    """write(g // gcd(j, g)) for j in range(g): the order of the j-th
+    multiple of a generator of order g, as write writes it, with no gcd
+    per multiple.  gcd(j, g) is the largest divisor e of g that divides j,
+    so one pass over the divisors e of g in increasing order, each a slice
+    store of write(g // e) at the multiples of e, leaves every j with its
+    order: sigma(g) stores from C and one write per divisor.  The divisors
+    up to isqrt(g) come from trial division, at most 1000 trials for a
+    listable g, and the others are their cofactors."""
+    orders = [write(g)] * g  # e = 1
+    small = []
+    for e in range(2, isqrt(g) + 1):
+        if g % e == 0:
+            small.append(e)
+            orders[::e] = [write(g // e)] * (g // e)
+    for m in reversed(small):  # the cofactors e = g // m, increasing
+        if m * m != g:
+            orders[:: g // m] = [write(m)] * m
+    if g > 1:  # e = g, at j = 0
+        orders[0] = write(1)
+    return orders
+
+
 def pullback_kernel(cover):
     """Kernel of mu^* as its torsion divisors, listed from
     pullback_kernel_group: the j-th multiple of the generator num/den sits
-    at j·num/den and has order g/gcd(j, g).  The first multiple is the
-    generator itself; each other is one exact_lattice._quotient of two ints,
-    an int when it is integral, else the one Fraction built for it.  A
-    kernel too large to list raises KernelTooLarge first.
+    at j·num/den and has order g/gcd(j, g), read from the divisor sieve of
+    _torsion_orders.  The first multiple is the generator itself; each
+    other is one exact_lattice._quotient of two ints, an int when it is
+    integral, else the one Fraction built for it.  A kernel too large to
+    list raises KernelTooLarge first.
     """
     g, step = _listable(pullback_kernel_group(cover))
     num, den = step.numerator, step.denominator
     return [
-        TorsionDivisor(step if j == 1 else _quotient(j * num, den), g // gcd(j, g))
-        for j in range(g)
+        TorsionDivisor(step if j == 1 else _quotient(j * num, den), order)
+        for j, order in enumerate(_torsion_orders(g))
     ]
 
 

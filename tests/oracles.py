@@ -558,6 +558,20 @@ def divisor_pullback_kernel(cover):
     return found
 
 
+def gcd_divisor_texts(kernel, opening, between, closing):
+    """The divisor texts of a CyclicKernel as the CLI wrote them before the
+    divisor sieve: one loop step per divisor, with gcd(j, den) for the
+    position in lowest terms and gcd(j, g) for the order g/gcd(j, g)."""
+    g, step = kernel
+    num, den = step.numerator, step.denominator
+    texts = []
+    for j in range(g):
+        k = gcd(j, den)
+        position = j * num // k if k == den else f"{j * num // k}/{den // k}"
+        texts.append(f'{opening}"position": "{position}"{between}"order": {g // gcd(j, g)}{closing}')
+    return texts
+
+
 # -- covers beyond the corpus ------------------------------------------------
 
 MAX_WINDING = 40

@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 from oracles import (
     MAX_KERNEL_GCD,
     divisor_pullback_kernel,
+    gcd_divisor_texts,
     matrix_isogeny_kernel_points,
     over_lcm_is_d_torsion,
     row_walk_cover,
     split_covers,
     wide_kernel_covers,
 )
-from tropjac.cli import _json, _render, _split_dict, parse_cover, run_command
+from tropjac.cli import _KERNELS, _json, _render, _split_dict, parse_cover, run_command
 from tropjac.cover_analysis import CyclicKernel, TorsionDivisor, pullback_kernel, pullback_kernel_group
 from tropjac.curves_covers import (
     DumbbellCover,
@@ -443,6 +444,42 @@ def test_kernel_writer_matches_the_divisor_dicts(cover):
     dicts = [{"position": str(position), "order": m} for position, m in listed]
     assert _render({"pullback_kernel": kernel}, "json") == json.dumps({"pullback_kernel": dicts}, indent=2)
     assert _render({"pullback_kernel": kernel}, "text") == f"pullback_kernel: {json.dumps(dicts)}"
+
+
+@pytest.mark.parametrize(
+    "kernels",
+    [
+        [CyclicKernel(g, 1) for g in range(1, 301)],
+        [CyclicKernel(g, step) for g in (1, 2, 12, 360) for step in (7, 10**20 + 1)],
+        [CyclicKernel(360, Fraction(7, q)) for q in (2, 12, 360)],
+        # prime to g, and over every prime of g with higher powers
+        [CyclicKernel(360, Fraction(7, q)) for q in (11, 1009, 1350)],
+        [CyclicKernel(360, step) for step in (Fraction(5, 66), Fraction(1, 196), Fraction(7, 1024))],
+        [CyclicKernel(7919, 1), CyclicKernel(7919, Fraction(3, 14))],
+        # 2^4·3^2·5·7·11·13: 240 divisors
+        [CyclicKernel(720720, 1)],
+    ],
+    ids=["g-to-300", "int-step", "q-divides-g", "q-not-dividing-g", "q-shares-some-primes", "prime-g", "g-720720"],
+)
+def test_divisor_writer_matches_the_gcd_loop(kernels, monkeypatch):
+    # the orders read from the divisor sieve give the bytes that two gcds
+    # per divisor gave, in both formats.  The texts are compared split at
+    # each divisor's closing brace, so that a failure names the first
+    # divisor that differs rather than diffing two long strings.
+    for kernel in kernels:
+        for fmt in ("json", "text"):
+            written = _render({"pullback_kernel": kernel}, fmt)
+            monkeypatch.setitem(_KERNELS, CyclicKernel, (gcd_divisor_texts, "{", "}"))
+            expected = _render({"pullback_kernel": kernel}, fmt)
+            monkeypatch.undo()
+            assert written.split("}") == expected.split("}"), (kernel, fmt)
+
+
+def test_rank_0_points_are_written_as_empty_lists():
+    # the one point of a rank-0 torus is the empty tuple, written as []
+    report = {"k": ScaledPoints(((),), 1)}
+    assert _render(report, "json") == json.dumps({"k": [[]]}, indent=2)
+    assert _render(report, "text") == f"k: {json.dumps([[]])}"
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tropjac.cli as cli
+import tropjac.cover_analysis as cover_analysis
 import tropjac.curves_covers as curves_covers
 import tropjac.exact_lattice as exact_lattice
 import tropjac.split_jacobian as split_jacobian
@@ -22,6 +23,7 @@ from oracles import degree_two_cover, dumbbell_covers, random_unimodular, theta_
 from test_presentations import subdivided
 from tropjac.cli import run_command
 from tropjac.cover_analysis import (
+    CyclicKernel,
     TorsionDivisor,
     component_count,
     is_optimal,
@@ -274,6 +276,42 @@ def test_pullback_kernel_builds_one_fraction_per_divisor(monkeypatch):
             assert calls["__new__"] == fractions == sum(type(d.position) is Fraction for d in kernel)
             products.append(calls["__mul__"])
     assert products == [0, 0, 0, 0]
+
+
+def test_divisor_orders_cost_no_gcd_per_divisor(monkeypatch):
+    # the orders come from the divisor sieve: over an int generator (the
+    # integral dumbbells), writing the kernel in both formats and expanding
+    # it make the same gcd calls at g = 1000 and 20000.  Over the generator
+    # 7/(5g) of the wide dumbbells, each written divisor makes exactly one
+    # gcd, for its position in lowest terms, and expanding still makes none.
+    counts = {}
+    for g in (1000, 20000):
+        for generator, cover in (("int", _integral_dumbbell(g)), ("fraction", _wide_dumbbell(g))):
+            report = {"pullback_kernel": pullback_kernel_group(cover)}  # the cover keeps its parts
+            calls = Counter()
+            for module in (cli, cover_analysis):
+                _count_calls(monkeypatch, module, "gcd", calls)
+            texts = [cli._render(report, fmt) for fmt in ("json", "text")]
+            written = calls["gcd"]
+            divisors = pullback_kernel(cover)
+            monkeypatch.undo()
+            assert len(divisors) == g == len(json.loads(texts[0])["pullback_kernel"])
+            counts.setdefault(generator, []).append((written, calls["gcd"] - written))
+    (int_1000, int_20000), (fraction_1000, fraction_20000) = counts["int"], counts["fraction"]
+    assert int_1000 == int_20000
+    assert fraction_20000[0] - fraction_1000[0] == 2 * (20000 - 1000)
+    assert fraction_1000[1] == fraction_20000[1]
+
+
+def test_divisors_are_written_up_to_the_listing_bound():
+    # g = 10^6 = 1000^2: trial division reaches isqrt(g) = 1000, and the
+    # multiples of 1000 that no larger divisor of g divides have order 1000
+    g = tav.MAX_LISTED_POINTS
+    texts = cli._divisors(CyclicKernel(g, 1), "{", ", ", "}")
+    assert len(texts) == g
+    assert texts[0] == '{"position": "0", "order": 1}'
+    assert texts[1000] == '{"position": "1000", "order": 1000}'
+    assert texts[-1] == f'{{"position": "{g - 1}", "order": {g}}}'
 
 
 def test_renderer_writes_int_children_in_place(monkeypatch):
