@@ -9,6 +9,12 @@ reads every number that comes in, a matrix entry, a length or a point
 coordinate, and _quotient is the package's one division.  No other module
 imports ``fractions`` or divides with ``/``.
 
+Caller input is read once, by the Matrix constructor.  A result built from
+entries that are already stored numbers (a transpose, a negation, a product,
+a stacking, a submatrix, a normal form or a solution) is wrapped as it is by
+Matrix._of and not read again; only sums, differences and scalar products,
+whose Fraction entries can come out integral, go back through the reader.
+
 Solving, inverting, multiplying and taking determinants run on ints over
 one denominator: the input is scaled once to int numerators over the lcm
 of its denominators (each row of [A|B] over its own when solving), the
@@ -120,6 +126,12 @@ def _read_exact(x):
     return x.numerator if x.denominator == 1 else x
 
 
+def _require_size(n):
+    """Refuse, with ValueError, a matrix dimension that is not an int >= 0."""
+    if type(n) is not int or n < 0:
+        raise ValueError(f"a matrix dimension must be a nonnegative int, not {n!r}")
+
+
 def _over_lcm(rows):
     """Rows of entries as (den, rows of ints): int numerators over the lcm
     of all their denominators.  All-int rows come back as they are, over 1."""
@@ -156,6 +168,11 @@ class Matrix(_Immutable):
     matrix refuses assignment once it is built: matrices are kept inside
     cover analyses and used as set members and dict keys.
 
+    The constructor is the one gate for caller input: it reads every entry
+    and checks the shape, and anything it cannot read raises ValueError.
+    The results of the operations below are built by _of from entries
+    already stored, which are not read again.
+
     >>> Matrix([[Fraction(4, 2), Fraction(1, 3)]])
     Matrix([[2, Fraction(1, 3)]], ncols=2)
     """
@@ -170,6 +187,8 @@ class Matrix(_Immutable):
             )
         except ValueError as exc:
             raise ValueError(f"matrix entries must be exact rationals, {exc}") from exc
+        except TypeError as exc:  # rows, or a row, that is not iterable
+            raise ValueError(f"matrix rows must be sequences of entries, {exc}") from exc
         if converted:
             width = len(converted[0])
             if ncols is not None and ncols != width:
@@ -180,16 +199,30 @@ class Matrix(_Immutable):
             ncols = width
         elif ncols is None:
             raise ValueError("ncols is required for a matrix with no rows")
+        else:
+            _require_size(ncols)
         _set_rows(self, converted)
         _set_ncols(self, ncols)
 
     @classmethod
+    def _of(cls, rows, ncols):
+        """The matrix of rows, a tuple of row tuples of stored numbers, each
+        of length ncols: the builder of results, which reads nothing again."""
+        matrix = cls.__new__(cls)
+        _set_rows(matrix, rows)
+        _set_ncols(matrix, ncols)
+        return matrix
+
+    @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], ncols=n)
+        _require_size(n)
+        return cls._of(tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)]), n)
 
     @classmethod
     def zeros(cls, m, n):
-        return cls([[0] * n for _ in range(m)], ncols=n)
+        _require_size(m)
+        _require_size(n)
+        return cls._of(((0,) * n,) * m, n)
 
     @classmethod
     def diagonal(cls, entries):
@@ -200,11 +233,6 @@ class Matrix(_Immutable):
     @classmethod
     def column(cls, entries):
         return cls([[x] for x in entries], ncols=1)
-
-    @classmethod
-    def row(cls, entries):
-        entries = list(entries)
-        return cls([entries], ncols=len(entries))
 
     # -- shape and access ---------------------------------------------------
 
@@ -237,11 +265,11 @@ class Matrix(_Immutable):
         return [self.column_tuple(j) for j in range(self._ncols)]
 
     def submatrix(self, row_indices, col_indices):
-        row_indices = list(row_indices)
         col_indices = list(col_indices)
-        return Matrix(
-            [[self._rows[i][j] for j in col_indices] for i in row_indices],
-            ncols=len(col_indices),
+        rows = self._rows
+        return Matrix._of(
+            tuple([tuple([rows[i][j] for j in col_indices]) for i in row_indices]),
+            len(col_indices),
         )
 
     # -- predicates ---------------------------------------------------------
@@ -283,7 +311,7 @@ class Matrix(_Immutable):
         )
 
     def __neg__(self):
-        return Matrix([[-x for x in row] for row in self._rows], ncols=self._ncols)
+        return Matrix._of(tuple([tuple([-x for x in row]) for row in self._rows]), self._ncols)
 
     def __mul__(self, other):
         """Matrix product, or the product with a scalar.
@@ -298,21 +326,20 @@ class Matrix(_Immutable):
             a_den, a = _over_lcm(self._rows)
             b_den, b = _over_lcm(other._rows)
             cols = list(zip(*b)) if b else [()] * other._ncols
-            product = [[sum(map(mul, row, col)) for col in cols] for row in a]
+            product = tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
             den = a_den * b_den
             if den != 1:
-                product = [[_quotient(x, den) for x in row] for row in product]
-            return Matrix(product, ncols=other._ncols)
+                product = tuple([tuple([_quotient(x, den) for x in row]) for row in product])
+            return Matrix._of(product, other._ncols)
         scalar = _read_exact(other)
         return Matrix([[x * scalar for x in row] for row in self._rows], ncols=self._ncols)
 
     __rmul__ = __mul__  # only a scalar reaches it, and scalars commute
 
     def transpose(self):
-        return Matrix(
-            [[self._rows[i][j] for i in range(len(self._rows))] for j in range(self._ncols)],
-            ncols=len(self._rows),
-        )
+        # zip of no rows gives no columns, so a 0 x n matrix is built apart
+        rows = self._rows
+        return Matrix._of(tuple(zip(*rows)) if rows else ((),) * self._ncols, len(rows))
 
     def det(self):
         """Determinant by Bareiss elimination on ints; det of the 0x0 matrix is 1.
@@ -363,30 +390,18 @@ class Matrix(_Immutable):
 _set_rows, _set_ncols = Matrix._rows.__set__, Matrix._ncols.__set__
 
 
-def _quotient_column(numerators, den):
-    """The column Matrix of the entries num/den, for ints num and a nonzero
-    int den.  Each entry is one _quotient, an int when integral and else one
-    Fraction, which is how a Matrix stores it, so the finished entries are
-    not read again by Matrix.__init__."""
-    column = Matrix.__new__(Matrix)
-    _set_rows(column, tuple([(_quotient(x, den),) for x in numerators]))
-    _set_ncols(column, 1)
-    return column
-
-
 def hstack(a, b):
     if a.nrows != b.nrows:
         raise ValueError("row count mismatch in hstack")
-    return Matrix(
-        [list(r1) + list(r2) for r1, r2 in zip(a.entries(), b.entries())],
-        ncols=a.ncols + b.ncols,
+    return Matrix._of(
+        tuple([r1 + r2 for r1, r2 in zip(a.entries(), b.entries())]), a.ncols + b.ncols
     )
 
 
 def vstack(a, b):
     if a.ncols != b.ncols:
         raise ValueError("column count mismatch in vstack")
-    return Matrix(list(a.entries()) + list(b.entries()), ncols=a.ncols)
+    return Matrix._of(a.entries() + b.entries(), a.ncols)
 
 
 def block_diagonal(a, b):
@@ -512,9 +527,9 @@ def smith_normal_form(a):
         t += 1
 
     return (
-        Matrix(u, ncols=m),
-        Matrix(s, ncols=n),
-        Matrix(v, ncols=n),
+        Matrix._of(tuple(map(tuple, u)), m),
+        Matrix._of(tuple(map(tuple, s)), n),
+        Matrix._of(tuple(map(tuple, v)), n),
     )
 
 
@@ -569,7 +584,7 @@ def row_hnf(a):
                         rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
                 r += 1
                 break
-    return Matrix(rows[:r], ncols=n)
+    return Matrix._of(tuple(map(tuple, rows[:r])), n)
 
 
 def column_hnf(a):
@@ -670,7 +685,7 @@ def rational_solve(a, b):
     for i, col in enumerate(pivot_cols):
         pivot = work[i][col]
         solution[col] = [_quotient(x, pivot) for x in work[i][n:]]
-    return Matrix(solution, ncols=k)
+    return Matrix._of(tuple(map(tuple, solution)), k)
 
 
 def integer_solve(a, b):
@@ -694,4 +709,4 @@ def integer_solve(a, b):
         for j in range(k):
             if c[i, j] != 0:
                 return None
-    return v * Matrix(y, ncols=k)
+    return v * Matrix._of(tuple(map(tuple, y)), k)

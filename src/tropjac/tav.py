@@ -31,7 +31,6 @@ from .exact_lattice import (
     Matrix,
     _over_lcm,
     _quotient,
-    _quotient_column,
     _read_exact,
     _Value,
     column_hnf,
@@ -250,7 +249,7 @@ class ScaledPoints(namedtuple("ScaledPoints", ["numerators", "denominator"])):
         """The points as columns of quotients, each entry an int when
         integral and else one Fraction, as a Matrix stores it."""
         den = self.denominator
-        return [_quotient_column(num, den) for num in self.numerators]
+        return [Matrix._of(tuple([(_quotient(x, den),) for x in num]), 1) for num in self.numerators]
 
 
 def _box_points(n, gens, counts, den):
@@ -334,19 +333,20 @@ def isogeny_kernel_numerators(m):
     """All group-kernel points of an isogeny, as canonical source points
     listed in ScaledPoints: sorted int tuples over one denominator.
 
-    The kernel is (U^{-1} L_tgt) / L_src for the universal-cover matrix U:
-    the subgroup of the source torus generated by the columns of
-    U^{-1} * (target pairing), listed as subgroup_generated lists one.  A
-    kernel of more than MAX_LISTED_POINTS points raises KernelTooLarge
-    before any is listed.
+    The kernel is (U^{-1} L_tgt) / L_src for the universal-cover matrix
+    U = f_sharp^T: the subgroup of the source torus generated by the
+    columns of U^{-1} * P_tgt.  Their pairing coordinates are
+    P_src^{-1} * U^{-1} * P_tgt, which the pairing law U * P_src =
+    P_tgt * f_hash makes f_hash^{-1}, so the kernel is listed from the
+    columns of f_hash^{-1} as subgroup_generated lists one.  The source
+    periods always lie in the lifted lattice U^{-1} L_tgt: their
+    coordinates in it are f_hash, which TorusMorphism and classify both
+    check to be integral.  A kernel of more than MAX_LISTED_POINTS points
+    raises KernelTooLarge before any is listed.
     """
     if not classify(m).isogeny:
         raise NotIsogeny("kernel-point enumeration requires an isogeny")
-    lifted = m.universal_cover_matrix.inv() * m.target.pairing  # basis of the preimage lattice
-    if not (lifted.inv() * m.source.pairing).is_integral():
-        raise NotIsogeny("source periods do not lie in the lifted lattice")
-    pairing = m.source.pairing
-    return _generated_points(pairing, (pairing.inv() * lifted).columns(), "the isogeny kernel")
+    return _generated_points(m.source.pairing, m.f_hash.inv().columns(), "the isogeny kernel")
 
 
 def isogeny_kernel_points(m):

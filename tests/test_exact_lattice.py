@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 
 from oracles import fraction_det, fraction_rational_solve
 from tropjac.errors import ContainmentViolation
+import tropjac.exact_lattice as exact_lattice
 from tropjac.torus_category import circle
 from tropjac.exact_lattice import (
     INFINITE,
@@ -56,6 +57,30 @@ def test_matrix_shapes_and_empty():
 
 def test_matrix_requires_ncols_when_no_rows():
     pytest.raises(ValueError, lambda: Matrix([]))
+
+
+@pytest.mark.parametrize("ncols", [-1, 2.5, "2", True])
+def test_matrix_without_rows_refuses_a_bad_column_count(ncols):
+    # with no rows, ncols alone sets the shape, so it must be an int >= 0
+    pytest.raises(ValueError, Matrix, [], ncols=ncols)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Matrix.identity(-1),
+        lambda: Matrix.identity(2.5),
+        lambda: Matrix.zeros(-1, 2),
+        lambda: Matrix.zeros(2, -1),
+        lambda: Matrix.zeros(2, "2"),
+        lambda: Matrix([1, 2]),
+        lambda: Matrix(3),
+    ],
+    ids=["identity-negative", "identity-float", "zeros-negative-rows", "zeros-negative-cols",
+         "zeros-string-cols", "flat-list", "int"],
+)
+def test_matrix_builders_refuse_bad_shapes_with_value_error(build):
+    pytest.raises(ValueError, build)
 
 
 def test_matrix_product_and_transpose():
@@ -153,25 +178,34 @@ def _ref_inverse(a):
 
 def _assert_represents(m, reference):
     """Every entry is an int exactly when it is integral, never a float, and
-    the matrix equals the plain-Fraction reference."""
-    for row in m.entries():
+    the matrix equals the plain-Fraction reference.  Its rows are a tuple of
+    tuples, so no caller can change a kept, hashed matrix through them, and
+    the constructor, reading them again, builds an equal matrix with the
+    same hash."""
+    entries = m.entries()
+    assert type(entries) is tuple and all(type(row) is tuple for row in entries)
+    for row in entries:
+        assert len(row) == m.ncols
         for x in row:
             assert type(x) in (int, Fraction), x
             assert (type(x) is int) == (Fraction(x).denominator == 1), x
-    assert [list(row) for row in m.entries()] == reference
+    assert [list(row) for row in entries] == reference
+    read = Matrix(entries, ncols=m.ncols)
+    assert read == m and hash(read) == hash(m)
 
 
-@settings(max_examples=80)
-@given(st.integers(1, 3), st.integers(1, 3), st.data())
+@settings(max_examples=120)
+@given(st.integers(0, 3), st.integers(0, 3), st.data())
 def test_every_operation_keeps_one_representation(m, n, data):
     rows_a = data.draw(rational_matrix_lists(m, n))
     rows_b = data.draw(rational_matrix_lists(m, n))
     rows_c = data.draw(rational_matrix_lists(n, 2))
     rows_s = data.draw(rational_matrix_lists(m, m))
     scalar = data.draw(rational_entries())
-    picked_rows = data.draw(st.lists(st.integers(0, m - 1), max_size=3))
-    picked_cols = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
-    a, b, c, square = Matrix(rows_a), Matrix(rows_b), Matrix(rows_c), Matrix(rows_s)
+    picked_rows = data.draw(st.lists(st.integers(0, m - 1), max_size=3)) if m else []
+    picked_cols = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)) if n else []
+    a, b = Matrix(rows_a, ncols=n), Matrix(rows_b, ncols=n)
+    c, square = Matrix(rows_c, ncols=2), Matrix(rows_s, ncols=m)
     ra, rb, rc, rs = map(_fractions, (rows_a, rows_b, rows_c, rows_s))
     _assert_represents(a, ra)
     _assert_represents(a + b, [[x + y for x, y in zip(p, q)] for p, q in zip(ra, rb)])
@@ -181,12 +215,16 @@ def test_every_operation_keeps_one_representation(m, n, data):
     scaled = [[x * Fraction(scalar) for x in row] for row in ra]
     _assert_represents(a * scalar, scaled)
     _assert_represents(scalar * a, scaled)
-    _assert_represents(a.transpose(), [list(col) for col in zip(*ra)])
+    transposed = a.transpose()
+    assert transposed.shape == (n, m)
+    _assert_represents(transposed, [[row[j] for row in ra] for j in range(n)])
     _assert_represents(
         a.submatrix(picked_rows, picked_cols), [[ra[i][j] for j in picked_cols] for i in picked_rows]
     )
     _assert_represents(hstack(a, b), [p + q for p, q in zip(ra, rb)])
     _assert_represents(vstack(a, b), ra + rb)
+    assert hstack(a, b).shape == (m, 2 * n) and vstack(a, b).shape == (2 * m, n)
+    assert (a * c).shape == (m, 2) and (-a).shape == a.shape
     inverse = _ref_inverse(rs)
     solution = rational_solve(square, a)
     if inverse is None:
@@ -197,6 +235,36 @@ def test_every_operation_keeps_one_representation(m, n, data):
     else:
         _assert_represents(square.inv(), inverse)
         _assert_represents(solution, _ref_product(inverse, ra, n))
+
+
+def test_derived_matrices_are_not_read_again(monkeypatch):
+    # the constructor reads caller input once; each operation below builds
+    # its result from entries already stored, which are not read again
+    a = Matrix([[Fraction(1, 2), 3], [Fraction(-2, 3), Fraction(5, 4)]])
+    b = Matrix([[Fraction(7, 3)], [-1]])
+    integral = Matrix([[2, 4, 4], [-6, 6, 12]])
+    reads = []
+    original = exact_lattice._read_exact
+    monkeypatch.setattr(exact_lattice, "_read_exact", lambda x: reads.append(x) or original(x))
+    Matrix([[Fraction(1, 2)]])
+    assert len(reads) == 1  # the counter sees the constructor's reads
+    reads.clear()
+    results = [
+        a.transpose(),
+        -a,
+        a * b,
+        a.submatrix([1, 0], [1]),
+        hstack(a, b),
+        vstack(a, a),
+        *smith_normal_form(integral),
+        row_hnf(integral),
+        rational_solve(a, b),
+        a.inv(),
+    ]
+    monkeypatch.undo()
+    assert reads == []
+    assert a.inv() * a == Matrix.identity(2) and a * rational_solve(a, b) == b
+    assert all(type(r) is Matrix for r in results)
 
 
 def test_matrix_inverse_exact():

@@ -194,8 +194,9 @@ def test_split_package_classifies_each_morphism_once(monkeypatch):
 
 def test_kernel_listing_makes_no_matrix_products_per_point(monkeypatch):
     # the points are listed on int tuples, so degrees 101 and 2001 cost the
-    # same Matrix products and the same reads by Matrix.__init__; each
-    # returned column is built from its quotients, with at most one Fraction
+    # same Matrix products, the same reads by Matrix.__init__ and, apart
+    # from one per returned column, the same unread builds by Matrix._of;
+    # each column is built from its quotients, with at most one Fraction
     # per coordinate, two per point at rank 2
     counts, sizes = [], []
     for k in (50, 1000):
@@ -203,6 +204,7 @@ def test_kernel_listing_makes_no_matrix_products_per_point(monkeypatch):
         calls = Counter()
         _count_calls(monkeypatch, exact_lattice.Matrix, "__mul__", calls)
         _count_calls(monkeypatch, exact_lattice.Matrix, "__init__", calls)
+        _count_calls(monkeypatch, exact_lattice.Matrix, "_of", calls)
         _count_fractions(monkeypatch, "__new__", calls)
         points = tav.isogeny_kernel_points(phi)
         monkeypatch.undo()
@@ -211,6 +213,7 @@ def test_kernel_listing_makes_no_matrix_products_per_point(monkeypatch):
         sizes.append(len(points))
     assert counts[0]["__mul__"] == counts[1]["__mul__"]
     assert counts[0]["__init__"] == counts[1]["__init__"]
+    assert counts[0]["_of"] - sizes[0] == counts[1]["_of"] - sizes[1]
     assert counts[1]["__new__"] - counts[0]["__new__"] <= 2 * (sizes[1] - sizes[0])
 
 
@@ -389,7 +392,7 @@ def test_split_kernel_builds_no_fraction_or_matrix_per_point(monkeypatch):
     # of the ladder dumbbells of degree 101 and 2001 makes the same
     # Fraction and Matrix constructions, and so does verify_split_package
     # alone: the kernel stays int numerators from its listing to its text.
-    # A listed column skips Matrix.__init__, so its builder is counted too.
+    # A derived matrix skips Matrix.__init__, so its builder is counted too.
     def report(cover):
         built = cli._analysis_report(cover, True)
         return [cli._render(built, fmt) for fmt in ("json", "text")]
@@ -402,7 +405,7 @@ def test_split_kernel_builds_no_fraction_or_matrix_per_point(monkeypatch):
             calls = Counter()
             _count_fractions(monkeypatch, "__new__", calls)
             _count_calls(monkeypatch, exact_lattice.Matrix, "__init__", calls)
-            _count_calls(monkeypatch, tav, "_quotient_column", calls)
+            _count_calls(monkeypatch, exact_lattice.Matrix, "_of", calls)
             assert run(cover)
             monkeypatch.undo()
             counts[name].append(calls)

@@ -147,3 +147,29 @@ def test_only_exact_lattice_builds_or_divides_numbers():
             ):
                 found.append(f"{path.name}:{node.lineno}: Fraction")
     assert found == []
+
+
+def test_only_exact_lattice_builds_a_matrix_unread():
+    # Matrix._of wraps stored numbers without reading them, so only
+    # exact_lattice and the kernel columns of tav may call it; no other
+    # module makes a Matrix through __new__ or fills one with the slot
+    # setters, so caller input always passes the constructor's reader
+    named, found = set(), []
+    for path in sorted(Path(tropjac.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name == "_of":
+                named.add(path.name)
+            if path.name == "exact_lattice.py":
+                continue
+            if name in ("_set_rows", "_set_ncols", "__set__"):
+                found.append(f"{path.name}:{node.lineno}: {name}")
+            elif (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "__new__"
+                and any(getattr(n, "id", getattr(n, "attr", None)) == "Matrix" for n in ast.walk(node))
+            ):  # Matrix.__new__(Matrix) or object.__new__(Matrix)
+                found.append(f"{path.name}:{node.lineno}: Matrix.__new__")
+    assert named == {"exact_lattice.py", "tav.py"}
+    assert found == []
