@@ -170,8 +170,10 @@ class Matrix(_Immutable):
 
     The constructor is the one gate for caller input: it reads every entry
     and checks the shape, and anything it cannot read raises ValueError.
-    The results of the operations below are built by _of from entries
-    already stored, which are not read again.
+    Every other result below is built by _of from entries already stored,
+    which are not read again, except sums, differences and scalar products:
+    their Fraction entries can come out integral, so the constructor reads
+    them.
 
     >>> Matrix([[Fraction(4, 2), Fraction(1, 3)]])
     Matrix([[2, Fraction(1, 3)]], ncols=2)
