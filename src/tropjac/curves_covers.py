@@ -119,7 +119,7 @@ class MetricGraph(_Value):
         if self.EDGES is not None:
             if edge in self.EDGES:
                 return self.EDGES.index(edge)
-        elif isinstance(edge, int) and 0 <= edge < len(self.edges):
+        elif type(edge) is int and 0 <= edge < len(self.edges):
             return edge
         raise ValueError(f"unknown edge {edge!r}")
 

@@ -37,20 +37,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter, mul
 
-from .errors import ContainmentViolation
-
-
-class _Infinite:
-    """Singleton returned by lattice_index when the index is not finite."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "INFINITE"
-
-
-INFINITE = _Infinite()
-
 
 class _Immutable:
     """Base of the package's immutable classes: their fields are set once,
@@ -132,6 +118,16 @@ def _require_size(n):
         raise ValueError(f"a matrix dimension must be a nonnegative int, not {n!r}")
 
 
+def _entries(row):
+    """row as it is.  A str or bytes, which would be read one entry (or, as
+    the rows argument, one row) per character, raises TypeError, the error
+    that iterating any other non-sequence raises, so the constructor
+    refuses them alike."""
+    if isinstance(row, (str, bytes)):
+        raise TypeError(f"not the {type(row).__name__} {row!r}")
+    return row
+
+
 def _over_lcm(rows):
     """Rows of entries as (den, rows of ints): int numerators over the lcm
     of all their denominators.  All-int rows come back as they are, over 1."""
@@ -185,7 +181,8 @@ class Matrix(_Immutable):
         # ints, the common entry, skip the call
         try:
             converted = tuple(
-                tuple(x if type(x) is int else _read_exact(x) for x in row) for row in rows
+                tuple(x if type(x) is int else _read_exact(x) for x in _entries(row))
+                for row in _entries(rows)
             )
         except ValueError as exc:
             raise ValueError(f"matrix entries must be exact rationals, {exc}") from exc
@@ -605,42 +602,6 @@ def integer_kernel(a):
     n = a.ncols
     basis = v.submatrix(range(n), range(r, n))
     return column_hnf(basis)
-
-
-def saturate(b):
-    """Canonical basis of (rational span of the columns of b) ∩ Z^n."""
-    _require_integral(b, "saturate")
-    n = b.nrows
-    if b.ncols == 0:
-        return Matrix.zeros(n, 0)
-    u, s, _ = smith_normal_form(b)
-    r = snf_rank(s)
-    uinv = u.inv()
-    return column_hnf(uinv.submatrix(range(n), range(r)))
-
-
-def lattice_index(sub, sup):
-    """Group index [sup : sub] of two column lattices in the same ambient Z^n.
-
-    Returns a positive integer when the index is finite, the INFINITE
-    sentinel when sub has strictly smaller rank, and raises
-    ContainmentViolation when sub is not a subgroup of sup (including the
-    case of vectors lying in the rational span but not in the lattice).
-    """
-    if sub.nrows != sup.nrows:
-        raise ValueError("lattice_index requires a common ambient dimension")
-    basis_sup = column_hnf(sup)
-    basis_sub = column_hnf(sub)
-    if basis_sub.ncols == 0:
-        if basis_sup.ncols == 0:
-            return 1
-        return INFINITE
-    coords = rational_solve(basis_sup, basis_sub)
-    if coords is None or not coords.is_integral():
-        raise ContainmentViolation("first lattice is not a subgroup of the second")
-    if basis_sub.ncols < basis_sup.ncols:
-        return INFINITE
-    return abs(coords.det())
 
 
 def rational_solve(a, b):

@@ -231,7 +231,7 @@ def cover_from_splitting(curve, iso, factor=1):
     pairing); the selected factor's universal cover row dictates the
     per-edge slopes of the walk cover.
     """
-    if factor not in (1, 2):
+    if type(factor) is not int or factor not in (1, 2):
         raise ValueError("factor must be 1 or 2")
     jac = jacobian(curve).torus
     _require_genus_2(curve)

@@ -37,7 +37,6 @@ from .exact_lattice import (
     hstack,
     integer_kernel,
     invariant_factors,
-    lattice_index,
     smith_normal_form,
 )
 from .torus_category import (
@@ -160,19 +159,20 @@ def check_exact_sequence(f, g):
 
     Requires: f injective, g surjective with connected kernel, and the image
     of f equal to the kernel component of g as saturated sublattices of the
-    middle torus.  "g surjective with connected kernel" is one check, that
-    im(g.f_hash) has index 1.  For a surjection that index is the kernel
-    component count (see torus_category.kernel_component_count).  When g is
-    not onto, g.f_hash has the rank of g.f_sharp (by the pairing law), below
-    the target rank, so the index is infinite.  The rest is one comparison:
-    the lattice column_hnf(f.f_hash) spanned by f.f_hash has full rank and
-    equals integer_kernel(g.f_hash), the second lattice of kernel0(g).  A
-    kernel lattice is saturated, so an image equal to one is saturated too,
-    which with full rank makes f injective; no torus is built.
+    middle torus.  "g surjective with connected kernel" is one check on the
+    invariant factors of g.f_hash: there are as many as the target rank (g
+    is onto, see torus_category.classify), and their product, the kernel
+    component count (see torus_category.kernel_component_count), is 1.
+    The rest is one comparison: the lattice column_hnf(f.f_hash) spanned
+    by f.f_hash has full rank and equals integer_kernel(g.f_hash), the
+    second lattice of kernel0(g).  A kernel lattice is saturated, so an
+    image equal to one is saturated too, which with full rank makes f
+    injective; no torus is built.
     """
     if f.target != g.source:
         raise ShapeMismatch("sequence morphisms are not composable")
-    if lattice_index(g.f_hash, Matrix.identity(g.target.rank)) != 1:
+    factors = invariant_factors(g.f_hash)
+    if len(factors) != g.target.rank or prod(factors) != 1:
         return False
     # both are canonical bases, so lattice equality is literal matrix equality
     image = column_hnf(f.f_hash)
@@ -340,9 +340,9 @@ def isogeny_kernel_numerators(m):
     P_tgt * f_hash makes f_hash^{-1}, so the kernel is listed from the
     columns of f_hash^{-1} as subgroup_generated lists one.  The source
     periods always lie in the lifted lattice U^{-1} L_tgt: their
-    coordinates in it are f_hash, which TorusMorphism and classify both
-    check to be integral.  A kernel of more than MAX_LISTED_POINTS points
-    raises KernelTooLarge before any is listed.
+    coordinates in it are f_hash, which TorusMorphism checks to be
+    integral.  A kernel of more than MAX_LISTED_POINTS points raises
+    KernelTooLarge before any is listed.
     """
     if not classify(m).isogeny:
         raise NotIsogeny("kernel-point enumeration requires an isogeny")

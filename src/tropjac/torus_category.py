@@ -25,19 +25,19 @@ from .errors import (
 from .exact_lattice import (
     Matrix,
     _Value,
+    _require_size,
     block_diagonal,
-    column_hnf,
     hstack,
     integer_kernel,
     integer_solve,
-    lattice_index,
-    saturate,
+    invariant_factors,
     smith_normal_form,
     snf_rank,
     vstack,
 )
 
 from collections import namedtuple
+from math import prod
 
 
 class IntegralTorus(_Value):
@@ -46,8 +46,7 @@ class IntegralTorus(_Value):
     __slots__ = ("rank", "pairing")
 
     def __init__(self, rank, pairing):
-        if rank < 0:
-            raise ValueError("rank must be nonnegative")
+        _require_size(rank)
         if pairing.shape != (rank, rank):
             raise ValueError("pairing shape must match the rank")
         if pairing.det() == 0:
@@ -119,17 +118,26 @@ MorphismFlags = namedtuple("MorphismFlags", ["surjective", "finite", "injective"
 
 
 def classify(m):
-    """Surjective / finite / injective / isogeny flags of a morphism.
+    """Surjective / finite / injective / isogeny flags of a morphism, read
+    off the invariant factors of f_hash alone.
+
+    The pairing law f_sharp^T * P_src = P_tgt * f_hash, checked when the
+    morphism is built, with both pairings non-degenerate, gives f_sharp
+    and f_hash one rank r, the number of nonzero invariant factors of
+    f_hash.  The morphism is surjective when r is the target rank (the
+    cover map f_sharp^T is onto), finite when r is the source rank
+    (ker f_hash is 0), injective when it is finite and every factor is 1
+    (im f_hash is saturated), and an isogeny when it is both surjective
+    and finite.
 
     Note that all four flags can be true for a non-invertible morphism
     (dilations such as ([2], [1]) : C(3) -> C(6)), so none of them implies
     the existence of an inverse.
     """
-    if m.f_sharp.transpose() * m.source.pairing != m.target.pairing * m.f_hash:
-        raise CompatibilityViolation("pairing law fails for this morphism")
-    surjective = integer_kernel(m.f_sharp).ncols == 0
-    finite = integer_kernel(m.f_hash).ncols == 0
-    injective = finite and column_hnf(m.f_hash) == saturate(m.f_hash)
+    factors = invariant_factors(m.f_hash)
+    surjective = len(factors) == m.target.rank
+    finite = len(factors) == m.source.rank
+    injective = finite and prod(factors) == 1
     return MorphismFlags(surjective, finite, injective, surjective and finite)
 
 
@@ -267,8 +275,11 @@ def kernel_component_count(m):
     factorization m = phi ∘ pi, the index of im(phi.f_hash) in the target
     second lattice.  The rows of pi.f_hash are rows of a unimodular matrix,
     so pi.f_hash is onto and im(m.f_hash) = im(phi.f_hash): the index is
-    read off m itself, without building the factorization.
+    read off m itself, without building the factorization.  It is the
+    product of the invariant factors of m.f_hash, which has full row rank
+    exactly when m is surjective (see classify).
     """
-    if not classify(m).surjective:
+    factors = invariant_factors(m.f_hash)
+    if len(factors) != m.target.rank:
         raise NotSurjective("component count requires a surjective morphism")
-    return lattice_index(m.f_hash, Matrix.identity(m.target.rank))
+    return prod(factors)

@@ -5,6 +5,7 @@ so the same corpus is rebuilt identically on every run.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import floor, lcm
 
 from tropjac.errors import NotIsogeny
@@ -371,6 +372,32 @@ def brute_force_lattice_index(a, b):
     assert best is not None, "zero lattice has no finite index"
     assert a % best == 0 and b % best == 0, "window too small to certify the index"
     return best
+
+
+def _minors(a, k):
+    """All k x k minors of a, as determinants of submatrices."""
+    return [
+        a.submatrix(rows, cols).det()
+        for rows in combinations(range(a.nrows), k)
+        for cols in combinations(range(a.ncols), k)
+    ]
+
+
+def minor_flags(m):
+    """classify's flags from determinants of minors alone, with no normal
+    form: the rank of a matrix is the largest k with a nonzero k x k minor.
+    Surjective is f_sharp of rank target rank (the universal-cover map
+    f_sharp^T is onto), finite is f_hash of rank source rank, and an image
+    of full rank is saturated when the gcd of the maximal minors of f_hash,
+    its index in its saturation, is 1."""
+
+    def rank(a):
+        return max((k for k in range(1, min(a.shape) + 1) if any(_minors(a, k))), default=0)
+
+    surjective = rank(m.f_sharp) == m.target.rank
+    finite = rank(m.f_hash) == m.source.rank
+    injective = finite and gcd(*_minors(m.f_hash, m.source.rank)) == 1
+    return (surjective, finite, injective, surjective and finite)
 
 
 def _cover_walks(cover):

@@ -2,17 +2,17 @@ import random
 import time
 from decimal import Decimal
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from oracles import fraction_det, fraction_rational_solve
-from tropjac.errors import ContainmentViolation
 import tropjac.exact_lattice as exact_lattice
 from tropjac.torus_category import circle
 from tropjac.exact_lattice import (
-    INFINITE,
     Matrix,
     _read_exact,
     column_hnf,
@@ -20,10 +20,8 @@ from tropjac.exact_lattice import (
     integer_kernel,
     integer_solve,
     invariant_factors,
-    lattice_index,
     rational_solve,
     row_hnf,
-    saturate,
     smith_normal_form,
     vstack,
     xgcd,
@@ -112,6 +110,13 @@ def test_matrix_rejects_floats():
     pytest.raises(ValueError, lambda: Matrix([[1]]) * 0.25)
     pytest.raises(ValueError, lambda: 0.25 * Matrix([[1]]))
     pytest.raises(ValueError, circle, 0.5)
+
+
+@pytest.mark.parametrize("rows", [["12"], "12", [b"12"], "", [[1, 2], "34"]])
+def test_matrix_refuses_string_rows(rows):
+    # a str or bytes would be read one entry, or one row, per character
+    with pytest.raises(ValueError, match="sequences of entries"):
+        Matrix(rows, ncols=2)
 
 
 @pytest.mark.parametrize(
@@ -368,6 +373,20 @@ def test_invariant_factors_match_sympy(rows):
 
 
 @settings(max_examples=80)
+@given(int_matrix_lists(lo=-6, hi=6))
+def test_factor_product_is_the_gcd_of_maximal_minors(rows):
+    # for a of full row rank m, the product of its invariant factors is the
+    # index of its column lattice in Z^m: the gcd of its m x m minors
+    a = Matrix(rows)
+    if a.nrows > a.ncols:
+        a = a.transpose()
+    m, n = a.shape
+    minors = [a.submatrix(range(m), cols).det() for cols in combinations(range(n), m)]
+    assume(any(minors))
+    assert prod(invariant_factors(a)) == gcd(*minors)
+
+
+@settings(max_examples=80)
 @given(int_matrix_lists())
 def test_snf_transform_identity_and_divisibility(rows):
     a = Matrix(rows)
@@ -426,60 +445,6 @@ def test_integer_kernel_exhaustive_small_coefficients(rows):
             else:
                 combo = rational_solve(k, x)
                 assert combo is not None and combo.is_integral()
-
-
-# -- saturation ------------------------------------------------------------
-
-
-def test_saturate_examples():
-    assert saturate(Matrix([[2], [4]])) == Matrix([[1], [2]])
-    assert saturate(Matrix([[2], [-1]])) == Matrix([[2], [-1]])
-    assert saturate(Matrix.identity(2)) == Matrix.identity(2)
-
-
-@settings(max_examples=60)
-@given(int_matrix_lists(max_dim=3, lo=-6, hi=6))
-def test_saturate_idempotent_and_contains(rows):
-    b = Matrix(rows)
-    sat = saturate(b)
-    assert saturate(sat) == sat
-    # the original columns lie in the saturation with finite index
-    if sat.ncols:
-        coords = rational_solve(sat, b)
-        assert coords is not None and coords.is_integral()
-    else:
-        assert b.is_zero()
-
-
-# -- lattice index ---------------------------------------------------------
-
-
-def test_lattice_index_examples():
-    assert lattice_index(Matrix([[2]]), Matrix([[1]])) == 2
-    assert lattice_index(Matrix([[5]]), Matrix([[5]])) == 1
-    assert lattice_index(Matrix([[1], [2]]), Matrix.identity(2)) is INFINITE
-
-
-def test_lattice_index_rejects_non_subgroups():
-    pytest.raises(ContainmentViolation, lambda: lattice_index(Matrix([[1]]), Matrix([[2]])))
-    # in the rational span but not a subgroup
-    pytest.raises(ContainmentViolation, lambda: lattice_index(Matrix([[3]]), Matrix([[2]])))
-    pytest.raises(
-        ContainmentViolation,
-        lambda: lattice_index(Matrix([[1], [1]]), Matrix([[1], [0]])),
-    )
-
-
-@settings(max_examples=60)
-@given(int_matrix_lists(max_dim=3, lo=-6, hi=6))
-def test_lattice_index_of_saturation_is_product_of_factors(rows):
-    b = Matrix(rows)
-    sat = saturate(b)
-    index = lattice_index(b, sat)
-    expected = 1
-    for d in invariant_factors(b):
-        expected *= d
-    assert index == expected
 
 
 # -- solvers ---------------------------------------------------------------

@@ -187,7 +187,7 @@ def test_split_package_classifies_each_morphism_once(monkeypatch):
                 module, "classify", lambda m, original=original: classified.append(m) or original(m)
             )
     assert verify_split_package(cover).all_flags_hold
-    assert calls["smith_normal_form"] <= 14
+    assert calls["smith_normal_form"] <= 7
     assert len(classified) <= 3
     assert len(set(classified)) == len(classified)
 
@@ -218,19 +218,49 @@ def test_kernel_listing_makes_no_matrix_products_per_point(monkeypatch):
 
 
 def test_exactness_check_saturates_and_classifies_nothing(monkeypatch):
-    # the two sequences of the degree-2 theta cover's split package: one
-    # HNF of f.f_hash against the kernel of g.f_hash decides injectivity too
+    # the two sequences of the degree-2 theta cover's split package: each
+    # check makes two Smith forms of g.f_hash, one for its invariant
+    # factors and one for its kernel, and one HNF of f.f_hash against that
+    # kernel decides injectivity too, with no classify
     cover = degree_two_cover()
     push = pushforward_morphism(cover)
     _, inclusion = torus_category.kernel0(push)
     pairs = [(inclusion, push), (pullback_morphism(cover), complementary_pushforward(cover))]
+    for f, g in pairs:
+        calls = Counter()
+        for module in (exact_lattice, torus_category, tav):
+            for name in ("smith_normal_form", "classify"):
+                if hasattr(module, name):
+                    _count_calls(monkeypatch, module, name, calls)
+        assert tav.check_exact_sequence(f, g)
+        monkeypatch.undo()
+        assert calls == Counter(smith_normal_form=2)
+
+
+def test_classify_makes_one_smith_form_and_no_product(monkeypatch):
+    # the flags are read off the invariant factors of f_hash alone: the
+    # pairing law was checked when the morphism was built
+    morphisms = [pushforward_morphism(degree_two_cover()), splitting_isogeny(_ladder_cover(45))[0]]
+    for m in morphisms:
+        calls = Counter()
+        _count_calls(monkeypatch, exact_lattice, "smith_normal_form", calls)
+        _count_calls(monkeypatch, exact_lattice.Matrix, "__mul__", calls)
+        _count_calls(monkeypatch, exact_lattice.Matrix, "inv", calls)
+        torus_category.classify(m)
+        monkeypatch.undo()
+        assert calls == Counter(smith_normal_form=1)
+
+
+def test_isogeny_kernel_makes_one_inverse_and_no_product(monkeypatch):
+    # the kernel of the degree-91 ladder's splitting isogeny is listed from
+    # the columns of f_hash^-1, after one classify
+    phi, _ = splitting_isogeny(_ladder_cover(45))
     calls = Counter()
-    for module in (exact_lattice, torus_category, tav):
-        for name in ("saturate", "classify"):
-            if hasattr(module, name):
-                _count_calls(monkeypatch, module, name, calls)
-    assert all(tav.check_exact_sequence(f, g) for f, g in pairs)
-    assert calls == Counter()
+    _count_calls(monkeypatch, exact_lattice.Matrix, "__mul__", calls)
+    _count_calls(monkeypatch, exact_lattice.Matrix, "inv", calls)
+    tav.isogeny_kernel_numerators(phi)
+    monkeypatch.undo()
+    assert calls == Counter(inv=1)
 
 
 def _wide_dumbbell(g):

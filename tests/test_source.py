@@ -173,3 +173,17 @@ def test_only_exact_lattice_builds_a_matrix_unread():
                 found.append(f"{path.name}:{node.lineno}: Matrix.__new__")
     assert named == {"exact_lattice.py", "tav.py"}
     assert found == []
+
+
+def test_readme_quick_start_prints_what_it_says(capsys):
+    # each print(...) line of the README's python block ends in a comment
+    # that starts with the value it prints; only the first comment, "1 (an
+    # int; ...)", goes on after the value
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [line.split("#", 1)[1].strip() for line in block.splitlines() if line.startswith("print(")]
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == len(expected) == 4
+    assert printed[0] == expected[0].split()[0] == "1"
+    assert printed[1:] == expected[1:]

@@ -12,11 +12,13 @@ from tropjac.errors import (
 )
 from oracles import (
     cover_corpus,
+    minor_flags,
     random_covolume_preserving_isogeny,
     random_subtorus_sequence,
+    random_unimodular,
 )
 from tropjac.cover_analysis import pushforward_morphism
-from tropjac.exact_lattice import Matrix, lattice_index
+from tropjac.exact_lattice import Matrix
 from tropjac.torus_category import (
     IntegralTorus,
     TorusMorphism,
@@ -100,6 +102,34 @@ def test_classify_projection_rank_drop():
     flags = classify(p1)
     assert flags.surjective and not flags.finite
     assert not flags.injective and not flags.isogeny
+
+
+@st.composite
+def morphisms(draw, max_rank=3):
+    """A morphism of tori of ranks 0 to max_rank whose f_hash is a product
+    through rank k, so non-square, rank-deficient and non-saturated f_hash
+    all come up; half are dualized, so either pairing may be unimodular."""
+    n1, n2, k = (draw(st.integers(0, max_rank)) for _ in range(3))
+
+    def integer_matrix(rows, cols):
+        entries = st.integers(-3, 3)
+        return Matrix([[draw(entries) for _ in range(cols)] for _ in range(rows)], ncols=cols)
+
+    f_hash = integer_matrix(n2, k) * integer_matrix(k, n1)
+    target_pairing = integer_matrix(n2, n2)
+    assume(target_pairing.det() != 0)
+    source_pairing = random_unimodular(random.Random(draw(st.integers(0, 2**16))), n1)
+    f_sharp = (target_pairing * f_hash * source_pairing.inv()).transpose()
+    m = TorusMorphism(
+        IntegralTorus(n1, source_pairing), IntegralTorus(n2, target_pairing), f_sharp, f_hash
+    )
+    return dual_morphism(m) if draw(st.booleans()) else m
+
+
+@settings(max_examples=150, deadline=None)
+@given(morphisms())
+def test_classify_agrees_with_the_minors(m):
+    assert classify(m) == minor_flags(m)
 
 
 # -- duals -----------------------------------------------------------------
@@ -305,9 +335,8 @@ def test_component_count_of_dilation_and_its_dual():
 
 def _stein_component_count(m):
     """The reference: the index of im(phi.f_hash) for the isogeny part phi
-    of the Stein factorization."""
-    phi = stein_factorization(m).phi
-    return lattice_index(phi.f_hash, Matrix.identity(m.target.rank))
+    of the Stein factorization, a determinant since phi is an isogeny."""
+    return abs(stein_factorization(m).phi.f_hash.det())
 
 
 def test_component_count_agrees_with_the_stein_route():

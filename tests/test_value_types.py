@@ -15,8 +15,10 @@ from oracles import degree_two_cover, degree_two_pushforward, theta_jacobian
 from tropjac import (
     ComplementaryCover,
     CyclicKernel,
+    DumbbellCurve,
     ExactSequence,
     GammaData,
+    IntegralTorus,
     Matrix,
     MetricGraph,
     OptimalityVerdict,
@@ -24,9 +26,12 @@ from tropjac import (
     ScaledPoints,
     ThetaCurve,
     TorsionDivisor,
+    abel_jacobi,
     circle_graph,
     classify,
     complementary_cover,
+    cover_from_splitting,
+    identity_morphism,
     jacobian,
     kernel0,
     stein_factorization,
@@ -116,6 +121,28 @@ def test_records_are_plain_tuple_data():
     # records carry no invariants, so a record equals the plain tuple of its
     # items; only the validated values refuse other types
     assert TorsionDivisor(0, 1) == (0, 1)
+
+
+# two vertices and two edges, named by their indices
+TWO_EDGES = MetricGraph(["a", "b"], [("a", "b", 1), ("a", "b", 1)])
+DUMBBELL = DumbbellCurve(2, 3, 1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: IntegralTorus(True, Matrix([[1]])),
+        lambda: IntegralTorus(2.0, Matrix.identity(2)),
+        lambda: TWO_EDGES.edge_index(True),
+        lambda: abel_jacobi(TWO_EDGES, "a", (True, 0)),
+        lambda: cover_from_splitting(
+            DUMBBELL, identity_morphism(jacobian(DUMBBELL).torus), factor=True
+        ),
+    ],
+    ids=["torus-rank-bool", "torus-rank-float", "edge-index", "abel-jacobi-edge", "split-factor"],
+)
+def test_a_bool_or_float_is_refused_where_an_int_is_required(build):
+    pytest.raises(ValueError, build)
 
 
 def test_covers_compare_by_identity():
