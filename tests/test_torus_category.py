@@ -105,11 +105,12 @@ def test_classify_projection_rank_drop():
 
 
 @st.composite
-def morphisms(draw, max_rank=3):
-    """A morphism of tori of ranks 0 to max_rank whose f_hash is a product
-    through rank k, so non-square, rank-deficient and non-saturated f_hash
-    all come up; half are dualized, so either pairing may be unimodular."""
-    n1, n2, k = (draw(st.integers(0, max_rank)) for _ in range(3))
+def morphisms(draw):
+    """A morphism of tori of ranks 0 to 3 whose f_hash is a product through
+    rank k, so non-square, rank-deficient and non-saturated f_hash all come
+    up.  The source pairing is unimodular, so f_sharp is integral; half are
+    dualized, which puts the unimodular pairing on the target side."""
+    n1, n2, k = (draw(st.integers(0, 3)) for _ in range(3))
 
     def integer_matrix(rows, cols):
         entries = st.integers(-3, 3)
