@@ -20,12 +20,6 @@ class CompatibilityViolation(TropjacError):
     code = "COMPATIBILITY_VIOLATION"
 
 
-class ContainmentViolation(TropjacError):
-    """A lattice is not contained in the lattice it was tested against."""
-
-    code = "CONTAINMENT_VIOLATION"
-
-
 class NotInjective(TropjacError):
     code = "NOT_INJECTIVE"
 

@@ -294,6 +294,8 @@ class Matrix(_Immutable):
         return hash((self._ncols, self._rows))
 
     def __add__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
         if self.shape != other.shape:
             raise ValueError("shape mismatch in addition")
         return Matrix(
@@ -302,6 +304,8 @@ class Matrix(_Immutable):
         )
 
     def __sub__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
         if self.shape != other.shape:
             raise ValueError("shape mismatch in subtraction")
         return Matrix(

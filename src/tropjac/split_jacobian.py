@@ -17,7 +17,6 @@ from collections import namedtuple
 
 from .cover_analysis import kernel_length, quotient_and_gamma
 from .curves_covers import (
-    _circle_cover,
     _require_genus_2,
     _walk_form,
     cover_degree,
@@ -31,9 +30,9 @@ from .errors import (
     NotProductTarget,
     ShapeMismatch,
 )
-from .exact_lattice import Matrix, _quotient, block_diagonal, hstack, vstack
+from .exact_lattice import Matrix, block_diagonal, hstack, vstack
 from .tav import check_exact_sequence, isogeny_kernel_numerators
-from .torus_category import IntegralTorus, TorusMorphism, classify, compose
+from .torus_category import IntegralTorus, TorusMorphism, classify, compose, dual_morphism
 
 
 # The cover of the kernel circle complementary to a strongly optimal cover:
@@ -148,13 +147,17 @@ def splitting_isogeny(cover):
 
 
 def complementary_pushforward(cover):
-    """Jac -> TE', the projection killing the pulled-back circle."""
-    push = _circle_cover(cover)._pushforward
-    te_prime, inclusion = cover._kernel
-    w = inclusion.f_hash
-    length = te_prime.pairing[0, 0]
-    f_hash = (w.transpose() * push.source.pairing) * _quotient(1, length)
-    return TorusMorphism(push.source, te_prime, w, f_hash)
+    """Jac -> TE', the projection killing the pulled-back circle: the dual
+    of the kernel inclusion TE' -> Jac.
+
+    The period matrix P of the Jacobian is symmetric and the pairing of
+    TE' is its 1x1 length l', so the dual has Jac as source and TE' as
+    target, and swaps the inclusion's matrices: f_sharp is the kernel
+    direction w and f_hash the inclusion's f_sharp, which its pairing law
+    f_sharp^T * l' = P * w makes w^T * P / l'.
+    """
+    _, inclusion = cover._kernel
+    return dual_morphism(inclusion)
 
 
 def _is_d_torsion(positions, den, length, degree):

@@ -35,9 +35,7 @@ from .exact_lattice import (
     _Value,
     column_hnf,
     hstack,
-    integer_kernel,
     invariant_factors,
-    smith_normal_form,
 )
 from .torus_category import (
     IntegralTorus,
@@ -98,21 +96,18 @@ def polarization_type(pv):
 
 
 def dual_polarization(pv):
-    """The polarization induced on the dual torus.
+    """The polarization induced on the dual torus: (a_1 * a_n) * zeta^{-1}
+    for the first and last invariant factors a_1 | ... | a_n of zeta.
 
     In Smith-adapted bases the i-th invariant factor a_i becomes
     a_1 * a_n / a_i; transported back this is V * diag(a_1*a_n/a_i) * U,
-    which coincides with (a_1 * a_n) * zeta^{-1}.  The resulting matrix is
-    always integral because every a_i divides a_n.
+    which is (a_1 * a_n) * zeta^{-1}.  The matrix is integral because every
+    a_i divides a_n.  A rank-0 polarization is its own dual.
     """
-    n = pv.torus.rank
-    if n == 0:
-        return Polarization(Matrix([], ncols=0))
-    u, s, v = smith_normal_form(pv.pol.zeta)
-    alphas = [s[i, i] for i in range(n)]
-    coefficient = alphas[0] * alphas[-1]
-    scaled = Matrix.diagonal([coefficient // a for a in alphas])
-    return Polarization(v * scaled * u)
+    if pv.torus.rank == 0:
+        return pv.pol
+    alphas = invariant_factors(pv.pol.zeta)
+    return Polarization(alphas[0] * alphas[-1] * pv.pol.zeta.inv())
 
 
 def pullback_polarization(m, pol_tgt):
@@ -157,26 +152,33 @@ class ExactSequence(_Value):
 def check_exact_sequence(f, g):
     """Whether 0 -> source(f) -> middle -> target(g) -> 0 is exact.
 
-    Requires: f injective, g surjective with connected kernel, and the image
-    of f equal to the kernel component of g as saturated sublattices of the
-    middle torus.  "g surjective with connected kernel" is one check on the
-    invariant factors of g.f_hash: there are as many as the target rank (g
-    is onto, see torus_category.classify), and their product, the kernel
-    component count (see torus_category.kernel_component_count), is 1.
-    The rest is one comparison: the lattice column_hnf(f.f_hash) spanned
-    by f.f_hash has full rank and equals integer_kernel(g.f_hash), the
-    second lattice of kernel0(g).  A kernel lattice is saturated, so an
-    image equal to one is saturated too, which with full rank makes f
-    injective; no torus is built.
+    Exact means f injective, g surjective with connected kernel, and the
+    image of f equal to the kernel component of g as saturated sublattices
+    of the middle torus.  That holds exactly when:
+
+    * rank source(f) + rank target(g) = rank middle;
+    * the invariant factors of f.f_hash are rank source(f) ones (f is
+      injective, see torus_category.classify);
+    * the invariant factors of g.f_hash are rank target(g) ones (g is onto
+      with connected kernel, see torus_category.kernel_component_count);
+    * g.f_hash * f.f_hash is zero.
+
+    The zero composite puts im f.f_hash inside ker g.f_hash.  The image
+    is saturated and of rank n_f, as the factors of f.f_hash are n_f ones;
+    the kernel is saturated, as every kernel is, and of rank n_mid - n_g,
+    as g.f_hash has n_g factors.  The rank test makes the two ranks agree,
+    and two saturated lattices of one rank, one inside the other, are
+    equal.  One Smith form of each matrix and one product decide it; no
+    torus or lattice basis is built.
     """
     if f.target != g.source:
         raise ShapeMismatch("sequence morphisms are not composable")
-    factors = invariant_factors(g.f_hash)
-    if len(factors) != g.target.rank or prod(factors) != 1:
-        return False
-    # both are canonical bases, so lattice equality is literal matrix equality
-    image = column_hnf(f.f_hash)
-    return image.ncols == f.source.rank and image == integer_kernel(g.f_hash)
+    return (
+        f.source.rank + g.target.rank == f.target.rank
+        and invariant_factors(f.f_hash) == (1,) * f.source.rank
+        and invariant_factors(g.f_hash) == (1,) * g.target.rank
+        and (g.f_hash * f.f_hash).is_zero()
+    )
 
 
 def dualize_sequence(seq):

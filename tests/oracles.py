@@ -729,3 +729,43 @@ def split_covers():
     return _split_candidates().filter(
         lambda cover: strong_optimality_gap(cover) is None and cover_degree(cover) <= MAX_SPLIT_DEGREE
     )
+
+
+# -- lattice-basis and Smith-form references -------------------------------
+
+from math import prod  # noqa: E402
+
+from tropjac.cover_analysis import pushforward_morphism  # noqa: E402
+from tropjac.exact_lattice import column_hnf, integer_kernel, invariant_factors  # noqa: E402
+from tropjac.torus_category import kernel0  # noqa: E402
+
+
+def basis_exact(f, g):
+    """Exactness of 0 -> source(f) -> middle -> target(g) -> 0 decided on
+    canonical lattice bases: the invariant factors of g.f_hash are as many
+    as the target rank and all 1, and the column HNF of f.f_hash has full
+    rank and equals the integer kernel of g.f_hash."""
+    factors = invariant_factors(g.f_hash)
+    if len(factors) != g.target.rank or prod(factors) != 1:
+        return False
+    image = column_hnf(f.f_hash)
+    return image.ncols == f.source.rank and image == integer_kernel(g.f_hash)
+
+
+def smith_dual_polarization(zeta):
+    """V * diag(a_1*a_n/a_i) * U for the Smith form S = diag(a_i) of a
+    nonsingular integer zeta with transforms U and V: the dual polarization
+    in Smith-adapted bases, transported back."""
+    u, s, v = smith_normal_form(zeta)
+    alphas = [s[i, i] for i in range(zeta.nrows)]
+    return v * Matrix.diagonal([alphas[0] * alphas[-1] // a for a in alphas]) * u
+
+
+def divided_complementary_f_hash(cover):
+    """w^T * P * (1/l') for the period matrix P, the kernel direction w and
+    the kernel circle length l' of a genus-2 cover: the f_hash that the
+    pairing law of the complementary projection divides out."""
+    push = pushforward_morphism(cover)
+    kernel_circle, inclusion = kernel0(push)
+    w = inclusion.f_hash
+    return w.transpose() * push.source.pairing * _quotient(1, kernel_circle.pairing[0, 0])

@@ -81,6 +81,24 @@ def test_matrix_builders_refuse_bad_shapes_with_value_error(build):
     pytest.raises(ValueError, build)
 
 
+@pytest.mark.parametrize(
+    "combine",
+    [
+        lambda m: m + 1,
+        lambda m: 1 + m,
+        lambda m: m - None,
+        lambda m: None - m,
+        lambda m: m + [[1, 2]],
+        lambda m: m - Fraction(1, 2),
+    ],
+    ids=["plus-int", "int-plus", "minus-none", "none-minus", "plus-list", "minus-fraction"],
+)
+def test_matrix_sum_with_a_non_matrix_raises_type_error(combine):
+    # a sum or difference is of two matrices; anything else is left to
+    # the other operand, as == leaves it, and Python then raises TypeError
+    pytest.raises(TypeError, combine, Matrix([[1, 2]]))
+
+
 def test_matrix_product_and_transpose():
     a = Matrix([[2, 1], [1, 2]])
     b = Matrix([[1], [1]])

@@ -219,22 +219,31 @@ def test_kernel_listing_makes_no_matrix_products_per_point(monkeypatch):
 
 def test_exactness_check_saturates_and_classifies_nothing(monkeypatch):
     # the two sequences of the degree-2 theta cover's split package: each
-    # check makes two Smith forms of g.f_hash, one for its invariant
-    # factors and one for its kernel, and one HNF of f.f_hash against that
-    # kernel decides injectivity too, with no classify
+    # check takes one Smith form of f.f_hash and one of g.f_hash, for their
+    # invariant factors, and one product, g.f_hash * f.f_hash; no HNF
+    # builds a lattice basis and no classify runs
     cover = degree_two_cover()
     push = pushforward_morphism(cover)
     _, inclusion = torus_category.kernel0(push)
     pairs = [(inclusion, push), (pullback_morphism(cover), complementary_pushforward(cover))]
     for f, g in pairs:
-        calls = Counter()
+        calls, snf_of = Counter(), []
+        snf = exact_lattice.smith_normal_form
+
+        def recording_snf(a):
+            snf_of.append(a)
+            return snf(a)
+
+        monkeypatch.setattr(exact_lattice, "smith_normal_form", recording_snf)
         for module in (exact_lattice, torus_category, tav):
-            for name in ("smith_normal_form", "classify"):
+            for name in ("row_hnf", "classify"):
                 if hasattr(module, name):
                     _count_calls(monkeypatch, module, name, calls)
+        _count_calls(monkeypatch, exact_lattice.Matrix, "__mul__", calls)
         assert tav.check_exact_sequence(f, g)
         monkeypatch.undo()
-        assert calls == Counter(smith_normal_form=2)
+        assert Counter(snf_of) == Counter([f.f_hash, g.f_hash])
+        assert calls == Counter(__mul__=1)
 
 
 def test_classify_makes_one_smith_form_and_no_product(monkeypatch):

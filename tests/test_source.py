@@ -175,6 +175,45 @@ def test_only_exact_lattice_builds_a_matrix_unread():
     assert found == []
 
 
+def _called_names(path):
+    """Names of the functions and classes a module calls, as f(...) or
+    module.f(...)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return {
+        getattr(node.func, "id", getattr(node.func, "attr", None))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+
+
+def test_every_error_is_raised():
+    # an error class that no module builds is a code no caller can meet
+    package = Path(tropjac.__file__).parent
+    tree = ast.parse((package / "errors.py").read_text(encoding="utf-8"))
+    errors = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name != "TropjacError"
+    }
+    called = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name != "errors.py":
+            called |= _called_names(path)
+    assert len(errors) >= 15
+    assert sorted(errors - called) == []
+
+
+def test_only_exact_lattice_and_torus_category_take_smith_forms():
+    # every other module reads a lattice fact through invariant_factors,
+    # classify or a torus construction, not through a Smith form of its own
+    callers = sorted(
+        path.name
+        for path in Path(tropjac.__file__).parent.glob("*.py")
+        if "smith_normal_form" in _called_names(path)
+    )
+    assert callers == ["exact_lattice.py", "torus_category.py"]
+
+
 def test_readme_quick_start_prints_what_it_says(capsys):
     # each print(...) line of the README's python block ends in a comment
     # that starts with the value it prints; only the first comment, "1 (an

@@ -5,7 +5,12 @@ from fractions import Fraction
 import pytest
 
 import tropjac.split_jacobian as split_jacobian
-from oracles import cover_corpus, degree_two_cover, over_lcm_is_d_torsion
+from oracles import (
+    cover_corpus,
+    degree_two_cover,
+    divided_complementary_f_hash,
+    over_lcm_is_d_torsion,
+)
 from tropjac.cover_analysis import is_optimal, pushforward_morphism, quotient_and_gamma
 from tropjac.curves_covers import (
     DumbbellCover,
@@ -94,6 +99,17 @@ def test_complementary_pushforward_is_always_optimal():
         comp = complementary_pushforward(cover)
         assert classify(comp).surjective
         assert kernel_component_count(comp) == 1
+
+
+def test_complementary_pushforward_is_the_divided_pairing_law():
+    # the dual of the kernel inclusion has f_hash w^T * P / l', the matrix
+    # its pairing law divides out, on every cover of the corpus
+    covers = cover_corpus()
+    assert len(covers) > 400
+    for cover in covers:
+        comp = complementary_pushforward(cover)
+        assert comp.source == pushforward_morphism(cover).source
+        assert comp.f_hash == divided_complementary_f_hash(cover)
 
 
 # --------------------------------------------------------- splitting isogeny

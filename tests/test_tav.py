@@ -4,11 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import tropjac.tav as tav
 from oracles import (
+    basis_exact,
     closure_subgroup_generated,
     degree_two_pullback,
     degree_two_pushforward,
@@ -16,6 +17,7 @@ from oracles import (
     random_covolume_preserving_isogeny,
     random_subtorus_sequence,
     random_unimodular,
+    smith_dual_polarization,
     splitting_phi,
     theta_jacobian,
 )
@@ -62,6 +64,7 @@ from tropjac.torus_category import (
     identity_morphism,
     image,
     kernel0,
+    kernel_component_count,
     zero_morphism,
     zero_torus,
 )
@@ -153,6 +156,8 @@ def test_dual_polarization_properties_on_standard_torus(rows):
     # same multiset of invariant factors, and double dual returns the original
     assert sorted(polarization_type(dual_pv)) == sorted(polarization_type(pv))
     assert dual_polarization(dual_pv).zeta == zeta
+    # (a_1 * a_n) * zeta^-1 is the Smith-adapted diag(a_1*a_n/a_i) moved back
+    assert dual_pol.zeta == smith_dual_polarization(zeta)
 
 
 def test_pullback_along_identity_is_unchanged():
@@ -318,6 +323,94 @@ def test_check_exact_sequence_requires_composable():
     push = degree_two_pushforward()
     pytest.raises(ShapeMismatch, lambda: check_exact_sequence(push, push))
     pytest.raises(ShapeMismatch, lambda: ExactSequence(push, push))
+
+
+SEQUENCE_KINDS = ["exact", "non-injective", "non-saturated", "not-onto", "nonzero-composite", "random"]
+
+
+@st.composite
+def composable_pairs(draw, kind):
+    """A composable pair (f, g) of tori of ranks 0-4, of the given kind.
+
+    Every kind but "random" starts from a unimodular U on the middle
+    lattice: f.f_hash is its first n_f columns and g.f_hash the last n_g
+    rows of U^-1, an exact pair, which the kind then breaks in one way
+    only.  The source pairing is I, the middle one an integer D, and the
+    target one |det D|·I, so f.f_sharp^T = D·f.f_hash and
+    g.f_sharp^T = |det D|·g.f_hash·D^-1 are integral.
+    """
+
+    def entries(lo, hi, m, n):
+        rows = st.lists(st.lists(st.integers(lo, hi), min_size=n, max_size=n), min_size=m, max_size=m)
+        return Matrix(draw(rows), ncols=n)
+
+    if kind == "random":
+        n_f, m, n_g = (draw(st.integers(0, 4)) for _ in range(3))
+        f_hash, g_hash = entries(-2, 2, m, n_f), entries(-2, 2, n_g, m)
+    else:
+        m = draw(st.integers({"exact": 0, "nonzero-composite": 2}.get(kind, 1), 4))
+        low_f = 1 if kind in ("non-injective", "non-saturated", "nonzero-composite") else 0
+        high_f = m - 1 if kind in ("not-onto", "nonzero-composite") else m
+        n_f = draw(st.integers(low_f, high_f))
+        n_g = m - n_f
+        u = random_unimodular(draw(st.randoms(use_true_random=False)), m)
+        u_inv = u.inv()
+        f_hash = u.submatrix(range(m), range(n_f))
+        g_hash = u_inv.submatrix(range(n_f, m), range(m))
+        if kind in ("non-injective", "non-saturated"):
+            # f_hash * T for an upper-triangular T, singular for a
+            # non-injective f and else with a pivot of 2 to 4
+            t = [list(row) for row in entries(-2, 2, n_f, n_f).entries()]
+            for i in range(n_f):
+                t[i][:i] = [0] * i
+                t[i][i] = draw(st.integers(1, 4))
+            if kind == "non-injective":
+                t[-1][-1] = 0
+            else:
+                i = draw(st.integers(0, n_f - 1))
+                t[i][i] = draw(st.integers(2, 4))
+            f_hash = f_hash * Matrix(t)
+        elif kind == "not-onto":
+            # T * g_hash for a lower-triangular T whose determinant is not
+            # +-1: g is not onto, or onto with a disconnected kernel
+            t = [list(row) for row in entries(-2, 2, n_g, n_g).entries()]
+            for i in range(n_g):
+                t[i][i + 1:] = [0] * (n_g - i - 1)
+            i = draw(st.integers(0, n_g - 1))
+            t[i][i] = draw(st.sampled_from([0, 2, 3, 4]))
+            g_hash = Matrix(t) * g_hash
+        elif kind == "nonzero-composite":
+            # add rows of U^-1 that pair to the identity with f_hash
+            c = [list(row) for row in entries(-2, 2, n_g, n_f).entries()]
+            c[0][0] = draw(st.sampled_from([-2, -1, 1, 2]))
+            g_hash = g_hash + Matrix(c) * u_inv.submatrix(range(n_f), range(m))
+    d = entries(-3, 3, m, m)
+    assume(d.det() != 0)
+    scale = abs(d.det())
+    mid = IntegralTorus(m, d)
+    f = TorusMorphism(IntegralTorus(n_f, Matrix.identity(n_f)), mid, (d * f_hash).transpose(), f_hash)
+    target = IntegralTorus(n_g, scale * Matrix.identity(n_g))
+    g = TorusMorphism(mid, target, (scale * g_hash * d.inv()).transpose(), g_hash)
+    return f, g
+
+
+@pytest.mark.parametrize("kind", SEQUENCE_KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_exactness_agrees_with_the_lattice_basis_check(kind, data):
+    f, g = data.draw(composable_pairs(kind))
+    exact = check_exact_sequence(f, g)
+    assert exact == basis_exact(f, g)
+    if kind == "random":
+        return
+    assert exact == (kind == "exact")
+    # each kind breaks exactly the one condition it names
+    composite_is_zero = (g.f_hash * f.f_hash).is_zero()
+    assert composite_is_zero == (kind != "nonzero-composite")
+    assert classify(f).injective == (kind not in ("non-injective", "non-saturated"))
+    assert classify(f).finite == (kind != "non-injective")
+    onto_connected = classify(g).surjective and kernel_component_count(g) == 1
+    assert onto_connected == (kind != "not-onto")
 
 
 def test_dualize_sequence_gives_pullback_sequence():
