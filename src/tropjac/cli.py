@@ -12,19 +12,20 @@ optimal, complement and split refuse it with UNSUPPORTED_GENUS.
 Reports are printed by _json, a recursive renderer that writes what
 json.dumps(report, indent=2) writes, with strings quoted by the C string
 encoder of the json module.  It never runs the pure-Python indent encoder,
-to which json.dumps falls back whenever it is given an indent.  The analyze
-report holds the pullback kernel as its generator, a CyclicKernel; _json
-writes it as the list of {"position": "p/q", "order": m} divisors that
-json.dumps would write, from ints, with no Fraction, TorsionDivisor or
-dict per divisor.  The orders come from the divisor sieve of
-cover_analysis._torsion_orders, one slice store per divisor of the kernel's
-order g, so an int generator costs no gcd per divisor; a generator num/den
-with den > 1 costs one gcd(j, den) per divisor, for its position in lowest
-terms.  The split report holds the kernel of the splitting
-isogeny as the ScaledPoints that tav lists, int numerators over one
-denominator; _json and _text_lines write each point as the list of "p/q"
-strings json.dumps would write, from those ints, with no Fraction, Matrix
-or str() call per point.
+to which json.dumps falls back whenever it is given an indent.  It makes
+one call per value of the report, and a kernel is one value, written by
+its item writer with no call per item.  The analyze report holds the
+pullback kernel as its generator, a CyclicKernel; _json writes it as the
+list of {"position": "p/q", "order": m} divisors that json.dumps would
+write, from ints, with no Fraction, TorsionDivisor or dict per divisor.
+The orders come from the divisor sieve of cover_analysis._torsion_orders,
+one slice store per divisor of the kernel's order g, so an int generator
+costs no gcd per divisor; a generator num/den with den > 1 costs one
+gcd(j, den) per divisor, for its position in lowest terms.  The split
+report holds the kernel of the splitting isogeny as the ScaledPoints that
+tav lists, int numerators over one denominator; _json and _text_lines
+write each point as the list of "p/q" strings json.dumps would write, from
+those ints, with no Fraction, Matrix or str() call per point.
 
 Exit codes: 0 on success, 1 when the library rejects the input or a number
 of the report is too long to print (the error code and message go to
@@ -122,46 +123,42 @@ def _as_list(document, key, length, problems):
     return value
 
 
-def _parse_theta(document):
+# the curve-model documents: the cover and curve types, the number of
+# windings and dilations, and the optional key, a list of that size or,
+# when the size is None, one number
+_MODELS = {
+    "theta": (ThetaCover, ThetaCurve, 3, "arcs", 2),
+    "dumbbell": (DumbbellCover, DumbbellCurve, 2, "target_length", None),
+}
+
+
+def _parse_model(document, cover_type, curve_type, count, key, size):
+    """A theta or dumbbell cover from its document, read in two passes.
+    The first checks the shape of each list, the optional key's too when it
+    is a list, and reports the problems in order; the second reads each
+    entry, the optional key's when it is given, and reports the problems
+    sorted, each once."""
     problems = []
     lengths = _as_list(document, "lengths", 3, problems)
-    windings = _as_list(document, "windings", 3, problems)
-    dilations = _as_list(document, "dilations", 3, problems)
-    arcs = None
-    if "arcs" in document:
-        arcs = _as_list(document, "arcs", 2, problems)
+    windings = _as_list(document, "windings", count, problems)
+    dilations = _as_list(document, "dilations", count, problems)
+    given = key in document
+    extra = document.get(key)
+    if given and size is not None:
+        extra = _as_list(document, key, size, problems)
     if problems:
         raise ValidationError("; ".join(problems))
     lengths = [_as_rational(x, "lengths", problems) for x in lengths]
     windings = [_as_int(x, "windings", problems) for x in windings]
     dilations = [_as_int(x, "dilations", problems) for x in dilations]
-    if arcs is not None:
-        arcs = [_as_rational(x, "arcs", problems) for x in arcs]
+    if given and size is None:
+        extra = _as_rational(extra, key, problems)
+    elif given:
+        extra = [_as_rational(x, key, problems) for x in extra]
     if problems:
         raise ValidationError("; ".join(sorted(set(problems))))
     try:
-        return ThetaCover(ThetaCurve(*lengths), windings, dilations, arcs)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
-
-
-def _parse_dumbbell(document):
-    problems = []
-    lengths = _as_list(document, "lengths", 3, problems)
-    windings = _as_list(document, "windings", 2, problems)
-    dilations = _as_list(document, "dilations", 2, problems)
-    if problems:
-        raise ValidationError("; ".join(problems))
-    lengths = [_as_rational(x, "lengths", problems) for x in lengths]
-    windings = [_as_int(x, "windings", problems) for x in windings]
-    dilations = [_as_int(x, "dilations", problems) for x in dilations]
-    length = None
-    if "target_length" in document:
-        length = _as_rational(document["target_length"], "target_length", problems)
-    if problems:
-        raise ValidationError("; ".join(sorted(set(problems))))
-    try:
-        return DumbbellCover(DumbbellCurve(*lengths), windings, dilations, length)
+        return cover_type(curve_type(*lengths), windings, dilations, extra)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 
@@ -219,10 +216,8 @@ def parse_cover(text):
     if not isinstance(document, dict):
         raise ParseError("cover document must be a JSON object")
     kind = document.get("kind")
-    if kind == "theta":
-        cover = _parse_theta(document)
-    elif kind == "dumbbell":
-        cover = _parse_dumbbell(document)
+    if type(kind) is str and kind in _MODELS:  # a list or an object cannot key a dict
+        cover = _parse_model(document, *_MODELS[kind])
     elif kind == "general_circle":
         cover = _parse_general(document)
     else:
@@ -392,54 +387,31 @@ def _json(value, newline):
     """value as json.dumps(value, indent=2) writes it, where newline is the
     line break and indent of the line value starts on.
 
-    Each container is one loop and one join over its children.  A scalar
-    child is written in place, and so is a dict or list child whose own
-    children are all scalars (a matrix row): its items are one
-    comprehension inside its parent's loop, with no call for it.  Only a
-    deeper container recurses.  A CyclicKernel is written as the list of
-    its divisor dicts, from _divisors, with no dict built, and ScaledPoints
-    as the list of its points, each a list of "p/q" strings, from
-    _scaled_points, with no list built per point.  Any other value
-    that is not a dict with str keys, a list, a tuple, a str, an int, a
-    bool or None raises TypeError.
+    One call per value.  A CyclicKernel or ScaledPoints is written by its
+    item writer in _KERNELS, with no call per divisor or point: the list of
+    its divisor dicts from _divisors, with no dict built, or the list of
+    its points, each a list of "p/q" strings, from _scaled_points, with no
+    list built per point.  A dict or a list is one join of the _json of
+    each child, and a scalar is written by _SCALARS.  Any other value, or a
+    dict key that is not a str, raises TypeError.
     """
     kind = type(value)
-    if kind in _KERNELS:
-        items, opening, closing = _KERNELS[kind]
-        inner = newline + "  "
-        texts = items(value, opening + inner + "  ", "," + inner + "  ", inner + closing)
-        return "[" + inner + ("," + inner).join(texts) + newline + "]"
-    if kind is not dict and kind is not list and kind is not tuple:
-        try:
-            return _SCALARS[kind](value)
-        except KeyError:
-            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable") from None
-    if not value:
-        return "{}" if kind is dict else "[]"
+    if kind in _SCALARS:
+        return _SCALARS[kind](value)
     inner = newline + "  "
-    deeper = inner + "  "
-    between = "," + deeper
-    texts = []
-    for child in value.values() if kind is dict else value:
-        child_kind = type(child)
-        try:  # KeyError: the child is neither a scalar nor a container of scalars
-            if child_kind is dict:
-                text = "{" + deeper + between.join(
-                    [f"{_quote(k)}: {_SCALARS[type(x)](x)}" for k, x in child.items()]
-                ) + inner + "}" if child else "{}"
-            elif child_kind is list or child_kind is tuple:
-                text = "[" + deeper + between.join(
-                    [_SCALARS[type(x)](x) for x in child]
-                ) + inner + "]" if child else "[]"
-            else:
-                text = _SCALARS[child_kind](child)
-        except KeyError:
-            text = _json(child, inner)
-        texts.append(text)
     if kind is dict:
-        texts = [f"{_quote(k)}: {text}" for k, text in zip(value, texts)]
-        return "{" + inner + ("," + inner).join(texts) + newline + "}"
-    return "[" + inner + ("," + inner).join(texts) + newline + "]"
+        texts = [f"{_quote(k)}: {_json(x, inner)}" for k, x in value.items()]
+    elif kind is list or kind is tuple:
+        texts = [_json(x, inner) for x in value]
+    elif kind in _KERNELS:
+        items, opening, closing = _KERNELS[kind]
+        texts = items(value, opening + inner + "  ", "," + inner + "  ", inner + closing)
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    brackets = "{}" if kind is dict else "[]"
+    if not texts:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(texts) + newline + brackets[1]
 
 
 def _render(report, fmt):

@@ -187,9 +187,9 @@ def is_optimal(cover):
 
 
 def _source(cover):
-    """The source graph of a cover and its cycle basis, which together fix
-    the coordinates of the Jacobian."""
-    graph = cover.source
+    """The source graph of a circle cover and its cycle basis, which
+    together fix the coordinates of the Jacobian."""
+    graph = _circle_cover(cover).source
     return graph.vertices, graph.edges, graph.cycle_basis()
 
 
@@ -203,7 +203,7 @@ def factor_pushforward(first, second):
     """
     if _source(first) != _source(second):
         raise SourceMismatch("covers must share the same source curve")
-    push1, push2 = _circle_cover(first)._pushforward, _circle_cover(second)._pushforward
+    push1, push2 = first._pushforward, second._pushforward
     g1 = gcd(*push1.f_sharp.column_tuple(0))
     g2 = gcd(*push2.f_sharp.column_tuple(0))
     if g1 % g2 != 0:

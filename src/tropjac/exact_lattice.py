@@ -322,7 +322,9 @@ class Matrix(_Immutable):
         A product of two matrices multiplies int numerators: each operand
         over the lcm of its denominators, and, when the product of the two
         denominators is not 1, each entry one quotient of an int sum by it.
-        A zero-row operand keeps its shape."""
+        A zero-row operand keeps its shape.  A scalar is an int or a
+        Fraction; any other operand, a bool, float or str among them, is
+        NotImplemented, so Python raises TypeError."""
         if isinstance(other, Matrix):
             if self._ncols != other.nrows:
                 raise ValueError("shape mismatch in multiplication")
@@ -334,8 +336,9 @@ class Matrix(_Immutable):
             if den != 1:
                 product = tuple([tuple([_quotient(x, den) for x in row]) for row in product])
             return Matrix._of(product, other._ncols)
-        scalar = _read_exact(other)
-        return Matrix([[x * scalar for x in row] for row in self._rows], ncols=self._ncols)
+        if type(other) is not int and type(other) is not Fraction:
+            return NotImplemented
+        return Matrix([[x * other for x in row] for row in self._rows], ncols=self._ncols)
 
     __rmul__ = __mul__  # only a scalar reaches it, and scalars commute
 

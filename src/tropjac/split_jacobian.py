@@ -17,6 +17,7 @@ from collections import namedtuple
 
 from .cover_analysis import kernel_length, quotient_and_gamma
 from .curves_covers import (
+    _circle_cover,
     _require_genus_2,
     _walk_form,
     cover_degree,
@@ -156,7 +157,7 @@ def complementary_pushforward(cover):
     direction w and f_hash the inclusion's f_sharp, which its pairing law
     f_sharp^T * l' = P * w makes w^T * P / l'.
     """
-    _, inclusion = cover._kernel
+    _, inclusion = _circle_cover(cover)._kernel
     return dual_morphism(inclusion)
 
 

@@ -31,6 +31,7 @@ from .exact_lattice import (
     integer_kernel,
     integer_solve,
     invariant_factors,
+    rational_solve,
     smith_normal_form,
     snf_rank,
     vstack,
@@ -156,20 +157,22 @@ def kernel0(m):
 
     In coordinates the kernel torus is (Lambda_src / im(f_sharp) saturated,
     ker(f_hash), restricted pairing).  The quotient coordinates come from the
-    Smith form of f_sharp, so they are deterministic.
+    Smith form of f_sharp, so they are deterministic: the projection is the
+    rows of U past the rank.  The pairing P_K is the one the inclusion's
+    pairing law projection^T * P_K = P_src * kernel_basis leaves: the rows of
+    the unimodular U are independent, so projection^T has full column rank
+    and the solve has exactly one solution.
     """
     n1 = m.source.rank
     u, s, _ = smith_normal_form(m.f_sharp)
     r = snf_rank(s)
     k = n1 - r
-    uinv = u.inv()
     projection = u.submatrix(range(r, n1), range(n1))
-    section = uinv.submatrix(range(n1), range(r, n1))
     kernel_basis = integer_kernel(m.f_hash)
-    pairing = section.transpose() * m.source.pairing * kernel_basis
+    pairing = rational_solve(projection.transpose(), m.source.pairing * kernel_basis)
     if k == 1 and pairing[0, 0] < 0:
-        # orient rank-1 kernels so the circle length is positive; flipping
-        # the quotient coordinate and its section together keeps U·U^-1 = I
+        # orient rank-1 kernels so the circle length is positive; the law
+        # holds for the projection and the pairing flipped together
         projection = -projection
         pairing = -pairing
     torus = IntegralTorus(k, pairing)

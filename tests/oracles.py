@@ -736,7 +736,12 @@ def split_covers():
 from math import prod  # noqa: E402
 
 from tropjac.cover_analysis import pushforward_morphism  # noqa: E402
-from tropjac.exact_lattice import column_hnf, integer_kernel, invariant_factors  # noqa: E402
+from tropjac.exact_lattice import (  # noqa: E402
+    column_hnf,
+    integer_kernel,
+    invariant_factors,
+    snf_rank,
+)
 from tropjac.torus_category import kernel0  # noqa: E402
 
 
@@ -769,3 +774,23 @@ def divided_complementary_f_hash(cover):
     kernel_circle, inclusion = kernel0(push)
     w = inclusion.f_hash
     return w.transpose() * push.source.pairing * _quotient(1, kernel_circle.pairing[0, 0])
+
+
+def section_kernel_pairing(m):
+    """The connected kernel of m with its inclusion, its pairing read as
+    section^T * P_src * kernel_basis: the section is the columns of U^-1
+    past the rank r of f_sharp, for the Smith form U * f_sharp * V of
+    f_sharp, and the projection the rows of U past r.  A rank-1 kernel is
+    oriented to a positive length by flipping the projection, the section
+    and so the pairing together."""
+    n1 = m.source.rank
+    u, s, _ = smith_normal_form(m.f_sharp)
+    r = snf_rank(s)
+    projection = u.submatrix(range(r, n1), range(n1))
+    section = u.inv().submatrix(range(n1), range(r, n1))
+    kernel_basis = integer_kernel(m.f_hash)
+    pairing = section.transpose() * m.source.pairing * kernel_basis
+    if n1 - r == 1 and pairing[0, 0] < 0:
+        projection, pairing = -projection, -pairing
+    torus = IntegralTorus(n1 - r, pairing)
+    return torus, TorusMorphism(torus, m.source, projection, kernel_basis)

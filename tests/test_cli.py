@@ -104,6 +104,92 @@ def test_parse_cover_rejects_bad_schema():
     assert "exact rational" in str(info.value)
 
 
+_THETA = {"kind": "theta", "lengths": [1, 1, 1], "windings": [1, 1, 1], "dilations": [2, 1, 1]}
+_DUMBBELL = {"kind": "dumbbell", "lengths": [1, 1, 1], "windings": [1, 1], "dilations": [2, 2]}
+_RATIONAL = 'must be an exact rational ("p/q" string or integer)'
+_KIND = 'kind must be "theta", "dumbbell", or "general_circle"'
+
+
+def _with(document, **changes):
+    """document with each key set to its value, or dropped when it is ..."""
+    changed = {**document, **changes}
+    return {key: value for key, value in changed.items() if value is not ...}
+
+
+# Each malformed curve-model document and the one stderr line it gets.  A
+# shape problem (a list missing or of the wrong length) is reported in the
+# order of the keys, and hides every entry problem; entry problems are
+# reported sorted, each once.
+_SCHEMA_MESSAGES = {
+    "theta-missing-windings": (_with(_THETA, windings=...), "windings must be a list of 3"),
+    "theta-short-lengths": (_with(_THETA, lengths=[1, 1]), "lengths must be a list of 3"),
+    "theta-object-dilations": (_with(_THETA, dilations={"a": 1}), "dilations must be a list of 3"),
+    "theta-bool-winding": (_with(_THETA, windings=[True, 1, 1]), "windings must be an integer"),
+    "theta-float-length": (_with(_THETA, lengths=[1.5, 1, 1]), f"lengths {_RATIONAL}"),
+    "theta-exponent-length": (_with(_THETA, lengths=["1e3", 1, 1]), f"lengths {_RATIONAL}"),
+    "theta-short-arcs": (_with(_THETA, arcs=[1]), "arcs must be a list of 2"),
+    "theta-null-arcs": (_with(_THETA, arcs=None), "arcs must be a list of 2"),
+    "theta-bad-arc": (_with(_THETA, arcs=["x", "1/2"]), f"arcs {_RATIONAL}"),
+    "theta-shape-problems": (
+        _with(_THETA, lengths=[1], windings=..., dilations="211", arcs=[1, 2, 3]),
+        "lengths must be a list of 3; windings must be a list of 3;"
+        " dilations must be a list of 3; arcs must be a list of 2",
+    ),
+    "theta-shape-before-entries": (
+        _with(_THETA, lengths=[1.5, 1, 1], windings=[1, 1]),
+        "windings must be a list of 3",
+    ),
+    "theta-entry-problems": (
+        _with(
+            _THETA,
+            lengths=[1.5, True, "a"],
+            windings=[True, "1", 1],
+            dilations=[1, 1.0, 2],
+            arcs=[0.5, 0.5],
+        ),
+        f"arcs {_RATIONAL}; dilations must be an integer; lengths {_RATIONAL};"
+        " windings must be an integer",
+    ),
+    "theta-negative-length": (_with(_THETA, lengths=["-1", 1, 1]), "l_e must be positive"),
+    "dumbbell-missing-dilations": (_with(_DUMBBELL, dilations=...), "dilations must be a list of 2"),
+    "dumbbell-long-windings": (_with(_DUMBBELL, windings=[1, 1, 1]), "windings must be a list of 2"),
+    "dumbbell-null-target": (_with(_DUMBBELL, target_length=None), f"target_length {_RATIONAL}"),
+    "dumbbell-list-target": (_with(_DUMBBELL, target_length=[1]), f"target_length {_RATIONAL}"),
+    "dumbbell-bool-dilation": (_with(_DUMBBELL, dilations=[True, 2]), "dilations must be an integer"),
+    "dumbbell-shape-hides-target": (
+        _with(_DUMBBELL, windings=[1], target_length=None),
+        "windings must be a list of 2",
+    ),
+    "dumbbell-entry-problems": (
+        _with(
+            _DUMBBELL,
+            lengths=["1/0", 1, "2e1"],
+            windings=[False, 1],
+            dilations=["2", 2],
+            target_length=1.5,
+        ),
+        f"dilations must be an integer; lengths {_RATIONAL}; target_length {_RATIONAL};"
+        " windings must be an integer",
+    ),
+    "dumbbell-zero-length": (_with(_DUMBBELL, lengths=[0, 1, 1]), "l_loop1 must be positive"),
+    "dumbbell-wrong-target": (
+        _with(_DUMBBELL, target_length="3"),
+        "realizability on loop1: d1·l_loop1 = n1·l; realizability on loop2: d2·l_loop2 = n2·l",
+    ),
+    "kind-missing": (_with(_THETA, kind=...), _KIND),
+    "kind-list": (_with(_THETA, kind=["theta"]), _KIND),
+    "kind-object": (_with(_DUMBBELL, kind={"dumbbell": 1}), _KIND),
+}
+
+
+@pytest.mark.parametrize(
+    "document, message", list(_SCHEMA_MESSAGES.values()), ids=list(_SCHEMA_MESSAGES)
+)
+def test_malformed_curve_models_get_their_schema_messages(document, message, tmp_path, capsys):
+    code, out, err = run(capsys, "analyze", write(tmp_path, "bad.json", json.dumps(document)))
+    assert (code, out, err) == (1, "", f"VALIDATION_ERROR: {message}\n")
+
+
 def test_parse_cover_reports_invariant_names():
     with pytest.raises(ValidationError) as info:
         parse_cover(

@@ -1,5 +1,6 @@
 """Tests for the torus-level analysis of circle covers."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,9 @@ from oracles import (
     winding_pushforward,
     xgcd_kernel_length,
 )
+import tropjac.cover_analysis as cover_analysis
+import tropjac.curves_covers as curves_covers
+import tropjac.split_jacobian as split_jacobian
 from tropjac import UnsupportedGenus
 from tropjac.cover_analysis import (
     GammaData,
@@ -405,3 +409,57 @@ def test_pullback_kernel_matches_divisor_loop_on_wide_kernels(cover):
         for divisor in kernel
     )
     assert [(divisor.position, divisor.order) for divisor in kernel] == divisor_pullback_kernel(cover)
+
+
+# every public function that takes a circle cover, with its other arguments;
+# factor_pushforward takes two, and each is tried as the non-cover
+_COVER_FUNCTIONS = {
+    "pushforward_morphism": cover_analysis.pushforward_morphism,
+    "pullback_morphism": cover_analysis.pullback_morphism,
+    "kernel_length": cover_analysis.kernel_length,
+    "quotient_and_gamma": cover_analysis.quotient_and_gamma,
+    "component_count": cover_analysis.component_count,
+    "pullback_kernel_group": cover_analysis.pullback_kernel_group,
+    "pullback_kernel": cover_analysis.pullback_kernel,
+    "q_gamma_profile": lambda cover: cover_analysis.q_gamma_profile(cover, 0),
+    "is_optimal": cover_analysis.is_optimal,
+    "factor_pushforward-first": lambda cover: cover_analysis.factor_pushforward(
+        cover, degree_two_cover()
+    ),
+    "factor_pushforward-second": lambda cover: cover_analysis.factor_pushforward(
+        degree_two_cover(), cover
+    ),
+    "validate_cover": curves_covers.validate_cover,
+    "require_valid": curves_covers.require_valid,
+    "harmonic_form": curves_covers.harmonic_form,
+    "cover_degree": curves_covers.cover_degree,
+    "target_length": curves_covers.target_length,
+    "ramification_index": lambda cover: curves_covers.ramification_index(cover, "P0"),
+    "strong_optimality_gap": split_jacobian.strong_optimality_gap,
+    "complementary_cover": split_jacobian.complementary_cover,
+    "splitting_isogeny": split_jacobian.splitting_isogeny,
+    "complementary_pushforward": split_jacobian.complementary_pushforward,
+    "verify_split_package": split_jacobian.verify_split_package,
+}
+
+
+def test_the_cover_function_table_is_complete():
+    # validate_general_cover takes a GeneralCircleCover alone, whose walk
+    # data it checks for the cover's constructor
+    names = {
+        name
+        for module in (cover_analysis, curves_covers, split_jacobian)
+        for name, function in vars(module).items()
+        if inspect.isfunction(function)
+        and function.__module__ == module.__name__
+        and not name.startswith("_")
+        and {"cover", "first"} & set(inspect.signature(function).parameters)
+    }
+    assert names - {"validate_general_cover"} == {name.split("-")[0] for name in _COVER_FUNCTIONS}
+
+
+@pytest.mark.parametrize("argument", [None, ThetaCurve(1, 1, 1)], ids=["none", "curve"])
+@pytest.mark.parametrize("function", list(_COVER_FUNCTIONS.values()), ids=list(_COVER_FUNCTIONS))
+def test_cover_functions_refuse_a_non_cover(function, argument):
+    with pytest.raises(ValueError, match="^validate_cover expects a circle cover$"):
+        function(argument)

@@ -99,6 +99,27 @@ def test_matrix_sum_with_a_non_matrix_raises_type_error(combine):
     pytest.raises(TypeError, combine, Matrix([[1, 2]]))
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize(
+    "operand",
+    ["2", b"2", None, 2.0, True, Decimal(2)],
+    ids=["str", "bytes", "none", "float", "bool", "decimal"],
+)
+def test_matrix_product_with_a_non_scalar_raises_type_error(operand, side):
+    # a scalar is an int or a Fraction; anything else is left to the other
+    # operand, and Python then raises TypeError
+    m = Matrix([[1, 2]])
+    with pytest.raises(TypeError):
+        m * operand if side == "right" else operand * m
+
+
+def test_matrix_product_with_a_scalar_on_either_side():
+    m = Matrix([[1, 2]])
+    assert m * 2 == 2 * m == Matrix([[2, 4]])
+    assert m * Fraction(1, 2) == Fraction(1, 2) * m == Matrix([[Fraction(1, 2), 1]])
+    assert type((m * Fraction(2))[0, 0]) is int
+
+
 def test_matrix_product_and_transpose():
     a = Matrix([[2, 1], [1, 2]])
     b = Matrix([[1], [1]])
@@ -125,8 +146,9 @@ def test_matrix_rejects_floats():
     pytest.raises(ValueError, Matrix, [[1, 2.0]])
     pytest.raises(ValueError, Matrix, [[True]])
     pytest.raises(ValueError, Matrix, [["1e10000000"]])
-    pytest.raises(ValueError, lambda: Matrix([[1]]) * 0.25)
-    pytest.raises(ValueError, lambda: 0.25 * Matrix([[1]]))
+    # a float is no scalar: the product is left to it, and Python raises
+    pytest.raises(TypeError, lambda: Matrix([[1]]) * 0.25)
+    pytest.raises(TypeError, lambda: 0.25 * Matrix([[1]]))
     pytest.raises(ValueError, circle, 0.5)
 
 

@@ -19,7 +19,13 @@ import tropjac.exact_lattice as exact_lattice
 import tropjac.split_jacobian as split_jacobian
 import tropjac.tav as tav
 import tropjac.torus_category as torus_category
-from oracles import degree_two_cover, dumbbell_covers, random_unimodular, theta_covers
+from oracles import (
+    degree_two_cover,
+    dumbbell_covers,
+    random_unimodular,
+    theta_covers,
+    theta_jacobian,
+)
 from test_presentations import subdivided
 from tropjac.cli import run_command
 from tropjac.cover_analysis import (
@@ -260,6 +266,30 @@ def test_classify_makes_one_smith_form_and_no_product(monkeypatch):
         assert calls == Counter(smith_normal_form=1)
 
 
+def test_kernel0_makes_no_inverse(monkeypatch):
+    # the kernel pairing is solved from the inclusion's pairing law, with
+    # one product, P_src * kernel_basis, and the inclusion's constructor
+    # checks that law with two more: on a rank-1 kernel (the degree-2 theta
+    # pushforward), a rank-2 one (a product projection) and a rank-0 one
+    # (the degree-91 ladder's splitting isogeny)
+    _, _, _, projection, _ = torus_category.product(
+        torus_category.circle(2), theta_jacobian()
+    )
+    morphisms = [
+        pushforward_morphism(degree_two_cover()),
+        projection,
+        splitting_isogeny(_ladder_cover(45))[0],
+    ]
+    for m, rank in zip(morphisms, (1, 2, 0)):
+        calls = Counter()
+        _count_calls(monkeypatch, exact_lattice.Matrix, "__mul__", calls)
+        _count_calls(monkeypatch, exact_lattice.Matrix, "inv", calls)
+        torus, _ = torus_category.kernel0(m)
+        monkeypatch.undo()
+        assert torus.rank == rank
+        assert calls == Counter(__mul__=3)
+
+
 def test_isogeny_kernel_makes_one_inverse_and_no_product(monkeypatch):
     # the kernel of the degree-91 ladder's splitting isogeny is listed from
     # the columns of f_hash^-1, after one classify
@@ -357,9 +387,9 @@ def test_divisors_are_written_up_to_the_listing_bound():
 
 
 def test_renderer_writes_int_children_in_place(monkeypatch):
-    # the report holds the kernel as its generator, and the divisors of
-    # 1000 and 2000 points are written from ints inside one _json call for
-    # the kernel: the same two _json calls
+    # _json makes one call per value: the report and its one child, the
+    # kernel, held as its generator, whose 1000 or 2000 divisors its item
+    # writer writes from ints with no call each: two _json calls either way
     counts = []
     for g in (1000, 2000):
         cover = _wide_dumbbell(g)
@@ -396,8 +426,8 @@ def test_cli_prints_the_pullback_kernel_without_building_fractions(monkeypatch):
 
 def test_renderer_writes_kernel_points_in_place(monkeypatch):
     # the analyze --split reports of the ladder dumbbells of degree 101 and
-    # 2001 cost the same _json calls: each kernel point, a list of strings,
-    # is written inside the point list's loop
+    # 2001 cost the same _json calls: the kernel is one value, and its item
+    # writer writes each point, a list of strings, with no call
     counts = []
     for k in (50, 1000):
         cover = _ladder_cover(k)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,6 +17,7 @@ from oracles import (
     random_covolume_preserving_isogeny,
     random_subtorus_sequence,
     random_unimodular,
+    section_kernel_pairing,
 )
 from tropjac.cover_analysis import pushforward_morphism
 from tropjac.exact_lattice import Matrix
@@ -105,12 +107,12 @@ def test_classify_projection_rank_drop():
 
 
 @st.composite
-def morphisms(draw):
-    """A morphism of tori of ranks 0 to 3 whose f_hash is a product through
-    rank k, so non-square, rank-deficient and non-saturated f_hash all come
-    up.  The source pairing is unimodular, so f_sharp is integral; half are
-    dualized, which puts the unimodular pairing on the target side."""
-    n1, n2, k = (draw(st.integers(0, 3)) for _ in range(3))
+def morphisms(draw, max_rank=3):
+    """A morphism of tori of ranks 0 to max_rank whose f_hash is a product
+    through rank k, so non-square, rank-deficient and non-saturated f_hash
+    all come up.  The source pairing is unimodular, so f_sharp is integral;
+    half are dualized, which puts the unimodular pairing on the target side."""
+    n1, n2, k = (draw(st.integers(0, max_rank)) for _ in range(3))
 
     def integer_matrix(rows, cols):
         entries = st.integers(-3, 3)
@@ -131,6 +133,27 @@ def morphisms(draw):
 @given(morphisms())
 def test_classify_agrees_with_the_minors(m):
     assert classify(m) == minor_flags(m)
+
+
+@st.composite
+def scaled_morphisms(draw):
+    """A morphism of ranks 0 to 4 from morphisms(), both pairings scaled by
+    one positive rational, which keeps the pairing law; a scale that is no
+    int makes the pairings non-integral."""
+    m = draw(morphisms(max_rank=4))
+    scale = Fraction(draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    return TorusMorphism(
+        IntegralTorus(m.source.rank, m.source.pairing * scale),
+        IntegralTorus(m.target.rank, m.target.pairing * scale),
+        m.f_sharp,
+        m.f_hash,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(scaled_morphisms())
+def test_kernel0_agrees_with_the_section_pairing(m):
+    assert kernel0(m) == section_kernel_pairing(m)
 
 
 # -- duals -----------------------------------------------------------------
