@@ -439,7 +439,10 @@ class GeneralCircleCover(_CircleCover):
 
 
 def validate_general_cover(cover):
-    """Violated-invariant names for a GeneralCircleCover (empty = valid)."""
+    """Violated-invariant names for a GeneralCircleCover (empty = valid).
+    Any other argument raises ValueError."""
+    if not isinstance(cover, GeneralCircleCover):
+        raise ValueError("validate_general_cover expects a GeneralCircleCover")
     violations = []
     if not any(cover.dilations):
         violations.append("surjectivity: some edge must have a nonzero dilation")
@@ -635,11 +638,15 @@ def ramification_index(cover, point):
 
 def jacobian(graph):
     """Jacobian as a principally polarized variety: rank = genus, pairing =
-    the cycle-basis period matrix, polarization = identity."""
+    the cycle-basis period matrix, polarization = identity.
+
+    The period matrix is the Gram matrix of independent cycles under the
+    positive edge lengths, so it is symmetric positive definite: the torus
+    and the variety are valid as built, and are not checked again."""
     if not isinstance(graph, MetricGraph):
         raise ValueError("jacobian expects a curve model or a MetricGraph")
-    torus = IntegralTorus(graph.genus, graph.period_matrix())
-    return PolarizedVariety(torus, Polarization(Matrix.identity(graph.genus)))
+    torus = IntegralTorus._derived(graph.genus, graph.period_matrix())
+    return PolarizedVariety._derived(torus, Polarization(Matrix.identity(graph.genus)))
 
 
 def abel_jacobi(graph, basepoint, point):

@@ -71,13 +71,28 @@ class _Immutable:
 
 class _Value(_Immutable):
     """An immutable value: equal to another instance of exactly its type
-    whose fields are equal, and hashed the same way."""
+    whose fields are equal, and hashed the same way.
+
+    The constructor of a value type checks caller input.  A value that the
+    library derives from values already checked, by a construction that
+    proves the type's invariant (a dual, a composite, a kernel solved from
+    its pairing law), is wrapped by _derived instead, which runs no check:
+    caller input is checked once, as Matrix._of does for matrix entries."""
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._values = attrgetter(*cls._fields)
+
+    @classmethod
+    def _derived(cls, *values):
+        """The value whose fields, in order, are values, built without
+        __init__: for values whose invariant the caller has proved."""
+        value = cls.__new__(cls)
+        for name, field in zip(cls._fields, values, strict=True):
+            object.__setattr__(value, name, field)
+        return value
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -11,6 +11,10 @@ tuples over one denominator: the two torsion flags compare those ints with
 the multiples of one int step, and the report keeps them for the CLI to
 write.  It becomes column matrices only where a caller asks for columns,
 through splitting_isogeny or SplitReport.kernel_points.
+
+phi and phi_tilde are assembled from the kernel inclusion, the pushforward
+and the pullback, which are already checked morphisms.  Their pairing laws
+hold block by block, so they are wrapped by _derived and not checked again.
 """
 
 from collections import namedtuple
@@ -123,15 +127,13 @@ def complementary_cover(cover):
 def _splitting(cover):
     """The isogeny TE' x TE -> Jac of a strongly optimal cover, assembled
     from the kernel inclusion and the pullback, with its kernel as
-    ScaledPoints."""
+    ScaledPoints.  Its source pairing diag(l', l) is non-degenerate, and
+    its pairing law is the laws of the two blocks."""
     _require_strongly_optimal(cover)
     te_prime, inclusion = cover._kernel
     pull = cover._pullback
-    length = cover._form.target_length
-    source = IntegralTorus(
-        2, block_diagonal(te_prime.pairing, Matrix([[length]]))
-    )
-    phi = TorusMorphism(
+    source = IntegralTorus._derived(2, block_diagonal(te_prime.pairing, pull.source.pairing))
+    phi = TorusMorphism._derived(
         source,
         cover._pushforward.source,
         vstack(inclusion.f_sharp, pull.f_sharp),
@@ -190,7 +192,8 @@ def verify_split_package(cover):
     push, pull = cover._pushforward, cover._pullback
     _, inclusion = cover._kernel
     comp = complementary_pushforward(cover)
-    phi_tilde = TorusMorphism(
+    # the laws of comp and push, stacked, are the law of phi_tilde
+    phi_tilde = TorusMorphism._derived(
         push.source,
         phi.source,
         hstack(comp.f_sharp, push.f_sharp),

@@ -14,6 +14,16 @@ Conventions used throughout:
 * ``f_hash`` has shape (rank target, rank source) and encodes the map on the
   second lattices, in the direction of the morphism.
 * the induced map on universal covers is ``f_sharp`` transposed.
+
+The constructors IntegralTorus and TorusMorphism check caller input: a
+torus's pairing is non-degenerate, and a morphism's matrices are integral
+and satisfy the pairing law.  A torus or morphism that a construction here
+derives from checked values, and whose invariant the construction proves,
+is wrapped by _derived and not checked again: a dual, a composite, a
+product and its injections and projections, an identity, a zero morphism,
+a difference of parallel morphisms, and the kernel torus and inclusion of
+kernel0, whose pairing is solved from the inclusion's pairing law.  The
+Stein factorization solves for its isogeny, so that one stays checked.
 """
 
 from .errors import (
@@ -66,7 +76,8 @@ def zero_torus():
 
 
 class TorusMorphism(_Value):
-    """A morphism of integral tori; the pairing law is checked on construction."""
+    """A morphism of integral tori; the pairing law is checked when it is
+    built from caller input, and a violation names both of its sides."""
 
     __slots__ = ("source", "target", "f_sharp", "f_hash")
 
@@ -77,9 +88,12 @@ class TorusMorphism(_Value):
             raise ValueError("f_hash must have shape (rank target, rank source)")
         if not f_sharp.is_integral() or not f_hash.is_integral():
             raise ValueError("morphism matrices must be integral")
-        if f_sharp.transpose() * source.pairing != target.pairing * f_hash:
+        lhs = f_sharp.transpose() * source.pairing
+        rhs = target.pairing * f_hash
+        if lhs != rhs:
             raise CompatibilityViolation(
-                "pairing law f_sharp^T * P_src = P_tgt * f_hash fails"
+                f"pairing law f_sharp^T * P_src = P_tgt * f_hash fails: "
+                f"lhs {_rows_text(lhs)}, rhs {_rows_text(rhs)}"
             )
         self._set(source=source, target=target, f_sharp=f_sharp, f_hash=f_hash)
 
@@ -89,13 +103,18 @@ class TorusMorphism(_Value):
         return self.f_sharp.transpose()
 
 
+def _rows_text(m):
+    """The entries of a matrix as nested lists, [[1, 1/3]], for messages."""
+    return "[" + ", ".join("[" + ", ".join(map(str, row)) + "]" for row in m.entries()) + "]"
+
+
 def identity_morphism(torus):
     eye = Matrix.identity(torus.rank)
-    return TorusMorphism(torus, torus, eye, eye)
+    return TorusMorphism._derived(torus, torus, eye, eye)
 
 
 def zero_morphism(source, target):
-    return TorusMorphism(
+    return TorusMorphism._derived(
         source,
         target,
         Matrix.zeros(source.rank, target.rank),
@@ -104,10 +123,13 @@ def zero_morphism(source, target):
 
 
 def compose(outer, inner):
-    """The composite outer ∘ inner."""
+    """The composite outer ∘ inner.  Its matrices are products of integer
+    matrices, and the two pairing laws give its own: with f and h the
+    f_sharp and f_hash of inner (i) and outer (o),
+    (f_i f_o)^T P_src = f_o^T P_mid h_i = P_tgt h_o h_i."""
     if inner.target != outer.source:
         raise ShapeMismatch("morphisms are not composable")
-    return TorusMorphism(
+    return TorusMorphism._derived(
         inner.source,
         outer.target,
         inner.f_sharp * outer.f_sharp,
@@ -143,13 +165,15 @@ def classify(m):
 
 
 def dual(torus):
-    """The dual torus: same lattices with the transposed pairing."""
-    return IntegralTorus(torus.rank, torus.pairing.transpose())
+    """The dual torus: same lattices with the transposed pairing, as
+    non-degenerate as the pairing."""
+    return IntegralTorus._derived(torus.rank, torus.pairing.transpose())
 
 
 def dual_morphism(m):
-    """The dual morphism: swaps the two matrices and reverses direction."""
-    return TorusMorphism(dual(m.target), dual(m.source), m.f_hash, m.f_sharp)
+    """The dual morphism: swaps the two matrices and reverses direction.
+    Its pairing law is the transpose of the law of m."""
+    return TorusMorphism._derived(dual(m.target), dual(m.source), m.f_hash, m.f_sharp)
 
 
 def kernel0(m):
@@ -161,7 +185,9 @@ def kernel0(m):
     rows of U past the rank.  The pairing P_K is the one the inclusion's
     pairing law projection^T * P_K = P_src * kernel_basis leaves: the rows of
     the unimodular U are independent, so projection^T has full column rank
-    and the solve has exactly one solution.
+    and the solve has exactly one solution.  P_K is non-degenerate, as
+    P_src is and the kernel basis has full column rank, and the inclusion
+    holds its pairing law by construction, so neither is checked again.
     """
     n1 = m.source.rank
     u, s, _ = smith_normal_form(m.f_sharp)
@@ -175,8 +201,8 @@ def kernel0(m):
         # holds for the projection and the pairing flipped together
         projection = -projection
         pairing = -pairing
-    torus = IntegralTorus(k, pairing)
-    inclusion = TorusMorphism(torus, m.source, projection, kernel_basis)
+    torus = IntegralTorus._derived(k, pairing)
+    inclusion = TorusMorphism._derived(torus, m.source, projection, kernel_basis)
     return torus, inclusion
 
 
@@ -211,21 +237,23 @@ def quotient_by_subtorus(torus, inclusion):
 
 
 def product(t1, t2):
-    """Biproduct of two tori: (product torus, inj1, inj2, proj1, proj2)."""
+    """Biproduct of two tori: (product torus, inj1, inj2, proj1, proj2).
+    The block-diagonal pairing has the product of the two determinants, and
+    each map's pairing law holds block by block."""
     n1, n2 = t1.rank, t2.rank
-    torus = IntegralTorus(n1 + n2, block_diagonal(t1.pairing, t2.pairing))
+    torus = IntegralTorus._derived(n1 + n2, block_diagonal(t1.pairing, t2.pairing))
     eye1 = Matrix.identity(n1)
     eye2 = Matrix.identity(n2)
-    iota1 = TorusMorphism(
+    iota1 = TorusMorphism._derived(
         t1, torus, hstack(eye1, Matrix.zeros(n1, n2)), vstack(eye1, Matrix.zeros(n2, n1))
     )
-    iota2 = TorusMorphism(
+    iota2 = TorusMorphism._derived(
         t2, torus, hstack(Matrix.zeros(n2, n1), eye2), vstack(Matrix.zeros(n1, n2), eye2)
     )
-    proj1 = TorusMorphism(
+    proj1 = TorusMorphism._derived(
         torus, t1, vstack(eye1, Matrix.zeros(n2, n1)), hstack(eye1, Matrix.zeros(n1, n2))
     )
-    proj2 = TorusMorphism(
+    proj2 = TorusMorphism._derived(
         torus, t2, vstack(Matrix.zeros(n1, n2), eye2), hstack(Matrix.zeros(n2, n1), eye2)
     )
     return torus, iota1, iota2, proj1, proj2
@@ -234,7 +262,8 @@ def product(t1, t2):
 def _difference(f, g):
     if f.source != g.source or f.target != g.target:
         raise ShapeMismatch("the two morphisms are not parallel")
-    return TorusMorphism(f.source, f.target, f.f_sharp - g.f_sharp, f.f_hash - g.f_hash)
+    # the pairing law is linear in the two matrices
+    return TorusMorphism._derived(f.source, f.target, f.f_sharp - g.f_sharp, f.f_hash - g.f_hash)
 
 
 def equalizer(f, g):

@@ -445,7 +445,8 @@ _COVER_FUNCTIONS = {
 
 def test_the_cover_function_table_is_complete():
     # validate_general_cover takes a GeneralCircleCover alone, whose walk
-    # data it checks for the cover's constructor
+    # data it checks for the cover's constructor; its refusals are tested
+    # below on their own
     names = {
         name
         for module in (cover_analysis, curves_covers, split_jacobian)
@@ -463,3 +464,13 @@ def test_the_cover_function_table_is_complete():
 def test_cover_functions_refuse_a_non_cover(function, argument):
     with pytest.raises(ValueError, match="^validate_cover expects a circle cover$"):
         function(argument)
+
+
+@pytest.mark.parametrize(
+    "argument",
+    [None, degree_two_cover(), ThetaCurve(1, 1, 1)],
+    ids=["none", "theta-cover", "curve"],
+)
+def test_validate_general_cover_refuses_any_other_argument(argument):
+    with pytest.raises(ValueError, match="^validate_general_cover expects a GeneralCircleCover$"):
+        curves_covers.validate_general_cover(argument)

@@ -268,10 +268,10 @@ def test_classify_makes_one_smith_form_and_no_product(monkeypatch):
 
 def test_kernel0_makes_no_inverse(monkeypatch):
     # the kernel pairing is solved from the inclusion's pairing law, with
-    # one product, P_src * kernel_basis, and the inclusion's constructor
-    # checks that law with two more: on a rank-1 kernel (the degree-2 theta
-    # pushforward), a rank-2 one (a product projection) and a rank-0 one
-    # (the degree-91 ladder's splitting isogeny)
+    # one product, P_src * kernel_basis, and the inclusion holds that law by
+    # construction, so nothing checks it again: on a rank-1 kernel (the
+    # degree-2 theta pushforward), a rank-2 one (a product projection) and
+    # a rank-0 one (the degree-91 ladder's splitting isogeny)
     _, _, _, projection, _ = torus_category.product(
         torus_category.circle(2), theta_jacobian()
     )
@@ -287,7 +287,63 @@ def test_kernel0_makes_no_inverse(monkeypatch):
         torus, _ = torus_category.kernel0(m)
         monkeypatch.undo()
         assert torus.rank == rank
-        assert calls == Counter(__mul__=3)
+        assert calls == Counter(__mul__=1)
+
+
+def test_dual_morphism_makes_no_product_and_no_determinant(monkeypatch):
+    # the dual swaps the two matrices and transposes the two pairings; its
+    # law is the transpose of the law of m, so nothing is multiplied to
+    # check it and no determinant checks the transposed pairings
+    _, _, _, projection, _ = torus_category.product(
+        torus_category.circle(2), theta_jacobian()
+    )
+    for m in (pushforward_morphism(degree_two_cover()), projection):
+        calls = Counter()
+        _count_calls(monkeypatch, exact_lattice.Matrix, "__mul__", calls)
+        _count_calls(monkeypatch, exact_lattice.Matrix, "det", calls)
+        dual = torus_category.dual_morphism(m)
+        monkeypatch.undo()
+        assert (dual.f_sharp, dual.f_hash) == (m.f_hash, m.f_sharp)
+        assert calls == Counter()
+
+
+def test_compose_makes_its_two_products(monkeypatch):
+    # f_sharp and f_hash of the composite are one product each; the law
+    # follows from the laws of the two factors and is not checked again
+    push = pushforward_morphism(degree_two_cover())
+    pull = torus_category.dual_morphism(push)
+    for outer, inner in ((push, pull), (pull, push)):
+        calls = Counter()
+        _count_calls(monkeypatch, exact_lattice.Matrix, "__mul__", calls)
+        _count_calls(monkeypatch, exact_lattice.Matrix, "det", calls)
+        torus_category.compose(outer, inner)
+        monkeypatch.undo()
+        assert calls == Counter(__mul__=2)
+
+
+def test_analyze_split_checks_one_morphism_and_one_torus(tmp_path, monkeypatch, capsys):
+    # one analyze --split of the degree-91 ladder: the pushforward, which
+    # turns the cover data into a morphism, and its target circle are the
+    # only values the constructors check; the Jacobian, the kernel circle,
+    # the pullback, phi and phi_tilde are derived from them unchecked
+    built = Counter()
+    for cls in (torus_category.IntegralTorus, torus_category.TorusMorphism, tav.PolarizedVariety):
+        original = cls.__init__
+
+        def counting(self, *args, name=cls.__name__, original=original):
+            built[name] += 1
+            original(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps(
+        {"kind": "dumbbell", "lengths": ["1/45", "1/46", 1], "windings": [1, 1], "dilations": [45, 46]}
+    ))
+    assert run_command(["analyze", str(path), "--split"]) == 0
+    monkeypatch.undo()
+    report = json.loads(capsys.readouterr().out)
+    assert report["split"]["degree"] == 91 and all(report["split"]["flags"].values())
+    assert built == Counter(TorusMorphism=1, IntegralTorus=1)
 
 
 def test_isogeny_kernel_makes_one_inverse_and_no_product(monkeypatch):

@@ -186,6 +186,19 @@ def _called_names(path):
     }
 
 
+def test_only_the_torus_constructions_build_a_value_unchecked():
+    # _Value._derived wraps fields without running the constructor's
+    # checks, so only the modules whose constructions prove the invariant
+    # call it; the CLI and tav, whose morphisms come from caller input or
+    # are solved for, go through the checked constructors
+    callers = sorted(
+        path.name
+        for path in Path(tropjac.__file__).parent.glob("*.py")
+        if "_derived" in _called_names(path)
+    )
+    assert callers == ["curves_covers.py", "split_jacobian.py", "torus_category.py"]
+
+
 def test_every_error_is_raised():
     # an error class that no module builds is a code no caller can meet
     package = Path(tropjac.__file__).parent

@@ -66,10 +66,22 @@ def test_torus_validation():
 
 
 def test_morphism_compatibility_checked_on_construction():
-    pytest.raises(
+    # the violation names both sides of the law: f_sharp^T * 3 and 6 * f_hash
+    with pytest.raises(
         CompatibilityViolation,
-        lambda: TorusMorphism(circle(3), circle(6), Matrix([[1]]), Matrix([[1]])),
-    )
+        match=r"^pairing law f_sharp\^T \* P_src = P_tgt \* f_hash fails: lhs \[\[3\]\], rhs \[\[6\]\]$",
+    ):
+        TorusMorphism(circle(3), circle(6), Matrix([[1]]), Matrix([[1]]))
+    with pytest.raises(
+        CompatibilityViolation,
+        match=r"fails: lhs \[\[2, 1\], \[1, 2\]\], rhs \[\[1/2, 0\], \[0, 1/2\]\]$",
+    ):
+        TorusMorphism(
+            IntegralTorus(2, Matrix([[2, 1], [1, 2]])),
+            IntegralTorus(2, Matrix([["1/2", 0], [0, "1/2"]])),
+            Matrix.identity(2),
+            Matrix.identity(2),
+        )
     pytest.raises(
         ValueError,
         lambda: TorusMorphism(circle(3), circle(6), Matrix([["1/2"]]), Matrix([["1/4"]])),
