@@ -77,7 +77,7 @@ class _Value(_Immutable):
     library derives from values already checked, by a construction that
     proves the type's invariant (a dual, a composite, a kernel solved from
     its pairing law), is wrapped by _derived instead, which runs no check:
-    caller input is checked once, as Matrix._of does for matrix entries."""
+    caller input is checked once, as Matrix._of reads matrix entries once."""
 
     __slots__ = ()
 

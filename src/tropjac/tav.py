@@ -342,8 +342,8 @@ def isogeny_kernel_numerators(m):
     P_tgt * f_hash makes f_hash^{-1}, so the kernel is listed from the
     columns of f_hash^{-1} as subgroup_generated lists one.  The source
     periods always lie in the lifted lattice U^{-1} L_tgt: their
-    coordinates in it are f_hash, which TorusMorphism checks to be
-    integral.  A kernel of more than MAX_LISTED_POINTS points raises
+    coordinates in it are f_hash, which is integral in every
+    TorusMorphism.  A kernel of more than MAX_LISTED_POINTS points raises
     KernelTooLarge before any is listed.
     """
     if not classify(m).isogeny:

@@ -144,8 +144,9 @@ def classify(m):
     """Surjective / finite / injective / isogeny flags of a morphism, read
     off the invariant factors of f_hash alone.
 
-    The pairing law f_sharp^T * P_src = P_tgt * f_hash, checked when the
-    morphism is built, with both pairings non-degenerate, gives f_sharp
+    The pairing law f_sharp^T * P_src = P_tgt * f_hash, which every
+    morphism holds (checked on caller input, proved by the construction
+    otherwise), with both pairings non-degenerate, gives f_sharp
     and f_hash one rank r, the number of nonzero invariant factors of
     f_hash.  The morphism is surjective when r is the target rank (the
     cover map f_sharp^T is onto), finite when r is the source rank

@@ -253,8 +253,8 @@ def test_exactness_check_saturates_and_classifies_nothing(monkeypatch):
 
 
 def test_classify_makes_one_smith_form_and_no_product(monkeypatch):
-    # the flags are read off the invariant factors of f_hash alone: the
-    # pairing law was checked when the morphism was built
+    # the flags are read off the invariant factors of f_hash alone: every
+    # morphism holds the pairing law, checked or proved when it was built
     morphisms = [pushforward_morphism(degree_two_cover()), splitting_isogeny(_ladder_cover(45))[0]]
     for m in morphisms:
         calls = Counter()
@@ -335,10 +335,9 @@ def test_analyze_split_checks_one_morphism_and_one_torus(tmp_path, monkeypatch, 
             original(self, *args)
 
         monkeypatch.setattr(cls, "__init__", counting)
+    ladder = {"kind": "dumbbell", "lengths": ["1/45", "1/46", 1], "windings": [1, 1], "dilations": [45, 46]}
     path = tmp_path / "ladder.json"
-    path.write_text(json.dumps(
-        {"kind": "dumbbell", "lengths": ["1/45", "1/46", 1], "windings": [1, 1], "dilations": [45, 46]}
-    ))
+    path.write_text(json.dumps(ladder))
     assert run_command(["analyze", str(path), "--split"]) == 0
     monkeypatch.undo()
     report = json.loads(capsys.readouterr().out)
