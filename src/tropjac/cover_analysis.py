@@ -22,9 +22,9 @@ from .curves_covers import DumbbellCover, _circle_cover, _rational, harmonic_for
 from .curves_covers import GammaData  # noqa: F401  (returned by quotient_and_gamma)
 from .curves_covers import require_valid  # noqa: F401  (bound here for bench/test_bench.py)
 from .errors import SourceMismatch
-from .exact_lattice import Matrix, _quotient
+from .exact_lattice import _quotient, rational_solve
 from .tav import _require_listable
-from .torus_category import TorusMorphism, circle, compose
+from .torus_category import TorusMorphism, compose
 
 
 # A divisor class P - P0 of finite order in the target Jacobian, recorded by
@@ -194,33 +194,24 @@ def _source(cover):
 
 
 def factor_pushforward(first, second):
-    """The circle isogeny through which first's pushforward factors via
-    second's, or None when no such factorization exists.
+    """The circle isogeny psi with psi ∘ second's pushforward = first's,
+    or None when no such factorization exists.
 
-    Both covers must have the same source graph with the same cycle basis;
-    the candidate multiplicities are forced by the gcd and length data and
-    then verified exactly.
+    Both covers must have the same source graph with the same cycle basis.
+    psi's f_sharp is solved from push2.f_sharp * X = push1.f_sharp, whose
+    one rational solution is unique, as a valid cover's f_sharp is a
+    nonzero column; its f_hash is then read from psi's pairing law
+    a_sharp · l2 = l1 · a_hash.  psi exists when both are integral and the
+    composite reproduces first's f_hash, which is verified exactly.
     """
     if _source(first) != _source(second):
         raise SourceMismatch("covers must share the same source curve")
     push1, push2 = first._pushforward, second._pushforward
-    g1 = gcd(*push1.f_sharp.column_tuple(0))
-    g2 = gcd(*push2.f_sharp.column_tuple(0))
-    if g1 % g2 != 0:
+    sharp = rational_solve(push2.f_sharp, push1.f_sharp)
+    if sharp is None or not sharp.is_integral():
         return None
-    a_sharp = g1 // g2
-    length1 = push1.target.pairing[0, 0]
-    length2 = push2.target.pairing[0, 0]
-    a_hash, rest = divmod(a_sharp * length2, length1)
-    if rest:
+    f_hash = sharp * _quotient(push2.target.pairing[0, 0], push1.target.pairing[0, 0])
+    if not f_hash.is_integral():
         return None
-    for sign in (1, -1):
-        psi = TorusMorphism(
-            circle(length2),
-            circle(length1),
-            Matrix([[sign * a_sharp]]),
-            Matrix([[sign * a_hash]]),
-        )
-        if compose(psi, push2) == push1:
-            return psi
-    return None
+    psi = TorusMorphism(push2.target, push1.target, sharp, f_hash)
+    return psi if compose(psi, push2) == push1 else None

@@ -33,7 +33,7 @@ the contents of mu_*: a_sharp = gcd(f_sharp), a_hash = gcd(f_hash), and
 l_tilde = l·a_hash/a_sharp by the pairing law of the quotient isogeny.
 """
 
-from collections import namedtuple
+from collections import deque, namedtuple
 from functools import cached_property
 from math import gcd
 
@@ -85,7 +85,11 @@ class MetricGraph(_Value):
         vertices = tuple(vertices)
         cleaned = []
         for tail, head, length in edges:
-            if tail not in vertices or head not in vertices:
+            try:
+                known = tail in labels and head in labels
+            except TypeError:  # an unhashable end is no label
+                known = False
+            if not known:
                 raise ValueError(f"edge ({tail!r}, {head!r}) uses unknown vertices")
             cleaned.append((tail, head, _positive_rational(length, "edge length")))
         self._set(vertices=vertices, edges=tuple(cleaned))
@@ -94,21 +98,25 @@ class MetricGraph(_Value):
 
     @cached_property
     def _root_paths(self):
-        """The deterministic BFS tree from the first vertex: maps each vertex
-        it reaches to the edge coefficients of its tree path from the root."""
+        """The deterministic BFS tree from the first vertex, in BFS order:
+        maps each vertex it reaches to its parent edge, (parent, edge index,
+        sign) with sign 1 when the edge runs from the parent, and the root
+        to None.  Each vertex's edges are scanned in edge-index order, tail
+        end first, so the tree depends only on the input order."""
+        adjacent = {vertex: [] for vertex in self.vertices}
+        for index, (tail, head, _) in enumerate(self.edges):
+            adjacent[tail].append((head, index, 1))
+            adjacent[head].append((tail, index, -1))
         root = self.vertices[0]
-        paths = {root: (0,) * len(self.edges)}
-        frontier = [root]
+        tree = {root: None}
+        frontier = deque([root])
         while frontier:
-            v = frontier.pop(0)
-            for index, (tail, head, _) in enumerate(self.edges):
-                for near, far, sign in ((tail, head, 1), (head, tail, -1)):
-                    if near == v and far not in paths:
-                        path = list(paths[v])
-                        path[index] += sign
-                        paths[far] = tuple(path)
-                        frontier.append(far)
-        return paths
+            v = frontier.popleft()
+            for far, index, sign in adjacent[v]:
+                if far not in tree:
+                    tree[far] = (v, index, sign)
+                    frontier.append(far)
+        return tree
 
     @property
     def genus(self):
@@ -124,20 +132,28 @@ class MetricGraph(_Value):
         raise ValueError(f"unknown edge {edge!r}")
 
     def tree_path(self, start, end):
-        """Edge coefficients of the tree path from start to end."""
-        paths = self._root_paths
-        return tuple(b - a for a, b in zip(paths[start], paths[end]))
+        """Edge coefficients of the tree path from start to end: the path
+        from the root to end less the path from the root to start, each
+        walked up the parent edges."""
+        tree = self._root_paths
+        path = [0] * len(self.edges)
+        for vertex, direction in ((end, 1), (start, -1)):
+            while (step := tree[vertex]) is not None:
+                vertex, index, sign = step
+                path[index] += direction * sign
+        return tuple(path)
 
     @cached_property
     def _cycles(self):
         """One fundamental cycle per non-tree edge, as edge-coefficient
         vectors in input edge order: the edge, then the tree path from its
-        head back to its tail.  That sum vanishes exactly on tree edges."""
+        head back to its tail."""
+        tree_edges = {step[1] for step in self._root_paths.values() if step is not None}
         cycles = []
         for index, (tail, head, _) in enumerate(self.edges):
-            cycle = list(self.tree_path(head, tail))
-            cycle[index] += 1
-            if any(cycle):
+            if index not in tree_edges:
+                cycle = list(self.tree_path(head, tail))
+                cycle[index] += 1
                 cycles.append(tuple(cycle))
         return tuple(cycles)
 
@@ -230,17 +246,14 @@ def _walk_form(graph, slopes, length):
     """The GeneralCircleCover of the graph over a circle of the given length
     whose edges run at the given integer slopes.  The first vertex lies over
     0 and every other vertex over the integral of the slopes along its BFS
-    tree path."""
-    root = graph.vertices[0]
-    positions = {
-        vertex: sum(
-            coefficient * slope * edge_length
-            for coefficient, slope, (_, _, edge_length) in zip(
-                graph.tree_path(root, vertex), slopes, graph.edges
-            )
-        )
-        for vertex in graph.vertices
-    }
+    tree path, built in BFS order from the vertex's parent."""
+    positions = {}
+    for vertex, step in graph._root_paths.items():
+        if step is None:
+            positions[vertex] = 0
+        else:
+            parent, index, sign = step
+            positions[vertex] = positions[parent] + sign * slopes[index] * graph.edges[index][2]
     return GeneralCircleCover(
         graph,
         length,
@@ -389,6 +402,8 @@ class GeneralCircleCover(_CircleCover):
     __slots__ = ("graph", "target_length", "edge_data")
 
     def __init__(self, graph, target_length, edge_data):
+        if not isinstance(graph, MetricGraph):
+            raise ValueError("GeneralCircleCover requires a MetricGraph")
         target_length = _positive_rational(target_length, "target length")
         if len(edge_data) != len(graph.edges):
             raise ValueError("edge_data must align with the graph's edges")

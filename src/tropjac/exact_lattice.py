@@ -21,6 +21,12 @@ of its denominators (each row of [A|B] over its own when solving), the
 elimination or product works on those ints alone, and each output entry
 is one exact quotient, so at most one ``Fraction`` is built per entry and
 no ``Fraction`` arithmetic is done.
+
+rational_solve is the package's one linear solver.  Every equation the
+package solves for an integer matrix (a Stein factor, a circle isogeny
+between two covers, a quotient relation) has at most one rational
+solution, so the solver decides it, and integrality is tested on the one
+solution it returns; no lattice solver over the integers is needed.
 The central normal form is Smith (``U*A*V = S``) with a pinned pivot rule —
 smallest absolute value, ties broken by lowest (row, column) — so that
 every downstream coordinate choice is reproducible run to run.
@@ -672,26 +678,3 @@ def rational_solve(a, b):
         solution[col] = [_quotient(x, pivot) for x in work[i][n:]]
     return Matrix._of(tuple(map(tuple, solution)), k)
 
-
-def integer_solve(a, b):
-    """One integral solution X of A*X = B, or None when none exists."""
-    _require_integral(a, "integer_solve")
-    if not b.is_integral():
-        return None
-    u, s, v = smith_normal_form(a)
-    r = snf_rank(s)
-    c = u * b
-    m, n = a.shape
-    k = b.ncols
-    y = [[0] * k for _ in range(n)]
-    for i in range(r):
-        for j in range(k):
-            quotient, remainder = divmod(c[i, j], s[i, i])
-            if remainder:
-                return None
-            y[i][j] = quotient
-    for i in range(r, m):
-        for j in range(k):
-            if c[i, j] != 0:
-                return None
-    return v * Matrix._of(tuple(map(tuple, y)), k)

@@ -36,6 +36,7 @@ from .exact_lattice import (
     column_hnf,
     hstack,
     invariant_factors,
+    rational_solve,
 )
 from .torus_category import (
     IntegralTorus,
@@ -209,18 +210,20 @@ def _as_fraction_column(torus, coords):
 
 def reduce_point(torus, coords):
     """Canonical representative of a universal-cover point, with pairing
-    coordinates reduced into [0, 1)^n."""
+    coordinates reduced into [0, 1)^n.  The coordinates c solve P * c = x,
+    which has one solution, as the pairing P is non-degenerate."""
     x = _as_fraction_column(torus, coords)
-    c = torus.pairing.inv() * x
+    c = rational_solve(torus.pairing, x)
     reduced = Matrix.column([ci - floor(ci) for ci in c.column_tuple(0)])
     return torus.pairing * reduced
 
 
 def point_order(torus, coords):
-    """Order of the point in the torsion group (lcm of coordinate denominators)."""
+    """Order of the point in the torsion group: the lcm of the denominators
+    of its pairing coordinates, 1 on a rank-0 torus."""
     x = _as_fraction_column(torus, coords)
-    c = torus.pairing.inv() * x
-    return lcm(*[ci.denominator for ci in c.column_tuple(0)]) if torus.rank else 1
+    c = rational_solve(torus.pairing, x)
+    return lcm(*[ci.denominator for ci in c.column_tuple(0)])
 
 
 # Finite groups of points are listed point by point, so a listing is refused
@@ -376,7 +379,7 @@ def quotient_by_finite_subgroup(pv, gens):
     joined = column_hnf(Matrix(scaled, ncols=columns.ncols)) * _quotient(1, den)
     if joined.ncols != n:
         raise NotTorsion("generators do not span a full-rank lattice with the periods")
-    relation = joined.inv() * torus.pairing
+    relation = rational_solve(joined, torus.pairing)
     if not relation.is_integral():
         raise NotTorsion("generated lattice does not contain the periods")
     # the isogeny's f_hash is relation, the quotient pairing's inverse times

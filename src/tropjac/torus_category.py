@@ -39,7 +39,6 @@ from .exact_lattice import (
     block_diagonal,
     hstack,
     integer_kernel,
-    integer_solve,
     invariant_factors,
     rational_solve,
     smith_normal_form,
@@ -284,16 +283,21 @@ SteinFactorization = namedtuple("SteinFactorization", ["pi", "phi", "middle"])
 def stein_factorization(m):
     """Canonical factorization of a surjection through an isogeny.
 
-    pi is the projection onto the quotient by the connected kernel component;
-    phi is the unique induced isogeny with phi ∘ pi = m.
+    pi is the projection onto the quotient by the connected kernel component,
+    the cokernel of kernel0's inclusion, which is injective as built; phi is
+    the unique induced isogeny with phi ∘ pi = m.  pi is onto, so pi.f_sharp
+    and pi.f_hash^T have full column rank, and each of the two equations
+    pi.f_sharp * X = m.f_sharp and pi.f_hash^T * Y = m.f_hash^T has at most
+    one solution: rational_solve finds it, and phi exists exactly when both
+    solutions are integral.  phi is built by the checked constructor.
     """
     if not classify(m).surjective:
         raise NotSurjective("stein factorization requires a surjective morphism")
     _, inclusion = kernel0(m)
-    middle, pi = quotient_by_subtorus(m.source, inclusion)
-    sharp = integer_solve(pi.f_sharp, m.f_sharp)
-    hash_t = integer_solve(pi.f_hash.transpose(), m.f_hash.transpose())
-    if sharp is None or hash_t is None:
+    middle, pi = cokernel(inclusion)
+    sharp = rational_solve(pi.f_sharp, m.f_sharp)
+    hash_t = rational_solve(pi.f_hash.transpose(), m.f_hash.transpose())
+    if sharp is None or hash_t is None or not (sharp.is_integral() and hash_t.is_integral()):
         raise CompatibilityViolation("morphism does not factor through its connected kernel")
     phi = TorusMorphism(middle, m.target, sharp, hash_t.transpose())
     if compose(phi, pi) != m:

@@ -794,3 +794,32 @@ def section_kernel_pairing(m):
         projection, pairing = -projection, -pairing
     torus = IntegralTorus(n1 - r, pairing)
     return torus, TorusMorphism(torus, m.source, projection, kernel_basis)
+
+
+def gcd_sign_factor_pushforward(first, second):
+    """The circle isogeny psi with psi ∘ mu2_* = mu1_* for two covers with
+    one source graph and cycle basis, or None, found by search: a_sharp is
+    the quotient of the gcds of the two f_sharp columns, a_hash follows
+    from the two target lengths, and each sign of the pair is composed with
+    mu2_* and kept when the composite is mu1_*."""
+    push1, push2 = pushforward_morphism(first), pushforward_morphism(second)
+    g1 = gcd(*push1.f_sharp.column_tuple(0))
+    g2 = gcd(*push2.f_sharp.column_tuple(0))
+    if g1 % g2 != 0:
+        return None
+    a_sharp = g1 // g2
+    length1 = push1.target.pairing[0, 0]
+    length2 = push2.target.pairing[0, 0]
+    a_hash, rest = divmod(a_sharp * length2, length1)
+    if rest:
+        return None
+    for sign in (1, -1):
+        psi = TorusMorphism(
+            circle(length2),
+            circle(length1),
+            Matrix([[sign * a_sharp]]),
+            Matrix([[sign * a_hash]]),
+        )
+        if compose(psi, push2) == push1:
+            return psi
+    return None

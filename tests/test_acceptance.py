@@ -38,7 +38,7 @@ from tropjac.curves_covers import (
     cover_degree,
     jacobian,
 )
-from tropjac.exact_lattice import Matrix, integer_solve
+from tropjac.exact_lattice import Matrix, rational_solve
 from tropjac.split_jacobian import (
     complementary_cover,
     complementary_pushforward,
@@ -183,10 +183,13 @@ def test_criterion_6_stein_factorization_universal_property():
 
         # it factors through the canonical one: theta solves both equations
         # and is bijective on points (though not integrally invertible --
-        # here theta is the dilation-type isogeny ([2], [1]): C(3) -> C(6))
-        sharp = integer_solve(stein.pi.f_sharp, pi_alt.f_sharp)
-        hash_t = integer_solve(stein.pi.f_hash.transpose(), pi_alt.f_hash.transpose())
+        # here theta is the dilation-type isogeny ([2], [1]): C(3) -> C(6)).
+        # stein.pi is onto, so each equation has one solution, and it is
+        # integral
+        sharp = rational_solve(stein.pi.f_sharp, pi_alt.f_sharp)
+        hash_t = rational_solve(stein.pi.f_hash.transpose(), pi_alt.f_hash.transpose())
         assert sharp is not None and hash_t is not None
+        assert sharp.is_integral() and hash_t.is_integral()
         theta = TorusMorphism(stein.middle, circle(6), sharp, hash_t.transpose())
         assert compose(theta, stein.pi) == pi_alt
         assert compose(phi_alt, theta) == stein.phi

@@ -396,6 +396,30 @@ def test_split_kernel_with_a_count_past_the_digit_limit_exits_one(tmp_path, caps
     assert err.startswith("KERNEL_TOO_LARGE:")
 
 
+def test_a_long_chain_analyzes_at_once(tmp_path, capsys):
+    # a chain of 4000 vertices with a loop at each end, each loop wrapping
+    # the circle once: genus 2 over a BFS tree 4000 vertices deep, so the
+    # tree, its cycles and the walk positions must cost time linear in the
+    # size of the graph
+    n = 4000
+    loop = {"dilation": 1, "start": 0, "signed_length": 1}
+    bridge = {"dilation": 0, "start": 0, "signed_length": 0}
+    document = {
+        "kind": "general_circle",
+        "target_length": 1,
+        "vertices": [f"v{i}" for i in range(n)],
+        "edges": [["v0", "v0", 1]]
+        + [[f"v{i}", f"v{i + 1}", 1] for i in range(n - 1)]
+        + [[f"v{n - 1}", f"v{n - 1}", 1]],
+        "walks": [loop] + [bridge] * (n - 1) + [loop],
+    }
+    path = write(tmp_path, "chain.json", json.dumps(document))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", path, "--split")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and err == ""
+    assert json.loads(out)["degree"] == 2
+
 @pytest.mark.parametrize(
     "length, error",
     [

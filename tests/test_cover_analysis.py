@@ -11,6 +11,7 @@ from oracles import (
     cover_corpus,
     degree_two_cover,
     divisor_pullback_kernel,
+    gcd_sign_factor_pushforward,
     model_covers,
     model_period_matrix,
     wide_kernel_covers,
@@ -292,6 +293,42 @@ def test_factor_compares_source_graphs_and_cycle_bases():
     pytest.raises(SourceMismatch, lambda: factor_pushforward(theta, plain))
     double = GeneralCircleCover(circle_graph(2), 1, [(1, 0, 2)])
     pytest.raises(SourceMismatch, lambda: factor_pushforward(double, theta))
+
+
+
+def test_factor_pushforward_agrees_with_the_gcd_and_sign_search():
+    # every ordered pair of corpus covers on one curve, so with one source
+    # graph and cycle basis: the solved psi is the one the search over gcds
+    # and signs finds, or neither finds one
+    by_curve = {}
+    for cover in cover_corpus():
+        by_curve.setdefault(cover.curve, []).append(cover)
+    factored = 0
+    for covers in by_curve.values():
+        for first in covers:
+            for second in covers:
+                psi = factor_pushforward(first, second)
+                assert psi == gcd_sign_factor_pushforward(first, second)
+                factored += psi is not None
+    # each of the 406 covers factors through itself, and 1129 pairs more
+    assert factored == 1535
+
+
+def test_a_cover_factors_through_its_reversal_by_minus_one():
+    # reversing every walk (start -> -start mod l, signed -> -signed)
+    # negates mu_*, so psi is ([-1], [-1]), the search's second sign
+    minus_one = Matrix([[-1]])
+    for cover in cover_corpus():
+        form = harmonic_form(cover)
+        reversal = GeneralCircleCover(
+            form.graph,
+            form.target_length,
+            [(dilation, -start, -signed) for dilation, start, signed in form.edge_data],
+        )
+        for first, second in ((reversal, cover), (cover, reversal)):
+            psi = factor_pushforward(first, second)
+            assert psi == gcd_sign_factor_pushforward(first, second)
+            assert psi.f_sharp == psi.f_hash == minus_one
 
 
 # ------------------------------------------------------------ genus guard

@@ -186,6 +186,16 @@ def test_constructor_input_checking():
 
 
 @pytest.mark.parametrize(
+    "graph",
+    [None, degree_two_theta_cover(), [("v", "v", 1)]],
+    ids=["none", "theta-cover", "list"],
+)
+def test_general_cover_requires_a_metric_graph(graph):
+    with pytest.raises(ValueError, match="^GeneralCircleCover requires a MetricGraph$"):
+        GeneralCircleCover(graph, 1, [])
+
+
+@pytest.mark.parametrize(
     "lengths",
     [("1e10000000", 1, 1), (1, "2E3", 1), (True, 1, 1), ("1" * 5000, 1, 1)],
     ids=["exponent", "capital-exponent", "bool", "5000-digits"],

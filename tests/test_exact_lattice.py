@@ -18,7 +18,6 @@ from tropjac.exact_lattice import (
     column_hnf,
     hstack,
     integer_kernel,
-    integer_solve,
     invariant_factors,
     rational_solve,
     row_hnf,
@@ -488,23 +487,6 @@ def test_integer_kernel_exhaustive_small_coefficients(rows):
 
 
 # -- solvers ---------------------------------------------------------------
-
-
-@settings(max_examples=60)
-@given(int_matrix_lists(max_dim=3, lo=-5, hi=5), st.lists(st.integers(-4, 4), min_size=1, max_size=3))
-def test_integer_solve_roundtrip(rows, xs):
-    a = Matrix(rows)
-    x0 = Matrix.column((xs * 3)[: a.ncols])
-    b = a * x0
-    x = integer_solve(a, b)
-    assert x is not None
-    assert a * x == b
-    assert x.is_integral()
-
-
-def test_integer_solve_unsolvable():
-    assert integer_solve(Matrix([[2]]), Matrix([[1]])) is None
-    assert integer_solve(Matrix([[1], [0]]), Matrix([[0], [1]])) is None
 
 
 def test_rational_solve_inconsistent():

@@ -266,6 +266,26 @@ def test_classify_makes_one_smith_form_and_no_product(monkeypatch):
         assert calls == Counter(smith_normal_form=1)
 
 
+def test_stein_factorization_takes_five_smith_forms(monkeypatch):
+    # criterion 6's surjection ([[4], [-2]], [[2, 0]]) on the theta
+    # Jacobian: one for classify, two for kernel0 (f_sharp and the kernel
+    # of f_hash) and two for the cokernel of its inclusion, which is
+    # injective as built and is not classified again; phi is solved by
+    # rational_solve, which takes none
+    m = torus_category.TorusMorphism(
+        theta_jacobian(),
+        torus_category.circle(3),
+        exact_lattice.Matrix([[4], [-2]]),
+        exact_lattice.Matrix([[2, 0]]),
+    )
+    calls = Counter()
+    for module in (exact_lattice, torus_category):
+        _count_calls(monkeypatch, module, "smith_normal_form", calls)
+    stein = torus_category.stein_factorization(m)
+    monkeypatch.undo()
+    assert torus_category.compose(stein.phi, stein.pi) == m
+    assert calls == Counter(smith_normal_form=5)
+
 def test_kernel0_makes_no_inverse(monkeypatch):
     # the kernel pairing is solved from the inclusion's pairing law, with
     # one product, P_src * kernel_basis, and the inclusion holds that law by
@@ -608,6 +628,20 @@ def test_each_graph_builds_one_bfs_tree(monkeypatch):
     complementary_cover(cover)
     assert trees and max(trees.values()) == 1
 
+
+def test_cycle_basis_walks_one_tree_path_per_cycle(monkeypatch):
+    # a path of ten vertices with three loops: genus 3 and twelve edges, of
+    # which only the three loops close a cycle, so the basis walks three
+    # tree paths, not one per edge
+    vertices = list(range(10))
+    edges = [(v, v + 1, 1) for v in range(9)] + [(0, 0, 1), (4, 4, 2), (9, 9, 3)]
+    graph = curves_covers.MetricGraph(vertices, edges)
+    calls = Counter()
+    _count_calls(monkeypatch, curves_covers.MetricGraph, "tree_path", calls)
+    cycles = graph.cycle_basis()
+    monkeypatch.undo()
+    assert graph.genus == 3 and len(cycles) == 3
+    assert calls == Counter(tree_path=3)
 
 def test_each_graph_builds_one_cycle_basis(monkeypatch):
     # the Jacobian, the pushforward row and the complementary walk cover all

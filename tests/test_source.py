@@ -227,6 +227,54 @@ def test_only_exact_lattice_and_torus_category_take_smith_forms():
     assert callers == ["exact_lattice.py", "torus_category.py"]
 
 
+def _calls_by_function(path, name):
+    """module:function for each call of name, as f(...) or x.f(...), in a
+    module, named by the innermost function that makes it."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+        if isinstance(node, ast.Call) and name == getattr(
+            node.func, "id", getattr(node.func, "attr", None)
+        ):
+            found.append(f"{path.name}:{function}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), None)
+    return found
+
+
+def test_no_module_defines_or_calls_integer_solve():
+    # every equation the library solves has at most one rational solution,
+    # so rational_solve decides it, and an integral answer is tested after
+    sources = sorted(Path(tropjac.__file__).parent.glob("*.py"))
+    defined = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == "integer_solve"
+    ]
+    called = [call for path in sources for call in _calls_by_function(path, "integer_solve")]
+    assert defined == called == []
+
+
+def test_a_matrix_is_inverted_only_where_the_inverse_is_the_answer_or_is_shared():
+    # dual_polarization returns a multiple of the inverse, the isogeny
+    # kernel is the columns of f_hash^-1, and subgroup_generated applies
+    # one inverse to every generator; anything else solves its equation
+    inverses = sorted(
+        call
+        for path in Path(tropjac.__file__).parent.glob("*.py")
+        for call in _calls_by_function(path, "inv")
+    )
+    assert inverses == [
+        "tav.py:dual_polarization",
+        "tav.py:isogeny_kernel_numerators",
+        "tav.py:subgroup_generated",
+    ]
+
 def test_readme_quick_start_prints_what_it_says(capsys):
     # each print(...) line of the README's python block ends in a comment
     # that starts with the value it prints; only the first comment, "1 (an
