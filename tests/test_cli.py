@@ -420,6 +420,7 @@ def test_a_long_chain_analyzes_at_once(tmp_path, capsys):
     assert code == 0 and err == ""
     assert json.loads(out)["degree"] == 2
 
+
 @pytest.mark.parametrize(
     "length, error",
     [

@@ -295,7 +295,6 @@ def test_factor_compares_source_graphs_and_cycle_bases():
     pytest.raises(SourceMismatch, lambda: factor_pushforward(double, theta))
 
 
-
 def test_factor_pushforward_agrees_with_the_gcd_and_sign_search():
     # every ordered pair of corpus covers on one curve, so with one source
     # graph and cycle basis: the solved psi is the one the search over gcds

@@ -286,6 +286,7 @@ def test_stein_factorization_takes_five_smith_forms(monkeypatch):
     assert torus_category.compose(stein.phi, stein.pi) == m
     assert calls == Counter(smith_normal_form=5)
 
+
 def test_kernel0_makes_no_inverse(monkeypatch):
     # the kernel pairing is solved from the inclusion's pairing law, with
     # one product, P_src * kernel_basis, and the inclusion holds that law by
@@ -642,6 +643,7 @@ def test_cycle_basis_walks_one_tree_path_per_cycle(monkeypatch):
     monkeypatch.undo()
     assert graph.genus == 3 and len(cycles) == 3
     assert calls == Counter(tree_path=3)
+
 
 def test_each_graph_builds_one_cycle_basis(monkeypatch):
     # the Jacobian, the pushforward row and the complementary walk cover all
