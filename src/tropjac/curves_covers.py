@@ -13,10 +13,19 @@ constructed, and uses the fundamental cycles of that tree.
 The curve models keep fixed bases, so that their coordinates never depend
 on a tree.  On the theta graph the edge e runs from P0 to P1 while e1 and e2
 run from P1 back to P0, and the basis is B1 = e + e2, B2 = e2 - e1.  The
-dumbbell uses its two loops; the bridge lies in no cycle.  For the
-edge-by-cycle coefficient matrix C the period matrix is C^T diag(len) C,
-which is [[l_e + l_e2, l_e2], [l_e2, l_e1 + l_e2]] for the theta graph and
-diag(l_loop1, l_loop2) for the dumbbell.
+dumbbell uses its two loops; the bridge lies in no cycle.
+
+Each basis cycle is held once, sparse: its nonzero (edge index,
+coefficient) pairs, led by a private edge that lies in no other basis cycle
+and has coefficient ±1 (the non-tree edge of a fundamental cycle; e, e1 and
+the loops on the curve models).  Only this module reads those pairs.  The
+period matrix, the universal cover row of a cover's slopes, its inverse
+(the slopes of a row) and the Abel-Jacobi map visit only the edges that
+lie on a cycle, never a vector of every edge per cycle; cycle_basis builds
+the dense vectors on request.  For the edge-by-cycle coefficient matrix C
+the period matrix is C^T diag(len) C, which is [[l_e + l_e2, l_e2], [l_e2,
+l_e1 + l_e2]] for the theta graph and diag(l_loop1, l_loop2) for the
+dumbbell.
 
 A cover of a circle by a curve model is described combinatorially by winding
 numbers (how often each edge walk wraps the target) and dilation factors (the
@@ -132,46 +141,52 @@ class MetricGraph(_Value):
         raise ValueError(f"unknown edge {edge!r}")
 
     def tree_path(self, start, end):
-        """Edge coefficients of the tree path from start to end: the path
-        from the root to end less the path from the root to start, each
-        walked up the parent edges."""
+        """The tree path from start to end as {edge index: coefficient},
+        nonzero coefficients only: the path from the root to end less the
+        path from the root to start, each walked up the parent edges."""
         tree = self._root_paths
-        path = [0] * len(self.edges)
+        path = {}
         for vertex, direction in ((end, 1), (start, -1)):
             while (step := tree[vertex]) is not None:
                 vertex, index, sign = step
-                path[index] += direction * sign
-        return tuple(path)
+                path[index] = path.get(index, 0) + direction * sign
+        return {index: coefficient for index, coefficient in path.items() if coefficient}
 
     @cached_property
     def _cycles(self):
-        """One fundamental cycle per non-tree edge, as edge-coefficient
-        vectors in input edge order: the edge, then the tree path from its
-        head back to its tail."""
+        """One fundamental cycle per non-tree edge, in input edge order, as
+        its (edge index, coefficient) pairs: the edge, with coefficient 1,
+        then the tree path from its head back to its tail."""
         tree_edges = {step[1] for step in self._root_paths.values() if step is not None}
-        cycles = []
-        for index, (tail, head, _) in enumerate(self.edges):
-            if index not in tree_edges:
-                cycle = list(self.tree_path(head, tail))
-                cycle[index] += 1
-                cycles.append(tuple(cycle))
-        return tuple(cycles)
+        return tuple(
+            ((index, 1), *self.tree_path(head, tail).items())
+            for index, (tail, head, _) in enumerate(self.edges)
+            if index not in tree_edges
+        )
 
     def cycle_basis(self):
-        """The cycle basis as a list of edge-coefficient tuples."""
-        return list(self._cycles)
+        """The cycle basis as a list of dense edge-coefficient tuples, one
+        entry per edge, built on request from the sparse cycles."""
+        basis = []
+        for cycle in self._cycles:
+            dense = [0] * len(self.edges)
+            for index, coefficient in cycle:
+                dense[index] = coefficient
+            basis.append(tuple(dense))
+        return basis
 
     def period_matrix(self):
-        cycles = self.cycle_basis()
-        g = len(cycles)
+        """The Gram matrix C^T diag(len) C of the cycle basis: each pair of
+        cycles is summed over the edges of one of them."""
+        cycles = [dict(cycle) for cycle in self._cycles]
         rows = [
             [
-                sum((ci[e] * cj[e]) * length for e, (_, _, length) in enumerate(self.edges))
-                for cj in cycles
+                sum(ci.get(index, 0) * c * self.edges[index][2] for index, c in cj)
+                for cj in self._cycles
             ]
             for ci in cycles
         ]
-        return Matrix(rows, ncols=g)
+        return Matrix(rows, ncols=len(rows))
 
 
 def circle_graph(length):
@@ -182,7 +197,8 @@ def circle_graph(length):
 class _CurveModel(MetricGraph):
     """A genus-2 graph on the vertices P0 and P1 with named edges and a fixed
     cycle basis.  Subclasses set EDGES, ENDS (tail and head of each edge)
-    and CYCLES (the edge coefficients of each basis cycle)."""
+    and _cycles (the (edge index, coefficient) pairs of each basis cycle,
+    its private edge first), in place of the BFS basis."""
 
     __slots__ = ()
 
@@ -194,9 +210,6 @@ class _CurveModel(MetricGraph):
                 for name, (tail, head), length in zip(self.EDGES, self.ENDS, lengths)
             ],
         )
-
-    def cycle_basis(self):
-        return list(self.CYCLES)
 
     def graph(self):
         """The same metric graph with its BFS cycle basis."""
@@ -219,7 +232,7 @@ class ThetaCurve(_CurveModel):
 
     EDGES = ("e", "e1", "e2")
     ENDS = (("P0", "P1"), ("P1", "P0"), ("P1", "P0"))
-    CYCLES = ((1, 0, 1), (0, -1, 1))  # B1 = e + e2, B2 = e2 - e1
+    _cycles = (((0, 1), (2, 1)), ((1, -1), (2, 1)))  # B1 = e + e2, B2 = e2 - e1
 
     l_e, l_e1, l_e2 = _edge_length(0), _edge_length(1), _edge_length(2)
 
@@ -234,7 +247,7 @@ class DumbbellCurve(_CurveModel):
 
     EDGES = ("loop1", "loop2", "bridge")
     ENDS = (("P0", "P0"), ("P1", "P1"), ("P0", "P1"))
-    CYCLES = ((1, 0, 0), (0, 1, 0))  # the loops; the bridge lies in no cycle
+    _cycles = (((0, 1),), ((1, 1),))  # the loops; the bridge lies in no cycle
 
     l_loop1, l_loop2, l_bridge = _edge_length(0), _edge_length(1), _edge_length(2)
 
@@ -505,22 +518,20 @@ GammaData = namedtuple("GammaData", ["l_tilde", "a_sharp", "a_hash"])
 
 
 def _universal_row(graph, slopes):
-    """The row r with slopes = C·r for the cycle basis C of the graph.
+    """The row r with slopes = C·r for the cycle basis C of the graph, the
+    inverse of _row_slopes.  Each cycle's first pair is its private edge p,
+    with coefficient ±1, so r_i = slopes[p]·C[p, i]."""
+    return [slopes[index] * coefficient for (index, coefficient), *_ in graph._cycles]
 
-    Every basis cycle has an edge that no other basis cycle uses, with
-    coefficient ±1 (the non-tree edge of a fundamental cycle, or e, e1 and
-    the loops on the curve models), so r is read off those edges.
-    """
-    cycles = graph.cycle_basis()
-    row = []
-    for cycle in cycles:
-        private = next(
-            edge
-            for edge, coefficient in enumerate(cycle)
-            if coefficient and sum(1 for other in cycles if other[edge]) == 1
-        )
-        row.append(slopes[private] * cycle[private])
-    return row
+
+def _row_slopes(graph, row):
+    """The slopes C·r of the universal cover row r, one per edge, for the
+    cycle basis C of the graph: the inverse of _universal_row."""
+    slopes = [0] * len(graph.edges)
+    for entry, cycle in zip(row, graph._cycles):
+        for index, coefficient in cycle:
+            slopes[index] += entry * coefficient
+    return slopes
 
 
 def _solve_arcs(equations):
@@ -682,13 +693,8 @@ def abel_jacobi(graph, basepoint, point):
     offset = _rational(offset, "offset")
     if offset < 0 or offset > length:
         raise OffsetOutOfRange(f"offset {offset} outside [0, {length}] on edge {edge}")
-    path = graph.tree_path(basepoint, tail)
-    coords = [
-        sum(
-            coefficient * edge_length * on_cycle
-            for coefficient, (_, _, edge_length), on_cycle in zip(path, graph.edges, cycle)
-        )
-        + offset * cycle[index]
-        for cycle in graph.cycle_basis()
-    ]
+    # the length the path runs along each edge it uses, signed
+    along = {e: c * graph.edges[e][2] for e, c in graph.tree_path(basepoint, tail).items()}
+    along[index] = along.get(index, 0) + offset
+    coords = [sum(along.get(e, 0) * c for e, c in cycle) for cycle in graph._cycles]
     return reduce_point(jacobian(graph).torus, coords)

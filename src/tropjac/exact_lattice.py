@@ -44,13 +44,25 @@ from math import gcd, lcm
 from operator import attrgetter, mul
 
 
+def _rebuild(cls, *values):
+    """The instance of cls whose fields, in order, are values, built
+    without __init__: for values whose invariant the caller has proved, or
+    that were copied or unpickled from a built instance."""
+    value = cls.__new__(cls)
+    for name, field in zip(cls._fields, values, strict=True):
+        object.__setattr__(value, name, field)
+    return value
+
+
 class _Immutable:
     """Base of the package's immutable classes: their fields are set once,
     while the instance is built, and assigning to them afterwards raises.
     What is derived from a cover is kept and shared, so it must never change.
 
     The fields are the names in the __slots__ of the class and its bases, in
-    order; the repr lists them."""
+    order; the repr lists them.  Copying and pickling rebuild an instance
+    from its fields alone; the parts a cover or graph keeps in its __dict__
+    are derived again on first use."""
 
     __slots__ = ()
 
@@ -69,6 +81,9 @@ class _Immutable:
     def _set(self, **fields):
         for name, value in fields.items():
             object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return _rebuild, (type(self), *(getattr(self, name) for name in self._fields))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -91,14 +106,7 @@ class _Value(_Immutable):
         super().__init_subclass__(**kwargs)
         cls._values = attrgetter(*cls._fields)
 
-    @classmethod
-    def _derived(cls, *values):
-        """The value whose fields, in order, are values, built without
-        __init__: for values whose invariant the caller has proved."""
-        value = cls.__new__(cls)
-        for name, field in zip(cls._fields, values, strict=True):
-            object.__setattr__(value, name, field)
-        return value
+    _derived = classmethod(_rebuild)
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -23,6 +23,7 @@ from .cover_analysis import kernel_length, quotient_and_gamma
 from .curves_covers import (
     _circle_cover,
     _require_genus_2,
+    _row_slopes,
     _walk_form,
     cover_degree,
     jacobian,
@@ -93,14 +94,9 @@ def _require_strongly_optimal(cover):
 
 
 def _walk_cover(graph, row, length):
-    """GeneralCircleCover of the graph with the given universal cover row:
-    each edge's slope pairs the row with the edge's cycle coefficients."""
-    cycles = graph.cycle_basis()
-    slopes = [
-        sum(entry * cycle[edge] for entry, cycle in zip(row, cycles))
-        for edge in range(len(graph.edges))
-    ]
-    general = _walk_form(graph, slopes, length)
+    """GeneralCircleCover of the graph with the given universal cover row,
+    at the slopes that curves_covers reads off the row."""
+    general = _walk_form(graph, _row_slopes(graph, row), length)
     violations = validate_cover(general).violations
     if violations:
         raise InvariantViolation(
@@ -235,9 +231,12 @@ def cover_from_splitting(curve, iso, factor=1):
 
     curve is any genus-2 MetricGraph, a curve model or not, and iso must be
     an isogeny from its Jacobian to a product of two circles (diagonal
-    pairing); the selected factor's universal cover row dictates the
-    per-edge slopes of the walk cover.
+    pairing); an iso that is no TorusMorphism raises ValueError.  The
+    selected factor's universal cover row dictates the per-edge slopes of
+    the walk cover.
     """
+    if not isinstance(iso, TorusMorphism):
+        raise ValueError("cover_from_splitting expects a TorusMorphism")
     if type(factor) is not int or factor not in (1, 2):
         raise ValueError("factor must be 1 or 2")
     jac = jacobian(curve).torus

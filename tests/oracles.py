@@ -823,3 +823,73 @@ def gcd_sign_factor_pushforward(first, second):
         if compose(psi, push2) == push1:
             return psi
     return None
+
+
+# -- dense references for the sparse cycle basis -----------------------------
+
+import random  # noqa: E402
+
+from tropjac.tav import reduce_point  # noqa: E402
+
+
+@st.composite
+def metric_graphs(draw):
+    """A connected metric graph of genus 0 to 4: a random spanning tree on
+    1 to 3 vertices and up to four more edges, loops and multi-edges
+    allowed, then one edge cut into up to four pieces of equal length."""
+    vertices = list(range(draw(st.integers(1, 3))))
+    lengths = st.fractions(min_value=Fraction(1, 12), max_value=12, max_denominator=12)
+    edges = [(draw(st.sampled_from(vertices[:v])), v, draw(lengths)) for v in vertices[1:]]
+    edges += [
+        (draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices)), draw(lengths))
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    pieces = draw(st.integers(1, 4))
+    if edges and pieces > 1:
+        tail, head, length = edges.pop(draw(st.integers(0, len(edges) - 1)))
+        stops = [tail, *range(len(vertices), len(vertices) + pieces - 1), head]
+        vertices += stops[1:-1]
+        edges += [(a, b, length / pieces) for a, b in zip(stops, stops[1:])]
+    random.Random(draw(st.integers(0, 2**16))).shuffle(edges)
+    return MetricGraph(vertices, edges)
+
+
+def _dense_cycle_matrix(graph):
+    """The edge-by-cycle coefficient matrix C of the dense cycle basis."""
+    basis = graph.cycle_basis()
+    return Matrix([[cycle[e] for cycle in basis] for e in range(len(graph.edges))], ncols=len(basis))
+
+
+def dense_period_matrix(graph):
+    """C^T diag(len) C by Matrix products, from the dense cycle basis."""
+    c = _dense_cycle_matrix(graph)
+    return c.transpose() * Matrix.diagonal([length for _, _, length in graph.edges]) * c
+
+
+def dense_tree_path(graph, start, end):
+    """Edge coefficients of the BFS tree path from start to end, one per
+    edge: the path from the root to end less the path from the root to
+    start."""
+    tree = graph._root_paths
+    path = [0] * len(graph.edges)
+    for vertex, direction in ((end, 1), (start, -1)):
+        while (step := tree[vertex]) is not None:
+            vertex, index, sign = step
+            path[index] += direction * sign
+    return path
+
+
+def dense_abel_jacobi(graph, basepoint, point):
+    """abel_jacobi summed over every edge for each dense basis cycle."""
+    edge, offset = point
+    index = graph.edge_index(edge)
+    path = dense_tree_path(graph, basepoint, graph.edges[index][0])
+    coords = [
+        sum(
+            coefficient * edge_length * on_cycle
+            for coefficient, (_, _, edge_length), on_cycle in zip(path, graph.edges, cycle)
+        )
+        + offset * cycle[index]
+        for cycle in graph.cycle_basis()
+    ]
+    return reduce_point(jacobian(graph).torus, coords)

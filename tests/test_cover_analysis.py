@@ -293,6 +293,13 @@ def test_factor_compares_source_graphs_and_cycle_bases():
     pytest.raises(SourceMismatch, lambda: factor_pushforward(theta, plain))
     double = GeneralCircleCover(circle_graph(2), 1, [(1, 0, 2)])
     pytest.raises(SourceMismatch, lambda: factor_pushforward(double, theta))
+    # the BFS basis of the plain dumbbell graph is the dumbbell's own two
+    # loops, so the same walks over it share the source and factor
+    dumbbell = DumbbellCover(DumbbellCurve(1, 1, 1), (1, 1), (2, 2))
+    form = harmonic_form(dumbbell)
+    plain = GeneralCircleCover(dumbbell.curve.graph(), form.target_length, form.edge_data)
+    assert factor_pushforward(plain, dumbbell).f_sharp == Matrix([[1]])
+    assert factor_pushforward(dumbbell, plain).f_sharp == Matrix([[1]])
 
 
 def test_factor_pushforward_agrees_with_the_gcd_and_sign_search():

@@ -4,10 +4,18 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import cover_corpus, forward_form, model_covers
+from oracles import (
+    cover_corpus,
+    dense_abel_jacobi,
+    dense_period_matrix,
+    forward_form,
+    metric_graphs,
+    model_covers,
+)
+from tropjac.cover_analysis import pushforward_morphism
 from tropjac.curves_covers import (
     DumbbellCover,
     DumbbellCurve,
@@ -15,6 +23,8 @@ from tropjac.curves_covers import (
     MetricGraph,
     ThetaCover,
     ThetaCurve,
+    _row_slopes,
+    _universal_row,
     abel_jacobi,
     circle_graph,
     cover_degree,
@@ -377,6 +387,80 @@ def test_general_cover_violations_keep_their_order():
 def test_general_cover_non_integer_degree():
     cover = GeneralCircleCover(circle_graph(2), 3, [(1, 0, 2)])
     pytest.raises(InvalidCover, lambda: cover_degree(cover))
+
+
+# ------------------------------------------------------ sparse cycle basis
+
+# the plain graphs of Hypothesis and the two curve models with fixed bases
+_graphs = st.one_of(
+    metric_graphs(),
+    st.sampled_from([ThetaCurve(1, 2, 3), DumbbellCurve(Fraction(1, 2), 3, 5)]),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_graphs)
+def test_period_matrix_is_the_dense_gram_matrix(graph):
+    assert graph.period_matrix() == dense_period_matrix(graph)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_graphs)
+def test_each_cycle_leads_with_a_private_edge(graph):
+    # every pair is nonzero, and the first edge of each cycle has
+    # coefficient ±1 and lies in no other cycle
+    cycles = graph._cycles
+    assert len(cycles) == graph.genus
+    assert [dict(cycle) for cycle in cycles] == [
+        {e: c for e, c in enumerate(dense) if c} for dense in graph.cycle_basis()
+    ]
+    for i, cycle in enumerate(cycles):
+        private, coefficient = cycle[0]
+        assert coefficient in (1, -1)
+        assert all(private not in dict(other) for other in cycles[:i] + cycles[i + 1:])
+
+
+@settings(max_examples=120, deadline=None)
+@given(_graphs, st.data())
+def test_universal_row_inverts_the_slopes_of_a_row(graph, data):
+    row = data.draw(st.lists(st.integers(-50, 50), min_size=graph.genus, max_size=graph.genus))
+    slopes = _row_slopes(graph, row)
+    assert slopes == [
+        sum(entry * cycle[e] for entry, cycle in zip(row, graph.cycle_basis()))
+        for e in range(len(graph.edges))
+    ]
+    assert _universal_row(graph, slopes) == row
+
+
+@settings(max_examples=120, deadline=None)
+@given(_graphs, st.data())
+def test_abel_jacobi_matches_the_dense_sums(graph, data):
+    assume(graph.edges)
+    basepoint = data.draw(st.sampled_from(graph.vertices))
+    index = data.draw(st.integers(0, len(graph.edges) - 1))
+    length = Fraction(graph.edges[index][2])
+    offset = data.draw(st.sampled_from([0, length / 3, length / 2, length]))
+    edge = index if graph.EDGES is None else graph.EDGES[index]
+    point = (edge, offset)
+    assert abel_jacobi(graph, basepoint, point) == dense_abel_jacobi(graph, basepoint, point)
+
+
+def test_a_wide_bouquet_costs_the_size_of_its_cycles():
+    # one vertex with 400 unit loops: genus 400, and each cycle is its own
+    # loop, so the period matrix, the universal row of a slope-1 cover and
+    # the Abel-Jacobi path each cost the size of the cycles, not g^2 edges
+    k = 400
+    graph = MetricGraph(["v"], [("v", "v", 1)] * k)
+    cover = GeneralCircleCover(graph, 1, [(1, 0, 1)] * k)
+    for run in (
+        lambda: jacobian(graph),
+        lambda: pushforward_morphism(cover),
+        lambda: abel_jacobi(graph, "v", (k - 1, Fraction(1, 2))),
+    ):
+        start = time.perf_counter()
+        run()
+        assert time.perf_counter() - start < 1
+    assert pushforward_morphism(cover).f_sharp == Matrix.column([1] * k)
 
 
 # ---------------------------------------------------------- harmonic form

@@ -10,20 +10,17 @@ kernel, pullback, phi and phi_tilde, on the corpus, the ladder up to degree
 2001 and the strongly optimal covers of oracles.split_covers.
 """
 
-import random
 from contextlib import contextmanager
 from fractions import Fraction
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import tropjac.cli as cli
-from oracles import cover_corpus, split_covers
+from oracles import cover_corpus, metric_graphs, split_covers
 from test_torus_category import scaled_morphisms
 from tropjac.curves_covers import (
     DumbbellCover,
     DumbbellCurve,
-    MetricGraph,
     harmonic_form,
     jacobian,
 )
@@ -103,21 +100,6 @@ def test_torus_constructions_rebuild_through_the_constructors(m):
             equalizer(m, g)
             coequalizer(m, g)
     assert_each_rebuilds(built)
-
-
-@st.composite
-def metric_graphs(draw):
-    """A connected metric graph on 1 to 3 vertices of genus 0 to 4: a
-    random spanning tree and up to four more edges, loops allowed."""
-    vertices = list(range(draw(st.integers(1, 3))))
-    lengths = st.fractions(min_value=Fraction(1, 12), max_value=12, max_denominator=12)
-    edges = [(draw(st.sampled_from(vertices[:v])), v, draw(lengths)) for v in vertices[1:]]
-    edges += [
-        (draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices)), draw(lengths))
-        for _ in range(draw(st.integers(0, 4)))
-    ]
-    random.Random(draw(st.integers(0, 2**16))).shuffle(edges)
-    return MetricGraph(vertices, edges)
 
 
 @settings(max_examples=80, deadline=None)

@@ -336,6 +336,12 @@ def test_cover_from_splitting_input_checking():
     pytest.raises(ValueError, lambda: cover_from_splitting(curve, tilde, factor=3))
 
 
+@pytest.mark.parametrize("iso", [None, Matrix.identity(2), degree_two_cover()])
+def test_cover_from_splitting_requires_a_torus_morphism(iso):
+    with pytest.raises(ValueError, match="^cover_from_splitting expects a TorusMorphism$"):
+        cover_from_splitting(ThetaCurve(1, 1, 1), iso)
+
+
 def figure_eight_cover():
     """Degree 3 from two loops at one vertex, a genus-2 graph that is not a
     curve model."""

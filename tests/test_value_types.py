@@ -5,6 +5,8 @@ constructor and take their equality, hash and repr from their fields.
 Either way a value is immutable and compares by its data.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,11 +15,13 @@ import pytest
 import tropjac
 from oracles import degree_two_cover, degree_two_pushforward, theta_jacobian
 from tropjac import (
+    DumbbellCover,
     ComplementaryCover,
     CyclicKernel,
     DumbbellCurve,
     ExactSequence,
     GammaData,
+    GeneralCircleCover,
     IntegralTorus,
     Matrix,
     MetricGraph,
@@ -30,17 +34,22 @@ from tropjac import (
     circle_graph,
     classify,
     complementary_cover,
+    cover_degree,
     cover_from_splitting,
+    harmonic_form,
     identity_morphism,
     jacobian,
     kernel0,
+    pushforward_morphism,
     stein_factorization,
     validate_cover,
     verify_split_package,
 )
+from tropjac.exact_lattice import _Immutable, _Value
 from tropjac.torus_category import MorphismFlags
 
 WALK_COVER = complementary_cover(degree_two_cover()).general
+THETA_FORM = harmonic_form(degree_two_cover())
 
 # each factory builds a fresh value from fresh, equal data
 VALUES = {
@@ -67,6 +76,7 @@ VALUES = {
     ),
     "MetricGraph": lambda: circle_graph(2),
     "ThetaCurve": lambda: ThetaCurve(1, 1, 1),
+    "DumbbellCurve": lambda: DumbbellCurve(2, 3, 1),
     "ValidationReport": lambda: validate_cover(degree_two_cover()),
     # the hot type: an immutable, hashable value outside the _Value scheme
     "Matrix": lambda: Matrix([[2, Fraction(1, 3)], [Fraction(-4, 2), 0]]),
@@ -153,3 +163,75 @@ def test_covers_compare_by_identity():
         "ThetaCover(curve=ThetaCurve(1, 1, 1), windings=(1, 1, 1), "
         "dilations=(2, 1, 1), arcs=None)"
     )
+
+
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+
+IMMUTABLES = sorted(name for name, build in VALUES.items() if isinstance(build(), _Immutable))
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_value_type_is_copied():
+    public = {cls.__name__ for cls in _subclasses(_Value) if not cls.__name__.startswith("_")}
+    assert public <= set(IMMUTABLES)
+    assert "Matrix" in IMMUTABLES
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+@pytest.mark.parametrize("name", IMMUTABLES)
+def test_a_copied_value_is_equal_and_immutable(name, how):
+    value = VALUES[name]()
+    copied = COPIES[how](value)
+    assert type(copied) is type(value) and copied == value
+    for field in value._fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(copied, field, None)
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+def test_a_copied_graph_derives_its_cycles_again(how):
+    graph = MetricGraph(["a", "b", "c"], [("a", "b", 1), ("b", "c", 2), ("c", "a", 3), ("b", "b", 1)])
+    assert graph.cycle_basis()
+    copied = COPIES[how](graph)
+    assert copied == graph and vars(copied) == {}
+    assert copied.cycle_basis() == graph.cycle_basis()
+    assert copied.period_matrix() == graph.period_matrix()
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+@pytest.mark.parametrize(
+    "build",
+    [
+        degree_two_cover,
+        lambda: DumbbellCover(DumbbellCurve(Fraction(1, 2), Fraction(1, 3), 1), (1, 1), (2, 3)),
+        # the theta cover's walks over the plain theta graph
+        lambda: GeneralCircleCover(
+            ThetaCurve(1, 1, 1).graph(), THETA_FORM.target_length, THETA_FORM.edge_data
+        ),
+    ],
+    ids=["theta", "dumbbell", "general"],
+)
+def test_a_copied_cover_has_the_same_invariants(build, how):
+    # covers compare by identity, so a copy is checked through what it
+    # derives; the parts the original kept are not copied, but derived again
+    cover = build()
+    report = verify_split_package(cover)
+    copied = COPIES[how](cover)
+    assert type(copied) is type(cover) and copied is not cover
+    assert not vars(copied)
+    assert repr(copied) == repr(cover)
+    assert cover_degree(copied) == cover_degree(cover)
+    assert pushforward_morphism(copied) == pushforward_morphism(cover)
+    assert verify_split_package(copied) == report
+    for field in cover._fields:
+        with pytest.raises(AttributeError):
+            setattr(copied, field, None)
