@@ -275,19 +275,20 @@ def test_a_matrix_is_inverted_only_where_the_inverse_is_the_answer_or_is_shared(
         "tav.py:subgroup_generated",
     ]
 
+
 def test_only_curves_covers_reads_cycle_coefficients():
     # each basis cycle is held once, as sparse (edge, coefficient) pairs,
     # and only curves_covers reads them: the walk cover takes its slopes
     # from curves_covers and builds no dense basis of its own
     package = Path(tropjac.__file__).parent
-    readers = sorted(
+    readers = {
         path.name
         for path in package.glob("*.py")
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if (node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None))
         in ("_cycles", "tree_path")
-    )
-    assert set(readers) == {"curves_covers.py"}
+    }
+    assert readers == {"curves_covers.py"}
     assert "cycle_basis" not in _called_names(package / "split_jacobian.py")
 
 

@@ -15,9 +15,9 @@ import pytest
 import tropjac
 from oracles import degree_two_cover, degree_two_pushforward, theta_jacobian
 from tropjac import (
-    DumbbellCover,
     ComplementaryCover,
     CyclicKernel,
+    DumbbellCover,
     DumbbellCurve,
     ExactSequence,
     GammaData,
