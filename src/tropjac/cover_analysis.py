@@ -18,7 +18,7 @@ here are shared, never copied.
 from collections import namedtuple
 from math import gcd, isqrt
 
-from .curves_covers import DumbbellCover, _circle_cover, _rational, harmonic_form
+from .curves_covers import DumbbellCover, _circle_cover, _coordinates, _rational, harmonic_form
 from .curves_covers import GammaData  # noqa: F401  (returned by quotient_and_gamma)
 from .curves_covers import require_valid  # noqa: F401  (bound here for bench/test_bench.py)
 from .errors import SourceMismatch
@@ -163,7 +163,9 @@ def is_optimal(cover):
     """Both optimality readings of a cover, never collapsed into one.
 
     kernel_connected asks that the pushforward kernel be connected;
-    the dumbbell gcd criterion asks gcd(d1, d2) = gcd(n1, n2) = 1.  The two
+    the dumbbell gcd criterion asks gcd(d1, d2) = gcd(n1, n2) = 1, which is
+    a_sharp = a_hash = 1, as a valid dumbbell has f_sharp = (d1, d2) and
+    f_hash = (n1, n2) by its loop equations d_i·l_i = n_i·l.  The two
     disagree exactly when the kernel is connected but the cover still
     factors through a dilation (a_sharp > 1); the note records that case.
     """
@@ -171,9 +173,7 @@ def is_optimal(cover):
     count = gamma.a_hash
     kernel_connected = count == 1
     if isinstance(cover, DumbbellCover):
-        d1, d2 = cover.dilations
-        n1, n2 = cover.windings
-        dumbbell_gcd_free = gcd(d1, d2) == 1 and gcd(n1, n2) == 1
+        dumbbell_gcd_free = gamma.a_hash == 1 and gamma.a_sharp == 1
     else:
         dumbbell_gcd_free = None
     note = None
@@ -186,25 +186,19 @@ def is_optimal(cover):
     return OptimalityVerdict(kernel_connected, dumbbell_gcd_free, count, note)
 
 
-def _source(cover):
-    """The source graph of a circle cover and its cycle basis, which
-    together fix the coordinates of the Jacobian."""
-    graph = _circle_cover(cover).source
-    return graph.vertices, graph.edges, graph.cycle_basis()
-
-
 def factor_pushforward(first, second):
     """The circle isogeny psi with psi ∘ second's pushforward = first's,
     or None when no such factorization exists.
 
-    Both covers must have the same source graph with the same cycle basis.
+    Both covers must have the same source graph with the same cycle basis,
+    as curves_covers._coordinates reads them off the sparse cycles.
     psi's f_sharp is solved from push2.f_sharp * X = push1.f_sharp, whose
     one rational solution is unique, as a valid cover's f_sharp is a
     nonzero column; its f_hash is then read from psi's pairing law
     a_sharp · l2 = l1 · a_hash.  psi exists when both are integral and the
     composite reproduces first's f_hash, which is verified exactly.
     """
-    if _source(first) != _source(second):
+    if _coordinates(_circle_cover(first).source) != _coordinates(_circle_cover(second).source):
         raise SourceMismatch("covers must share the same source curve")
     push1, push2 = first._pushforward, second._pushforward
     sharp = rational_solve(push2.f_sharp, push1.f_sharp)

@@ -9,7 +9,9 @@ the form of a curve model and every walk cover split_jacobian builds from
 a universal cover row: a cover is fixed by its slopes and its target length.
 
 A plain MetricGraph builds its BFS spanning tree once, when it is
-constructed, and uses the fundamental cycles of that tree.
+constructed, and uses the fundamental cycles of that tree.  Every graph
+builds its Jacobian once, on first use, so abel_jacobi and every cover of
+the graph share one period matrix.
 The curve models keep fixed bases, so that their coordinates never depend
 on a tree.  On the theta graph the edge e runs from P0 to P1 while e1 and e2
 run from P1 back to P0, and the basis is B1 = e + e2, B2 = e2 - e1.  The
@@ -76,9 +78,9 @@ class MetricGraph(_Value):
     """An immutable connected graph with positive rational edge lengths.  Its
     edges are named by their index, and its cycle basis comes from the BFS
     tree, which the graph builds once, when it is constructed, and keeps
-    with the basis."""
+    with the basis and, from its first use, its Jacobian."""
 
-    __slots__ = ("vertices", "edges", "__dict__")  # the tree and basis live in __dict__
+    __slots__ = ("vertices", "edges", "__dict__")  # the tree, basis and Jacobian live in __dict__
 
     EDGES = None  # edge names; None names each edge by its index
 
@@ -143,10 +145,13 @@ class MetricGraph(_Value):
     def tree_path(self, start, end):
         """The tree path from start to end as {edge index: coefficient},
         nonzero coefficients only: the path from the root to end less the
-        path from the root to start, each walked up the parent edges."""
+        path from the root to start, each walked up the parent edges.  A
+        vertex not on the graph raises ValueError naming it."""
         tree = self._root_paths
         path = {}
         for vertex, direction in ((end, 1), (start, -1)):
+            if vertex not in tree:
+                raise ValueError(f"unknown vertex {vertex!r}")
             while (step := tree[vertex]) is not None:
                 vertex, index, sign = step
                 path[index] = path.get(index, 0) + direction * sign
@@ -188,6 +193,15 @@ class MetricGraph(_Value):
         ]
         return Matrix(rows, ncols=len(rows))
 
+    @cached_property
+    def _jacobian(self):
+        """The Jacobian of the graph, built once: see jacobian.  The period
+        matrix is the Gram matrix of independent cycles under the positive
+        edge lengths, so it is symmetric positive definite: the torus and
+        the variety are valid as built, and are not checked again."""
+        torus = IntegralTorus._derived(self.genus, self.period_matrix())
+        return PolarizedVariety._derived(torus, Polarization(Matrix.identity(self.genus)))
+
 
 def circle_graph(length):
     """A circle of the given length as a one-vertex, one-loop metric graph."""
@@ -216,7 +230,7 @@ class _CurveModel(MetricGraph):
         return MetricGraph(self.vertices, self.edges)
 
     def __repr__(self):
-        lengths = ", ".join(str(length) for _, _, length in self.edges)
+        lengths = ", ".join(repr(length) for _, _, length in self.edges)
         return f"{type(self).__name__}({lengths})"
 
 
@@ -517,6 +531,14 @@ class ValidationReport(_Value):
 GammaData = namedtuple("GammaData", ["l_tilde", "a_sharp", "a_hash"])
 
 
+def _coordinates(graph):
+    """What fixes the Jacobian coordinates of a graph: its vertices, its
+    edges and its basis cycles, each cycle as its {edge index: coefficient}
+    map, so that two graphs share coordinates exactly when these are equal,
+    whatever the order of each cycle's pairs."""
+    return graph.vertices, graph.edges, [dict(cycle) for cycle in graph._cycles]
+
+
 def _universal_row(graph, slopes):
     """The row r with slopes = C·r for the cycle basis C of the graph, the
     inverse of _row_slopes.  Each cycle's first pair is its private edge p,
@@ -664,15 +686,12 @@ def ramification_index(cover, point):
 
 def jacobian(graph):
     """Jacobian as a principally polarized variety: rank = genus, pairing =
-    the cycle-basis period matrix, polarization = identity.
-
-    The period matrix is the Gram matrix of independent cycles under the
-    positive edge lengths, so it is symmetric positive definite: the torus
-    and the variety are valid as built, and are not checked again."""
+    the cycle-basis period matrix, polarization = identity.  The graph
+    builds it once and keeps it, so every call on one graph, and every
+    cover of it, shares one period matrix."""
     if not isinstance(graph, MetricGraph):
         raise ValueError("jacobian expects a curve model or a MetricGraph")
-    torus = IntegralTorus._derived(graph.genus, graph.period_matrix())
-    return PolarizedVariety._derived(torus, Polarization(Matrix.identity(graph.genus)))
+    return graph._jacobian
 
 
 def abel_jacobi(graph, basepoint, point):

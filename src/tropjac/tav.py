@@ -127,7 +127,8 @@ def pushforward_polarization(m, pol_src):
     if not classify(m).surjective:
         raise NotSurjective("push-forward of a polarization requires a surjection")
     dual_src = PolarizedVariety(dual(m.source), dual_polarization(PolarizedVariety(m.source, pol_src)))
-    pulled = pullback_polarization(dual_morphism(m), dual_src.pol)
+    # the pullback along the dual morphism, finite as m is surjective
+    pulled = Polarization(m.f_hash * dual_src.pol.zeta * m.f_sharp)
     dual_tgt = PolarizedVariety(dual(m.target), pulled)
     return dual_polarization(dual_tgt)
 
@@ -136,7 +137,7 @@ def is_polarized_isogeny(m, pol_src, pol_tgt):
     """True when the source polarization is exactly the pulled-back one."""
     if not classify(m).isogeny:
         raise NotIsogeny("polarized-isogeny test requires an isogeny")
-    return pol_src.zeta == pullback_polarization(m, pol_tgt).zeta
+    return pol_src.zeta == m.f_sharp * pol_tgt.zeta * m.f_hash
 
 
 class ExactSequence(_Value):
@@ -346,12 +347,16 @@ def isogeny_kernel_numerators(m):
     columns of f_hash^{-1} as subgroup_generated lists one.  The source
     periods always lie in the lifted lattice U^{-1} L_tgt: their
     coordinates in it are f_hash, which is integral in every
-    TorusMorphism.  A kernel of more than MAX_LISTED_POINTS points raises
+    TorusMorphism.  m is an isogeny exactly when f_hash is square and
+    invertible, so the inverse decides it, and any other m raises
+    NotIsogeny.  A kernel of more than MAX_LISTED_POINTS points raises
     KernelTooLarge before any is listed.
     """
-    if not classify(m).isogeny:
-        raise NotIsogeny("kernel-point enumeration requires an isogeny")
-    return _generated_points(m.source.pairing, m.f_hash.inv().columns(), "the isogeny kernel")
+    try:
+        inverse = m.f_hash.inv()
+    except ValueError:
+        raise NotIsogeny("kernel-point enumeration requires an isogeny") from None
+    return _generated_points(m.source.pairing, inverse.columns(), "the isogeny kernel")
 
 
 def isogeny_kernel_points(m):

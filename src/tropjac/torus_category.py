@@ -250,12 +250,9 @@ def product(t1, t2):
     iota2 = TorusMorphism._derived(
         t2, torus, hstack(Matrix.zeros(n2, n1), eye2), vstack(Matrix.zeros(n1, n2), eye2)
     )
-    proj1 = TorusMorphism._derived(
-        torus, t1, vstack(eye1, Matrix.zeros(n2, n1)), hstack(eye1, Matrix.zeros(n1, n2))
-    )
-    proj2 = TorusMorphism._derived(
-        torus, t2, vstack(Matrix.zeros(n1, n2), eye2), hstack(Matrix.zeros(n2, n1), eye2)
-    )
+    # each projection is its injection with the two matrices swapped
+    proj1 = TorusMorphism._derived(torus, t1, iota1.f_hash, iota1.f_sharp)
+    proj2 = TorusMorphism._derived(torus, t2, iota2.f_hash, iota2.f_sharp)
     return torus, iota1, iota2, proj1, proj2
 
 

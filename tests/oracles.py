@@ -566,6 +566,16 @@ def winding_component_count(cover):
     return gcd(int(f_hash[0, 0]), int(f_hash[0, 1]))
 
 
+def winding_gcd_free(cover):
+    """The dumbbell gcd criterion read off the windings and dilations,
+    gcd(d1, d2) = gcd(n1, n2) = 1; None for a theta cover."""
+    if isinstance(cover, ThetaCover):
+        return None
+    d1, d2 = cover.dilations
+    n1, n2 = cover.windings
+    return gcd(d1, d2) == 1 and gcd(n1, n2) == 1
+
+
 def divisor_pullback_kernel(cover):
     """(position, order) pairs of the pullback kernel, by the divisor loop: a
     class of order m | degree at j·l/m, gcd(j, m) = 1, is in the kernel when
@@ -864,6 +874,12 @@ def dense_period_matrix(graph):
     """C^T diag(len) C by Matrix products, from the dense cycle basis."""
     c = _dense_cycle_matrix(graph)
     return c.transpose() * Matrix.diagonal([length for _, _, length in graph.edges]) * c
+
+
+def dense_coordinates(graph):
+    """What fixes the Jacobian coordinates of a graph, with its dense cycle
+    basis: its vertices, its edges and the tuples of cycle_basis()."""
+    return graph.vertices, graph.edges, graph.cycle_basis()
 
 
 def dense_tree_path(graph, start, end):

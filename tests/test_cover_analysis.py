@@ -16,6 +16,7 @@ from oracles import (
     model_period_matrix,
     wide_kernel_covers,
     winding_component_count,
+    winding_gcd_free,
     winding_pushforward,
     xgcd_kernel_length,
 )
@@ -412,6 +413,7 @@ def _check_against_closed_forms(cover):
     assert kernel_length(cover) == xgcd_kernel_length(cover)
     assert quotient_and_gamma(cover) == closed_form_gamma(cover)
     assert component_count(cover) == winding_component_count(cover)
+    assert is_optimal(cover).dumbbell_gcd_free == winding_gcd_free(cover)
     kernel = [(divisor.position, divisor.order) for divisor in pullback_kernel(cover)]
     assert kernel == divisor_pullback_kernel(cover)
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     cover_corpus,
     dense_abel_jacobi,
+    dense_coordinates,
     dense_period_matrix,
     forward_form,
     metric_graphs,
@@ -23,6 +24,7 @@ from tropjac.curves_covers import (
     MetricGraph,
     ThetaCover,
     ThetaCurve,
+    _coordinates,
     _row_slopes,
     _universal_row,
     abel_jacobi,
@@ -52,6 +54,14 @@ def test_metric_graph_requires_connected():
         ValueError,
         lambda: MetricGraph(["a", "b"], []),
     )
+
+
+def test_tree_path_names_an_unknown_vertex():
+    graph = ThetaCurve(1, 1, 1).graph()
+    assert graph.tree_path("P0", "P1") == {0: 1}
+    for start, end in (("X", "P1"), ("P0", "X")):
+        with pytest.raises(ValueError, match="unknown vertex 'X'"):
+            graph.tree_path(start, end)
 
 
 def test_metric_graph_rejects_bad_lengths():
@@ -430,6 +440,17 @@ def test_universal_row_inverts_the_slopes_of_a_row(graph, data):
         for e in range(len(graph.edges))
     ]
     assert _universal_row(graph, slopes) == row
+
+
+@settings(max_examples=120, deadline=None)
+@given(_graphs, _graphs)
+def test_shared_coordinates_match_the_dense_check(first, second):
+    # two drawn graphs, a graph and itself, and a graph and the plain graph
+    # of its vertices and edges: a curve model's .graph() keeps the
+    # dumbbell's loops as its basis, but not the theta's B1 and B2
+    plain = MetricGraph(first.vertices, first.edges)
+    for a, b in ((first, second), (first, first), (first, plain), (plain, first)):
+        assert (_coordinates(a) == _coordinates(b)) == (dense_coordinates(a) == dense_coordinates(b))
 
 
 @settings(max_examples=120, deadline=None)

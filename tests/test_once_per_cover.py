@@ -177,8 +177,9 @@ def _ladder_cover(k):
 
 def test_split_package_classifies_each_morphism_once(monkeypatch):
     # an analysed, strongly optimal cover of degree 101: the package reuses
-    # what the analysis holds and classifies phi, the kernel inclusion and
-    # the pullback once each
+    # what the analysis holds and classifies nothing; its six Smith forms
+    # are the invariant factors of the four f_hash matrices of its two
+    # exact sequences and the two of kernel0 for the kernel circle
     cover = _ladder_cover(50)
     assert strong_optimality_gap(cover) is None and pullback_morphism(cover)
     calls = Counter()
@@ -193,9 +194,8 @@ def test_split_package_classifies_each_morphism_once(monkeypatch):
                 module, "classify", lambda m, original=original: classified.append(m) or original(m)
             )
     assert verify_split_package(cover).all_flags_hold
-    assert calls["smith_normal_form"] <= 7
-    assert len(classified) <= 3
-    assert len(set(classified)) == len(classified)
+    assert calls["smith_normal_form"] == 6
+    assert classified == []
 
 
 def test_kernel_listing_makes_no_matrix_products_per_point(monkeypatch):
@@ -368,14 +368,36 @@ def test_analyze_split_checks_one_morphism_and_one_torus(tmp_path, monkeypatch, 
 
 def test_isogeny_kernel_makes_one_inverse_and_no_product(monkeypatch):
     # the kernel of the degree-91 ladder's splitting isogeny is listed from
-    # the columns of f_hash^-1, after one classify
+    # the columns of f_hash^-1, and that inverse alone decides that phi is
+    # an isogeny, with no Smith form
     phi, _ = splitting_isogeny(_ladder_cover(45))
     calls = Counter()
+    _count_calls(monkeypatch, exact_lattice, "smith_normal_form", calls)
     _count_calls(monkeypatch, exact_lattice.Matrix, "__mul__", calls)
     _count_calls(monkeypatch, exact_lattice.Matrix, "inv", calls)
     tav.isogeny_kernel_numerators(phi)
     monkeypatch.undo()
     assert calls == Counter(inv=1)
+
+
+def test_polarization_transport_classifies_once(monkeypatch):
+    # is_polarized_isogeny classifies m and writes the pullback itself;
+    # pushforward_polarization classifies m and takes the invariant
+    # factors of the two polarizations it dualizes
+    phi, _ = splitting_isogeny(_ladder_cover(45))
+    principal = tav.principal_polarization(phi.target)
+    pulled = tav.pullback_polarization(phi, principal)
+    push = pushforward_morphism(degree_two_cover())
+    source_principal = tav.principal_polarization(push.source)
+    for run, smith_forms in (
+        (lambda: tav.is_polarized_isogeny(phi, pulled, principal), 1),
+        (lambda: tav.pushforward_polarization(push, source_principal), 3),
+    ):
+        calls = Counter()
+        _count_calls(monkeypatch, exact_lattice, "smith_normal_form", calls)
+        assert run()
+        monkeypatch.undo()
+        assert calls == Counter(smith_normal_form=smith_forms)
 
 
 def _wide_dumbbell(g):
@@ -656,6 +678,18 @@ def test_each_graph_builds_one_cycle_basis(monkeypatch):
     assert verify_split_package(cover).all_flags_hold
     complementary_cover(cover)
     assert bases and max(bases.values()) == 1
+
+
+def test_each_graph_builds_one_period_matrix(monkeypatch):
+    # abel_jacobi and every cover of a graph share the Jacobian it keeps
+    graph = curves_covers.MetricGraph(["v"], [("v", "v", k) for k in range(1, 9)])
+    cover = GeneralCircleCover(graph, 1, [(1, 0, k) for k in range(1, 9)])
+    calls = Counter()
+    _count_calls(monkeypatch, curves_covers.MetricGraph, "period_matrix", calls)
+    for k in range(8):
+        curves_covers.abel_jacobi(graph, "v", (k, Fraction(1, 2)))
+    pushforward_morphism(cover)
+    assert calls == Counter(period_matrix=1)
 
 
 def test_optimality_builds_no_kernel_circle(monkeypatch):

@@ -55,7 +55,8 @@ COVER_TYPES = {"ThetaCover", "DumbbellCover", "GeneralCircleCover", "ThetaCurve"
 
 def test_no_isinstance_forks_on_cover_types():
     # every genus-2 cover takes one path; only the dumbbell gcd criterion,
-    # which reads the dumbbell's windings, stays model-only
+    # which is stated for dumbbells alone and read off the gamma data,
+    # stays model-only
     found = []
     for name in ("cli.py", "cover_analysis.py", "split_jacobian.py"):
         path = Path(tropjac.__file__).parent / name
@@ -279,7 +280,8 @@ def test_a_matrix_is_inverted_only_where_the_inverse_is_the_answer_or_is_shared(
 def test_only_curves_covers_reads_cycle_coefficients():
     # each basis cycle is held once, as sparse (edge, coefficient) pairs,
     # and only curves_covers reads them: the walk cover takes its slopes
-    # from curves_covers and builds no dense basis of its own
+    # from curves_covers, the source check of factor_pushforward compares
+    # the sparse cycles there, and no module builds the dense basis
     package = Path(tropjac.__file__).parent
     readers = {
         path.name
@@ -289,7 +291,7 @@ def test_only_curves_covers_reads_cycle_coefficients():
         in ("_cycles", "tree_path")
     }
     assert readers == {"curves_covers.py"}
-    assert "cycle_basis" not in _called_names(package / "split_jacobian.py")
+    assert [p.name for p in package.glob("*.py") if "cycle_basis" in _called_names(p)] == []
 
 
 def test_readme_quick_start_prints_what_it_says(capsys):

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 import tropjac.split_jacobian as split_jacobian
 from oracles import (
@@ -10,6 +11,7 @@ from oracles import (
     degree_two_cover,
     divided_complementary_f_hash,
     over_lcm_is_d_torsion,
+    split_covers,
 )
 from tropjac.cover_analysis import is_optimal, pushforward_morphism, quotient_and_gamma
 from tropjac.curves_covers import (
@@ -47,6 +49,7 @@ from tropjac.torus_category import (
     TorusMorphism,
     classify,
     compose,
+    dual_morphism,
     identity_morphism,
     kernel_component_count,
 )
@@ -154,6 +157,23 @@ def test_composite_is_multiplication_both_ways():
     around = compose(report.phi_morphism, report.phi_tilde_morphism)
     assert around.f_sharp == 2 * Matrix.identity(2)
     assert around.f_hash == 2 * Matrix.identity(2)
+
+
+def test_phi_tilde_is_the_dual_of_phi_on_the_corpus():
+    # phi_tilde is built from the complementary projection and mu_*, so
+    # this checks the construction against the duality it must have
+    covers = [c for c in cover_corpus() if strongly_optimal(c)]
+    assert len(covers) == 83
+    for cover in covers:
+        report = verify_split_package(cover)
+        assert report.phi_tilde_morphism == dual_morphism(report.phi_morphism)
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_covers())
+def test_phi_tilde_is_the_dual_of_phi_beyond_the_corpus(cover):
+    report = verify_split_package(cover)
+    assert report.phi_tilde_morphism == dual_morphism(report.phi_morphism)
 
 
 def test_verify_split_package_on_dumbbell():

@@ -587,6 +587,10 @@ def test_subgroup_generated_inverts_the_pairing_once(monkeypatch):
 
 def test_isogeny_kernel_points_requires_isogeny():
     pytest.raises(NotIsogeny, lambda: isogeny_kernel_points(degree_two_pushforward()))
+    # a square f_hash that is singular: the zero map of the theta Jacobian
+    jac = theta_jacobian()
+    with pytest.raises(NotIsogeny, match="requires an isogeny"):
+        isogeny_kernel_points(zero_morphism(jac, jac))
 
 
 @st.composite

@@ -115,6 +115,15 @@ def test_repr_rebuilds_an_equal_value(name):
     assert eval(repr(value), namespace) == value
 
 
+@pytest.mark.parametrize(
+    "curve",
+    [DumbbellCurve(2, 3, Fraction(1, 2)), ThetaCurve(Fraction(1, 2), 1, 1)],
+    ids=["dumbbell", "theta"],
+)
+def test_a_curve_with_a_fractional_length_rebuilds_from_its_repr(curve):
+    assert eval(repr(curve), {**vars(tropjac), "Fraction": Fraction}) == curve
+
+
 def test_values_of_different_classes_are_never_equal():
     values = {name: factory() for name, factory in VALUES.items()}
     for (a, first), (b, second) in combinations(values.items(), 2):
