@@ -622,7 +622,10 @@ def _dumbbell_violations(cover):
 
 
 def _require_genus_2(graph):
-    """The one genus guard: refuse a graph whose genus is not 2."""
+    """The one genus guard: an argument that is no MetricGraph raises
+    ValueError, and a graph whose genus is not 2 raises UnsupportedGenus."""
+    if not isinstance(graph, MetricGraph):
+        raise ValueError(f"needs a curve model or a MetricGraph, not {type(graph).__name__}")
     if graph.genus != 2:
         raise UnsupportedGenus(f"needs a genus-2 graph, not one of genus {graph.genus}")
 

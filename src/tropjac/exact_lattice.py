@@ -474,8 +474,11 @@ def _require_integral(a, what):
         raise ValueError(f"{what} requires an integer matrix")
 
 
-def smith_normal_form(a):
-    """Smith normal form with transforms: returns (U, S, V) with U*A*V = S.
+def _smith(a, left, right):
+    """The Smith elimination of an integer matrix: (U, S, V) with U*A*V = S,
+    where U is built only when left is set and V only when right is set,
+    and a transform that is not built is None.  The transforms never steer
+    the elimination, so S is the same whichever of them are asked for.
 
     U and V are unimodular; S is diagonal with nonnegative invariant factors
     dividing in sequence.  Pivot rule: the nonzero entry of smallest absolute
@@ -484,46 +487,42 @@ def smith_normal_form(a):
     _require_integral(a, "smith_normal_form")
     m, n = a.shape
     s = [list(row) for row in a.entries()]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    u = [[int(i == j) for j in range(m)] for i in range(m)] if left else None
+    v = [[int(i == j) for j in range(n)] for i in range(n)] if right else None
+    # a row operation acts on S and U, a column operation on S and V
+    by_rows = [s, u] if left else [s]
+    by_cols = [s, v] if right else [s]
 
     def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
+        for rows in by_rows:
+            rows[i], rows[j] = rows[j], rows[i]
 
     def swap_cols(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        for rows in by_cols:
+            for row in rows:
+                row[i], row[j] = row[j], row[i]
 
     def add_row(dst, src, factor):
-        s[dst] = [a_ + factor * b_ for a_, b_ in zip(s[dst], s[src])]
-        u[dst] = [a_ + factor * b_ for a_, b_ in zip(u[dst], u[src])]
+        for rows in by_rows:
+            rows[dst] = [a_ + factor * b_ for a_, b_ in zip(rows[dst], rows[src])]
 
     def add_col(dst, src, factor):
-        for row in s:
-            row[dst] += factor * row[src]
-        for row in v:
-            row[dst] += factor * row[src]
+        for rows in by_cols:
+            for row in rows:
+                row[dst] += factor * row[src]
 
     def negate_row(i):
-        s[i] = [-x for x in s[i]]
-        u[i] = [-x for x in u[i]]
+        for rows in by_rows:
+            rows[i] = [-x for x in rows[i]]
 
-    t = 0
-    while t < min(m, n):
+    for t in range(min(m, n)):
         # Position phase: bring the preferred pivot to (t, t) and clear its
         # row and column, restarting whenever a smaller remainder shows up.
         while True:
-            best = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    if s[i][j] != 0 and (best is None or abs(s[i][j]) < best[0]):
-                        best = (abs(s[i][j]), i, j)
-            if best is None:
+            nonzero = [(abs(x), i, j) for i in range(t, m) for j, x in enumerate(s[i][t:], t) if x]
+            if not nonzero:
                 break
-            _, pi, pj = best
+            _, pi, pj = min(nonzero)
             if pi != t:
                 swap_rows(t, pi)
             if pj != t:
@@ -557,15 +556,20 @@ def smith_normal_form(a):
             if bad_row is None:
                 break
             add_row(t, bad_row, 1)
-        if all(s[i][j] == 0 for i in range(t, m) for j in range(t, n)):
+        if not nonzero:  # the rest of S is zero
             break
-        t += 1
 
     return (
-        Matrix._of(tuple(map(tuple, u)), m),
+        Matrix._of(tuple(map(tuple, u)), m) if left else None,
         Matrix._of(tuple(map(tuple, s)), n),
-        Matrix._of(tuple(map(tuple, v)), n),
+        Matrix._of(tuple(map(tuple, v)), n) if right else None,
     )
+
+
+def smith_normal_form(a):
+    """Smith normal form with transforms: returns (U, S, V) with U*A*V = S,
+    by the one elimination, _smith, building both transforms."""
+    return _smith(a, True, True)
 
 
 def snf_rank(s):
@@ -574,8 +578,9 @@ def snf_rank(s):
 
 
 def invariant_factors(a):
-    """Nonzero diagonal entries of the Smith form of ``a``."""
-    _, s, _ = smith_normal_form(a)
+    """Nonzero diagonal entries of the Smith form of ``a``, reduced with
+    no transform built."""
+    _, s, _ = _smith(a, False, False)
     return tuple(s[i, i] for i in range(min(s.shape)) if s[i, i] != 0)
 
 
@@ -630,14 +635,42 @@ def column_hnf(a):
 def integer_kernel(a):
     """Canonical basis of the saturated lattice {x integral : A*x = 0}.
 
-    The span is computed from the Smith form (last columns of V) and then
-    canonicalised, so equal kernels always produce identical matrices.
+    The span is computed from the Smith form (last columns of V, the one
+    transform built) and then canonicalised, so equal kernels always
+    produce identical matrices.
     """
-    _, s, v = smith_normal_form(a)
+    _, s, v = _smith(a, False, True)
     r = snf_rank(s)
     n = a.ncols
     basis = v.submatrix(range(n), range(r, n))
     return column_hnf(basis)
+
+
+def quotient_group(a):
+    """The finite group Z^n / A·Z^n of a square integer matrix A, as
+    (factors, den, generators), or None when A is singular and the group
+    is infinite.
+
+    One Smith form U*A*V = S, with V the one transform built, presents it
+    (Cohen, A Course in Computational Algebraic Number Theory, §2.4).  A^-1
+    maps it onto A^-1·Z^n / Z^n, and A^-1 = V·S^-1·U with U unimodular, so
+    that group is spanned by the columns v_i / s_i of V·S^-1.  As V is
+    unimodular, it is the direct sum of the cyclic groups they generate,
+    of orders s_i.  factors is (s_1, ..., s_n), with s_i dividing s_(i+1);
+    den = s_n, 1 when n = 0, is the lcm of the denominators of A^-1; and
+    generator i is the int tuple v_i · (s_n / s_i) mod s_n, the point
+    v_i / s_i as numerators over den.
+    """
+    if not a.is_square:
+        raise ValueError("quotient group of a non-square matrix")
+    _, s, v = _smith(a, False, True)
+    factors = tuple(s[i, i] for i in range(a.ncols))
+    if 0 in factors:
+        return None
+    den = factors[-1] if factors else 1
+    return factors, den, [
+        tuple([x * (den // f) % den for x in column]) for column, f in zip(v.columns(), factors)
+    ]
 
 
 def rational_solve(a, b):

@@ -239,8 +239,9 @@ def cover_from_splitting(curve, iso, factor=1):
         raise ValueError("cover_from_splitting expects a TorusMorphism")
     if type(factor) is not int or factor not in (1, 2):
         raise ValueError("factor must be 1 or 2")
-    jac = jacobian(curve).torus
+    # the genus is checked before the Jacobian is built and kept
     _require_genus_2(curve)
+    jac = jacobian(curve).torus
     if iso.source != jac:
         raise ShapeMismatch("isogeny must start at the curve's Jacobian")
     if not classify(iso).isogeny:

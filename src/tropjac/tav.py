@@ -36,6 +36,7 @@ from .exact_lattice import (
     column_hnf,
     hstack,
     invariant_factors,
+    quotient_group,
     rational_solve,
 )
 from .torus_category import (
@@ -266,14 +267,17 @@ def _box_points(n, gens, counts, den):
     generated by the g_i has one such sum, so each is listed once.  The box
     is listed factor by factor and coordinate by coordinate, each step one
     comprehension over all points, with no set, no membership test and no
-    call per point."""
-    coordinates = [[0] for _ in range(n)]
+    call per point; the first factor of more than one point gives its
+    multiples as they are."""
+    coordinates = None
     for g, count in zip(gens, counts):
         if count > 1:
-            for j in range(n):
-                multiples = [k * g[j] % den for k in range(count)]
-                coordinates[j] = [(a + b) % den for a in coordinates[j] for b in multiples]
-    return coordinates
+            multiples = [[k * x % den for k in range(count)] for x in g]
+            coordinates = multiples if coordinates is None else [
+                [(a + b) % den for a in column for b in added]
+                for column, added in zip(coordinates, multiples)
+            ]
+    return [[0] for _ in range(n)] if coordinates is None else coordinates
 
 
 def _listed_points(pairing, den, coordinates, count):
@@ -297,9 +301,13 @@ def _listed_points(pairing, den, coordinates, count):
     return ScaledPoints(numerators, den * pairing_den)
 
 
-def _generated_points(pairing, coords, what):
+def _generated_points(pairing, coords):
     """The points of the finite subgroup generated by points with the given
-    pairing coordinates, on the torus of the pairing, as ScaledPoints.
+    pairing coordinates, on the torus of the pairing, as ScaledPoints: the
+    listing behind subgroup_generated, whose generators are arbitrary
+    points.  The isogeny kernel, whose group Smith presents directly, is
+    listed by isogeny_kernel_numerators from quotient_group instead, with
+    no HNF.
 
     The coordinates are written once as int tuples over their common
     denominator den.  The subgroup is L / den·Z^n for the lattice L
@@ -308,8 +316,8 @@ def _generated_points(pairing, coords, what):
     box of sums k_j·b_j, 0 <= k_j < den/h_j, lists each point once: two
     sums that agree mod den agree in k_1, then in k_2, and so on down the
     triangle, and there are den^n / prod(h_j) = [L : den·Z^n] of them.  A
-    subgroup of more than MAX_LISTED_POINTS points raises KernelTooLarge,
-    naming it as what, before any is listed.
+    subgroup of more than MAX_LISTED_POINTS points raises KernelTooLarge
+    before any is listed.
     """
     n = pairing.nrows
     den, gen_coords = _over_lcm(coords)
@@ -320,7 +328,7 @@ def _generated_points(pairing, coords, what):
     basis = column_hnf(lattice)
     counts = [den // basis[j, j] for j in range(n)]
     count = prod(counts)
-    _require_listable(count, what)
+    _require_listable(count, "the generated subgroup")
     return _listed_points(pairing, den, _box_points(n, basis.columns(), counts, den), count)
 
 
@@ -332,7 +340,7 @@ def subgroup_generated(torus, gens):
     """
     inverse = torus.pairing.inv()
     coords = [(inverse * _as_fraction_column(torus, g)).column_tuple(0) for g in gens]
-    return _generated_points(torus.pairing, coords, "the generated subgroup").columns()
+    return _generated_points(torus.pairing, coords).columns()
 
 
 def isogeny_kernel_numerators(m):
@@ -343,20 +351,28 @@ def isogeny_kernel_numerators(m):
     U = f_sharp^T: the subgroup of the source torus generated by the
     columns of U^{-1} * P_tgt.  Their pairing coordinates are
     P_src^{-1} * U^{-1} * P_tgt, which the pairing law U * P_src =
-    P_tgt * f_hash makes f_hash^{-1}, so the kernel is listed from the
-    columns of f_hash^{-1} as subgroup_generated lists one.  The source
-    periods always lie in the lifted lattice U^{-1} L_tgt: their
-    coordinates in it are f_hash, which is integral in every
-    TorusMorphism.  m is an isogeny exactly when f_hash is square and
-    invertible, so the inverse decides it, and any other m raises
-    NotIsogeny.  A kernel of more than MAX_LISTED_POINTS points raises
-    KernelTooLarge before any is listed.
+    P_tgt * f_hash makes f_hash^{-1}, so in pairing coordinates the kernel
+    is f_hash^{-1}·Z^n / Z^n.  The source periods always lie in the lifted
+    lattice U^{-1} L_tgt: their coordinates in it are f_hash, which is
+    integral in every TorusMorphism.
+
+    exact_lattice.quotient_group presents that group from one Smith form
+    of f_hash, with no inverse and no HNF: its factors s_i, the
+    denominator s_n of f_hash^{-1}, and one generator of order s_i per
+    factor, whose box of multiples lists each point once.  m is an isogeny
+    exactly when f_hash is square with no zero invariant factor, so the
+    Smith form decides it, and any other m raises NotIsogeny.  A kernel of
+    more than MAX_LISTED_POINTS points raises KernelTooLarge before any is
+    listed.
     """
-    try:
-        inverse = m.f_hash.inv()
-    except ValueError:
-        raise NotIsogeny("kernel-point enumeration requires an isogeny") from None
-    return _generated_points(m.source.pairing, inverse.columns(), "the isogeny kernel")
+    group = quotient_group(m.f_hash) if m.f_hash.is_square else None
+    if group is None:
+        raise NotIsogeny("kernel-point enumeration requires an isogeny")
+    factors, den, generators = group
+    count = prod(factors)
+    _require_listable(count, "the isogeny kernel")
+    points = _box_points(len(factors), generators, factors, den)
+    return _listed_points(m.source.pairing, den, points, count)
 
 
 def isogeny_kernel_points(m):

@@ -91,11 +91,14 @@ def random_subtorus_sequence(rng, max_rank=3):
     return inclusion, projection
 
 
-def random_covolume_preserving_isogeny(rng, max_rank=3, min_rank=1):
-    """An isogeny u2 . dilation . u1 between tori of equal covolume."""
-    n = rng.randint(min_rank, max_rank)
+def random_covolume_preserving_isogeny(rng, max_rank=3, min_rank=1, factors=None):
+    """An isogeny u2 . dilation . u1 between tori of equal covolume: the
+    dilation is diag(factors), or, when factors is None, of a random rank
+    in [min_rank, max_rank] with random factors 1 to 3."""
+    n = rng.randint(min_rank, max_rank) if factors is None else len(factors)
     base = IntegralTorus(n, Matrix.diagonal([rng.randint(1, 4) for _ in range(n)]))
-    factors = [rng.randint(1, 3) for _ in range(n)]
+    if factors is None:
+        factors = [rng.randint(1, 3) for _ in range(n)]
     dilation = TorusMorphism(
         base, base, Matrix.diagonal(factors), Matrix.diagonal(factors)
     )
@@ -744,6 +747,7 @@ def split_covers():
 # -- lattice-basis and Smith-form references -------------------------------
 
 from math import prod  # noqa: E402
+from operator import mul  # noqa: E402
 
 from tropjac.cover_analysis import pushforward_morphism  # noqa: E402
 from tropjac.exact_lattice import (  # noqa: E402
@@ -752,6 +756,7 @@ from tropjac.exact_lattice import (  # noqa: E402
     invariant_factors,
     snf_rank,
 )
+from tropjac.tav import ScaledPoints  # noqa: E402
 from tropjac.torus_category import kernel0  # noqa: E402
 
 
@@ -765,6 +770,41 @@ def basis_exact(f, g):
         return False
     image = column_hnf(f.f_hash)
     return image.ncols == f.source.rank and image == integer_kernel(g.f_hash)
+
+
+def inverse_hnf_kernel_numerators(m):
+    """The kernel of an isogeny listed from f_hash^-1, the reference for
+    tav.isogeny_kernel_numerators, which presents it by one Smith form.
+
+    The columns of the inverse, the kernel's pairing coordinates, are
+    written as ints over the lcm den of their denominators; the column HNF
+    of [columns | den·I] is a lower-triangular basis whose pivots h_j
+    divide den, and its box of sums k_j·b_j, 0 <= k_j < den/h_j, lists each
+    point once.  Each point is then pairing * (c / den), as sorted int
+    tuples over den times the pairing's lcm denominator.  An m whose f_hash
+    has no inverse raises NotIsogeny."""
+    try:
+        inverse = m.f_hash.inv()
+    except ValueError:
+        raise NotIsogeny("kernel-point enumeration requires an isogeny") from None
+    n = m.source.rank
+    den, coords = _over_lcm(inverse.columns())
+    lattice = Matrix(
+        [[c[i] for c in coords] + [den if i == j else 0 for j in range(n)] for i in range(n)],
+        ncols=len(coords) + n,
+    )
+    basis = column_hnf(lattice)
+    coordinates = [[0] for _ in range(n)]
+    for j in range(n):
+        generator, count = basis.column_tuple(j), den // basis[j, j]
+        for i in range(n):
+            multiples = [k * generator[i] % den for k in range(count)]
+            coordinates[i] = [(a + b) % den for a in coordinates[i] for b in multiples]
+    pairing_den, pairing = _over_lcm(m.source.pairing.entries())
+    points = list(zip(*coordinates))
+    rows = [[sum(map(mul, row, point)) for point in points] for row in pairing]
+    numerators = tuple(sorted(zip(*rows))) if rows else ((),)
+    return ScaledPoints(numerators, den * pairing_den)
 
 
 def smith_dual_polarization(zeta):

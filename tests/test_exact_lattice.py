@@ -3,7 +3,7 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,6 +19,7 @@ from tropjac.exact_lattice import (
     hstack,
     integer_kernel,
     invariant_factors,
+    quotient_group,
     rational_solve,
     row_hnf,
     smith_normal_form,
@@ -444,6 +445,79 @@ def test_snf_transform_identity_and_divisibility(rows):
     for prev, nxt in zip(diag, diag[1:]):
         if nxt != 0:
             assert prev != 0 and nxt % prev == 0
+
+
+def smith_matrices(square=False, max_dim=6):
+    """Integer matrices of up to max_dim rows and columns, the shapes with
+    no rows or no columns among them, in which a row may be zero or a
+    multiple of the first row, so rank-deficient inputs come up often;
+    square ones when square is set."""
+
+    def assemble(drawn, n):
+        first = drawn[0][2] if drawn else []
+        rows = [
+            row if kind == "random" else [factor * x for x in first] if kind == "multiple" else [0] * n
+            for kind, factor, row in drawn
+        ]
+        return Matrix(rows, ncols=n)
+
+    def build(shape):
+        m, n = shape
+        row = st.tuples(
+            st.sampled_from(["random", "random", "zero", "multiple"]),
+            st.integers(-3, 3),
+            st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+        )
+        return st.lists(row, min_size=m, max_size=m).map(lambda drawn: assemble(drawn, n))
+
+    dims = st.integers(0, max_dim)
+    return (dims.map(lambda n: (n, n)) if square else st.tuples(dims, dims)).flatmap(build)
+
+
+@settings(max_examples=200, deadline=None)
+@given(smith_matrices())
+def test_smith_builds_only_the_transforms_asked_for(a):
+    # one elimination: S is the same whichever transforms are built, and a
+    # transform that is built is the one smith_normal_form returns
+    u, s, v = smith_normal_form(a)
+    assert u * a * v == s and abs(u.det()) == abs(v.det()) == 1
+    for left in (False, True):
+        for right in (False, True):
+            got_u, got_s, got_v = exact_lattice._smith(a, left, right)
+            assert got_s == s
+            assert got_u == u if left else got_u is None
+            assert got_v == v if right else got_v is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(smith_matrices(square=True))
+def test_quotient_group_presents_z_n_over_a(a):
+    group = quotient_group(a)
+    if a.det() == 0:
+        assert group is None
+        return
+    factors, den, generators = group
+    assert factors == invariant_factors(a)
+    assert prod(factors) == abs(a.det())
+    # den is the lcm of the denominators of A^-1
+    assert den == lcm(*[x.denominator for row in a.inv().entries() for x in row])
+    assert len(generators) == a.nrows
+    for generator, factor in zip(generators, factors):
+        assert all(type(x) is int and 0 <= x < den for x in generator)
+        # generator / den lies in A^-1·Z^n and has order exactly its factor
+        assert all(x % den == 0 for x in (a * Matrix.column(generator)).column_tuple(0))
+        assert den // gcd(den, *generator) == factor
+
+
+def test_quotient_group_examples():
+    assert quotient_group(Matrix([[2, 1], [1, 2]])) == ((1, 3), 3, [(0, 0), (1, 1)])
+    assert quotient_group(Matrix.diagonal([4, 6])) == ((2, 12), 12, [(6, 6), (3, 10)])
+    assert quotient_group(Matrix.identity(0)) == ((), 1, [])
+    # singular: Z^n / A·Z^n is infinite
+    assert quotient_group(Matrix.zeros(2, 2)) is None
+    assert quotient_group(Matrix([[1, 2], [2, 4]])) is None
+    with pytest.raises(ValueError, match="non-square"):
+        quotient_group(Matrix([[1, 2]]))
 
 
 # -- Hermite form and kernels ----------------------------------------------

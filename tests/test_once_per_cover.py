@@ -177,16 +177,16 @@ def _ladder_cover(k):
 
 def test_split_package_classifies_each_morphism_once(monkeypatch):
     # an analysed, strongly optimal cover of degree 101: the package reuses
-    # what the analysis holds and classifies nothing; its six Smith forms
-    # are the invariant factors of the four f_hash matrices of its two
-    # exact sequences and the two of kernel0 for the kernel circle
+    # what the analysis holds and classifies nothing; its seven Smith
+    # eliminations are the invariant factors of the four f_hash matrices of
+    # its two exact sequences, the two of kernel0 for the kernel circle and
+    # the one that presents the kernel of phi, which takes no inverse
     cover = _ladder_cover(50)
     assert strong_optimality_gap(cover) is None and pullback_morphism(cover)
     calls = Counter()
     classified = []
-    for module in (exact_lattice, torus_category, tav, split_jacobian):
-        if hasattr(module, "smith_normal_form"):
-            _count_calls(monkeypatch, module, "smith_normal_form", calls)
+    _count_calls(monkeypatch, exact_lattice, "_smith", calls)
+    _count_calls(monkeypatch, exact_lattice.Matrix, "inv", calls)
     for module in (torus_category, tav, split_jacobian):
         if hasattr(module, "classify"):
             original = getattr(module, "classify")
@@ -194,7 +194,7 @@ def test_split_package_classifies_each_morphism_once(monkeypatch):
                 module, "classify", lambda m, original=original: classified.append(m) or original(m)
             )
     assert verify_split_package(cover).all_flags_hold
-    assert calls["smith_normal_form"] == 6
+    assert calls == Counter(_smith=7)
     assert classified == []
 
 
@@ -225,22 +225,23 @@ def test_kernel_listing_makes_no_matrix_products_per_point(monkeypatch):
 
 def test_exactness_check_saturates_and_classifies_nothing(monkeypatch):
     # the two sequences of the degree-2 theta cover's split package: each
-    # check takes one Smith form of f.f_hash and one of g.f_hash, for their
-    # invariant factors, and one product, g.f_hash * f.f_hash; no HNF
-    # builds a lattice basis and no classify runs
+    # check takes one Smith elimination of f.f_hash and one of g.f_hash, for
+    # their invariant factors alone, with no transform built, and one
+    # product, g.f_hash * f.f_hash; no HNF builds a lattice basis and no
+    # classify runs
     cover = degree_two_cover()
     push = pushforward_morphism(cover)
     _, inclusion = torus_category.kernel0(push)
     pairs = [(inclusion, push), (pullback_morphism(cover), complementary_pushforward(cover))]
     for f, g in pairs:
         calls, snf_of = Counter(), []
-        snf = exact_lattice.smith_normal_form
+        snf = exact_lattice._smith
 
-        def recording_snf(a):
-            snf_of.append(a)
-            return snf(a)
+        def recording_snf(a, left, right):
+            snf_of.append((a, left, right))
+            return snf(a, left, right)
 
-        monkeypatch.setattr(exact_lattice, "smith_normal_form", recording_snf)
+        monkeypatch.setattr(exact_lattice, "_smith", recording_snf)
         for module in (exact_lattice, torus_category, tav):
             for name in ("row_hnf", "classify"):
                 if hasattr(module, name):
@@ -248,7 +249,7 @@ def test_exactness_check_saturates_and_classifies_nothing(monkeypatch):
         _count_calls(monkeypatch, exact_lattice.Matrix, "__mul__", calls)
         assert tav.check_exact_sequence(f, g)
         monkeypatch.undo()
-        assert Counter(snf_of) == Counter([f.f_hash, g.f_hash])
+        assert Counter(snf_of) == Counter([(f.f_hash, False, False), (g.f_hash, False, False)])
         assert calls == Counter(__mul__=1)
 
 
@@ -258,12 +259,12 @@ def test_classify_makes_one_smith_form_and_no_product(monkeypatch):
     morphisms = [pushforward_morphism(degree_two_cover()), splitting_isogeny(_ladder_cover(45))[0]]
     for m in morphisms:
         calls = Counter()
-        _count_calls(monkeypatch, exact_lattice, "smith_normal_form", calls)
+        _count_calls(monkeypatch, exact_lattice, "_smith", calls)
         _count_calls(monkeypatch, exact_lattice.Matrix, "__mul__", calls)
         _count_calls(monkeypatch, exact_lattice.Matrix, "inv", calls)
         torus_category.classify(m)
         monkeypatch.undo()
-        assert calls == Counter(smith_normal_form=1)
+        assert calls == Counter(_smith=1)
 
 
 def test_stein_factorization_takes_five_smith_forms(monkeypatch):
@@ -279,12 +280,11 @@ def test_stein_factorization_takes_five_smith_forms(monkeypatch):
         exact_lattice.Matrix([[2, 0]]),
     )
     calls = Counter()
-    for module in (exact_lattice, torus_category):
-        _count_calls(monkeypatch, module, "smith_normal_form", calls)
+    _count_calls(monkeypatch, exact_lattice, "_smith", calls)
     stein = torus_category.stein_factorization(m)
     monkeypatch.undo()
     assert torus_category.compose(stein.phi, stein.pi) == m
-    assert calls == Counter(smith_normal_form=5)
+    assert calls == Counter(_smith=5)
 
 
 def test_kernel0_makes_no_inverse(monkeypatch):
@@ -366,18 +366,27 @@ def test_analyze_split_checks_one_morphism_and_one_torus(tmp_path, monkeypatch, 
     assert built == Counter(TorusMorphism=1, IntegralTorus=1)
 
 
-def test_isogeny_kernel_makes_one_inverse_and_no_product(monkeypatch):
+def test_isogeny_kernel_makes_one_elimination_and_no_inverse(monkeypatch):
     # the kernel of the degree-91 ladder's splitting isogeny is listed from
-    # the columns of f_hash^-1, and that inverse alone decides that phi is
-    # an isogeny, with no Smith form
+    # one Smith elimination of f_hash that builds V alone, and that Smith
+    # form alone decides that phi is an isogeny, with no inverse, no HNF
+    # and no product
     phi, _ = splitting_isogeny(_ladder_cover(45))
-    calls = Counter()
-    _count_calls(monkeypatch, exact_lattice, "smith_normal_form", calls)
+    calls, transforms = Counter(), []
+    snf = exact_lattice._smith
+
+    def recording_snf(a, left, right):
+        transforms.append((left, right))
+        return snf(a, left, right)
+
+    monkeypatch.setattr(exact_lattice, "_smith", recording_snf)
+    _count_calls(monkeypatch, exact_lattice, "row_hnf", calls)
     _count_calls(monkeypatch, exact_lattice.Matrix, "__mul__", calls)
     _count_calls(monkeypatch, exact_lattice.Matrix, "inv", calls)
-    tav.isogeny_kernel_numerators(phi)
+    assert len(tav.isogeny_kernel_numerators(phi).numerators) == 91
     monkeypatch.undo()
-    assert calls == Counter(inv=1)
+    assert transforms == [(False, True)]
+    assert calls == Counter()
 
 
 def test_polarization_transport_classifies_once(monkeypatch):
@@ -394,10 +403,10 @@ def test_polarization_transport_classifies_once(monkeypatch):
         (lambda: tav.pushforward_polarization(push, source_principal), 3),
     ):
         calls = Counter()
-        _count_calls(monkeypatch, exact_lattice, "smith_normal_form", calls)
+        _count_calls(monkeypatch, exact_lattice, "_smith", calls)
         assert run()
         monkeypatch.undo()
-        assert calls == Counter(smith_normal_form=smith_forms)
+        assert calls == Counter(_smith=smith_forms)
 
 
 def _wide_dumbbell(g):

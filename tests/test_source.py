@@ -219,11 +219,12 @@ def test_every_error_is_raised():
 
 def test_only_exact_lattice_and_torus_category_take_smith_forms():
     # every other module reads a lattice fact through invariant_factors,
-    # classify or a torus construction, not through a Smith form of its own
+    # quotient_group, classify or a torus construction, not through a Smith
+    # form of its own: the public smith_normal_form or the elimination _smith
     callers = sorted(
         path.name
         for path in Path(tropjac.__file__).parent.glob("*.py")
-        if "smith_normal_form" in _called_names(path)
+        if {"smith_normal_form", "_smith"} & _called_names(path)
     )
     assert callers == ["exact_lattice.py", "torus_category.py"]
 
@@ -262,9 +263,10 @@ def test_no_module_defines_or_calls_integer_solve():
 
 
 def test_a_matrix_is_inverted_only_where_the_inverse_is_the_answer_or_is_shared():
-    # dual_polarization returns a multiple of the inverse, the isogeny
-    # kernel is the columns of f_hash^-1, and subgroup_generated applies
-    # one inverse to every generator; anything else solves its equation
+    # dual_polarization returns a multiple of the inverse and
+    # subgroup_generated applies one inverse to every generator; the
+    # isogeny kernel is presented by a Smith form, and anything else
+    # solves its equation
     inverses = sorted(
         call
         for path in Path(tropjac.__file__).parent.glob("*.py")
@@ -272,7 +274,6 @@ def test_a_matrix_is_inverted_only_where_the_inverse_is_the_answer_or_is_shared(
     )
     assert inverses == [
         "tav.py:dual_polarization",
-        "tav.py:isogeny_kernel_numerators",
         "tav.py:subgroup_generated",
     ]
 

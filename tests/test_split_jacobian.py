@@ -10,6 +10,7 @@ from oracles import (
     cover_corpus,
     degree_two_cover,
     divided_complementary_f_hash,
+    inverse_hnf_kernel_numerators,
     over_lcm_is_d_torsion,
     split_covers,
 )
@@ -35,7 +36,7 @@ from tropjac.errors import (
     UnsupportedGenus,
 )
 from tropjac.exact_lattice import Matrix
-from tropjac.tav import ScaledPoints
+from tropjac.tav import ScaledPoints, isogeny_kernel_numerators
 from tropjac.split_jacobian import (
     _is_d_torsion,
     _walk_cover,
@@ -47,6 +48,7 @@ from tropjac.split_jacobian import (
 )
 from tropjac.torus_category import (
     TorusMorphism,
+    circle,
     classify,
     compose,
     dual_morphism,
@@ -167,6 +169,18 @@ def test_phi_tilde_is_the_dual_of_phi_on_the_corpus():
     for cover in covers:
         report = verify_split_package(cover)
         assert report.phi_tilde_morphism == dual_morphism(report.phi_morphism)
+
+
+def test_kernels_of_phi_match_the_inverse_hnf_listing_on_the_corpus():
+    # the Smith presentation lists the same points over the same
+    # denominator as the listing from f_hash^-1 and its column HNF
+    covers = [c for c in cover_corpus() if strongly_optimal(c)]
+    assert len(covers) == 83
+    for cover in covers:
+        phi, _ = splitting_isogeny(cover)
+        listed, expected = isogeny_kernel_numerators(phi), inverse_hnf_kernel_numerators(phi)
+        assert listed.denominator == expected.denominator
+        assert listed.numerators == expected.numerators
 
 
 @settings(max_examples=60, deadline=None)
@@ -393,6 +407,18 @@ def test_cover_from_splitting_refuses_other_genera():
     circle = circle_graph(1)
     with pytest.raises(UnsupportedGenus):
         cover_from_splitting(circle, identity_morphism(jacobian(circle).torus))
+
+
+def test_cover_from_splitting_refuses_a_genus_before_building_the_jacobian():
+    # a 400-loop bouquet is refused from its genus alone: no 400 x 400
+    # period matrix is built, and the graph keeps no Jacobian
+    bouquet = MetricGraph(["v"], [("v", "v", 1)] * 400)
+    with pytest.raises(UnsupportedGenus):
+        cover_from_splitting(bouquet, identity_morphism(circle(1)))
+    assert "_jacobian" not in vars(bouquet)
+    # an argument that is no graph still raises ValueError
+    with pytest.raises(ValueError, match="MetricGraph"):
+        cover_from_splitting(None, identity_morphism(circle(1)))
 
 
 def test_inconsistent_walk_cover_raises_a_coded_error():

@@ -13,6 +13,7 @@ from oracles import (
     closure_subgroup_generated,
     degree_two_pullback,
     degree_two_pushforward,
+    inverse_hnf_kernel_numerators,
     matrix_isogeny_kernel_points,
     random_covolume_preserving_isogeny,
     random_subtorus_sequence,
@@ -44,6 +45,7 @@ from tropjac.tav import (
     dual_polarization,
     dualize_sequence,
     is_polarized_isogeny,
+    isogeny_kernel_numerators,
     isogeny_kernel_points,
     point_order,
     polarization_type,
@@ -60,6 +62,7 @@ from tropjac.torus_category import (
     TorusMorphism,
     circle,
     classify,
+    compose,
     dual,
     identity_morphism,
     image,
@@ -618,6 +621,52 @@ def test_splitting_kernels_match_the_matrix_listing_up_to_degree_501(k):
     phi, points = splitting_isogeny(cover)
     assert len(points) == 2 * k + 1
     assert points == matrix_isogeny_kernel_points(phi)
+
+
+@st.composite
+def dilated_isogenies(draw):
+    """u2 . diag(factors) . u1 of rank 0 to 6, with changes of basis by
+    oracles.random_unimodular, and kernels of at most 2000 points."""
+    factors, size = [], 1
+    for _ in range(draw(st.integers(0, 6))):
+        factors.append(draw(st.integers(1, max(1, min(12, 2000 // size)))))
+        size *= factors[-1]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return random_covolume_preserving_isogeny(rng, factors=factors)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dilated_isogenies())
+def test_isogeny_kernel_numerators_match_the_inverse_hnf_listing(iso):
+    listed, expected = isogeny_kernel_numerators(iso), inverse_hnf_kernel_numerators(iso)
+    assert listed.denominator == expected.denominator
+    assert listed.numerators == expected.numerators
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.integers(2, 1000))
+@example(1000)  # degree 2001
+def test_splitting_kernels_match_the_inverse_hnf_listing_up_to_degree_2001(k):
+    cover = DumbbellCover(DumbbellCurve(Fraction(1, k), Fraction(1, k + 1), 1), (1, 1), (k, k + 1))
+    phi, _ = splitting_isogeny(cover)
+    listed, expected = isogeny_kernel_numerators(phi), inverse_hnf_kernel_numerators(phi)
+    assert len(listed.numerators) == 2 * k + 1
+    assert listed.denominator == expected.denominator
+    assert listed.numerators == expected.numerators
+
+
+def test_isogeny_kernel_numerators_refuse_a_singular_or_non_square_f_hash():
+    jac = theta_jacobian()
+    push = degree_two_pushforward()
+    for m in (
+        push,  # a 1 x 2 f_hash
+        zero_morphism(jac, jac),  # square and zero
+        compose(degree_two_pullback(), push),  # square of rank 1
+    ):
+        with pytest.raises(NotIsogeny, match="requires an isogeny"):
+            isogeny_kernel_numerators(m)
+        with pytest.raises(NotIsogeny):
+            inverse_hnf_kernel_numerators(m)
 
 
 def test_kernel_listings_are_refused_above_the_bound(monkeypatch):
