@@ -589,11 +589,18 @@ def test_subgroup_generated_inverts_the_pairing_once(monkeypatch):
 
 
 def test_isogeny_kernel_points_requires_isogeny():
-    pytest.raises(NotIsogeny, lambda: isogeny_kernel_points(degree_two_pushforward()))
-    # a square f_hash that is singular: the zero map of the theta Jacobian
+    push = degree_two_pushforward()
     jac = theta_jacobian()
-    with pytest.raises(NotIsogeny, match="requires an isogeny"):
-        isogeny_kernel_points(zero_morphism(jac, jac))
+    for m in (
+        push,  # a 1 x 2 f_hash
+        zero_morphism(jac, jac),  # a square f_hash that is zero
+        compose(degree_two_pullback(), push),  # a square f_hash of rank 1
+    ):
+        for listing in (isogeny_kernel_points, isogeny_kernel_numerators):
+            with pytest.raises(NotIsogeny, match="requires an isogeny"):
+                listing(m)
+        with pytest.raises(NotIsogeny):
+            inverse_hnf_kernel_numerators(m)
 
 
 @st.composite
@@ -653,20 +660,6 @@ def test_splitting_kernels_match_the_inverse_hnf_listing_up_to_degree_2001(k):
     assert len(listed.numerators) == 2 * k + 1
     assert listed.denominator == expected.denominator
     assert listed.numerators == expected.numerators
-
-
-def test_isogeny_kernel_numerators_refuse_a_singular_or_non_square_f_hash():
-    jac = theta_jacobian()
-    push = degree_two_pushforward()
-    for m in (
-        push,  # a 1 x 2 f_hash
-        zero_morphism(jac, jac),  # square and zero
-        compose(degree_two_pullback(), push),  # square of rank 1
-    ):
-        with pytest.raises(NotIsogeny, match="requires an isogeny"):
-            isogeny_kernel_numerators(m)
-        with pytest.raises(NotIsogeny):
-            inverse_hnf_kernel_numerators(m)
 
 
 def test_kernel_listings_are_refused_above_the_bound(monkeypatch):
