@@ -6,11 +6,16 @@ assemble into an isogeny TE' x TE -> Jac whose kernel, degree, and
 polarization behaviour are all pinned down by the degree of mu.  The
 complementary cover realizes the projection onto TE' geometrically.
 
-The isogeny's kernel stays as the ScaledPoints that tav lists, sorted int
-tuples over one denominator: the two torsion flags compare those ints with
-the multiples of one int step, and the report keeps them for the CLI to
-write.  It becomes column matrices only where a caller asks for columns,
-through splitting_isogeny or SplitReport.kernel_points.
+The isogeny's kernel is read off the one Smith form that presents it
+(exact_lattice.quotient_group).  For a valid cover it is cyclic of order d
+and maps one-to-one onto the d-torsion of each circle (Kani's graph of an
+isomorphism between the two d-torsion groups, J. reine angew. Math. 485,
+1997), so the two torsion flags read the group's order and its generator,
+and the sorted points are the multiples of that generator, listed as
+ScaledPoints: sorted int tuples over one denominator, which the report
+keeps for the CLI to write.  They become column matrices only where a
+caller asks for columns, through splitting_isogeny or
+SplitReport.kernel_points.
 
 phi and phi_tilde are assembled from the kernel inclusion, the pushforward
 and the pullback, which are already checked morphisms.  Their pairing laws
@@ -18,6 +23,7 @@ hold block by block, so they are wrapped by _derived and not checked again.
 """
 
 from collections import namedtuple
+from math import gcd, prod
 
 from .cover_analysis import kernel_length, quotient_and_gamma
 from .curves_covers import (
@@ -36,8 +42,8 @@ from .errors import (
     NotProductTarget,
     ShapeMismatch,
 )
-from .exact_lattice import Matrix, block_diagonal, hstack, vstack
-from .tav import check_exact_sequence, isogeny_kernel_numerators
+from .exact_lattice import Matrix, _over_lcm, block_diagonal, hstack, quotient_group, vstack
+from .tav import ScaledPoints, _require_listable, check_exact_sequence, isogeny_kernel_numerators
 from .torus_category import IntegralTorus, TorusMorphism, classify, compose, dual_morphism
 
 
@@ -122,9 +128,19 @@ def complementary_cover(cover):
 
 def _splitting(cover):
     """The isogeny TE' x TE -> Jac of a strongly optimal cover, assembled
-    from the kernel inclusion and the pullback, with its kernel as
-    ScaledPoints.  Its source pairing diag(l', l) is non-degenerate, and
-    its pairing law is the laws of the two blocks."""
+    from the kernel inclusion and the pullback, with the Smith presentation
+    (factors, den, generators) of its kernel and the kernel as ScaledPoints.
+    Its source pairing diag(l', l) is non-degenerate, and its pairing law
+    is the laws of the two blocks.
+
+    When the kernel is cyclic, factors (1, den), with a generator (x, y)
+    whose TE' coordinate x is a unit mod den, the multiples of the
+    generator are den points with distinct TE' coordinates, so sorted they
+    are (m, m·r mod den) for m = 0..den-1 and r = y·x^-1 mod den, each
+    coordinate scaled by its circle's length.  Any other kernel, which no
+    valid cover has, is listed by isogeny_kernel_numerators.  A singular
+    phi raises NotIsogeny, and a kernel of more than MAX_LISTED_POINTS
+    points KernelTooLarge before any point is listed."""
     _require_strongly_optimal(cover)
     te_prime, inclusion = cover._kernel
     pull = cover._pullback
@@ -135,13 +151,24 @@ def _splitting(cover):
         vstack(inclusion.f_sharp, pull.f_sharp),
         hstack(inclusion.f_hash, pull.f_hash),
     )
-    return phi, isogeny_kernel_numerators(phi)
+    group = quotient_group(phi.f_hash)
+    if group is None:
+        raise NotIsogeny("kernel-point enumeration requires an isogeny")
+    factors, den, generators = group
+    _require_listable(prod(factors), "the isogeny kernel")
+    x, y = generators[-1]
+    if factors[0] != 1 or gcd(x, den) != 1:
+        return phi, group, isogeny_kernel_numerators(phi)
+    r = y * pow(x, -1, den) % den
+    pden, ((a, _), (_, b)) = _over_lcm(source.pairing.entries())
+    numerators = zip(range(0, a * den, a), [m * r % den * b for m in range(den)])
+    return phi, group, ScaledPoints(tuple(numerators), den * pden)
 
 
 def splitting_isogeny(cover):
     """The isogeny TE' x TE -> Jac of a strongly optimal cover, with its
     kernel points as columns, as isogeny_kernel_points lists them."""
-    phi, kernel = _splitting(cover)
+    phi, _, kernel = _splitting(cover)
     return phi, kernel.columns()
 
 
@@ -159,21 +186,6 @@ def complementary_pushforward(cover):
     return dual_morphism(inclusion)
 
 
-def _is_d_torsion(positions, den, length, degree):
-    """Whether the positions n/den of the int numerators n, in any order,
-    are exactly the degree-torsion j·length/degree (j = 0..degree-1) of a
-    circle of the given length, where den is a multiple of the denominator
-    of length, as the denominator of a kernel listing is.
-
-    When den·length/degree is an int, unit, the positions are compared with
-    the multiples j·unit as they are.  When it is not, the step is no
-    position over den, so nothing matches; a degree of 1 never gets there,
-    as den·length is an int.
-    """
-    unit, rest = divmod(length.numerator * den, length.denominator * degree)
-    return not rest and sorted(positions) == [j * unit for j in range(degree)]
-
-
 def verify_split_package(cover):
     """Run every check of the splitting theorem on one cover.
 
@@ -182,8 +194,15 @@ def verify_split_package(cover):
     principal polarization pulls back to degree times the principal one,
     and both short sequences (kernel inclusion then pushforward; pullback
     then complementary pushforward) are exact.
+
+    The two torsion flags are read off the kernel's Smith presentation,
+    with no point listed.  The kernel maps onto the d-torsion of a circle
+    exactly when it has d points, is cyclic (factors (1, d)) and its
+    generator's coordinate on that circle is a unit mod d: the multiples
+    of a unit are all of Z/d, once each, and a projection one-to-one onto
+    Z/d makes the kernel cyclic of order d.
     """
-    phi, kernel = _splitting(cover)
+    phi, (factors, den, generators), kernel = _splitting(cover)
     degree = cover_degree(cover)
     push, pull = cover._pushforward, cover._pullback
     _, inclusion = cover._kernel
@@ -197,20 +216,15 @@ def verify_split_package(cover):
     )
     scaled = degree * Matrix.identity(2)
     composite = compose(phi_tilde, phi)
-    length_prime = phi.source.pairing[0, 0]
-    length = phi.source.pairing[1, 1]
-    # each kernel point's numerators: its position on TE', then on TE
-    numerators, den = kernel
+    cyclic = prod(factors) == degree and factors[0] == 1
+    # the generator's coordinates: its position on TE', then on TE
+    x, y = generators[-1]
     flags = {
-        "kernel_matches_d_torsion_TEprime": _is_d_torsion(
-            [x for x, _ in numerators], den, length_prime, degree
-        ),
-        "kernel_matches_d_torsion_TE": _is_d_torsion(
-            [y for _, y in numerators], den, length, degree
-        ),
+        "kernel_matches_d_torsion_TEprime": cyclic and gcd(x, den) == 1,
+        "kernel_matches_d_torsion_TE": cyclic and gcd(y, den) == 1,
         "composite_is_mult_d": composite.f_sharp == scaled and composite.f_hash == scaled,
         # the pullback of the principal polarization along phi, an isogeny
-        # (isogeny_kernel_numerators checked it)
+        # (its Smith form showed it)
         "polarization_pullback_is_d_times_principal": phi.f_sharp * phi.f_hash == scaled,
         "kernel_sequence_exact": check_exact_sequence(inclusion, push),
         "pullback_sequence_exact": check_exact_sequence(pull, comp),

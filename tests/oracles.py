@@ -138,8 +138,9 @@ def over_lcm_is_d_torsion(positions, length, degree):
     """Whether the stored-number positions, in any order, are exactly the
     degree-torsion j·length/degree of a circle of the given length, with
     the positions and the step rescaled to ints over their lcm: the
-    reference for split_jacobian._is_d_torsion, which compares the int
-    numerators of a kernel listing as they are."""
+    reference for the torsion flags of split_jacobian.verify_split_package,
+    which read the order and the generator of the kernel group and list no
+    point."""
     step = _quotient(length, degree)
     _, (scaled, (unit,)) = _over_lcm([positions, [step]])
     return sorted(scaled) == [j * unit for j in range(degree)]

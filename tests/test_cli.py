@@ -4,11 +4,12 @@ import json
 import sys
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tropjac.split_jacobian as split_jacobian
 from oracles import (
     MAX_KERNEL_GCD,
     divisor_pullback_kernel,
@@ -31,9 +32,9 @@ from tropjac.curves_covers import (
     target_length,
 )
 from tropjac.errors import NumberTooLarge, ParseError, ValidationError
-from tropjac.exact_lattice import Matrix, _quotient
-from tropjac.split_jacobian import SplitReport, _is_d_torsion, verify_split_package
-from tropjac.tav import ScaledPoints
+from tropjac.exact_lattice import Matrix, quotient_group
+from tropjac.split_jacobian import SplitReport, verify_split_package
+from tropjac.tav import ScaledPoints, _box_points, _listed_points
 
 import pytest
 
@@ -610,24 +611,33 @@ def test_split_kernel_writer_matches_the_matrix_listing(cover):
     strings = {**split, "kernel_points": [[str(x) for (x,) in p.entries()] for p in listed]}
     assert _render(split, "json") == json.dumps(strings, indent=2)
     assert _render(split, "text") == _render(strings, "text")
-    # both torsion flags, and the int check on broken listings, agree with
-    # the check on stored numbers rescaled over their lcm
-    degree, (numerators, den) = report.degree, report.kernel
-    pairing = report.phi_morphism.source.pairing
-    for i, flag in enumerate(["kernel_matches_d_torsion_TEprime", "kernel_matches_d_torsion_TE"]):
-        length = pairing[i, i]
-        assert report.flags[flag] is over_lcm_is_d_torsion([p[i, 0] for p in listed], length, degree) is True
-        broken = [
-            numerators[1:],
-            numerators + numerators[-1:],
-            [point[::-1] for point in numerators],
-            [tuple(x + 1 for x in point) for point in numerators],
-        ]
-        for points in [numerators, *broken]:
-            positions = [point[i] for point in points]
-            assert _is_d_torsion(positions, den, length, degree) == over_lcm_is_d_torsion(
-                [_quotient(n, den) for n in positions], length, degree
-            )
+    # both torsion flags agree with the check on stored numbers rescaled
+    # over their lcm
+    degree, pairing = report.degree, report.phi_morphism.source.pairing
+    flags = ["kernel_matches_d_torsion_TEprime", "kernel_matches_d_torsion_TE"]
+    for i, flag in enumerate(flags):
+        assert report.flags[flag] is over_lcm_is_d_torsion([p[i, 0] for p in listed], pairing[i, i], degree) is True
+    # so does the order reading of broken kernel groups, against the box
+    # listing of each group
+    factors, den, generators = quotient_group(report.phi_morphism.f_hash)
+    (x, y), zero = generators[-1], generators[:-1]
+    non_unit = next((p for p in range(2, den + 1) if den % p == 0), 0)
+    groups = [
+        (factors, den, [*zero, (-x % den, -y % den)]),
+        (factors, den, [*zero, (x * non_unit % den, y * non_unit % den)]),
+        (factors, den, [*zero, (x, 0)]),
+        (factors, den, [*zero, (0, y)]),
+    ]
+    if den % 2 == 0:
+        groups.append(((2, den // 2), den, generators))
+    for group in groups:
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(split_jacobian, "quotient_group", lambda f_hash, group=group: group)
+            read = verify_split_package(cover).flags
+        box = _box_points(2, group[2], group[0], den)
+        points = _listed_points(pairing, den, box, prod(group[0])).columns()
+        for i, flag in enumerate(flags):
+            assert read[flag] is over_lcm_is_d_torsion([p[i, 0] for p in points], pairing[i, i], degree)
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):

@@ -198,6 +198,20 @@ def test_split_package_classifies_each_morphism_once(monkeypatch):
     assert classified == []
 
 
+def test_split_kernel_is_listed_from_its_generator_with_no_box(monkeypatch):
+    # the kernel of phi of a strongly optimal cover is cyclic with a unit
+    # TE' coordinate, so its points are the generator's multiples in order:
+    # no box of multiples is listed and no listing is sorted
+    cover = _ladder_cover(50)
+    calls = Counter()
+    _count_calls(monkeypatch, tav, "_box_points", calls)
+    _count_calls(monkeypatch, tav, "_listed_points", calls)
+    _count_calls(monkeypatch, split_jacobian, "isogeny_kernel_numerators", calls)
+    report = verify_split_package(cover)
+    assert report.all_flags_hold and len(report.kernel.numerators) == 101
+    assert calls == Counter()
+
+
 def test_kernel_listing_makes_no_matrix_products_per_point(monkeypatch):
     # the points are listed on int tuples, so degrees 101 and 2001 cost the
     # same Matrix products, the same reads by Matrix.__init__ and, apart

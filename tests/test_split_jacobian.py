@@ -1,5 +1,6 @@
 """Tests for complementary covers and split-Jacobian verification."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ from oracles import (
     degree_two_cover,
     divided_complementary_f_hash,
     inverse_hnf_kernel_numerators,
-    over_lcm_is_d_torsion,
     split_covers,
 )
 from tropjac.cover_analysis import is_optimal, pushforward_morphism, quotient_and_gamma
@@ -29,6 +29,7 @@ from tropjac.curves_covers import (
 )
 from tropjac.errors import (
     InvariantViolation,
+    KernelTooLarge,
     NotIsogeny,
     NotOptimal,
     NotProductTarget,
@@ -36,9 +37,9 @@ from tropjac.errors import (
     UnsupportedGenus,
 )
 from tropjac.exact_lattice import Matrix
-from tropjac.tav import ScaledPoints, isogeny_kernel_numerators
+import tropjac.tav as tav
+from tropjac.tav import isogeny_kernel_numerators
 from tropjac.split_jacobian import (
-    _is_d_torsion,
     _walk_cover,
     complementary_cover,
     complementary_pushforward,
@@ -183,6 +184,44 @@ def test_kernels_of_phi_match_the_inverse_hnf_listing_on_the_corpus():
         assert listed.numerators == expected.numerators
 
 
+def _ladder_cover(k):
+    """The strongly optimal dumbbell cover of degree 2k + 1."""
+    return DumbbellCover(DumbbellCurve(Fraction(1, k), Fraction(1, k + 1), 1), (1, 1), (k, k + 1))
+
+
+def test_split_kernel_is_the_generic_listing_on_the_corpus_and_the_ladder():
+    # the multiples of the cyclic generator, listed in order, are the points
+    # that the box of the Smith presentation lists and sorts
+    covers = [c for c in cover_corpus() if strongly_optimal(c)]
+    assert len(covers) == 83
+    for cover in covers + [_ladder_cover(k) for k in range(1, 1001)]:
+        report = verify_split_package(cover)
+        assert report.kernel == isogeny_kernel_numerators(report.phi_morphism)
+        assert len(report.kernel.numerators) == report.degree
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_covers())
+def test_split_kernel_is_the_generic_listing_beyond_the_corpus(cover):
+    report = verify_split_package(cover)
+    assert report.kernel == isogeny_kernel_numerators(report.phi_morphism)
+
+
+def test_split_kernel_is_refused_above_the_listing_bound(monkeypatch):
+    # the bound is read from the group's order before any point is listed
+    monkeypatch.setattr(tav, "MAX_LISTED_POINTS", 5)
+    assert len(verify_split_package(_ladder_cover(2)).kernel.numerators) == 5
+    with pytest.raises(KernelTooLarge):
+        verify_split_package(_ladder_cover(3))
+    monkeypatch.undo()
+    huge = _ladder_cover(5 * 10**11)  # degree 10^12 + 1
+    start = time.perf_counter()
+    with pytest.raises(KernelTooLarge) as raised:
+        verify_split_package(huge)
+    assert time.perf_counter() - start < 0.1
+    assert "1000000000001 points" in str(raised.value)
+
+
 @settings(max_examples=60, deadline=None)
 @given(split_covers())
 def test_phi_tilde_is_the_dual_of_phi_beyond_the_corpus(cover):
@@ -210,32 +249,41 @@ def _doubled(m):
     return TorusMorphism(m.source, m.target, 2 * m.f_sharp, 2 * m.f_hash)
 
 
-def _zeroed(coordinate):
-    """Kernel points with one circle coordinate moved to 0."""
+def _with_generator(edit):
+    """The kernel group with its last generator (x, y) replaced by
+    edit(x, y, den)."""
 
-    def patch(kernel, cover):
-        def zeroed(phi):
-            numerators, den = kernel(phi)
-            return ScaledPoints(
-                [tuple(0 if i == coordinate else x for i, x in enumerate(p)) for p in numerators], den
-            )
+    def patch(group, cover):
+        def edited(f_hash):
+            factors, den, generators = group(f_hash)
+            return factors, den, [*generators[:-1], edit(*generators[-1], den)]
 
-        return zeroed
+        return edited
 
     return patch
 
 
-def _edited(edit):
-    """Kernel points with their list of numerator tuples edited."""
-    return lambda kernel, cover: lambda phi: kernel(phi)._replace(
-        numerators=edit(kernel(phi).numerators)
-    )
+def _with_factors(edit):
+    """The kernel group with its factors replaced by edit(factors)."""
+
+    def patch(group, cover):
+        def edited(f_hash):
+            factors, den, generators = group(f_hash)
+            return edit(factors), den, generators
+
+        return edited
+
+    return patch
+
+
+def _least_prime(n):
+    return next(p for p in range(2, n + 1) if n % p == 0)
 
 
 def _scaled_phi(splitting, cover):
     def doubled_phi(c):
-        phi, points = splitting(c)
-        return _doubled(phi), points
+        phi, group, points = splitting(c)
+        return _doubled(phi), group, points
 
     return doubled_phi
 
@@ -257,21 +305,31 @@ def _complement_doubled(complement, cover):
 
 # each case breaks the object behind one flag through the split_jacobian
 # binding that supplies it; other flags that read the same object fail too.
-# The kernel points come from isogeny_kernel_numerators, as int tuples over
-# one denominator, and phi with them from _splitting.
+# The torsion flags read the kernel group that quotient_group presents from
+# phi's f_hash, as (factors, den, generators), and phi comes from _splitting.
 BROKEN_FLAGS = {
     "kernel points off TE'": (
-        "isogeny_kernel_numerators", _zeroed(0), {"kernel_matches_d_torsion_TEprime"}),
+        "quotient_group", _with_generator(lambda x, y, den: (0, y)),
+        {"kernel_matches_d_torsion_TEprime"}),
     "kernel points off TE": (
-        "isogeny_kernel_numerators", _zeroed(1), {"kernel_matches_d_torsion_TE"}),
+        "quotient_group", _with_generator(lambda x, y, den: (x, 0)),
+        {"kernel_matches_d_torsion_TE"}),
+    # a group of d - 1 points
     "kernel point dropped": (
-        "isogeny_kernel_numerators",
-        _edited(lambda numerators: numerators[1:]),
+        "quotient_group",
+        _with_factors(lambda factors: (1, factors[-1] - 1)),
         {"kernel_matches_d_torsion_TEprime", "kernel_matches_d_torsion_TE"},
     ),
+    # the generator times a non-unit, whose d multiples repeat points
     "kernel point repeated": (
-        "isogeny_kernel_numerators",
-        _edited(lambda numerators: numerators + numerators[-1:]),
+        "quotient_group",
+        _with_generator(lambda x, y, den: (x * _least_prime(den) % den, y * _least_prime(den) % den)),
+        {"kernel_matches_d_torsion_TEprime", "kernel_matches_d_torsion_TE"},
+    ),
+    # d points, but a first factor other than 1
+    "kernel group not cyclic": (
+        "quotient_group",
+        _with_factors(lambda factors: factors[::-1]),
         {"kernel_matches_d_torsion_TEprime", "kernel_matches_d_torsion_TE"},
     ),
     "phi_tilde scaled": ("compose", _scaled_phi_tilde, {"composite_is_mult_d"}),
@@ -290,25 +348,6 @@ BROKEN_FLAGS = {
 }
 
 
-@pytest.mark.parametrize(
-    "positions, den, length, degree",
-    [
-        ([0, 2, 1], 6, 1, 3),  # 0, 1/3, 2/3: the 3-torsion of a circle of length 1
-        ([0, 3, 1], 6, 1, 3),
-        ([0, 1, 2], 4, Fraction(3, 2), 3),  # step 1/2 over 4: 0, 1/4, 1/2 miss it
-        ([0, 2, 4], 4, Fraction(3, 2), 3),
-        # over 1 the step 1/2 is no position; the floor of den·step, 0,
-        # must not stand in for it
-        ([0, 0], 1, 1, 2),
-        ([0], 3, Fraction(5, 3), 1),
-        ([1], 3, Fraction(5, 3), 1),
-    ],
-)
-def test_torsion_check_on_ints_agrees_with_the_rescaled_check(positions, den, length, degree):
-    expected = over_lcm_is_d_torsion([Fraction(n, den) for n in positions], length, degree)
-    assert _is_d_torsion(positions, den, length, degree) is expected
-
-
 def test_every_flag_has_a_breaking_case():
     broken = set().union(*(flags for _, _, flags in BROKEN_FLAGS.values()))
     assert broken == set(verify_split_package(degree_two_cover()).flags)
@@ -323,6 +362,10 @@ def test_each_split_flag_fails_on_a_broken_splitting(case, cover, monkeypatch):
     monkeypatch.setattr(split_jacobian, binding, patch(original, cover))
     report = verify_split_package(cover)
     assert {flag for flag, holds in report.flags.items() if not holds} == expected
+    if "kernel_matches_d_torsion_TEprime" in expected:
+        # no cyclic kernel with a unit TE' coordinate to list from: the
+        # generic listing of phi's kernel is kept
+        assert report.kernel == isogeny_kernel_numerators(report.phi_morphism)
 
 
 # ------------------------------------------------------- cover from splitting
