@@ -617,8 +617,9 @@ def test_split_kernel_writer_matches_the_matrix_listing(cover):
     flags = ["kernel_matches_d_torsion_TEprime", "kernel_matches_d_torsion_TE"]
     for i, flag in enumerate(flags):
         assert report.flags[flag] is over_lcm_is_d_torsion([p[i, 0] for p in listed], pairing[i, i], degree) is True
-    # so does the order reading of broken kernel groups, against the box
-    # listing of each group
+    # so does the order reading of altered kernel groups (the generator
+    # times a unit or a non-unit, or with one coordinate 0, and factors
+    # (2, d/2)), against the box listing of each group
     factors, den, generators = quotient_group(report.phi_morphism.f_hash)
     (x, y), zero = generators[-1], generators[:-1]
     non_unit = next((p for p in range(2, den + 1) if den % p == 0), 0)
