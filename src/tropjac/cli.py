@@ -22,10 +22,17 @@ The orders come from the divisor sieve of cover_analysis._torsion_orders,
 one slice store per divisor of the kernel's order g, so an int generator
 costs no gcd per divisor; a generator num/den with den > 1 costs one
 gcd(j, den) per divisor, for its position in lowest terms.  The split
-report holds the kernel of the splitting isogeny as the ScaledPoints that
-tav lists, int numerators over one denominator; _json and _text_lines
-write each point as the list of "p/q" strings json.dumps would write, from
-those ints, with no Fraction, Matrix or str() call per point.
+report holds the kernel of the splitting isogeny unlisted, as the
+SplitKernel of split_jacobian: its order d, the steps of its two circles
+and the multiplier r that pairs them.  _json and _text_lines write each
+point as the list of "p/q" strings json.dumps would write of its listing,
+from one text table per circle, the d multiples of that circle's step,
+with no Fraction, Matrix or str() call per point: point m is the m-th TE'
+text and the (m·r mod d)-th TE text.  Each step is put in lowest terms
+before its table is written, so the one gcd per table entry is of j < d
+and the step's reduced denominator.  A kernel that is not cyclic, which no
+valid cover has, stays the ScaledPoints that tav lists, int numerators
+over one denominator, written with one gcd per coordinate.
 
 Exit codes: 0 on success, 1 when the library rejects the input or a number
 of the report is too long to print (the error code and message go to
@@ -64,6 +71,7 @@ from .curves_covers import (
 from .errors import NumberTooLarge, ParseError, TropjacError, ValidationError
 from .exact_lattice import _read_exact
 from .split_jacobian import (
+    SplitKernel,
     complementary_cover,
     strong_optimality_gap,
     verify_split_package,
@@ -356,9 +364,42 @@ def _scaled_points(points, opening, between, closing):
     return [opening + between.join(point) + closing for point in zip(*[coordinates] * rank)]
 
 
-# the kernels a report holds unlisted: the writer of each one's items, and
-# the brackets of an item
-_KERNELS = {CyclicKernel: (_divisors, "{", "}"), ScaledPoints: (_scaled_points, "[", "]")}
+def _positions(count, n, den, before, after):
+    """The texts before "p/q" after of the positions j·n/den, j < count.
+    The step n/den is put in lowest terms first, so position j in lowest
+    terms is j·n/k over den/k for k = gcd(j, den), a gcd of j and the
+    reduced den, or the int j·n when den is 1."""
+    content = gcd(n, den)
+    n, den = n // content, den // content
+    if den == 1:
+        return [f'{before}"{position}"{after}' for position in range(0, count * n, n)]
+    return [
+        f'{before}"{j * n // k}"{after}' if (k := gcd(j, den)) == den else f'{before}"{j * n // k}/{den // k}"{after}'
+        for j in range(count)
+    ]
+
+
+def _split_points(kernel, opening, between, closing):
+    """The points of a SplitKernel, as the texts opening "p/q" between
+    "p/q" closing, written from its generator.  One table per circle holds
+    the texts of the positions j·a/den on TE' and j·b/den on TE, j < d, for
+    the steps (a, b) over den, and point m joins TE' text m to TE text
+    m·r mod d, with no gcd of its own.  A number past Python's digit limit
+    raises ValueError, which _render turns into NumberTooLarge."""
+    d, (a, b), r, den = kernel
+    heads = _positions(d, a, den, opening, between)
+    tails = _positions(d, b, den, "", closing)
+    return [head + tails[m * r % d] for m, head in enumerate(heads)]
+
+
+# the kernels a report holds unlisted, the pullback kernel as its generator
+# and the split kernel as its generator or, when it is not cyclic, as int
+# numerators: the writer of each one's items, and the brackets of an item
+_KERNELS = {
+    CyclicKernel: (_divisors, "{", "}"),
+    SplitKernel: (_split_points, "[", "]"),
+    ScaledPoints: (_scaled_points, "[", "]"),
+}
 
 
 def _text_lines(data, prefix=""):
@@ -387,13 +428,14 @@ def _json(value, newline):
     """value as json.dumps(value, indent=2) writes it, where newline is the
     line break and indent of the line value starts on.
 
-    One call per value.  A CyclicKernel or ScaledPoints is written by its
-    item writer in _KERNELS, with no call per divisor or point: the list of
-    its divisor dicts from _divisors, with no dict built, or the list of
-    its points, each a list of "p/q" strings, from _scaled_points, with no
-    list built per point.  A dict or a list is one join of the _json of
-    each child, and a scalar is written by _SCALARS.  Any other value, or a
-    dict key that is not a str, raises TypeError.
+    One call per value.  A CyclicKernel, SplitKernel or ScaledPoints is
+    written by its item writer in _KERNELS, with no call per divisor or
+    point: the list of its divisor dicts from _divisors, with no dict
+    built, or the list of its points, each a list of "p/q" strings, from
+    _split_points or _scaled_points, with no list built per point.  A dict
+    or a list is one join of the _json of each child, and a scalar is
+    written by _SCALARS.  Any other value, or a dict key that is not a str,
+    raises TypeError.
     """
     kind = type(value)
     if kind in _SCALARS:

@@ -579,7 +579,13 @@ def snf_rank(s):
 
 def invariant_factors(a):
     """Nonzero diagonal entries of the Smith form of ``a``, reduced with
-    no transform built."""
+    no transform built.  A single row or column is not eliminated: its one
+    invariant factor is the gcd of its entries, and a zero vector has
+    none."""
+    if 1 in a.shape:
+        _require_integral(a, "smith_normal_form")
+        content = gcd(*[x for row in a.entries() for x in row])
+        return (content,) if content else ()
     _, s, _ = _smith(a, False, False)
     return tuple(s[i, i] for i in range(min(s.shape)) if s[i, i] != 0)
 

@@ -11,11 +11,11 @@ The isogeny's kernel is read off the one Smith form that presents it
 and maps one-to-one onto the d-torsion of each circle (Kani's graph of an
 isomorphism between the two d-torsion groups, J. reine angew. Math. 485,
 1997), so the two torsion flags read the group's order and its generator,
-and the sorted points are the multiples of that generator, listed as
-ScaledPoints: sorted int tuples over one denominator, which the report
-keeps for the CLI to write.  They become column matrices only where a
-caller asks for columns, through splitting_isogeny or
-SplitReport.kernel_points.
+and the report keeps the kernel unlisted, as a SplitKernel: the order d,
+the steps of the two circles and the multiplier that pairs them, from
+which the CLI writes each point and SplitKernel.listed() lists the sorted
+points as ScaledPoints.  They become column matrices only where a caller
+asks for columns, through splitting_isogeny or SplitReport.kernel_points.
 
 phi and phi_tilde are assembled from the kernel inclusion, the pushforward
 and the pullback, which are already checked morphisms.  Their pairing laws
@@ -55,6 +55,22 @@ ComplementaryCover = namedtuple(
 )
 
 
+class SplitKernel(namedtuple("SplitKernel", ["order", "steps", "multiplier", "denominator"])):
+    """The cyclic kernel of a splitting isogeny, unlisted.  With d = order,
+    (a, b) = steps and r = multiplier, its points sorted are
+    (a·m, b·(m·r mod d)) / denominator for m = 0..d-1: the m-th multiple
+    of the step a/denominator on TE', paired with the (m·r mod d)-th
+    multiple of the step b/denominator on TE."""
+
+    __slots__ = ()
+
+    def listed(self):
+        """The points as ScaledPoints, sorted, as isogeny_kernel_numerators
+        lists them."""
+        d, (a, b), r, den = self
+        return ScaledPoints(tuple(zip(range(0, a * d, a), [m * r % d * b for m in range(d)])), den)
+
+
 class SplitReport(
     namedtuple(
         "SplitReport",
@@ -64,7 +80,9 @@ class SplitReport(
 ):
     """Everything verify_split_package checks about a splitting, with the
     two isogenies recorded by their universal cover matrices and the kernel
-    of phi as the ScaledPoints that tav lists."""
+    of phi unlisted: a SplitKernel when it is cyclic with a unit TE'
+    coordinate, as it is on every valid cover, and else the ScaledPoints
+    that tav lists.  kernel.listed() is the ScaledPoints either way."""
 
     __slots__ = ()
 
@@ -72,7 +90,7 @@ class SplitReport(
     def kernel_points(self):
         """The kernel of phi as canonical source points, one column each,
         sorted coordinate-wise, as isogeny_kernel_points lists them."""
-        return self.kernel.columns()
+        return self.kernel.listed().columns()
 
     @property
     def all_flags_hold(self):
@@ -129,18 +147,20 @@ def complementary_cover(cover):
 def _splitting(cover):
     """The isogeny TE' x TE -> Jac of a strongly optimal cover, assembled
     from the kernel inclusion and the pullback, with the Smith presentation
-    (factors, den, generators) of its kernel and the kernel as ScaledPoints.
-    Its source pairing diag(l', l) is non-degenerate, and its pairing law
-    is the laws of the two blocks.
+    (factors, den, generators) of its kernel and the kernel itself.  Its
+    source pairing diag(l', l) is non-degenerate, and its pairing law is
+    the laws of the two blocks.
 
     When the kernel is cyclic, factors (1, den), with a generator (x, y)
     whose TE' coordinate x is a unit mod den, the multiples of the
     generator are den points with distinct TE' coordinates, so sorted they
     are (m, m·r mod den) for m = 0..den-1 and r = y·x^-1 mod den, each
-    coordinate scaled by its circle's length.  Any other kernel, which no
-    valid cover has, is listed by isogeny_kernel_numerators.  A singular
-    phi raises NotIsogeny, and a kernel of more than MAX_LISTED_POINTS
-    points KernelTooLarge before any point is listed."""
+    coordinate scaled by its circle's length: the SplitKernel of order den,
+    steps l' and l over their common denominator pden, multiplier r and
+    denominator den·pden, with no point listed (den = 1 gives r = 0).  Any
+    other kernel, which no valid cover has, is listed by
+    isogeny_kernel_numerators.  A singular phi raises NotIsogeny, and a
+    kernel of more than MAX_LISTED_POINTS points KernelTooLarge."""
     _require_strongly_optimal(cover)
     te_prime, inclusion = cover._kernel
     pull = cover._pullback
@@ -159,17 +179,15 @@ def _splitting(cover):
     x, y = generators[-1]
     if factors[0] != 1 or gcd(x, den) != 1:
         return phi, group, isogeny_kernel_numerators(phi)
-    r = y * pow(x, -1, den) % den
     pden, ((a, _), (_, b)) = _over_lcm(source.pairing.entries())
-    numerators = zip(range(0, a * den, a), [m * r % den * b for m in range(den)])
-    return phi, group, ScaledPoints(tuple(numerators), den * pden)
+    return phi, group, SplitKernel(den, (a, b), y * pow(x, -1, den) % den, den * pden)
 
 
 def splitting_isogeny(cover):
     """The isogeny TE' x TE -> Jac of a strongly optimal cover, with its
     kernel points as columns, as isogeny_kernel_points lists them."""
     phi, _, kernel = _splitting(cover)
-    return phi, kernel.columns()
+    return phi, kernel.listed().columns()
 
 
 def complementary_pushforward(cover):

@@ -11,8 +11,9 @@ representative has pairing-coordinates in [0, 1)^n, which makes point
 equality and torsion orders decidable.  A finite subgroup is listed as a
 ScaledPoints record, its points as sorted tuples of int numerators over one
 positive denominator; subgroup_generated and isogeny_kernel_points expand
-that record into columns, while the split package and the CLI read the
-ints as they are.
+that record into columns, while the CLI reads the ints as they are.  The
+kernel of an isogeny is also given unlisted, as a group: isogeny_kernel_group
+returns its invariant factors and one generator per factor.
 """
 
 from collections import namedtuple
@@ -252,6 +253,11 @@ class ScaledPoints(namedtuple("ScaledPoints", ["numerators", "denominator"])):
 
     __slots__ = ()
 
+    def listed(self):
+        """The points as ScaledPoints: these, which are listed already, as
+        split_jacobian.SplitKernel lists the kernel it holds unlisted."""
+        return self
+
     def columns(self):
         """The points as columns of quotients, each entry an int when
         integral and else one Fraction, as a Matrix stores it."""
@@ -343,6 +349,43 @@ def subgroup_generated(torus, gens):
     return _generated_points(torus.pairing, coords).columns()
 
 
+def _kernel_group(m):
+    """quotient_group of the f_hash of an isogeny m, its kernel in pairing
+    coordinates; m is an isogeny exactly when f_hash is square with no zero
+    invariant factor, so the Smith form decides it, and any other m raises
+    NotIsogeny."""
+    group = quotient_group(m.f_hash) if m.f_hash.is_square else None
+    if group is None:
+        raise NotIsogeny("kernel-point enumeration requires an isogeny")
+    return group
+
+
+# The kernel of an isogeny as a group: its invariant factors s_1 | ... | s_n
+# and one generator of order s_i per factor, a canonical source point.
+KernelGroup = namedtuple("KernelGroup", ["factors", "generators"])
+
+
+def isogeny_kernel_group(m):
+    """The kernel of an isogeny as a KernelGroup, with no point listed.
+
+    The factors and generators are those of quotient_group(m.f_hash), as
+    isogeny_kernel_numerators reads them: generator i is the point of
+    pairing coordinates v_i / s_i, for column i of the Smith transform V,
+    written as its canonical source point, one column.  The kernel is the
+    direct sum of the cyclic groups they generate, so the sums
+    k_1·g_1 + ... + k_n·g_n with 0 <= k_i < s_i, reduced, are its points,
+    each once, and subgroup_generated(m.source, generators) lists them as
+    isogeny_kernel_points does.  A factor of 1 has the zero point as its
+    generator.  Any m that is no isogeny raises NotIsogeny; no bound on the
+    number of points applies, as none is listed.
+    """
+    factors, den, generators = _kernel_group(m)
+    pairing = m.source.pairing
+    return KernelGroup(factors, tuple([
+        pairing * Matrix._of(tuple([(_quotient(x, den),) for x in g]), 1) for g in generators
+    ]))
+
+
 def isogeny_kernel_numerators(m):
     """All group-kernel points of an isogeny, as canonical source points
     listed in ScaledPoints: sorted int tuples over one denominator.
@@ -365,10 +408,7 @@ def isogeny_kernel_numerators(m):
     more than MAX_LISTED_POINTS points raises KernelTooLarge before any is
     listed.
     """
-    group = quotient_group(m.f_hash) if m.f_hash.is_square else None
-    if group is None:
-        raise NotIsogeny("kernel-point enumeration requires an isogeny")
-    factors, den, generators = group
+    factors, den, generators = _kernel_group(m)
     count = prod(factors)
     _require_listable(count, "the isogeny kernel")
     points = _box_points(len(factors), generators, factors, den)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import tropjac.split_jacobian as split_jacobian
 from oracles import (
     MAX_KERNEL_GCD,
+    cover_corpus,
     divisor_pullback_kernel,
     gcd_divisor_texts,
     matrix_isogeny_kernel_points,
@@ -33,7 +34,7 @@ from tropjac.curves_covers import (
 )
 from tropjac.errors import NumberTooLarge, ParseError, ValidationError
 from tropjac.exact_lattice import Matrix, quotient_group
-from tropjac.split_jacobian import SplitReport, verify_split_package
+from tropjac.split_jacobian import SplitKernel, SplitReport, strong_optimality_gap, verify_split_package
 from tropjac.tav import ScaledPoints, _box_points, _listed_points
 
 import pytest
@@ -485,10 +486,17 @@ def test_rendering_an_int_past_the_digit_limit_raises(fmt):
 
 @needs_digit_limit
 def test_kernel_point_past_the_digit_limit_raises():
-    # crafted split kernels of one point, (0, 1/(10^5000 + 1)) and
-    # (10^5000, 0): the writer meets the long int in either format
+    # crafted split kernels with the point (0, 1/(10^5000 + 1)) or
+    # (10^5000, 0), listed or held as the second point of a SplitKernel:
+    # the writer meets the long int in either format
     identity = Matrix.identity(2)
-    for kernel in (ScaledPoints(((0, 1),), 10**5000 + 1), ScaledPoints(((10**5000, 0),), 1)):
+    for kernel in (
+        ScaledPoints(((0, 1),), 10**5000 + 1),
+        ScaledPoints(((10**5000, 0),), 1),
+        # the same points as the second of two points of a SplitKernel
+        SplitKernel(2, (1, 1), 1, 10**5000 + 1),
+        SplitKernel(2, (10**5000, 1), 1, 1),
+    ):
         report = _split_dict(SplitReport(identity, identity, kernel, 1, {}, None, None))
         for fmt in ("json", "text"):
             with pytest.raises(NumberTooLarge):
@@ -639,6 +647,59 @@ def test_split_kernel_writer_matches_the_matrix_listing(cover):
         points = _listed_points(pairing, den, box, prod(group[0])).columns()
         for i, flag in enumerate(flags):
             assert read[flag] is over_lcm_is_d_torsion([p[i, 0] for p in points], pairing[i, i], degree)
+
+
+def _written_from_the_generator(kernel):
+    """Whether a SplitKernel is written, in both formats, byte for byte as
+    _scaled_points writes its listing."""
+    listed = kernel.listed()
+    return all(
+        _render({"kernel_points": kernel}, fmt) == _render({"kernel_points": listed}, fmt)
+        for fmt in ("json", "text")
+    )
+
+
+def _split_kernel(cover):
+    kernel = verify_split_package(cover).kernel
+    assert type(kernel) is SplitKernel
+    return kernel
+
+
+def test_split_kernel_is_written_from_its_generator_on_the_ladder_and_the_corpus():
+    # the ladder dumbbells of degree 3 to 2001, and the strongly optimal
+    # corpus covers of degree 1, whose one point has multiplier 0
+    corpus = [_split_kernel(c) for c in cover_corpus() if strong_optimality_gap(c) is None]
+    ones = [kernel for kernel in corpus if kernel.order == 1]
+    assert ones and all(kernel.multiplier == 0 for kernel in ones)
+    ladder = [
+        _split_kernel(DumbbellCover(DumbbellCurve(Fraction(1, k), Fraction(1, k + 1), 1), (1, 1), (k, k + 1)))
+        for k in range(1, 1001)
+    ]
+    for kernel in ones + ladder:
+        assert _written_from_the_generator(kernel)
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_covers())
+def test_split_kernel_is_written_from_its_generator_beyond_the_corpus(cover):
+    assert _written_from_the_generator(_split_kernel(cover))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 60).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            st.tuples(st.integers(1, 10**6), st.integers(1, 10**6)),
+            st.integers(0, d - 1),
+            st.integers(1, 10**6).map(lambda den: den * d),
+        )
+    )
+)
+def test_any_split_kernel_is_written_as_its_listing(fields):
+    # steps sharing any factor with the denominator, any multiplier, unit
+    # or not: each position is written in lowest terms
+    assert _written_from_the_generator(SplitKernel(*fields))
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):

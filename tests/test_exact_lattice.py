@@ -374,6 +374,49 @@ def test_invariant_factors():
     assert invariant_factors(Matrix.identity(3)) == (1, 1, 1)
     assert invariant_factors(Matrix.zeros(2, 2)) == ()
     assert invariant_factors(Matrix.diagonal([4, 6])) == (2, 12)
+    # a single row or column: the gcd of its entries, none when it is zero
+    assert invariant_factors(Matrix([[4, -6, 0]])) == (2,)
+    assert invariant_factors(Matrix([[-3], [0]])) == (3,)
+    assert invariant_factors(Matrix([[0, 0]])) == ()
+    assert invariant_factors(Matrix([[]], ncols=0)) == ()
+
+
+@st.composite
+def vectors(draw, max_len=6):
+    """A 1 x n row or an n x 1 column, n from 0 to max_len, of ints that may
+    be zero, negative or long, all zero at times, and now and then with one
+    entry that is not integral."""
+    n = draw(st.integers(0, max_len))
+    entry = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(10**30), 10**30))
+    entries = draw(st.one_of(st.just([0] * n), st.lists(entry, min_size=n, max_size=n)))
+    if n and draw(st.integers(0, 4)) == 0:
+        entries[draw(st.integers(0, n - 1))] = Fraction(draw(st.integers(-9, 9)) * 2 + 1, 2)
+    if draw(st.booleans()):
+        return Matrix([[x] for x in entries], ncols=1)
+    return Matrix([entries], ncols=n)
+
+
+def _eliminate(*args):
+    raise AssertionError("a vector was eliminated")
+
+
+@settings(max_examples=300, deadline=None)
+@given(vectors())
+def test_a_vector_is_reduced_by_its_gcd_with_no_elimination(a):
+    # the one invariant factor of a nonzero row or column is the gcd of its
+    # entries, as the Smith elimination finds it; a zero vector has none,
+    # and a vector that is not integral is refused with the same error
+    try:
+        _, s, _ = exact_lattice._smith(a, False, False)
+    except ValueError as refused:
+        with pytest.raises(ValueError) as raised:
+            invariant_factors(a)
+        assert str(raised.value) == str(refused)
+        return
+    expected = tuple(s[i, i] for i in range(min(s.shape)) if s[i, i] != 0)
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(exact_lattice, "_smith", _eliminate)
+        assert invariant_factors(a) == expected
 
 
 def integer_matrices_with_zero_rows(max_dim=6):

@@ -177,10 +177,11 @@ def _ladder_cover(k):
 
 def test_split_package_classifies_each_morphism_once(monkeypatch):
     # an analysed, strongly optimal cover of degree 101: the package reuses
-    # what the analysis holds and classifies nothing; its seven Smith
-    # eliminations are the invariant factors of the four f_hash matrices of
-    # its two exact sequences, the two of kernel0 for the kernel circle and
-    # the one that presents the kernel of phi, which takes no inverse
+    # what the analysis holds and classifies nothing; its three Smith
+    # eliminations are the two of kernel0 for the kernel circle and the one
+    # that presents the kernel of phi, which takes no inverse.  The four
+    # f_hash matrices of its two exact sequences are single rows and
+    # columns, whose invariant factor is a gcd with no elimination.
     cover = _ladder_cover(50)
     assert strong_optimality_gap(cover) is None and pullback_morphism(cover)
     calls = Counter()
@@ -194,21 +195,22 @@ def test_split_package_classifies_each_morphism_once(monkeypatch):
                 module, "classify", lambda m, original=original: classified.append(m) or original(m)
             )
     assert verify_split_package(cover).all_flags_hold
-    assert calls == Counter(_smith=7)
+    assert calls == Counter(_smith=3)
     assert classified == []
 
 
 def test_split_kernel_is_listed_from_its_generator_with_no_box(monkeypatch):
     # the kernel of phi of a strongly optimal cover is cyclic with a unit
-    # TE' coordinate, so its points are the generator's multiples in order:
-    # no box of multiples is listed and no listing is sorted
+    # TE' coordinate, so the report keeps it as its generator, unlisted: no
+    # box of multiples is listed and no listing is sorted
     cover = _ladder_cover(50)
     calls = Counter()
     _count_calls(monkeypatch, tav, "_box_points", calls)
     _count_calls(monkeypatch, tav, "_listed_points", calls)
     _count_calls(monkeypatch, split_jacobian, "isogeny_kernel_numerators", calls)
     report = verify_split_package(cover)
-    assert report.all_flags_hold and len(report.kernel.numerators) == 101
+    assert report.all_flags_hold and report.kernel.order == 101
+    assert type(report.kernel) is split_jacobian.SplitKernel
     assert calls == Counter()
 
 
@@ -239,54 +241,78 @@ def test_kernel_listing_makes_no_matrix_products_per_point(monkeypatch):
 
 def test_exactness_check_saturates_and_classifies_nothing(monkeypatch):
     # the two sequences of the degree-2 theta cover's split package: each
-    # check takes one Smith elimination of f.f_hash and one of g.f_hash, for
-    # their invariant factors alone, with no transform built, and one
-    # product, g.f_hash * f.f_hash; no HNF builds a lattice basis and no
-    # classify runs
+    # check reads the invariant factors of f.f_hash and of g.f_hash and
+    # takes one product, g.f_hash * f.f_hash; no HNF builds a lattice basis
+    # and no classify runs.  The four matrices are single rows or columns,
+    # whose invariant factor is the gcd of the entries, so no Smith
+    # elimination runs either.
     cover = degree_two_cover()
     push = pushforward_morphism(cover)
     _, inclusion = torus_category.kernel0(push)
     pairs = [(inclusion, push), (pullback_morphism(cover), complementary_pushforward(cover))]
     for f, g in pairs:
-        calls, snf_of = Counter(), []
-        snf = exact_lattice._smith
-
-        def recording_snf(a, left, right):
-            snf_of.append((a, left, right))
-            return snf(a, left, right)
-
-        monkeypatch.setattr(exact_lattice, "_smith", recording_snf)
+        calls, factored = Counter(), []
+        factors = tav.invariant_factors
+        monkeypatch.setattr(tav, "invariant_factors", lambda a: factored.append(a) or factors(a))
         for module in (exact_lattice, torus_category, tav):
-            for name in ("row_hnf", "classify"):
+            for name in ("_smith", "row_hnf", "classify"):
                 if hasattr(module, name):
                     _count_calls(monkeypatch, module, name, calls)
         _count_calls(monkeypatch, exact_lattice.Matrix, "__mul__", calls)
         assert tav.check_exact_sequence(f, g)
         monkeypatch.undo()
-        assert Counter(snf_of) == Counter([(f.f_hash, False, False), (g.f_hash, False, False)])
+        assert factored == [f.f_hash, g.f_hash]
+        assert all(1 in a.shape for a in factored)
         assert calls == Counter(__mul__=1)
+
+
+def test_exactness_check_reduces_its_matrices_on_every_call(monkeypatch):
+    # 0 -> J -> J x J -> J -> 0 for the theta Jacobian J: the 4x2 f_hash of
+    # the first injection and the 2x4 f_hash of the second projection are
+    # each eliminated once per check, with no transform built, and a second
+    # check of the same morphisms eliminates them again: no Smith form is
+    # kept between calls
+    _, injection, _, _, projection = torus_category.product(theta_jacobian(), theta_jacobian())
+    runs = []
+    for _ in range(2):
+        eliminated = []
+        snf = exact_lattice._smith
+
+        def recording_snf(a, left, right):
+            eliminated.append((a, left, right))
+            return snf(a, left, right)
+
+        monkeypatch.setattr(exact_lattice, "_smith", recording_snf)
+        assert tav.check_exact_sequence(injection, projection)
+        monkeypatch.undo()
+        runs.append(eliminated)
+    expected = [(injection.f_hash, False, False), (projection.f_hash, False, False)]
+    assert runs == [expected, expected]
 
 
 def test_classify_makes_one_smith_form_and_no_product(monkeypatch):
     # the flags are read off the invariant factors of f_hash alone: every
-    # morphism holds the pairing law, checked or proved when it was built
+    # morphism holds the pairing law, checked or proved when it was built.
+    # The 2x2 f_hash of the degree-91 ladder's phi takes one Smith
+    # elimination; the 1x2 row of the degree-2 pushforward is read off the
+    # gcd of its entries, with none.
     morphisms = [pushforward_morphism(degree_two_cover()), splitting_isogeny(_ladder_cover(45))[0]]
-    for m in morphisms:
+    for m, eliminations in zip(morphisms, (0, 1)):
         calls = Counter()
         _count_calls(monkeypatch, exact_lattice, "_smith", calls)
         _count_calls(monkeypatch, exact_lattice.Matrix, "__mul__", calls)
         _count_calls(monkeypatch, exact_lattice.Matrix, "inv", calls)
         torus_category.classify(m)
         monkeypatch.undo()
-        assert calls == Counter(_smith=1)
+        assert calls == Counter(_smith=eliminations)
 
 
-def test_stein_factorization_takes_five_smith_forms(monkeypatch):
+def test_stein_factorization_takes_four_smith_forms(monkeypatch):
     # criterion 6's surjection ([[4], [-2]], [[2, 0]]) on the theta
-    # Jacobian: one for classify, two for kernel0 (f_sharp and the kernel
-    # of f_hash) and two for the cokernel of its inclusion, which is
-    # injective as built and is not classified again; phi is solved by
-    # rational_solve, which takes none
+    # Jacobian: two for kernel0 (f_sharp and the kernel of f_hash) and two
+    # for the cokernel of its inclusion, which is injective as built and is
+    # not classified again; classify reads the row f_hash off the gcd of
+    # its entries, and phi is solved by rational_solve, neither taking one
     m = torus_category.TorusMorphism(
         theta_jacobian(),
         torus_category.circle(3),
@@ -298,7 +324,7 @@ def test_stein_factorization_takes_five_smith_forms(monkeypatch):
     stein = torus_category.stein_factorization(m)
     monkeypatch.undo()
     assert torus_category.compose(stein.phi, stein.pi) == m
-    assert calls == Counter(_smith=5)
+    assert calls == Counter(_smith=4)
 
 
 def test_kernel0_makes_no_inverse(monkeypatch):
@@ -406,7 +432,10 @@ def test_isogeny_kernel_makes_one_elimination_and_no_inverse(monkeypatch):
 def test_polarization_transport_classifies_once(monkeypatch):
     # is_polarized_isogeny classifies m and writes the pullback itself;
     # pushforward_polarization classifies m and takes the invariant
-    # factors of the two polarizations it dualizes
+    # factors of the two polarizations it dualizes.  Of those three, only
+    # the 2x2 principal polarization of the source is eliminated: the 1x2
+    # f_hash of the degree-2 pushforward and the 1x1 polarization it
+    # pulls back to the circle are read off the gcd of their entries
     phi, _ = splitting_isogeny(_ladder_cover(45))
     principal = tav.principal_polarization(phi.target)
     pulled = tav.pullback_polarization(phi, principal)
@@ -414,7 +443,7 @@ def test_polarization_transport_classifies_once(monkeypatch):
     source_principal = tav.principal_polarization(push.source)
     for run, smith_forms in (
         (lambda: tav.is_polarized_isogeny(phi, pulled, principal), 1),
-        (lambda: tav.pushforward_polarization(push, source_principal), 3),
+        (lambda: tav.pushforward_polarization(push, source_principal), 1),
     ):
         calls = Counter()
         _count_calls(monkeypatch, exact_lattice, "_smith", calls)
@@ -553,7 +582,7 @@ def test_renderer_writes_kernel_points_in_place(monkeypatch):
     for k in (50, 1000):
         cover = _ladder_cover(k)
         report = cli._analysis_report(cover, True)
-        assert len(report["split"]["kernel_points"].numerators) == 2 * k + 1
+        assert report["split"]["kernel_points"].order == 2 * k + 1
         calls = Counter()
         _count_calls(monkeypatch, cli, "_json", calls)
         text = cli._json(report, "\n")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import tropjac.split_jacobian as split_jacobian
 import tropjac.tav as tav
 from oracles import (
     basis_exact,
@@ -34,17 +35,19 @@ from tropjac.errors import (
     NotTorsion,
     ShapeMismatch,
 )
-from tropjac.exact_lattice import Matrix, column_hnf
+from tropjac.exact_lattice import Matrix, column_hnf, quotient_group
 from tropjac.split_jacobian import splitting_isogeny
 from tropjac.tav import (
     MAX_LISTED_POINTS,
     ExactSequence,
+    KernelGroup,
     PolarizedVariety,
     Polarization,
     check_exact_sequence,
     dual_polarization,
     dualize_sequence,
     is_polarized_isogeny,
+    isogeny_kernel_group,
     isogeny_kernel_numerators,
     isogeny_kernel_points,
     point_order,
@@ -596,7 +599,7 @@ def test_isogeny_kernel_points_requires_isogeny():
         zero_morphism(jac, jac),  # a square f_hash that is zero
         compose(degree_two_pullback(), push),  # a square f_hash of rank 1
     ):
-        for listing in (isogeny_kernel_points, isogeny_kernel_numerators):
+        for listing in (isogeny_kernel_points, isogeny_kernel_numerators, isogeny_kernel_group):
             with pytest.raises(NotIsogeny, match="requires an isogeny"):
                 listing(m)
         with pytest.raises(NotIsogeny):
@@ -648,6 +651,53 @@ def test_isogeny_kernel_numerators_match_the_inverse_hnf_listing(iso):
     listed, expected = isogeny_kernel_numerators(iso), inverse_hnf_kernel_numerators(iso)
     assert listed.denominator == expected.denominator
     assert listed.numerators == expected.numerators
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dilated_isogenies())
+def test_isogeny_kernel_group_generates_the_listed_kernel(iso):
+    # the factors are those of the Smith form of f_hash; generator i is a
+    # canonical source point of order exactly factor i, and the generators
+    # generate the kernel that isogeny_kernel_points lists
+    group = isogeny_kernel_group(iso)
+    assert type(group) is KernelGroup
+    assert group.factors == quotient_group(iso.f_hash)[0]
+    assert len(group.generators) == iso.source.rank
+    for generator, factor in zip(group.generators, group.factors):
+        assert generator.shape == (iso.source.rank, 1)
+        assert reduce_point(iso.source, generator) == generator
+        assert point_order(iso.source, generator) == factor
+    assert subgroup_generated(iso.source, group.generators) == isogeny_kernel_points(iso)
+
+
+def test_isogeny_kernel_group_of_splittings_lists_nothing(monkeypatch):
+    # the kernel of a splitting isogeny is cyclic of the cover's degree:
+    # the group is read off one Smith form with no point listed, so the
+    # degree-(10^12 + 1) ladder is answered, far above the listing bound
+    for k, degree in ((1, 3), (45, 91), (5 * 10**11, 10**12 + 1)):
+        cover = DumbbellCover(DumbbellCurve(Fraction(1, k), Fraction(1, k + 1), 1), (1, 1), (k, k + 1))
+        phi = _splitting_phi_of(cover)
+        for name in ("_box_points", "_listed_points", "_require_listable"):
+            monkeypatch.setattr(tav, name, _refuse)
+        group = isogeny_kernel_group(phi)
+        monkeypatch.undo()
+        assert group.factors == (1, degree)
+        zero = Matrix.zeros(2, 1)
+        assert group.generators[0] == zero and point_order(phi.source, group.generators[1]) == degree
+        if degree < MAX_LISTED_POINTS:
+            assert subgroup_generated(phi.source, group.generators[1:]) == isogeny_kernel_points(phi)
+
+
+def _refuse(*args):
+    raise AssertionError("a kernel point was listed")
+
+
+def _splitting_phi_of(cover):
+    """phi of a strongly optimal cover of any degree: _splitting with its
+    listing bound lifted, which keeps the kernel unlisted."""
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(split_jacobian, "_require_listable", lambda count, what: None)
+        return split_jacobian._splitting(cover)[0]
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)

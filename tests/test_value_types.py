@@ -23,11 +23,13 @@ from tropjac import (
     GammaData,
     GeneralCircleCover,
     IntegralTorus,
+    KernelGroup,
     Matrix,
     MetricGraph,
     OptimalityVerdict,
     Polarization,
     ScaledPoints,
+    SplitKernel,
     ThetaCurve,
     TorsionDivisor,
     abel_jacobi,
@@ -38,6 +40,7 @@ from tropjac import (
     cover_from_splitting,
     harmonic_form,
     identity_morphism,
+    isogeny_kernel_group,
     jacobian,
     kernel0,
     pushforward_morphism,
@@ -57,6 +60,8 @@ VALUES = {
     "TorsionDivisor": lambda: TorsionDivisor(Fraction(3, 2), 2),
     "CyclicKernel": lambda: CyclicKernel(3, Fraction(1, 2)),
     "ScaledPoints": lambda: ScaledPoints(((0, 0), (1, 3)), 2),
+    "SplitKernel": lambda: SplitKernel(3, (2, 3), 2, 6),
+    "KernelGroup": lambda: isogeny_kernel_group(verify_split_package(degree_two_cover()).phi_morphism),
     "OptimalityVerdict": lambda: OptimalityVerdict(True, None, 1),
     "GammaData": lambda: GammaData(Fraction(3), 1, 1),
     # the walk cover is shared: covers compare by identity
@@ -204,6 +209,30 @@ def test_a_copied_value_is_equal_and_immutable(name, how):
     for field in value._fields + ("extra",):
         with pytest.raises(AttributeError):
             setattr(copied, field, None)
+
+
+# the complementary cover holds a walk cover, which compares by identity
+RECORDS = sorted(
+    name for name, build in VALUES.items() if isinstance(build(), tuple) and name != "ComplementaryCover"
+)
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+@pytest.mark.parametrize("name", RECORDS)
+def test_a_copied_record_is_equal(name, how):
+    value = VALUES[name]()
+    copied = COPIES[how](value)
+    assert type(copied) is type(value) and copied == value
+
+
+def test_a_split_kernel_lists_its_points_from_its_generator():
+    # order 3, steps 2 and 3 over 6, multiplier 2: the m-th multiple of 2/6
+    # on TE' pairs with the (2m mod 3)-th multiple of 3/6 on TE
+    kernel = SplitKernel(3, (2, 3), 2, 6)
+    assert kernel.listed() == ScaledPoints(((0, 0), (2, 6), (4, 3)), 6)
+    # a kernel of one point has multiplier 0
+    assert SplitKernel(1, (5, 7), 0, 35).listed() == ScaledPoints(((0, 0),), 35)
+    assert isinstance(kernel, tuple) and isinstance(kernel.listed(), ScaledPoints)
 
 
 @pytest.mark.parametrize("how", sorted(COPIES))
