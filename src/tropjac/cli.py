@@ -30,9 +30,10 @@ from one text table per circle, the d multiples of that circle's step,
 with no Fraction, Matrix or str() call per point: point m is the m-th TE'
 text and the (m·r mod d)-th TE text.  Each step is put in lowest terms
 before its table is written, so the one gcd per table entry is of j < d
-and the step's reduced denominator.  A kernel that is not cyclic, which no
-valid cover has, stays the ScaledPoints that tav lists, int numerators
-over one denominator, written with one gcd per coordinate.
+and the step's reduced denominator.  A kernel that is not cyclic with a
+unit TE' coordinate, which no valid cover has, is kept as the KernelGroup
+of tav and written as "kernel_group", its factors and its generators as
+"p/q" strings, with no point listed.
 
 Exit codes: 0 on success, 1 when the library rejects the input or a number
 of the report is too long to print (the error code and message go to
@@ -76,7 +77,6 @@ from .split_jacobian import (
     strong_optimality_gap,
     verify_split_package,
 )
-from .tav import ScaledPoints
 
 
 class _UsageError(Exception):
@@ -239,12 +239,23 @@ def parse_cover(text):
 # ---------------------------------------------------------------- reports
 
 
+def _kernel_group(group):
+    """A KernelGroup as its factors and its generators, each the list of
+    the "p/q" strings of its coordinates; no point is listed."""
+    generators = [[_rat(x) for (x,) in g.entries()] for g in group.generators]
+    return {"factors": list(group.factors), "generators": generators}
+
+
 def _split_dict(report):
+    # the split kernel as its points, written from its generator, and any
+    # other kernel group, which no valid cover has, as its generators
+    kernel = report.kernel
+    key, value = ("kernel_points", kernel) if type(kernel) is SplitKernel else ("kernel_group", _kernel_group(kernel))
     return {
         "phi": report.phi.entries(),
         "phi_tilde": report.phi_tilde.entries(),
         "degree": report.degree,
-        "kernel_points": report.kernel,
+        key: value,
         "flags": dict(report.flags),
     }
 
@@ -343,27 +354,6 @@ def _divisors(kernel, opening, between, closing):
     ]
 
 
-def _scaled_points(points, opening, between, closing):
-    """The points of a ScaledPoints, int numerators over one denominator
-    den, as the texts opening "p/q" between "p/q" ... closing.  Each
-    coordinate is one f-string built from ints, the numerator n in lowest
-    terms as n//k over den//k with k = gcd(n, den), or as the int n//den
-    when den divides it, all in one comprehension; each point is then one
-    join of its coordinates.  A number past Python's digit limit raises
-    ValueError, which _render turns into NumberTooLarge."""
-    numerators, den = points
-    rank = len(numerators[0])
-    if not rank:  # the one point of a rank-0 torus is empty: [] in either format
-        return ["[]"] * len(numerators)
-    coordinates = iter([
-        f'"{n // k}"' if (k := gcd(n, den)) == den else f'"{n // k}/{den // k}"'
-        for point in numerators
-        for n in point
-    ])
-    # zip over one iterator, once per coordinate, groups each point's texts
-    return [opening + between.join(point) + closing for point in zip(*[coordinates] * rank)]
-
-
 def _positions(count, n, den, before, after):
     """The texts before "p/q" after of the positions j·n/den, j < count.
     The step n/den is put in lowest terms first, so position j in lowest
@@ -392,13 +382,12 @@ def _split_points(kernel, opening, between, closing):
     return [head + tails[m * r % d] for m, head in enumerate(heads)]
 
 
-# the kernels a report holds unlisted, the pullback kernel as its generator
-# and the split kernel as its generator or, when it is not cyclic, as int
-# numerators: the writer of each one's items, and the brackets of an item
+# the kernels a report holds unlisted and writes as lists, the pullback
+# kernel and the split kernel, each as its generator: the writer of each
+# one's items, and the brackets of an item
 _KERNELS = {
     CyclicKernel: (_divisors, "{", "}"),
     SplitKernel: (_split_points, "[", "]"),
-    ScaledPoints: (_scaled_points, "[", "]"),
 }
 
 
@@ -428,14 +417,13 @@ def _json(value, newline):
     """value as json.dumps(value, indent=2) writes it, where newline is the
     line break and indent of the line value starts on.
 
-    One call per value.  A CyclicKernel, SplitKernel or ScaledPoints is
-    written by its item writer in _KERNELS, with no call per divisor or
-    point: the list of its divisor dicts from _divisors, with no dict
-    built, or the list of its points, each a list of "p/q" strings, from
-    _split_points or _scaled_points, with no list built per point.  A dict
-    or a list is one join of the _json of each child, and a scalar is
-    written by _SCALARS.  Any other value, or a dict key that is not a str,
-    raises TypeError.
+    One call per value.  A CyclicKernel or SplitKernel is written by its
+    item writer in _KERNELS, with no call per divisor or point: the list of
+    its divisor dicts from _divisors, with no dict built, or the list of
+    its points, each a list of "p/q" strings, from _split_points, with no
+    list built per point.  A dict or a list is one join of the _json of
+    each child, and a scalar is written by _SCALARS.  Any other value, or a
+    dict key that is not a str, raises TypeError.
     """
     kind = type(value)
     if kind in _SCALARS:

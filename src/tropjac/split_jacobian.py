@@ -14,8 +14,11 @@ isomorphism between the two d-torsion groups, J. reine angew. Math. 485,
 and the report keeps the kernel unlisted, as a SplitKernel: the order d,
 the steps of the two circles and the multiplier that pairs them, from
 which the CLI writes each point and SplitKernel.listed() lists the sorted
-points as ScaledPoints.  They become column matrices only where a caller
-asks for columns, through splitting_isogeny or SplitReport.kernel_points.
+points as ScaledPoints.  Any other group, which no valid cover has, stays
+unlisted too, as the tav.KernelGroup of its factors and generators, whose
+flags are false.  Either kernel becomes column matrices only where a
+caller asks for columns, through splitting_isogeny or
+SplitReport.kernel_points.
 
 phi and phi_tilde are assembled from the kernel inclusion, the pushforward
 and the pullback, which are already checked morphisms.  Their pairing laws
@@ -43,7 +46,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .exact_lattice import Matrix, _over_lcm, block_diagonal, hstack, quotient_group, vstack
-from .tav import ScaledPoints, _require_listable, check_exact_sequence, isogeny_kernel_numerators
+from .tav import ScaledPoints, _kernel_record, _require_listable, check_exact_sequence, subgroup_generated
 from .torus_category import IntegralTorus, TorusMorphism, classify, compose, dual_morphism
 
 
@@ -81,8 +84,8 @@ class SplitReport(
     """Everything verify_split_package checks about a splitting, with the
     two isogenies recorded by their universal cover matrices and the kernel
     of phi unlisted: a SplitKernel when it is cyclic with a unit TE'
-    coordinate, as it is on every valid cover, and else the ScaledPoints
-    that tav lists.  kernel.listed() is the ScaledPoints either way."""
+    coordinate, as it is on every valid cover, and else the tav.KernelGroup
+    of its factors and generators."""
 
     __slots__ = ()
 
@@ -90,7 +93,7 @@ class SplitReport(
     def kernel_points(self):
         """The kernel of phi as canonical source points, one column each,
         sorted coordinate-wise, as isogeny_kernel_points lists them."""
-        return self.kernel.listed().columns()
+        return _kernel_columns(self.phi_morphism, self.kernel)
 
     @property
     def all_flags_hold(self):
@@ -158,9 +161,10 @@ def _splitting(cover):
     coordinate scaled by its circle's length: the SplitKernel of order den,
     steps l' and l over their common denominator pden, multiplier r and
     denominator den·pden, with no point listed (den = 1 gives r = 0).  Any
-    other kernel, which no valid cover has, is listed by
-    isogeny_kernel_numerators.  A singular phi raises NotIsogeny, and a
-    kernel of more than MAX_LISTED_POINTS points KernelTooLarge."""
+    other kernel, which no valid cover has, is the KernelGroup of the same
+    presentation, again with no point listed.  A singular phi raises
+    NotIsogeny, and a kernel of more than MAX_LISTED_POINTS points
+    KernelTooLarge."""
     _require_strongly_optimal(cover)
     te_prime, inclusion = cover._kernel
     pull = cover._pullback
@@ -178,16 +182,25 @@ def _splitting(cover):
     _require_listable(prod(factors), "the isogeny kernel")
     x, y = generators[-1]
     if factors[0] != 1 or gcd(x, den) != 1:
-        return phi, group, isogeny_kernel_numerators(phi)
+        return phi, group, _kernel_record(source.pairing, *group)
     pden, ((a, _), (_, b)) = _over_lcm(source.pairing.entries())
     return phi, group, SplitKernel(den, (a, b), y * pow(x, -1, den) % den, den * pden)
+
+
+def _kernel_columns(phi, kernel):
+    """The points of the kernel _splitting kept for phi, as columns sorted
+    coordinate-wise: a SplitKernel's listing, or the subgroup that a
+    KernelGroup's generators generate."""
+    if type(kernel) is SplitKernel:
+        return kernel.listed().columns()
+    return subgroup_generated(phi.source, kernel.generators)
 
 
 def splitting_isogeny(cover):
     """The isogeny TE' x TE -> Jac of a strongly optimal cover, with its
     kernel points as columns, as isogeny_kernel_points lists them."""
     phi, _, kernel = _splitting(cover)
-    return phi, kernel.listed().columns()
+    return phi, _kernel_columns(phi, kernel)
 
 
 def complementary_pushforward(cover):

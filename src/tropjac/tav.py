@@ -10,10 +10,11 @@ Points of a torus are rational vectors on the universal cover; the canonical
 representative has pairing-coordinates in [0, 1)^n, which makes point
 equality and torsion orders decidable.  A finite subgroup is listed as a
 ScaledPoints record, its points as sorted tuples of int numerators over one
-positive denominator; subgroup_generated and isogeny_kernel_points expand
-that record into columns, while the CLI reads the ints as they are.  The
-kernel of an isogeny is also given unlisted, as a group: isogeny_kernel_group
-returns its invariant factors and one generator per factor.
+positive denominator, which subgroup_generated and isogeny_kernel_points
+expand into columns.  The kernel of an isogeny is also given unlisted, as a
+KernelGroup: isogeny_kernel_group returns its invariant factors and one
+generator per factor, and split_jacobian keeps a splitting kernel that is
+not cyclic in the same record.
 """
 
 from collections import namedtuple
@@ -253,11 +254,6 @@ class ScaledPoints(namedtuple("ScaledPoints", ["numerators", "denominator"])):
 
     __slots__ = ()
 
-    def listed(self):
-        """The points as ScaledPoints: these, which are listed already, as
-        split_jacobian.SplitKernel lists the kernel it holds unlisted."""
-        return self
-
     def columns(self):
         """The points as columns of quotients, each entry an int when
         integral and else one Fraction, as a Matrix stores it."""
@@ -365,6 +361,17 @@ def _kernel_group(m):
 KernelGroup = namedtuple("KernelGroup", ["factors", "generators"])
 
 
+def _kernel_record(pairing, factors, den, generators):
+    """The KernelGroup of a quotient_group presentation (factors, den,
+    generators) of a kernel in pairing coordinates, on the torus of the
+    pairing: generator g is the point of pairing coordinates g / den,
+    written as its source point pairing * (g / den), one column.  Nothing
+    is listed."""
+    return KernelGroup(factors, tuple([
+        pairing * Matrix._of(tuple([(_quotient(x, den),) for x in g]), 1) for g in generators
+    ]))
+
+
 def isogeny_kernel_group(m):
     """The kernel of an isogeny as a KernelGroup, with no point listed.
 
@@ -379,11 +386,7 @@ def isogeny_kernel_group(m):
     generator.  Any m that is no isogeny raises NotIsogeny; no bound on the
     number of points applies, as none is listed.
     """
-    factors, den, generators = _kernel_group(m)
-    pairing = m.source.pairing
-    return KernelGroup(factors, tuple([
-        pairing * Matrix._of(tuple([(_quotient(x, den),) for x in g]), 1) for g in generators
-    ]))
+    return _kernel_record(m.source.pairing, *_kernel_group(m))
 
 
 def isogeny_kernel_numerators(m):

@@ -21,6 +21,7 @@ from oracles import (
     split_covers,
     wide_kernel_covers,
 )
+from test_split_jacobian import BROKEN_FLAGS
 from tropjac.cli import _KERNELS, _json, _render, _split_dict, parse_cover, run_command
 from tropjac.cover_analysis import CyclicKernel, TorsionDivisor, pullback_kernel, pullback_kernel_group
 from tropjac.curves_covers import (
@@ -35,7 +36,7 @@ from tropjac.curves_covers import (
 from tropjac.errors import NumberTooLarge, ParseError, ValidationError
 from tropjac.exact_lattice import Matrix, quotient_group
 from tropjac.split_jacobian import SplitKernel, SplitReport, strong_optimality_gap, verify_split_package
-from tropjac.tav import ScaledPoints, _box_points, _listed_points
+from tropjac.tav import _box_points, _listed_points, subgroup_generated
 
 import pytest
 
@@ -486,14 +487,11 @@ def test_rendering_an_int_past_the_digit_limit_raises(fmt):
 
 @needs_digit_limit
 def test_kernel_point_past_the_digit_limit_raises():
-    # crafted split kernels with the point (0, 1/(10^5000 + 1)) or
-    # (10^5000, 0), listed or held as the second point of a SplitKernel:
-    # the writer meets the long int in either format
+    # crafted split kernels whose second point is (1/(10^5000 + 1),
+    # 1/(10^5000 + 1)) or (10^5000, 1): the writer meets the long int in
+    # either format
     identity = Matrix.identity(2)
     for kernel in (
-        ScaledPoints(((0, 1),), 10**5000 + 1),
-        ScaledPoints(((10**5000, 0),), 1),
-        # the same points as the second of two points of a SplitKernel
         SplitKernel(2, (1, 1), 1, 10**5000 + 1),
         SplitKernel(2, (10**5000, 1), 1, 1),
     ):
@@ -595,13 +593,6 @@ def test_divisor_writer_matches_the_gcd_loop(kernels, monkeypatch):
             assert written.split("}") == expected.split("}"), (kernel, fmt)
 
 
-def test_rank_0_points_are_written_as_empty_lists():
-    # the one point of a rank-0 torus is the empty tuple, written as []
-    report = {"k": ScaledPoints(((),), 1)}
-    assert _render(report, "json") == json.dumps({"k": [[]]}, indent=2)
-    assert _render(report, "text") == f"k: {json.dumps([[]])}"
-
-
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(split_covers())
 # the ladder dumbbell of degree 2001, and walk covers of degrees 1981 and 1983
@@ -651,12 +642,12 @@ def test_split_kernel_writer_matches_the_matrix_listing(cover):
 
 def _written_from_the_generator(kernel):
     """Whether a SplitKernel is written, in both formats, byte for byte as
-    _scaled_points writes its listing."""
-    listed = kernel.listed()
-    return all(
-        _render({"kernel_points": kernel}, fmt) == _render({"kernel_points": listed}, fmt)
-        for fmt in ("json", "text")
-    )
+    json.dumps writes the str of each Fraction of its listing."""
+    numerators, den = kernel.listed()
+    points = [[str(Fraction(n, den)) for n in point] for point in numerators]
+    return _render({"kernel_points": kernel}, "json") == json.dumps(
+        {"kernel_points": points}, indent=2
+    ) and _render({"kernel_points": kernel}, "text") == f"kernel_points: {json.dumps(points)}"
 
 
 def _split_kernel(cover):
@@ -700,6 +691,43 @@ def test_any_split_kernel_is_written_as_its_listing(fields):
     # steps sharing any factor with the denominator, any multiplier, unit
     # or not: each position is written in lowest terms
     assert _written_from_the_generator(SplitKernel(*fields))
+
+
+# tall_cover of the split tests: a theta cover of degree 3 whose TE' has length 3
+TALL = '{"kind": "theta", "lengths": [1, 1, 4], "windings": [1, 1, 2], "dilations": [2, 1, 1]}'
+
+
+@pytest.mark.parametrize("case", ["kernel group not cyclic", "kernel points off TE'"])
+@pytest.mark.parametrize("document", [DEGREE_TWO, TALL], ids=["degree-2", "tall"])
+def test_a_broken_kernel_group_is_written_as_its_generators(case, document, tmp_path, capsys, monkeypatch):
+    # a kernel group that is not cyclic with a unit TE' coordinate, which
+    # no valid cover has, is written unlisted, as its factors and its
+    # generators, by split and analyze --split in both formats, with the
+    # torsion flags that the case breaks false
+    binding, patch, broken = BROKEN_FLAGS[case]
+    monkeypatch.setattr(split_jacobian, binding, patch(getattr(split_jacobian, binding), None))
+    report = verify_split_package(parse_cover(document))
+    phi = report.phi_morphism
+    factors, den, generators = split_jacobian.quotient_group(phi.f_hash)
+    points = [phi.source.pairing * Matrix.column([Fraction(c, den) for c in g]) for g in generators]
+    assert report.kernel_points == subgroup_generated(phi.source, points)
+    group = {"factors": list(factors), "generators": [[str(x) for x in p.column_tuple(0)] for p in points]}
+    path = write(tmp_path, "c.json", document)
+    for command, prefix in ((["split", path], ""), (["analyze", path, "--split"], "split.")):
+        code, out, _ = run(capsys, *command, "--format", "json")
+        assert code == 0
+        split = json.loads(out)["split"] if prefix else json.loads(out)
+        assert list(split) == ["phi", "phi_tilde", "degree", "kernel_group", "flags"]
+        assert split["kernel_group"] == group
+        assert {flag for flag, holds in split["flags"].items() if not holds} == broken
+        code, out, _ = run(capsys, *command, "--format", "text")
+        assert code == 0
+        lines = out.splitlines()
+        assert f"{prefix}kernel_group.factors: {json.dumps(group['factors'])}" in lines
+        assert f"{prefix}kernel_group.generators: {json.dumps(group['generators'])}" in lines
+        for flag, holds in split["flags"].items():
+            assert f"{prefix}flags.{flag}: {json.dumps(holds)}" in lines
+        assert "kernel_points" not in out
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):

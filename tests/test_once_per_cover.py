@@ -27,6 +27,7 @@ from oracles import (
     theta_jacobian,
 )
 from test_presentations import subdivided
+from test_split_jacobian import BROKEN_FLAGS
 from tropjac.cli import run_command
 from tropjac.cover_analysis import (
     CyclicKernel,
@@ -207,11 +208,32 @@ def test_split_kernel_is_listed_from_its_generator_with_no_box(monkeypatch):
     calls = Counter()
     _count_calls(monkeypatch, tav, "_box_points", calls)
     _count_calls(monkeypatch, tav, "_listed_points", calls)
-    _count_calls(monkeypatch, split_jacobian, "isogeny_kernel_numerators", calls)
+    _count_calls(monkeypatch, tav, "isogeny_kernel_numerators", calls)
     report = verify_split_package(cover)
     assert report.all_flags_hold and report.kernel.order == 101
     assert type(report.kernel) is split_jacobian.SplitKernel
     assert calls == Counter()
+
+
+@pytest.mark.parametrize(
+    "case", sorted(case for case, (binding, _, _) in BROKEN_FLAGS.items() if binding == "quotient_group")
+)
+def test_a_broken_kernel_group_lists_nothing(case, monkeypatch):
+    # a kernel group that breaks a torsion flag is kept unlisted, as the
+    # KernelGroup of the presentation already taken or as a SplitKernel:
+    # no box is listed, no listing sorted, and the package makes the three
+    # Smith eliminations of an unbroken cover, with no second presentation
+    cover = _ladder_cover(52)  # degree 105 = 3·5·7
+    assert strong_optimality_gap(cover) is None and pullback_morphism(cover)
+    binding, patch, broken = BROKEN_FLAGS[case]
+    monkeypatch.setattr(split_jacobian, binding, patch(getattr(split_jacobian, binding), cover))
+    calls = Counter()
+    for name in ("_box_points", "_listed_points", "isogeny_kernel_numerators"):
+        _count_calls(monkeypatch, tav, name, calls)
+    _count_calls(monkeypatch, exact_lattice, "_smith", calls)
+    report = verify_split_package(cover)
+    assert {flag for flag, holds in report.flags.items() if not holds} == broken
+    assert calls == Counter(_smith=3)
 
 
 def test_kernel_listing_makes_no_matrix_products_per_point(monkeypatch):

@@ -295,6 +295,20 @@ def test_only_curves_covers_reads_cycle_coefficients():
     assert [p.name for p in package.glob("*.py") if "cycle_basis" in _called_names(p)] == []
 
 
+def test_the_split_report_path_lists_no_kernel():
+    # the CLI writes each kernel from its generators, and _splitting keeps
+    # every kernel group unlisted, so neither names a point listing
+    package = Path(tropjac.__file__).parent
+    tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+    names = {
+        node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", getattr(node, "name", None))
+        for node in ast.walk(tree)
+    }
+    listings = {"ScaledPoints", "isogeny_kernel_numerators", "_box_points", "_listed_points"}
+    assert names & listings == set()
+    assert "isogeny_kernel_numerators" not in _called_names(package / "split_jacobian.py")
+
+
 def test_readme_quick_start_prints_what_it_says(capsys):
     # each print(...) line of the README's python block ends in a comment
     # that starts with the value it prints; only the first comment, "1 (an

@@ -2,6 +2,7 @@
 
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +39,7 @@ from tropjac.errors import (
     UnsupportedGenus,
 )
 from tropjac.exact_lattice import Matrix
-from tropjac.tav import isogeny_kernel_numerators
+from tropjac.tav import KernelGroup, isogeny_kernel_numerators, subgroup_generated
 from tropjac.split_jacobian import (
     SplitKernel,
     _walk_cover,
@@ -366,9 +367,18 @@ def test_each_split_flag_fails_on_a_broken_splitting(case, cover, monkeypatch):
     report = verify_split_package(cover)
     assert {flag for flag, holds in report.flags.items() if not holds} == expected
     if "kernel_matches_d_torsion_TEprime" in expected:
-        # the report still holds phi's own kernel, as the generic listing
-        # lists it
-        assert report.kernel.listed() == isogeny_kernel_numerators(report.phi_morphism)
+        # the report holds the group the flags read, the patched one
+        phi = report.phi_morphism
+        factors, den, generators = split_jacobian.quotient_group(phi.f_hash)
+        if factors[0] == 1 and gcd(generators[-1][0], den) == 1:
+            # still cyclic with a unit TE' coordinate: phi's own kernel,
+            # listed from its generator
+            assert report.kernel.listed() == isogeny_kernel_numerators(phi)
+        else:
+            # unlisted, as its factors and generators
+            points = tuple(phi.source.pairing * Matrix.column([Fraction(c, den) for c in g]) for g in generators)
+            assert report.kernel == KernelGroup(factors, points)
+            assert report.kernel_points == subgroup_generated(phi.source, points)
 
 
 # ------------------------------------------------------- cover from splitting
