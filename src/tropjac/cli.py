@@ -19,21 +19,26 @@ pullback kernel as its generator, a CyclicKernel; _json writes it as the
 list of {"position": "p/q", "order": m} divisors that json.dumps would
 write, from ints, with no Fraction, TorsionDivisor or dict per divisor.
 The orders come from the divisor sieve of cover_analysis._torsion_orders,
-one slice store per divisor of the kernel's order g, so an int generator
-costs no gcd per divisor; a generator num/den with den > 1 costs one
-gcd(j, den) per divisor, for its position in lowest terms.  The split
-report holds the kernel of the splitting isogeny unlisted, as the
-SplitKernel of split_jacobian: its order d, the steps of its two circles
-and the multiplier r that pairs them.  _json and _text_lines write each
-point as the list of "p/q" strings json.dumps would write of its listing,
-from one text table per circle, the d multiples of that circle's step,
-with no Fraction, Matrix or str() call per point: point m is the m-th TE'
-text and the (m·r mod d)-th TE text.  Each step is put in lowest terms
-before its table is written, so the one gcd per table entry is of j < d
-and the step's reduced denominator.  A kernel that is not cyclic with a
-unit TE' coordinate, which no valid cover has, is kept as the KernelGroup
-of tav and written as "kernel_group", its factors and its generators as
+one slice store per divisor of the kernel's order g, and _divisors joins
+each to its position.  The split report holds the kernel of the
+splitting isogeny unlisted, as the SplitKernel of split_jacobian: its
+order d, the steps of its two circles and the multiplier r that pairs
+them.  _json and _text_lines write each point as the list of "p/q"
+strings json.dumps would write of its listing, from one text table per
+circle, the d multiples of that circle's step, with no Fraction, Matrix
+or str() call per point: point m is the m-th TE' text and the
+(m·r mod d)-th TE text.  Both kernels write their positions through one
+writer, _positions: the step is put in lowest terms first, so an
+integral step costs no gcd per position and any other one gcd of j and
+the step's reduced denominator.  A kernel that is not cyclic with a unit
+TE' coordinate, which no valid cover has, is kept as the KernelGroup of
+tav and written as "kernel_group", its factors and its generators as
 "p/q" strings, with no point listed.
+
+A kernel is refused with KERNEL_TOO_LARGE when it is put in the report,
+before anything is written: the pullback kernel in _analysis_report and
+a SplitKernel in _split_dict, each with more than tav.MAX_LISTED_POINTS
+points.  The library keeps both kernels unlisted and refuses neither.
 
 Exit codes: 0 on success, 1 when the library rejects the input or a number
 of the report is too long to print (the error code and message go to
@@ -48,7 +53,6 @@ from math import gcd
 
 from .cover_analysis import (
     CyclicKernel,
-    _listable,
     _torsion_orders,
     component_count,
     factor_pushforward,
@@ -77,6 +81,7 @@ from .split_jacobian import (
     strong_optimality_gap,
     verify_split_package,
 )
+from .tav import _require_listable
 
 
 class _UsageError(Exception):
@@ -247,10 +252,15 @@ def _kernel_group(group):
 
 
 def _split_dict(report):
-    # the split kernel as its points, written from its generator, and any
-    # other kernel group, which no valid cover has, as its generators
+    # the split kernel as its points, written from its generator once its
+    # order is checked, and any other kernel group, which no valid cover
+    # has, as its generators
     kernel = report.kernel
-    key, value = ("kernel_points", kernel) if type(kernel) is SplitKernel else ("kernel_group", _kernel_group(kernel))
+    if type(kernel) is SplitKernel:
+        _require_listable(kernel.order, "the isogeny kernel")
+        key, value = "kernel_points", kernel
+    else:
+        key, value = "kernel_group", _kernel_group(kernel)
     return {
         "phi": report.phi.entries(),
         "phi_tilde": report.phi_tilde.entries(),
@@ -288,7 +298,9 @@ def _analysis_report(cover, include_split):
                 split["split"] = _split_dict(verify_split_package(cover))
             else:
                 split["split"] = {"applicable": False, "reason": gap}
-    report["pullback_kernel"] = _listable(pullback_kernel_group(cover))
+    kernel = pullback_kernel_group(cover)
+    _require_listable(kernel.order, "the pullback kernel")
+    report["pullback_kernel"] = kernel
     arcs = validate_cover(cover).arcs
     if arcs is not None:
         report["arcs"] = [_rat(arcs[0]), _rat(arcs[1])]
@@ -330,55 +342,46 @@ def _factor_report(first, second):
 # -------------------------------------------------------------- rendering
 
 
-def _divisors(kernel, opening, between, closing):
-    """The divisors of a cyclic kernel, order g and generator num/den, as
-    the texts opening "position": "p/q" between "order": m closing.  The
-    j-th sits at j·num/den and has order g//gcd(j, g).  The divisor sieve
-    of cover_analysis._torsion_orders writes the tail of each order, from
-    the quote that closes the position to closing, once per divisor of g,
-    with no gcd per divisor.  Each divisor is then one f-string of its
-    position and its tail, in one comprehension: the int j·num when den is
-    1, and else j·num//k over den//k in lowest terms, k = gcd(j, den), the
-    one gcd still made per divisor (den is not sieved, as it can have large
-    prime factors).  A number past Python's digit limit raises ValueError,
-    which _render turns into NumberTooLarge."""
-    g, step = kernel
-    num, den = step.numerator, step.denominator
-    head = opening + '"position": "'
-    tails = _torsion_orders(g, lambda m: f'"{between}"order": {m}{closing}')
-    if den == 1:
-        return [f"{head}{position}{tail}" for position, tail in zip(range(0, g * num, num), tails)]
-    return [
-        f"{head}{j * num // k}{tail}" if (k := gcd(j, den)) == den else f"{head}{j * num // k}/{den // k}{tail}"
-        for j, tail in enumerate(tails)
-    ]
-
-
-def _positions(count, n, den, before, after):
-    """The texts before "p/q" after of the positions j·n/den, j < count.
-    The step n/den is put in lowest terms first, so position j in lowest
-    terms is j·n/k over den/k for k = gcd(j, den), a gcd of j and the
-    reduced den, or the int j·n when den is 1."""
+def _positions(n, den, before, afters):
+    """The texts before p/q after of the positions j·n/den, the j-th with
+    the j-th text after of afters; the callers put the quotes of p/q into
+    before and afters, so each text is one f-string of three pieces.  The
+    step n/den is put in lowest terms first, so position j in lowest terms
+    is j·n/k over den/k for k = gcd(j, den), a gcd of j and the reduced den
+    (den is not sieved, as it can have large prime factors), or the int
+    j·n with no gcd when den is 1.  A number past Python's digit limit
+    raises ValueError, which _render turns into NumberTooLarge."""
     content = gcd(n, den)
     n, den = n // content, den // content
     if den == 1:
-        return [f'{before}"{position}"{after}' for position in range(0, count * n, n)]
+        return [f"{before}{position}{after}" for position, after in zip(range(0, len(afters) * n, n), afters)]
     return [
-        f'{before}"{j * n // k}"{after}' if (k := gcd(j, den)) == den else f'{before}"{j * n // k}/{den // k}"{after}'
-        for j in range(count)
+        f"{before}{j * n // k}{after}" if (k := gcd(j, den)) == den else f"{before}{j * n // k}/{den // k}{after}"
+        for j, after in enumerate(afters)
     ]
+
+
+def _divisors(kernel, opening, between, closing):
+    """The divisors of a cyclic kernel, order g and generator num/den, as
+    the texts opening "position": "p/q" between "order": m closing, written
+    by _positions.  The j-th sits at j·num/den and has order g//gcd(j, g).
+    The divisor sieve of cover_analysis._torsion_orders writes the tail of
+    each order, from the quote that closes the position to closing, once
+    per divisor of g, with no gcd per divisor."""
+    g, step = kernel
+    tails = _torsion_orders(g, lambda m: f'"{between}"order": {m}{closing}')
+    return _positions(step.numerator, step.denominator, opening + '"position": "', tails)
 
 
 def _split_points(kernel, opening, between, closing):
     """The points of a SplitKernel, as the texts opening "p/q" between
-    "p/q" closing, written from its generator.  One table per circle holds
-    the texts of the positions j·a/den on TE' and j·b/den on TE, j < d, for
-    the steps (a, b) over den, and point m joins TE' text m to TE text
-    m·r mod d, with no gcd of its own.  A number past Python's digit limit
-    raises ValueError, which _render turns into NumberTooLarge."""
+    "p/q" closing, written from its generator.  _positions writes one
+    table per circle, the texts of the positions j·a/den on TE' and j·b/den
+    on TE, j < d, for the steps (a, b) over den, and point m joins TE'
+    text m to TE text m·r mod d, with no gcd of its own."""
     d, (a, b), r, den = kernel
-    heads = _positions(d, a, den, opening, between)
-    tails = _positions(d, b, den, "", closing)
+    heads = _positions(a, den, opening + '"', [f'"{between}'] * d)
+    tails = _positions(b, den, '"', [f'"{closing}'] * d)
     return [head + tails[m * r % d] for m, head in enumerate(heads)]
 
 

@@ -99,14 +99,6 @@ def pullback_kernel_group(cover):
     return CyclicKernel(g, _quotient(form.target_length, g))
 
 
-def _listable(kernel):
-    """kernel, once its order is checked: a kernel of more than
-    tav.MAX_LISTED_POINTS points raises KernelTooLarge before any divisor
-    is listed."""
-    _require_listable(kernel.order, "the pullback kernel")
-    return kernel
-
-
 def _torsion_orders(g, write=int):
     """write(g // gcd(j, g)) for j in range(g): the order of the j-th
     multiple of a generator of order g, as write writes it, with no gcd
@@ -136,10 +128,12 @@ def pullback_kernel(cover):
     at j·num/den and has order g/gcd(j, g), read from the divisor sieve of
     _torsion_orders.  The first multiple is the generator itself; each
     other is one exact_lattice._quotient of two ints, an int when it is
-    integral, else the one Fraction built for it.  A kernel too large to
-    list raises KernelTooLarge first.
+    integral, else the one Fraction built for it.  A kernel of more than
+    tav.MAX_LISTED_POINTS divisors raises KernelTooLarge before any is
+    listed.
     """
-    g, step = _listable(pullback_kernel_group(cover))
+    g, step = pullback_kernel_group(cover)
+    _require_listable(g, "the pullback kernel")
     num, den = step.numerator, step.denominator
     return [
         TorsionDivisor(step if j == 1 else _quotient(j * num, den), order)

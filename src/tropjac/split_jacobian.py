@@ -18,7 +18,9 @@ points as ScaledPoints.  Any other group, which no valid cover has, stays
 unlisted too, as the tav.KernelGroup of its factors and generators, whose
 flags are false.  Either kernel becomes column matrices only where a
 caller asks for columns, through splitting_isogeny or
-SplitReport.kernel_points.
+SplitReport.kernel_points, and only a listing refuses a kernel of more
+than tav.MAX_LISTED_POINTS points, so the report of a cover of any degree
+is given.
 
 phi and phi_tilde are assembled from the kernel inclusion, the pushforward
 and the pullback, which are already checked morphisms.  Their pairing laws
@@ -69,8 +71,10 @@ class SplitKernel(namedtuple("SplitKernel", ["order", "steps", "multiplier", "de
 
     def listed(self):
         """The points as ScaledPoints, sorted, as isogeny_kernel_numerators
-        lists them."""
+        lists them.  A kernel of more than tav.MAX_LISTED_POINTS points
+        raises KernelTooLarge before any is listed."""
         d, (a, b), r, den = self
+        _require_listable(d, "the isogeny kernel")
         return ScaledPoints(tuple(zip(range(0, a * d, a), [m * r % d * b for m in range(d)])), den)
 
 
@@ -163,8 +167,9 @@ def _splitting(cover):
     denominator den·pden, with no point listed (den = 1 gives r = 0).  Any
     other kernel, which no valid cover has, is the KernelGroup of the same
     presentation, again with no point listed.  A singular phi raises
-    NotIsogeny, and a kernel of more than MAX_LISTED_POINTS points
-    KernelTooLarge."""
+    NotIsogeny.  No kernel is refused, however many points it has:
+    tav.MAX_LISTED_POINTS bounds only a listing, and SplitKernel.listed()
+    and subgroup_generated check it before they list."""
     _require_strongly_optimal(cover)
     te_prime, inclusion = cover._kernel
     pull = cover._pullback
@@ -179,7 +184,6 @@ def _splitting(cover):
     if group is None:
         raise NotIsogeny("kernel-point enumeration requires an isogeny")
     factors, den, generators = group
-    _require_listable(prod(factors), "the isogeny kernel")
     x, y = generators[-1]
     if factors[0] != 1 or gcd(x, den) != 1:
         return phi, group, _kernel_record(source.pairing, *group)
@@ -231,7 +235,8 @@ def verify_split_package(cover):
     exactly when it has d points, is cyclic (factors (1, d)) and its
     generator's coordinate on that circle is a unit mod d: the multiples
     of a unit are all of Z/d, once each, and a projection one-to-one onto
-    Z/d makes the kernel cyclic of order d.
+    Z/d makes the kernel cyclic of order d.  As nothing is listed, no
+    degree is refused.
     """
     phi, (factors, den, generators), kernel = _splitting(cover)
     degree = cover_degree(cover)

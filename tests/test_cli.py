@@ -399,6 +399,30 @@ def test_split_kernel_with_a_count_past_the_digit_limit_exits_one(tmp_path, caps
     assert err.startswith("KERNEL_TOO_LARGE:")
 
 
+@pytest.mark.parametrize(
+    "argv", [("split",), ("split", "--format", "text"), ("analyze", "--split")]
+)
+def test_split_kernel_past_the_listing_bound_exits_one_at_once(argv, tmp_path, capsys):
+    # the degree-(10^12 + 1) ladder: the library answers it, and the CLI
+    # refuses its kernel when it puts it in the report, before any point is
+    # written
+    k = 5 * 10**11
+    document = write(
+        tmp_path,
+        "d.json",
+        f'{{"kind": "dumbbell", "lengths": ["1/{k}", "1/{k + 1}", 1], "windings": [1, 1], '
+        f'"dilations": [{k}, {k + 1}]}}',
+    )
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv[0], document, *argv[1:])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == (
+        "KERNEL_TOO_LARGE: the isogeny kernel has 1000000000001 points, "
+        "above the listing bound of 1000000\n"
+    )
+
+
 def test_a_long_chain_analyzes_at_once(tmp_path, capsys):
     # a chain of 4000 vertices with a loop at each end, each loop wrapping
     # the circle once: genus 2 over a BFS tree 4000 vertices deep, so the

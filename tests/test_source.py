@@ -309,6 +309,25 @@ def test_the_split_report_path_lists_no_kernel():
     assert "isogeny_kernel_numerators" not in _called_names(package / "split_jacobian.py")
 
 
+def test_a_kernel_is_refused_only_where_it_is_listed():
+    # a kernel record is never refused: the listing bound is checked by
+    # each listing, and by the CLI as it puts a kernel in its report, but
+    # not by _splitting or verify_split_package, which list nothing
+    callers = sorted(
+        call
+        for path in Path(tropjac.__file__).parent.glob("*.py")
+        for call in _calls_by_function(path, "_require_listable")
+    )
+    assert callers == [
+        "cli.py:_analysis_report",
+        "cli.py:_split_dict",
+        "cover_analysis.py:pullback_kernel",
+        "split_jacobian.py:listed",
+        "tav.py:_generated_points",
+        "tav.py:isogeny_kernel_numerators",
+    ]
+
+
 def test_readme_quick_start_prints_what_it_says(capsys):
     # each print(...) line of the README's python block ends in a comment
     # that starts with the value it prints; only the first comment, "1 (an

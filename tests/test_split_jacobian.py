@@ -212,18 +212,42 @@ def test_split_kernel_is_the_generic_listing_beyond_the_corpus(cover):
 
 
 def test_split_kernel_is_refused_above_the_listing_bound(monkeypatch):
-    # the bound is read from the group's order before any point is listed
-    monkeypatch.setattr(tav, "MAX_LISTED_POINTS", 5)
-    assert len(verify_split_package(_ladder_cover(2)).kernel.listed().numerators) == 5
-    with pytest.raises(KernelTooLarge):
-        verify_split_package(_ladder_cover(3))
-    monkeypatch.undo()
+    # the report keeps the kernel unlisted, so a cover of any degree is
+    # answered; the bound is read from the kernel's order where it is
+    # listed, before any point is: by listed(), kernel_points and
+    # splitting_isogeny
     huge = _ladder_cover(5 * 10**11)  # degree 10^12 + 1
     start = time.perf_counter()
-    with pytest.raises(KernelTooLarge) as raised:
-        verify_split_package(huge)
+    report = verify_split_package(huge)
     assert time.perf_counter() - start < 0.1
-    assert "1000000000001 points" in str(raised.value)
+    assert report.kernel.order == report.degree == 10**12 + 1
+    assert len(report.flags) == 6 and report.all_flags_hold
+    for listing in (report.kernel.listed, lambda: report.kernel_points, lambda: splitting_isogeny(huge)):
+        with pytest.raises(KernelTooLarge) as raised:
+            listing()
+        assert "1000000000001 points" in str(raised.value)
+    monkeypatch.setattr(tav, "MAX_LISTED_POINTS", 5)
+    assert len(verify_split_package(_ladder_cover(2)).kernel.listed().numerators) == 5
+    report = verify_split_package(_ladder_cover(3))
+    assert report.all_flags_hold
+    with pytest.raises(KernelTooLarge):
+        report.kernel.listed()
+
+
+def test_a_split_kernel_past_the_bound_is_refused_before_it_lists(monkeypatch):
+    # a record built by the caller is checked too: the bound is reached,
+    # not passed, at 5 points, and the 6th is refused before any point is
+    # listed
+    monkeypatch.setattr(tav, "MAX_LISTED_POINTS", 5)
+    assert len(SplitKernel(5, (1, 1), 1, 5).listed().numerators) == 5
+
+    def unlisted(*args):
+        raise AssertionError("a kernel point was listed")
+
+    monkeypatch.setattr(split_jacobian, "ScaledPoints", unlisted)
+    with pytest.raises(KernelTooLarge) as raised:
+        SplitKernel(6, (1, 1), 1, 6).listed()
+    assert "6 points" in str(raised.value)
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import tropjac.split_jacobian as split_jacobian
 import tropjac.tav as tav
 from oracles import (
     basis_exact,
@@ -36,7 +35,7 @@ from tropjac.errors import (
     ShapeMismatch,
 )
 from tropjac.exact_lattice import Matrix, column_hnf, quotient_group
-from tropjac.split_jacobian import splitting_isogeny
+from tropjac.split_jacobian import splitting_isogeny, verify_split_package
 from tropjac.tav import (
     MAX_LISTED_POINTS,
     ExactSequence,
@@ -676,7 +675,7 @@ def test_isogeny_kernel_group_of_splittings_lists_nothing(monkeypatch):
     # degree-(10^12 + 1) ladder is answered, far above the listing bound
     for k, degree in ((1, 3), (45, 91), (5 * 10**11, 10**12 + 1)):
         cover = DumbbellCover(DumbbellCurve(Fraction(1, k), Fraction(1, k + 1), 1), (1, 1), (k, k + 1))
-        phi = _splitting_phi_of(cover)
+        phi = verify_split_package(cover).phi_morphism
         for name in ("_box_points", "_listed_points", "_require_listable"):
             monkeypatch.setattr(tav, name, _refuse)
         group = isogeny_kernel_group(phi)
@@ -690,14 +689,6 @@ def test_isogeny_kernel_group_of_splittings_lists_nothing(monkeypatch):
 
 def _refuse(*args):
     raise AssertionError("a kernel point was listed")
-
-
-def _splitting_phi_of(cover):
-    """phi of a strongly optimal cover of any degree: _splitting with its
-    listing bound lifted, which keeps the kernel unlisted."""
-    with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(split_jacobian, "_require_listable", lambda count, what: None)
-        return split_jacobian._splitting(cover)[0]
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
