@@ -584,10 +584,19 @@ def invariant_factors(a):
     none."""
     if 1 in a.shape:
         _require_integral(a, "smith_normal_form")
-        content = gcd(*[x for row in a.entries() for x in row])
-        return (content,) if content else ()
+        g = gcd(*[x for row in a.entries() for x in row])
+        return (g,) if g else ()
     _, s, _ = _smith(a, False, False)
     return tuple(s[i, i] for i in range(min(s.shape)) if s[i, i] != 0)
+
+
+def content(a):
+    """The content of a matrix: the largest rational c >= 0 of which every
+    entry is an integer multiple, 0 for a zero matrix.  It is the gcd of
+    the int numerators over the lcm of the denominators, divided once by
+    that lcm."""
+    den, rows = _over_lcm(a.entries())
+    return _quotient(gcd(*[x for row in rows for x in row]), den)
 
 
 def row_hnf(a):
@@ -643,8 +652,19 @@ def integer_kernel(a):
 
     The span is computed from the Smith form (last columns of V, the one
     transform built) and then canonicalised, so equal kernels always
-    produce identical matrices.
+    produce identical matrices.  A nonzero 1x2 row (x, y) is not
+    eliminated: its kernel is spanned by the primitive perpendicular
+    (-y, x)/gcd(x, y), signed so that its first nonzero entry is positive,
+    which is the column HNF of that one vector.
     """
+    if a.shape == (1, 2):
+        _require_integral(a, "smith_normal_form")
+        x, y = a.entries()[0]
+        g = gcd(x, y)
+        if g:
+            if y > 0 or (y == 0 and x < 0):
+                g = -g
+            return Matrix._of(((-y // g,), (x // g,)), 1)
     _, s, v = _smith(a, False, True)
     r = snf_rank(s)
     n = a.ncols

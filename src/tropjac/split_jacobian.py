@@ -4,7 +4,8 @@ A strongly optimal cover mu (connected pushforward kernel, no dilation
 factor) splits the Jacobian: the kernel circle TE' and the target circle TE
 assemble into an isogeny TE' x TE -> Jac whose kernel, degree, and
 polarization behaviour are all pinned down by the degree of mu.  The
-complementary cover realizes the projection onto TE' geometrically.
+complementary cover realizes the projection onto TE' geometrically, and
+row_cover builds the walk cover of any primitive universal cover row.
 
 The isogeny's kernel is read off the one Smith form that presents it
 (exact_lattice.quotient_group).  For a valid cover it is cyclic of order d
@@ -47,7 +48,15 @@ from .errors import (
     NotProductTarget,
     ShapeMismatch,
 )
-from .exact_lattice import Matrix, _over_lcm, block_diagonal, hstack, quotient_group, vstack
+from .exact_lattice import (
+    Matrix,
+    _over_lcm,
+    block_diagonal,
+    content,
+    hstack,
+    quotient_group,
+    vstack,
+)
 from .tav import ScaledPoints, _kernel_record, _require_listable, check_exact_sequence, subgroup_generated
 from .torus_category import IntegralTorus, TorusMorphism, classify, compose, dual_morphism
 
@@ -134,6 +143,21 @@ def _walk_cover(graph, row, length):
             "constructed walk cover is inconsistent: " + "; ".join(violations)
         )
     return general
+
+
+def row_cover(graph, row):
+    """The walk cover of a genus-2 graph whose universal cover row is the
+    primitive integer row r: its edges run at the slopes C·r for the cycle
+    basis C, over a circle whose length is the content of P·r, the largest
+    rational dividing both entries, for the period matrix P.  A row that
+    is not a pair of ints with gcd 1, the zero row among them, raises
+    ValueError."""
+    _require_genus_2(graph)
+    row = tuple(row)
+    if len(row) != 2 or any(type(x) is not int for x in row) or gcd(*row) != 1:
+        raise ValueError(f"a cover row is a primitive pair of ints, not {row!r}")
+    length = content(jacobian(graph).torus.pairing * Matrix.column(row))
+    return _walk_cover(graph, row, length)
 
 
 def complementary_cover(cover):

@@ -22,8 +22,14 @@ derives from checked values, and whose invariant the construction proves,
 is wrapped by _derived and not checked again: a dual, a composite, a
 product and its injections and projections, an identity, a zero morphism,
 a difference of parallel morphisms, and the kernel torus and inclusion of
-kernel0, whose pairing is solved from the inclusion's pairing law.  The
-Stein factorization solves for its isogeny, so that one stays checked.
+kernel0, whose pairing is read off or solved from the inclusion's
+pairing law.  The Stein factorization solves for its isogeny, so that one
+stays checked.
+
+The quotient coordinates of a connected kernel, and so of a cokernel, do
+not always come from a Smith form: a circle kernel, the kernel of every
+genus-2 cover, is read off the canonical integer kernel of a row, its one
+direction up to sign, and only a kernel of another rank eliminates.
 """
 
 from .errors import (
@@ -35,6 +41,7 @@ from .errors import (
 from .exact_lattice import (
     Matrix,
     _Value,
+    _quotient,
     _require_size,
     block_diagonal,
     hstack,
@@ -42,7 +49,6 @@ from .exact_lattice import (
     invariant_factors,
     rational_solve,
     smith_normal_form,
-    snf_rank,
     vstack,
 )
 
@@ -180,27 +186,41 @@ def kernel0(m):
     """Connected component of the kernel, with its inclusion.
 
     In coordinates the kernel torus is (Lambda_src / im(f_sharp) saturated,
-    ker(f_hash), restricted pairing).  The quotient coordinates come from the
-    Smith form of f_sharp, so they are deterministic: the projection is the
-    rows of U past the rank.  The pairing P_K is the one the inclusion's
-    pairing law projection^T * P_K = P_src * kernel_basis leaves: the rows of
-    the unimodular U are independent, so projection^T has full column rank
-    and the solve has exactly one solution.  P_K is non-degenerate, as
-    P_src is and the kernel basis has full column rank, and the inclusion
-    holds its pairing law by construction, so neither is checked again.
+    ker(f_hash), restricted pairing).  The kernel basis is the canonical
+    integer kernel of f_hash, and its rank k is n - r for the rank r that
+    the pairing law gives f_sharp and f_hash alike.  The projection is a
+    basis of the rows y with y * f_sharp = 0, and the pairing P_K is the
+    one the inclusion's pairing law projection^T * P_K = P_src * kernel_basis
+    leaves.
+
+    A circle (k = 1, the kernel of every genus-2 cover) takes no Smith form:
+    its row y is unique up to sign, so the projection is the canonical
+    integer kernel of f_sharp^T, transposed, and its length is one quotient
+    of P_src * kernel_basis by y at the first nonzero entry of y; both are
+    negated together when the length is negative, so that it is positive.
+    Any other rank takes the deterministic coordinates of the Smith form
+    U * f_sharp * V = S: the projection is the rows of U past r, which are
+    independent, so projection^T has full column rank and rational_solve
+    finds the one P_K.  P_K is non-degenerate, as P_src is and the kernel
+    basis has full column rank, and the inclusion holds its pairing law by
+    construction, so neither is checked again.
     """
     n1 = m.source.rank
-    u, s, _ = smith_normal_form(m.f_sharp)
-    r = snf_rank(s)
-    k = n1 - r
-    projection = u.submatrix(range(r, n1), range(n1))
     kernel_basis = integer_kernel(m.f_hash)
-    pairing = rational_solve(projection.transpose(), m.source.pairing * kernel_basis)
-    if k == 1 and pairing[0, 0] < 0:
-        # orient rank-1 kernels so the circle length is positive; the law
-        # holds for the projection and the pairing flipped together
-        projection = -projection
-        pairing = -pairing
+    k = kernel_basis.ncols
+    paired = m.source.pairing * kernel_basis
+    if k == 1:
+        projection = integer_kernel(m.f_sharp.transpose()).transpose()
+        row = projection.row_tuple(0)
+        i = next(i for i, y in enumerate(row) if y)
+        length = _quotient(paired[i, 0], row[i])
+        if length < 0:
+            projection, length = -projection, -length
+        pairing = Matrix([[length]])
+    else:
+        u, _, _ = smith_normal_form(m.f_sharp)
+        projection = u.submatrix(range(n1 - k, n1), range(n1))
+        pairing = rational_solve(projection.transpose(), paired)
     torus = IntegralTorus._derived(k, pairing)
     inclusion = TorusMorphism._derived(torus, m.source, projection, kernel_basis)
     return torus, inclusion
@@ -211,7 +231,8 @@ def cokernel(m):
     dual morphism.
 
     In coordinates: (ker(f_sharp), Lambda'_tgt / im(f_hash) saturated,
-    induced pairing), quotient coordinates from the Smith form of f_hash.
+    induced pairing), quotient coordinates from kernel0 of the dual, that
+    is from f_hash.
     """
     torus, inclusion = kernel0(dual_morphism(m))
     return dual(torus), dual_morphism(inclusion)

@@ -419,6 +419,44 @@ def test_a_vector_is_reduced_by_its_gcd_with_no_elimination(a):
         assert invariant_factors(a) == expected
 
 
+@st.composite
+def pair_rows(draw):
+    """A 1 x 2 row of ints that may be zero, negative or about 10**40, with
+    a common factor at times, all zero at times, and now and then with one
+    entry that is not integral."""
+    entry = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(10**40), 10**40))
+    factor = draw(st.sampled_from([1, 1, 6, 10**20 + 39]))
+    entries = draw(st.one_of(st.just([0, 0]), st.lists(entry, min_size=2, max_size=2)))
+    entries = [x * factor for x in entries]
+    if draw(st.integers(0, 4)) == 0:
+        entries[draw(st.integers(0, 1))] = Fraction(draw(st.integers(-9, 9)) * 2 + 1, 2)
+    return Matrix([entries])
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_rows())
+def test_a_pair_row_has_its_kernel_with_no_elimination(a):
+    # the kernel of a nonzero 1x2 row is its primitive perpendicular with
+    # a positive first nonzero entry, the basis the elimination finds and
+    # the column HNF makes canonical; a zero row is still eliminated, and
+    # a row that is not integral is refused with the same error
+    try:
+        _, s, v = exact_lattice._smith(a, False, True)
+    except ValueError as refused:
+        with pytest.raises(ValueError) as raised:
+            integer_kernel(a)
+        assert str(raised.value) == str(refused)
+        return
+    rank = sum(1 for i in range(min(s.shape)) if s[i, i] != 0)
+    expected = column_hnf(v.submatrix(range(2), range(rank, 2)))
+    if a.is_zero():
+        assert integer_kernel(a) == expected == Matrix.identity(2)
+        return
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(exact_lattice, "_smith", _eliminate)
+        assert integer_kernel(a) == expected
+
+
 def integer_matrices_with_zero_rows(max_dim=6):
     """Integer matrices up to max_dim x max_dim in which a row may be zero or
     a multiple of the first row, so rank-deficient inputs come up often."""
@@ -578,6 +616,8 @@ def test_integer_kernel_examples():
     assert integer_kernel(Matrix([[1, 0]])) == Matrix([[0], [1]])
     assert integer_kernel(Matrix([[2, -1]])) == Matrix([[1], [2]])
     assert integer_kernel(Matrix([[1, 2]])) == Matrix([[2], [-1]])
+    assert integer_kernel(Matrix([[0, -3]])) == Matrix([[1], [0]])
+    assert integer_kernel(Matrix([[-4, 6]])) == Matrix([[3], [2]])
     assert integer_kernel(Matrix.zeros(1, 2)) == Matrix.identity(2)
     assert integer_kernel(Matrix([[2, 1], [1, 2]])).shape == (2, 0)
 

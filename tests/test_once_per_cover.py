@@ -178,11 +178,11 @@ def _ladder_cover(k):
 
 def test_split_package_classifies_each_morphism_once(monkeypatch):
     # an analysed, strongly optimal cover of degree 101: the package reuses
-    # what the analysis holds and classifies nothing; its three Smith
-    # eliminations are the two of kernel0 for the kernel circle and the one
-    # that presents the kernel of phi, which takes no inverse.  The four
-    # f_hash matrices of its two exact sequences are single rows and
-    # columns, whose invariant factor is a gcd with no elimination.
+    # what the analysis holds and classifies nothing; its one Smith
+    # elimination presents the kernel of phi, which takes no inverse.
+    # kernel0 reads the kernel circle off the integer kernels of two rows,
+    # and the four f_hash matrices of its two exact sequences are single
+    # rows and columns, whose invariant factor is a gcd: neither eliminates.
     cover = _ladder_cover(50)
     assert strong_optimality_gap(cover) is None and pullback_morphism(cover)
     calls = Counter()
@@ -196,7 +196,7 @@ def test_split_package_classifies_each_morphism_once(monkeypatch):
                 module, "classify", lambda m, original=original: classified.append(m) or original(m)
             )
     assert verify_split_package(cover).all_flags_hold
-    assert calls == Counter(_smith=3)
+    assert calls == Counter(_smith=1)
     assert classified == []
 
 
@@ -221,8 +221,8 @@ def test_split_kernel_is_listed_from_its_generator_with_no_box(monkeypatch):
 def test_a_broken_kernel_group_lists_nothing(case, monkeypatch):
     # a kernel group that breaks a torsion flag is kept unlisted, as the
     # KernelGroup of the presentation already taken or as a SplitKernel:
-    # no box is listed, no listing sorted, and the package makes the three
-    # Smith eliminations of an unbroken cover, with no second presentation
+    # no box is listed, no listing sorted, and the package makes the one
+    # Smith elimination of an unbroken cover, with no second presentation
     cover = _ladder_cover(52)  # degree 105 = 3·5·7
     assert strong_optimality_gap(cover) is None and pullback_morphism(cover)
     binding, patch, broken = BROKEN_FLAGS[case]
@@ -233,7 +233,7 @@ def test_a_broken_kernel_group_lists_nothing(case, monkeypatch):
     _count_calls(monkeypatch, exact_lattice, "_smith", calls)
     report = verify_split_package(cover)
     assert {flag for flag, holds in report.flags.items() if not holds} == broken
-    assert calls == Counter(_smith=3)
+    assert calls == Counter(_smith=1)
 
 
 def test_kernel_listing_makes_no_matrix_products_per_point(monkeypatch):
@@ -329,12 +329,13 @@ def test_classify_makes_one_smith_form_and_no_product(monkeypatch):
         assert calls == Counter(_smith=eliminations)
 
 
-def test_stein_factorization_takes_four_smith_forms(monkeypatch):
+def test_stein_factorization_takes_no_smith_form(monkeypatch):
     # criterion 6's surjection ([[4], [-2]], [[2, 0]]) on the theta
-    # Jacobian: two for kernel0 (f_sharp and the kernel of f_hash) and two
-    # for the cokernel of its inclusion, which is injective as built and is
-    # not classified again; classify reads the row f_hash off the gcd of
-    # its entries, and phi is solved by rational_solve, neither taking one
+    # Jacobian: its kernel0 and the cokernel of its inclusion, which is
+    # injective as built and is not classified again, are both circles,
+    # read off the integer kernels of 1x2 rows; classify reads the row
+    # f_hash off the gcd of its entries, and phi is solved by
+    # rational_solve, so none of them eliminates
     m = torus_category.TorusMorphism(
         theta_jacobian(),
         torus_category.circle(3),
@@ -346,12 +347,27 @@ def test_stein_factorization_takes_four_smith_forms(monkeypatch):
     stein = torus_category.stein_factorization(m)
     monkeypatch.undo()
     assert torus_category.compose(stein.phi, stein.pi) == m
-    assert calls == Counter(_smith=4)
+    assert calls == Counter()
+
+
+def test_kernel_length_takes_no_smith_form(monkeypatch):
+    # the kernel circle of a genus-2 cover is read off the integer kernels
+    # of the rows f_hash and f_sharp^T, each the perpendicular of one row:
+    # the degree-2 theta cover and the degree-(10^12 + 1) ladder, whose
+    # entries are about 10^12, make no Smith elimination
+    k = 5 * 10**11
+    for cover, length in ((degree_two_cover(), 1), (_ladder_cover(k), Fraction(1, k * (k + 1)))):
+        calls = Counter()
+        _count_calls(monkeypatch, exact_lattice, "_smith", calls)
+        assert kernel_length(cover) == length
+        monkeypatch.undo()
+        assert calls == Counter()
 
 
 def test_kernel0_makes_no_inverse(monkeypatch):
-    # the kernel pairing is solved from the inclusion's pairing law, with
-    # one product, P_src * kernel_basis, and the inclusion holds that law by
+    # the kernel pairing is read off (a circle) or solved from (any other
+    # rank) the inclusion's pairing law, with one product,
+    # P_src * kernel_basis, and the inclusion holds that law by
     # construction, so nothing checks it again: on a rank-1 kernel (the
     # degree-2 theta pushforward), a rank-2 one (a product projection) and
     # a rank-0 one (the degree-91 ladder's splitting isogeny)

@@ -14,6 +14,7 @@ from oracles import (
     degree_two_cover,
     divided_complementary_f_hash,
     inverse_hnf_kernel_numerators,
+    row_walk_cover,
     split_covers,
 )
 from tropjac.cover_analysis import is_optimal, pushforward_morphism, quotient_and_gamma
@@ -26,7 +27,9 @@ from tropjac.curves_covers import (
     ThetaCurve,
     circle_graph,
     cover_degree,
+    harmonic_form,
     jacobian,
+    target_length,
     validate_general_cover,
 )
 from tropjac.errors import (
@@ -46,7 +49,9 @@ from tropjac.split_jacobian import (
     complementary_cover,
     complementary_pushforward,
     cover_from_splitting,
+    row_cover,
     splitting_isogeny,
+    strong_optimality_gap,
     verify_split_package,
 )
 from tropjac.torus_category import (
@@ -255,6 +260,37 @@ def test_a_split_kernel_past_the_bound_is_refused_before_it_lists(monkeypatch):
 def test_phi_tilde_is_the_dual_of_phi_beyond_the_corpus(cover):
     report = verify_split_package(cover)
     assert report.phi_tilde_morphism == dual_morphism(report.phi_morphism)
+
+
+def _walk(cover):
+    """A walk cover's fields: covers compare by identity."""
+    return cover.graph, cover.target_length, cover.edge_data
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_covers())
+def test_row_cover_is_the_reference_walk_cover(cover):
+    # the row of a strongly optimal cover's pushforward builds the walk
+    # cover that the Fraction reference builds, back on the same row and
+    # target length: the pairing law P·r = l·f_hash^T with f_hash
+    # primitive makes the content of P·r the target length
+    graph = harmonic_form(cover).graph
+    row = pushforward_morphism(cover).universal_cover_matrix.row_tuple(0)
+    built = row_cover(graph, row)
+    assert _walk(built) == _walk(row_walk_cover(graph, row))
+    assert pushforward_morphism(built).universal_cover_matrix.row_tuple(0) == row
+    assert target_length(built) == target_length(cover)
+    assert strong_optimality_gap(built) is None
+
+
+def test_row_cover_refuses_a_row_that_is_not_primitive():
+    graph = ThetaCurve(1, 2, 3).graph()
+    assert _walk(row_cover(graph, (1, -1))) == _walk(row_walk_cover(graph, (1, -1)))
+    for row in ((0, 0), (2, 4), (-3, 0), (1, 0, 0), (Fraction(1, 2), 1), (True, 0)):
+        with pytest.raises(ValueError, match="a cover row is a primitive pair of ints"):
+            row_cover(graph, row)
+    with pytest.raises(UnsupportedGenus):
+        row_cover(circle_graph(1), (1,))
 
 
 def test_verify_split_package_on_dumbbell():

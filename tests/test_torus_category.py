@@ -20,7 +20,7 @@ from oracles import (
     section_kernel_pairing,
 )
 from tropjac.cover_analysis import pushforward_morphism
-from tropjac.exact_lattice import Matrix
+from tropjac.exact_lattice import Matrix, invariant_factors
 from tropjac.torus_category import (
     IntegralTorus,
     TorusMorphism,
@@ -118,13 +118,10 @@ def test_classify_projection_rank_drop():
     assert not flags.injective and not flags.isogeny
 
 
-@st.composite
-def morphisms(draw, max_rank=3):
-    """A morphism of tori of ranks 0 to max_rank whose f_hash is a product
-    through rank k, so non-square, rank-deficient and non-saturated f_hash
-    all come up.  The source pairing is unimodular, so f_sharp is integral;
-    half are dualized, which puts the unimodular pairing on the target side."""
-    n1, n2, k = (draw(st.integers(0, max_rank)) for _ in range(3))
+def _morphism(draw, n1, n2, k):
+    """A morphism from a rank-n1 torus with a unimodular pairing, so that
+    f_sharp is integral, to a rank-n2 one, whose f_hash is a product
+    through rank k."""
 
     def integer_matrix(rows, cols):
         entries = st.integers(-3, 3)
@@ -135,10 +132,30 @@ def morphisms(draw, max_rank=3):
     assume(target_pairing.det() != 0)
     source_pairing = random_unimodular(random.Random(draw(st.integers(0, 2**16))), n1)
     f_sharp = (target_pairing * f_hash * source_pairing.inv()).transpose()
-    m = TorusMorphism(
+    return TorusMorphism(
         IntegralTorus(n1, source_pairing), IntegralTorus(n2, target_pairing), f_sharp, f_hash
     )
+
+
+@st.composite
+def morphisms(draw, max_rank=3):
+    """A morphism of tori of ranks 0 to max_rank whose f_hash is a product
+    through rank k, so non-square, rank-deficient and non-saturated f_hash
+    all come up; half are dualized, which puts the unimodular pairing on
+    the target side."""
+    m = _morphism(draw, *(draw(st.integers(0, max_rank)) for _ in range(3)))
     return dual_morphism(m) if draw(st.booleans()) else m
+
+
+@st.composite
+def circle_kernel_morphisms(draw):
+    """A morphism of a rank-3 or rank-4 source whose f_hash has rank one
+    less, so that its connected kernel is a circle while f_sharp, of 2 to 4
+    columns, is no vector."""
+    n1 = draw(st.integers(3, 4))
+    m = _morphism(draw, n1, draw(st.integers(n1 - 1, 4)), n1 - 1)
+    assume(len(invariant_factors(m.f_hash)) == n1 - 1)
+    return m
 
 
 @settings(max_examples=150, deadline=None)
@@ -148,11 +165,12 @@ def test_classify_agrees_with_the_minors(m):
 
 
 @st.composite
-def scaled_morphisms(draw):
-    """A morphism of ranks 0 to 4 from morphisms(), both pairings scaled by
-    one positive rational, which keeps the pairing law; a scale that is no
-    int makes the pairings non-integral."""
-    m = draw(morphisms(max_rank=4))
+def scaled_morphisms(draw, base=morphisms(max_rank=4)):
+    """A morphism drawn from base, by default of ranks 0 to 4 from
+    morphisms(), with both pairings scaled by one positive rational, which
+    keeps the pairing law; a scale that is no int makes the pairings
+    non-integral."""
+    m = draw(base)
     scale = Fraction(draw(st.integers(1, 12)), draw(st.integers(1, 12)))
     return TorusMorphism(
         IntegralTorus(m.source.rank, m.source.pairing * scale),
@@ -163,8 +181,10 @@ def scaled_morphisms(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(scaled_morphisms())
+@given(st.one_of(scaled_morphisms(), scaled_morphisms(circle_kernel_morphisms())))
 def test_kernel0_agrees_with_the_section_pairing(m):
+    # ranks 0 to 4, and circle kernels of rank-3 and rank-4 sources, whose
+    # projection is the integer kernel of a matrix f_sharp^T, eliminated
     assert kernel0(m) == section_kernel_pairing(m)
 
 
