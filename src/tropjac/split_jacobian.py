@@ -3,9 +3,10 @@
 A strongly optimal cover mu (connected pushforward kernel, no dilation
 factor) splits the Jacobian: the kernel circle TE' and the target circle TE
 assemble into an isogeny TE' x TE -> Jac whose kernel, degree, and
-polarization behaviour are all pinned down by the degree of mu.  The
-complementary cover realizes the projection onto TE' geometrically, and
-row_cover builds the walk cover of any primitive universal cover row.
+polarization behaviour are all pinned down by the degree of mu.
+row_cover builds the walk cover of any primitive universal cover row, and
+the complementary cover, the row_cover of the kernel direction, realizes
+the projection onto TE' geometrically.
 
 The isogeny's kernel is read off the one Smith form that presents it
 (exact_lattice.quotient_group).  For a valid cover it is cyclic of order d
@@ -31,7 +32,7 @@ hold block by block, so they are wrapped by _derived and not checked again.
 from collections import namedtuple
 from math import gcd, prod
 
-from .cover_analysis import kernel_length, quotient_and_gamma
+from .cover_analysis import quotient_and_gamma
 from .curves_covers import (
     _circle_cover,
     _require_genus_2,
@@ -162,17 +163,18 @@ def row_cover(graph, row):
 
 def complementary_cover(cover):
     """The cover of the kernel circle complementary to a strongly optimal
-    cover; its slopes are the kernel direction paired with the cycle basis.
+    cover: the row_cover of the kernel direction w.  w is primitive, and
+    the inclusion's pairing law P·w = l'·y^T, with y primitive, makes the
+    content of P·w the kernel circle's length l'.
     """
     _require_strongly_optimal(cover)
-    length = kernel_length(cover)
     _, inclusion = cover._kernel
-    general = _walk_cover(cover._form.graph, inclusion.f_hash.column_tuple(0), length)
+    general = row_cover(cover._form.graph, inclusion.f_hash.column_tuple(0))
     degree = cover_degree(general)
     if degree != cover_degree(cover):
         raise InvariantViolation(f"complementary degree {degree} differs from the cover's")
     signs = tuple(0 if s == 0 else (1 if s > 0 else -1) for s in general.slopes)
-    return ComplementaryCover(length, general.dilations, signs, degree, general)
+    return ComplementaryCover(general.target_length, general.dilations, signs, degree, general)
 
 
 def _splitting(cover):

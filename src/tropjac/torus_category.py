@@ -26,10 +26,13 @@ kernel0, whose pairing is read off or solved from the inclusion's
 pairing law.  The Stein factorization solves for its isogeny, so that one
 stays checked.
 
-The quotient coordinates of a connected kernel, and so of a cokernel, do
-not always come from a Smith form: a circle kernel, the kernel of every
-genus-2 cover, is read off the canonical integer kernel of a row, its one
-direction up to sign, and only a kernel of another rank eliminates.
+The quotient coordinates of a connected kernel, and so of a cokernel, an
+image, a quotient and a (co)equalizer, are fixed by the kernel alone: the
+projection is the Hermite basis of the rows that f_sharp kills, the
+canonical integer kernel of f_sharp^T (a circle's one row signed so that
+its length is positive), so a unimodular change of the target's
+coordinates, which changes neither kernel, leaves it unchanged.  No
+construction here takes a Smith transform.
 """
 
 from .errors import (
@@ -48,7 +51,6 @@ from .exact_lattice import (
     integer_kernel,
     invariant_factors,
     rational_solve,
-    smith_normal_form,
     vstack,
 )
 
@@ -188,29 +190,26 @@ def kernel0(m):
     In coordinates the kernel torus is (Lambda_src / im(f_sharp) saturated,
     ker(f_hash), restricted pairing).  The kernel basis is the canonical
     integer kernel of f_hash, and its rank k is n - r for the rank r that
-    the pairing law gives f_sharp and f_hash alike.  The projection is a
-    basis of the rows y with y * f_sharp = 0, and the pairing P_K is the
-    one the inclusion's pairing law projection^T * P_K = P_src * kernel_basis
-    leaves.
+    the pairing law gives f_sharp and f_hash alike.  The projection is the
+    canonical integer kernel of f_sharp^T, transposed: the Hermite basis of
+    the rows y with y * f_sharp = 0, which depends on that lattice alone.
+    The pairing P_K is the one the inclusion's pairing law
+    projection^T * P_K = P_src * kernel_basis leaves.
 
-    A circle (k = 1, the kernel of every genus-2 cover) takes no Smith form:
-    its row y is unique up to sign, so the projection is the canonical
-    integer kernel of f_sharp^T, transposed, and its length is one quotient
-    of P_src * kernel_basis by y at the first nonzero entry of y; both are
-    negated together when the length is negative, so that it is positive.
-    Any other rank takes the deterministic coordinates of the Smith form
-    U * f_sharp * V = S: the projection is the rows of U past r, which are
+    A circle (k = 1, the kernel of every genus-2 cover) has one row y, so
+    its length is one quotient of P_src * kernel_basis by y at the first
+    nonzero entry of y; both are negated together when the length is
+    negative, so that it is positive.  For any other rank the k rows are
     independent, so projection^T has full column rank and rational_solve
     finds the one P_K.  P_K is non-degenerate, as P_src is and the kernel
     basis has full column rank, and the inclusion holds its pairing law by
     construction, so neither is checked again.
     """
-    n1 = m.source.rank
     kernel_basis = integer_kernel(m.f_hash)
     k = kernel_basis.ncols
     paired = m.source.pairing * kernel_basis
+    projection = integer_kernel(m.f_sharp.transpose()).transpose()
     if k == 1:
-        projection = integer_kernel(m.f_sharp.transpose()).transpose()
         row = projection.row_tuple(0)
         i = next(i for i, y in enumerate(row) if y)
         length = _quotient(paired[i, 0], row[i])
@@ -218,8 +217,6 @@ def kernel0(m):
             projection, length = -projection, -length
         pairing = Matrix([[length]])
     else:
-        u, _, _ = smith_normal_form(m.f_sharp)
-        projection = u.submatrix(range(n1 - k, n1), range(n1))
         pairing = rational_solve(projection.transpose(), paired)
     torus = IntegralTorus._derived(k, pairing)
     inclusion = TorusMorphism._derived(torus, m.source, projection, kernel_basis)
@@ -231,8 +228,9 @@ def cokernel(m):
     dual morphism.
 
     In coordinates: (ker(f_sharp), Lambda'_tgt / im(f_hash) saturated,
-    induced pairing), quotient coordinates from kernel0 of the dual, that
-    is from f_hash.
+    induced pairing).  The projection's f_hash is kernel0's projection of
+    the dual, the Hermite basis of the rows that f_hash kills, so the
+    quotient coordinates depend on the image of f_hash alone.
     """
     torus, inclusion = kernel0(dual_morphism(m))
     return dual(torus), dual_morphism(inclusion)

@@ -755,6 +755,7 @@ from tropjac.exact_lattice import (  # noqa: E402
     column_hnf,
     integer_kernel,
     invariant_factors,
+    row_hnf,
     snf_rank,
 )
 from tropjac.tav import ScaledPoints  # noqa: E402
@@ -829,16 +830,20 @@ def divided_complementary_f_hash(cover):
 
 def section_kernel_pairing(m):
     """The connected kernel of m with its inclusion, its pairing read as
-    section^T * P_src * kernel_basis: the section is the columns of U^-1
-    past the rank r of f_sharp, for the Smith form U * f_sharp * V of
-    f_sharp, and the projection the rows of U past r.  A rank-1 kernel is
-    oriented to a positive length by flipping the projection, the section
-    and so the pairing together."""
+    section^T * P_src * kernel_basis.  For the Smith form U * f_sharp * V
+    of f_sharp, the rows of U past the rank r of f_sharp and the columns of
+    U^-1 past r are a projection and a section of it, with
+    projection * section = I.  The projection is put in Hermite form by the
+    unimodular change = row_hnf(rows) * section, which takes the rows to
+    their Hermite form, and the section is multiplied by change^-1 so that
+    the two stay inverse.  A rank-1 kernel is oriented to a positive length
+    by flipping the projection, the section and so the pairing together."""
     n1 = m.source.rank
     u, s, _ = smith_normal_form(m.f_sharp)
     r = snf_rank(s)
-    projection = u.submatrix(range(r, n1), range(n1))
+    projection = row_hnf(u.submatrix(range(r, n1), range(n1)))
     section = u.inv().submatrix(range(n1), range(r, n1))
+    section = section * (projection * section).inv()
     kernel_basis = integer_kernel(m.f_hash)
     pairing = section.transpose() * m.source.pairing * kernel_basis
     if n1 - r == 1 and pairing[0, 0] < 0:

@@ -1,10 +1,13 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
 from math import gcd, prod
+from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -193,6 +196,42 @@ def test_malformed_curve_models_get_their_schema_messages(document, message, tmp
     assert (code, out, err) == (1, "", f"VALIDATION_ERROR: {message}\n")
 
 
+_GENERAL = json.loads(GENERAL)
+
+# Each malformed general_circle document and the one stderr line it gets.
+# A missing list or target length is reported in the order of the keys and
+# hides every entry problem; entry problems are reported sorted, each once.
+_GENERAL_MESSAGES = {
+    "missing-target": (_with(_GENERAL, target_length=...), "target_length is required"),
+    "bad-edge-and-walk": (
+        _with(_GENERAL, edges=[["v", "v"]], walks=[1]),
+        "edges must be [tail, head, length] triples; walks must be objects",
+    ),
+    "everything-missing": (
+        {"kind": "general_circle"},
+        "vertices must be a list; edges must be a list; walks must be a list;"
+        " target_length is required",
+    ),
+    "entry-problems": (
+        _with(
+            _GENERAL,
+            target_length=1.5,
+            edges=[["v", "v", 1.5], ["v", "v", "x"]],
+            walks=[{"dilation": "2"}],
+        ),
+        f"edge length {_RATIONAL}; target_length {_RATIONAL}; walk dilation must be an integer",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "document, message", list(_GENERAL_MESSAGES.values()), ids=list(_GENERAL_MESSAGES)
+)
+def test_malformed_general_covers_get_their_schema_messages(document, message, tmp_path, capsys):
+    code, out, err = run(capsys, "analyze", write(tmp_path, "bad.json", json.dumps(document)))
+    assert (code, out, err) == (1, "", f"VALIDATION_ERROR: {message}\n")
+
+
 def test_parse_cover_reports_invariant_names():
     with pytest.raises(ValidationError) as info:
         parse_cover(
@@ -353,6 +392,31 @@ def test_unhashable_vertex_label_exits_one(label, tmp_path, capsys):
     code, out, err = run(capsys, "analyze", write(tmp_path, "u.json", json.dumps(document)))
     assert code == 1 and out == ""
     assert err == "VALIDATION_ERROR: vertex labels must be hashable\n"
+
+
+def test_console_entry_point_exits_with_the_run_command_code(tmp_path, capsys):
+    # tropjac.cli:main run as a program, as the installed tropjac script runs it
+    src = Path(__file__).resolve().parent.parent / "src"
+
+    def console(*argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "tropjac.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    good = write(tmp_path, "good.json", DEGREE_TWO)
+    code, out, err = analyzed = console("analyze", good)
+    assert (code, err) == (0, "") and json.loads(out)["kind"] == "theta"
+    assert analyzed == run(capsys, "analyze", good)
+    big = write(tmp_path, "big.json", BIG)
+    code, out, err = refused = console("complement", big)
+    assert (code, out) == (1, "") and err.startswith("NOT_OPTIMAL: ")
+    assert refused == run(capsys, "complement", big)
+    code, out, _ = console("no-such-command", good)
+    assert (code, out) == (2, "")
 
 
 def test_parse_error_exits_one(tmp_path, capsys):

@@ -217,16 +217,17 @@ def test_every_error_is_raised():
     assert sorted(errors - called) == []
 
 
-def test_only_exact_lattice_and_torus_category_take_smith_forms():
+def test_only_exact_lattice_takes_smith_forms():
     # every other module reads a lattice fact through invariant_factors,
-    # quotient_group, classify or a torus construction, not through a Smith
-    # form of its own: the public smith_normal_form or the elimination _smith
+    # integer_kernel, quotient_group, classify or a torus construction, not
+    # through a Smith form of its own: the public smith_normal_form or the
+    # elimination _smith
     callers = sorted(
         path.name
         for path in Path(tropjac.__file__).parent.glob("*.py")
         if {"smith_normal_form", "_smith"} & _called_names(path)
     )
-    assert callers == ["exact_lattice.py", "torus_category.py"]
+    assert callers == ["exact_lattice.py"]
 
 
 def _calls_by_function(path, name):

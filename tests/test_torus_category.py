@@ -188,6 +188,42 @@ def test_kernel0_agrees_with_the_section_pairing(m):
     assert kernel0(m) == section_kernel_pairing(m)
 
 
+@st.composite
+def wide_kernel_morphisms(draw):
+    """A morphism of a rank-2 to rank-5 source whose f_hash is a product
+    through rank at most n1 - 2, so that its connected kernel has rank at
+    least 2."""
+    n1 = draw(st.integers(2, 5))
+    return _morphism(draw, n1, draw(st.integers(0, 5)), draw(st.integers(0, n1 - 2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_kernel_morphisms(), st.integers(0, 2**16))
+def test_kernel_coordinates_depend_on_the_kernel_alone(m, seed):
+    rng = random.Random(seed)
+    # a target automorphism T: f_sharp a unimodular A, f_hash = I, and the
+    # target pairing A^T * P that its pairing law leaves.  T ∘ m has m's
+    # kernel and the rows that its f_sharp = m.f_sharp * A kills.
+    n2 = m.target.rank
+    a = random_unimodular(rng, n2)
+    t = TorusMorphism(
+        m.target, IntegralTorus(n2, a.transpose() * m.target.pairing), a, Matrix.identity(n2)
+    )
+    assert kernel0(compose(t, m)) == kernel0(m)
+    # the dual d has m's kernel as its cokernel; a source automorphism S:
+    # f_hash a unimodular B, f_sharp = I, and the source pairing P * B.
+    # d ∘ S has d's image, as its f_hash = d.f_hash * B
+    d = dual_morphism(m)
+    b = random_unimodular(rng, d.source.rank)
+    s = TorusMorphism(
+        IntegralTorus(d.source.rank, d.source.pairing * b),
+        d.source,
+        Matrix.identity(d.source.rank),
+        b,
+    )
+    assert cokernel(compose(d, s)) == cokernel(d)
+
+
 # -- duals -----------------------------------------------------------------
 
 
