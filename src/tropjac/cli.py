@@ -14,10 +14,14 @@ json.dumps(report, indent=2) writes, with strings quoted by the C string
 encoder of the json module.  It never runs the pure-Python indent encoder,
 to which json.dumps falls back whenever it is given an indent.  It makes
 one call per value of the report, and a kernel is one value, written by
-its item writer with no call per item.  The analyze report holds the
-pullback kernel as its generator, a CyclicKernel; _json writes it as the
-list of {"position": "p/q", "order": m} divisors that json.dumps would
-write, from ints, with no Fraction, TorsionDivisor or dict per divisor.
+its item writer with no call per item.  _json and _text_lines, the
+renderer of the text format, append pieces to one list per report, which
+_render joins once: a kernel's item texts are joined once and copied once
+more, by that join, at whatever depth the kernel sits.  The analyze
+report holds the pullback kernel as its generator, a CyclicKernel; _json
+writes it as the list of {"position": "p/q", "order": m} divisors that
+json.dumps would write, from ints, with no Fraction, TorsionDivisor or
+dict per divisor.
 The orders come from the divisor sieve of cover_analysis._torsion_orders,
 one slice store per divisor of the kernel's order g, and _divisors joins
 each to its position.  The split report holds the kernel of the
@@ -42,11 +46,15 @@ points.  The library keeps both kernels unlisted and refuses neither.
 
 Exit codes: 0 on success, 1 when the library rejects the input or a number
 of the report is too long to print (the error code and message go to
-stderr), 2 on usage errors.
+stderr) or when the report cannot be written (a closed pipe, a full disk:
+stderr gets "cannot write the report: " and the system's reason), 2 on
+usage errors.  A cover file that is not UTF-8, or JSON nested past Python's
+recursion limit, is a PARSE_ERROR.
 """
 
 import argparse
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
@@ -219,13 +227,16 @@ def _parse_general(document):
 def parse_cover(text):
     """Parse and fully validate a JSON cover document.
 
-    Malformed JSON raises ParseError; schema problems and violated cover
-    invariants raise ValidationError listing every diagnostic.
+    Malformed JSON, or JSON nested past Python's recursion limit, raises
+    ParseError; schema problems and violated cover invariants raise
+    ValidationError listing every diagnostic.
     """
     try:
         document = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an int above the str-to-int digit limit
         raise ParseError(f"malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nested more deeply than Python can read") from exc
     if not isinstance(document, dict):
         raise ParseError("cover document must be a JSON object")
     kind = document.get("kind")
@@ -394,17 +405,24 @@ _KERNELS = {
 }
 
 
-def _text_lines(data, prefix=""):
-    lines = []
+def _text_lines(data, pieces, prefix=""):
+    """Append the lines of data to pieces, a line break before each but
+    the first: a dict value is the lines of its own keys under the prefix
+    key., a CyclicKernel or SplitKernel is one line that lists its items
+    as json.dumps writes its listing, and any other value is one line of
+    its json.dumps.  A kernel's item texts are joined once, and _render's
+    join copies that text once more."""
     for key, value in data.items():
         if isinstance(value, dict):
-            lines.extend(_text_lines(value, f"{prefix}{key}."))
-        elif type(value) in _KERNELS:
+            _text_lines(value, pieces, f"{prefix}{key}.")
+            continue
+        if pieces:
+            pieces.append("\n")
+        if type(value) in _KERNELS:
             items, opening, closing = _KERNELS[type(value)]
-            lines.append(f"{prefix}{key}: [{', '.join(items(value, opening, ', ', closing))}]")
+            pieces += (f"{prefix}{key}: [", ", ".join(items(value, opening, ", ", closing)), "]")
         else:
-            lines.append(f"{prefix}{key}: {json.dumps(value)}")
-    return lines
+            pieces.append(f"{prefix}{key}: {json.dumps(value)}")
 
 
 # how json.dumps writes each scalar
@@ -416,47 +434,68 @@ _SCALARS = {
 }
 
 
-def _json(value, newline):
-    """value as json.dumps(value, indent=2) writes it, where newline is the
-    line break and indent of the line value starts on.
+def _json(value, newline, pieces):
+    """Append to pieces the texts that, joined, are value as
+    json.dumps(value, indent=2) writes it, where newline is the line break
+    and indent of the line value starts on.
 
     One call per value.  A CyclicKernel or SplitKernel is written by its
     item writer in _KERNELS, with no call per divisor or point: the list of
     its divisor dicts from _divisors, with no dict built, or the list of
     its points, each a list of "p/q" strings, from _split_points, with no
-    list built per point.  A dict or a list is one join of the _json of
-    each child, and a scalar is written by _SCALARS.  Any other value, or a
-    dict key that is not a str, raises TypeError.
+    list built per point.  Its item texts are joined once, as soon as they
+    are written, so they are freed before _render's join copies that text
+    once more.  A dict or a list appends its brackets and separators
+    around the _json of each child, and a scalar is written by _SCALARS.
+    Any other value, or a dict key that is not a str, raises TypeError.
     """
     kind = type(value)
     if kind in _SCALARS:
-        return _SCALARS[kind](value)
+        pieces.append(_SCALARS[kind](value))
+        return
     inner = newline + "  "
-    if kind is dict:
-        texts = [f"{_quote(k)}: {_json(x, inner)}" for k, x in value.items()]
-    elif kind is list or kind is tuple:
-        texts = [_json(x, inner) for x in value]
-    elif kind in _KERNELS:
+    if kind in _KERNELS:
         items, opening, closing = _KERNELS[kind]
         texts = items(value, opening + inner + "  ", "," + inner + "  ", inner + closing)
+        pieces += ("[", inner, ("," + inner).join(texts), newline, "]") if texts else ("[]",)
+        return
+    if kind is dict:
+        opening, closing = "{", "}"
+    elif kind is list or kind is tuple:
+        opening, closing = "[", "]"
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    brackets = "{}" if kind is dict else "[]"
-    if not texts:
-        return brackets
-    return brackets[0] + inner + ("," + inner).join(texts) + newline + brackets[1]
+    if not value:
+        pieces.append(opening + closing)
+        return
+    separator = opening + inner
+    if kind is dict:
+        for key, child in value.items():
+            pieces.append(f"{separator}{_quote(key)}: ")
+            _json(child, inner, pieces)
+            separator = "," + inner
+    else:
+        for child in value:
+            pieces.append(separator)
+            _json(child, inner, pieces)
+            separator = "," + inner
+    pieces += (newline, closing)
 
 
 def _render(report, fmt):
-    """The report as text lines or as indented JSON.  JSON is written by
-    _json, never by the pure-Python indent encoder of json.dumps; an int
-    past Python's digit limit raises NumberTooLarge."""
+    """The report as text lines or as indented JSON, written as pieces into
+    one list by _text_lines or _json and joined once.  JSON is never written
+    by the pure-Python indent encoder of json.dumps; an int past Python's
+    digit limit raises NumberTooLarge."""
+    pieces = []
     try:
         if fmt == "text":
-            return "\n".join(_text_lines(report))
-        return _json(report, "\n")
+            _text_lines(report, pieces)
+        else:
+            _json(report, "\n", pieces)
     except ValueError:
         raise _too_large() from None
+    return "".join(pieces)
 
 
 # ------------------------------------------------------------------ driver
@@ -468,6 +507,8 @@ def _read_file(path):
             return handle.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
 
 def _build_parser():
@@ -537,12 +578,24 @@ def run_command(argv):
     except TropjacError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return 1
-    print(text)
+    try:
+        print(text, flush=True)
+    except OSError as exc:  # a closed pipe, a full disk
+        print(f"cannot write the report: {exc.strerror}", file=sys.stderr)
+        return 1
     return 0
 
 
 def main():
-    sys.exit(run_command(sys.argv[1:]))
+    code = run_command(sys.argv[1:])
+    if code and sys.stdout is not None:
+        # nothing more is written to stdout; whatever a report that could
+        # not be written left in its buffer goes to os.devnull, so that the
+        # interpreter's last flush neither fails nor prints "Exception ignored"
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import errno
+import io
 import json
 import os
 import subprocess
@@ -25,7 +27,7 @@ from oracles import (
     wide_kernel_covers,
 )
 from test_split_jacobian import BROKEN_FLAGS
-from tropjac.cli import _KERNELS, _json, _render, _split_dict, parse_cover, run_command
+from tropjac.cli import _KERNELS, _render, _split_dict, parse_cover, run_command
 from tropjac.cover_analysis import CyclicKernel, TorsionDivisor, pullback_kernel, pullback_kernel_group
 from tropjac.curves_covers import (
     DumbbellCover,
@@ -423,6 +425,85 @@ def test_parse_error_exits_one(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", write(tmp_path, "x.json", "{"))
     assert code == 1
     assert err.startswith("PARSE_ERROR:")
+
+
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + DEGREE_TWO.encode("utf-16-le"))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"PARSE_ERROR: {path} is not UTF-8 text: invalid start byte at byte 0\n"
+
+
+@pytest.mark.parametrize("where", ["document", "walks"])
+def test_json_nested_past_the_recursion_limit_is_a_parse_error(where, tmp_path, capsys):
+    deep = "[" * 100000 + "]" * 100000
+    document = deep if where == "document" else GENERAL.replace('"walks": [', f'"walks": [{deep}, ')
+    assert document != GENERAL
+    with pytest.raises(ParseError, match="^JSON nested more deeply than Python can read$"):
+        parse_cover(document)
+    code, out, err = run(capsys, "analyze", write(tmp_path, "deep.json", document))
+    assert (code, out, err) == (1, "", "PARSE_ERROR: JSON nested more deeply than Python can read\n")
+
+
+def _buffered_program_env():
+    """The environment of a tropjac program run from src with its stdout
+    buffered, as it is unless PYTHONUNBUFFERED is set."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+
+
+def test_a_report_cut_off_by_its_reader_exits_one_with_one_line(tmp_path):
+    # the 1.2 MB report of the g = 20000 dumbbell, through a pipe whose
+    # reader closes it after one byte: one stderr line, no traceback and no
+    # "Exception ignored" from the interpreter's last flush
+    document = {"kind": "dumbbell", "lengths": [1, 1, 1], "windings": [1, 1], "dilations": [20000, 20000]}
+    path = write(tmp_path, "wide.json", json.dumps(document))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "tropjac.cli", "analyze", path],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        bufsize=0,
+        env=_buffered_program_env(),
+    )
+    assert child.stdout.read(1) == b"{"
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=120) == 1
+    assert err == b"cannot write the report: Broken pipe\n"
+
+
+def test_main_drops_what_a_failed_run_left_in_the_stdout_buffer():
+    # what is still buffered when run_command fails goes to os.devnull, so
+    # the interpreter's last flush writes nothing and cannot fail
+    program = (
+        "import sys\n"
+        "from tropjac import cli\n"
+        "cli.run_command = lambda argv: sys.stdout.write('left in the buffer') and 1\n"
+        "cli.main()\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", program],
+        capture_output=True,
+        env=_buffered_program_env(),
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (1, b"", b"")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_report_that_cannot_be_written_exits_one(fmt, tmp_path, capsys, monkeypatch):
+    class FullDisk(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    path = write(tmp_path, "d.json", DEGREE_TWO)
+    monkeypatch.setattr(sys, "stdout", FullDisk())
+    code = run_command(["analyze", path, "--format", fmt])
+    monkeypatch.undo()
+    assert code == 1
+    assert capsys.readouterr() == ("", f"cannot write the report: {os.strerror(errno.ENOSPC)}\n")
 
 
 def test_not_optimal_exits_one(tmp_path, capsys):
@@ -918,7 +999,6 @@ _VALUES = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_VALUES)
 def test_renderer_writes_what_json_dumps_writes(value):
-    assert _json(value, "\n") == json.dumps(value, indent=2)
     assert _render(value, "json") == json.dumps(value, indent=2)
 
 
@@ -929,4 +1009,80 @@ def test_renderer_writes_what_json_dumps_writes(value):
 )
 def test_renderer_refuses_other_types(value):
     with pytest.raises(TypeError):
-        _json(value, "\n")
+        _render(value, "json")
+
+
+_KERNEL_VALUES = st.one_of(
+    st.builds(CyclicKernel, st.integers(1, 40), st.one_of(st.integers(1, 50), NON_INTEGRAL)),
+    st.builds(
+        SplitKernel,
+        st.integers(1, 40),
+        st.tuples(st.integers(1, 50), st.integers(1, 50)),
+        st.integers(0, 40),
+        st.integers(1, 60),
+    ),
+)
+
+
+@st.composite
+def nested_kernels(draw):
+    """A CyclicKernel or SplitKernel nested at depth 0 to 3 in lists,
+    tuples and dicts, each next to empty containers or other kernels."""
+    value = draw(_KERNEL_VALUES)
+    for _ in range(draw(st.integers(0, 3))):
+        siblings = draw(st.lists(st.one_of(st.sampled_from([[], (), {}]), _KERNEL_VALUES), max_size=3))
+        at = draw(st.integers(0, len(siblings)))
+        children = [*siblings[:at], value, *siblings[at:]]
+        size = len(children)
+        keys = draw(st.lists(st.text(_CHARACTERS, max_size=4), min_size=size, max_size=size, unique=True))
+        value = draw(st.sampled_from([children, tuple(children), dict(zip(keys, children))]))
+    return value
+
+
+def _listing(value):
+    """value with each kernel replaced by the list json.dumps writes of it:
+    the divisor dicts of a CyclicKernel, the "p/q" strings of each point
+    of a SplitKernel."""
+    if type(value) is CyclicKernel:
+        g, step = value
+        return [{"position": str(j * Fraction(step)), "order": g // gcd(j, g)} for j in range(g)]
+    if type(value) is SplitKernel:
+        numerators, den = value.listed()
+        return [[str(Fraction(n, den)) for n in point] for point in numerators]
+    if type(value) is dict:
+        return {key: _listing(x) for key, x in value.items()}
+    if type(value) in (list, tuple):
+        return [_listing(x) for x in value]
+    return value
+
+
+def _line_per_value_text(data, prefix=""):
+    """The text report as the renderer wrote it with one string per line:
+    the reference for the text that _text_lines writes as pieces."""
+    lines = []
+    for key, value in data.items():
+        if isinstance(value, dict):
+            lines.extend(_line_per_value_text(value, f"{prefix}{key}."))
+        elif type(value) in _KERNELS:
+            items, opening, closing = _KERNELS[type(value)]
+            lines.append(f"{prefix}{key}: [{', '.join(items(value, opening, ', ', closing))}]")
+        else:
+            lines.append(f"{prefix}{key}: {json.dumps(value)}")
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(nested_kernels())
+def test_renderer_writes_nested_kernels_as_their_listing(value):
+    # JSON: json.dumps of the listing, at every depth.  Text: what the
+    # line-per-value renderer wrote, and a TypeError where it raised one,
+    # for a kernel in a list, which the text format does not write
+    assert _render(value, "json") == json.dumps(_listing(value), indent=2)
+    report = {"report": value}
+    try:
+        expected = "\n".join(_line_per_value_text(report))
+    except TypeError:
+        with pytest.raises(TypeError):
+            _render(report, "text")
+    else:
+        assert _render(report, "text") == expected

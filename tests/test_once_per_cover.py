@@ -584,7 +584,7 @@ def test_renderer_writes_int_children_in_place(monkeypatch):
         report = {"pullback_kernel": pullback_kernel_group(cover)}
         calls = Counter()
         _count_calls(monkeypatch, cli, "_json", calls)
-        text = cli._json(report, "\n")
+        text = cli._render(report, "json")
         monkeypatch.undo()
         assert text == json.dumps(_listed_report(report, cover), indent=2)
         counts.append(calls["_json"])
@@ -623,7 +623,7 @@ def test_renderer_writes_kernel_points_in_place(monkeypatch):
         assert report["split"]["kernel_points"].order == 2 * k + 1
         calls = Counter()
         _count_calls(monkeypatch, cli, "_json", calls)
-        text = cli._json(report, "\n")
+        text = cli._render(report, "json")
         monkeypatch.undo()
         assert text == json.dumps(_listed_report(report, cover), indent=2)
         counts.append(calls["_json"])
