@@ -1,13 +1,22 @@
 """Command-line interface.
 
-Subcommands: analyze, optimal, complement, split (one cover file) and
-factor (two cover files).  Cover documents are JSON objects with a "kind"
-of "theta", "dumbbell", or "general_circle"; every rational number is read
-and written as an exact "p/q" string (or an integer), never a float.
+Subcommands: analyze, optimal, complement, split, optimal-factor (one
+cover file) and factor (two cover files).  Cover documents are JSON objects
+with a "kind" of "theta", "dumbbell", or "general_circle"; every rational
+number is read and written as an exact "p/q" string (or an integer), never
+a float.
 
 Every cover of a genus-2 graph, a curve model or not, gets the same report
 and commands.  A cover of another genus gets the genus-free analyze fields;
-optimal, complement and split refuse it with UNSUPPORTED_GENUS.
+optimal, complement, split and optimal-factor refuse it with
+UNSUPPORTED_GENUS.
+
+optimal-factor writes the strongly optimal factor mu_tilde of a cover,
+mu = psi ∘ mu_tilde (split_jacobian.optimal_factor), as a general_circle
+cover document over the cover's graph, which analyze and every other
+command read back as it is, followed by its degree, l_tilde, psi as the
+factor command writes an isogeny, and, with --split, mu_tilde's split
+package as split writes it.
 
 Reports are printed by _json, a recursive renderer that writes what
 json.dumps(report, indent=2) writes, with strings quoted by the C string
@@ -86,6 +95,7 @@ from .exact_lattice import _read_exact
 from .split_jacobian import (
     SplitKernel,
     complementary_cover,
+    optimal_factor,
     strong_optimality_gap,
     verify_split_package,
 )
@@ -319,6 +329,14 @@ def _analysis_report(cover, include_split):
     return report
 
 
+def _walks(general):
+    """The walks of a GeneralCircleCover as its document lists them."""
+    return [
+        {"dilation": dilation, "start": _rat(start), "signed_length": _rat(signed)}
+        for dilation, start, signed in general.edge_data
+    ]
+
+
 def _complement_report(cover):
     comp = complementary_cover(cover)
     return {
@@ -326,21 +344,13 @@ def _complement_report(cover):
         "dilations": list(comp.dilations),
         "signs": list(comp.signs),
         "degree": comp.degree,
-        "walks": [
-            {
-                "dilation": dilation,
-                "start": _rat(start),
-                "signed_length": _rat(signed),
-            }
-            for dilation, start, signed in comp.general.edge_data
-        ],
+        "walks": _walks(comp.general),
     }
 
 
-def _factor_report(first, second):
-    psi = factor_pushforward(first, second)
-    if psi is None:
-        return {"factors": False}
+def _isogeny_dict(psi):
+    """A circle isogeny psi, by which one pushforward factors through
+    another, as the factor command writes it."""
     return {
         "factors": True,
         "a_sharp": psi.f_sharp[0, 0],
@@ -348,6 +358,34 @@ def _factor_report(first, second):
         "from_length": _rat(psi.source.pairing[0, 0]),
         "to_length": _rat(psi.target.pairing[0, 0]),
     }
+
+
+def _factor_report(first, second):
+    psi = factor_pushforward(first, second)
+    return {"factors": False} if psi is None else _isogeny_dict(psi)
+
+
+def _optimal_factor_report(cover, include_split):
+    # the factor's cover document first, so that the report is itself a
+    # document that parse_cover reads, which skips the keys after it
+    factor, psi = optimal_factor(cover)
+    graph = factor.graph
+    if any(type(vertex) is float for vertex in graph.vertices):
+        # a report writes no float, and the document must be read back
+        raise ValidationError("optimal-factor writes no float vertex label")
+    report = {
+        "kind": "general_circle",
+        "vertices": list(graph.vertices),
+        "edges": [[tail, head, _rat(length)] for tail, head, length in graph.edges],
+        "target_length": _rat(factor.target_length),
+        "walks": _walks(factor),
+        "degree": cover_degree(factor),
+        "l_tilde": _rat(quotient_and_gamma(cover).l_tilde),
+        "psi": _isogeny_dict(psi),
+    }
+    if include_split:
+        report["split"] = _split_dict(verify_split_package(factor))
+    return report
 
 
 # -------------------------------------------------------------- rendering
@@ -486,14 +524,18 @@ def _render(report, fmt):
     """The report as text lines or as indented JSON, written as pieces into
     one list by _text_lines or _json and joined once.  JSON is never written
     by the pure-Python indent encoder of json.dumps; an int past Python's
-    digit limit raises NumberTooLarge."""
+    digit limit raises NumberTooLarge, and any other ValueError, which no
+    report of a valid cover raises, propagates as it is."""
     pieces = []
     try:
         if fmt == "text":
             _text_lines(report, pieces)
         else:
             _json(report, "\n", pieces)
-    except ValueError:
+    except ValueError as exc:
+        # the one ValueError of int-to-str conversion is its digit limit
+        if "integer string conversion" not in str(exc):
+            raise
         raise _too_large() from None
     return "".join(pieces)
 
@@ -540,6 +582,15 @@ def _build_parser():
     ):
         sub = subparsers.add_parser(name, parents=[common], help=blurb)
         sub.add_argument("file")
+    optimal_factor_parser = subparsers.add_parser(
+        "optimal-factor",
+        parents=[common],
+        help="the strongly optimal cover through which one cover factors",
+    )
+    optimal_factor_parser.add_argument("file")
+    optimal_factor_parser.add_argument(
+        "--split", action="store_true", help="include the split-Jacobian package of the factor"
+    )
     factor = subparsers.add_parser(
         "factor",
         parents=[common],
@@ -569,6 +620,8 @@ def run_command(argv):
             report = _complement_report(cover)
         elif args.command == "split":
             report = _split_dict(verify_split_package(cover))
+        elif args.command == "optimal-factor":
+            report = _optimal_factor_report(cover, args.split)
         else:
             report = _factor_report(cover, parse_cover(_read_file(args.file2)))
         text = _render(report, args.format)

@@ -483,86 +483,77 @@ def _smith(a, left, right):
     U and V are unimodular; S is diagonal with nonnegative invariant factors
     dividing in sequence.  Pivot rule: the nonzero entry of smallest absolute
     value in the remaining submatrix, ties broken by lowest (row, col).
+
+    It runs on one working array w: row i < m is row i of S followed, when
+    left is set, by row i of U, and the n rows of V follow when right is
+    set.  A row operation (swap, negate, add a multiple) is one list
+    operation on a row of w, so it updates S and U together; a column
+    operation j < n (swap, add a multiple) is one loop over the rows of w,
+    so it updates S and V together.  U, S and V are sliced out at the end.
     """
     _require_integral(a, "smith_normal_form")
     m, n = a.shape
-    s = [list(row) for row in a.entries()]
-    u = [[int(i == j) for j in range(m)] for i in range(m)] if left else None
-    v = [[int(i == j) for j in range(n)] for i in range(n)] if right else None
-    # a row operation acts on S and U, a column operation on S and V
-    by_rows = [s, u] if left else [s]
-    by_cols = [s, v] if right else [s]
-
-    def swap_rows(i, j):
-        for rows in by_rows:
-            rows[i], rows[j] = rows[j], rows[i]
-
-    def swap_cols(i, j):
-        for rows in by_cols:
-            for row in rows:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, factor):
-        for rows in by_rows:
-            rows[dst] = [a_ + factor * b_ for a_, b_ in zip(rows[dst], rows[src])]
-
-    def add_col(dst, src, factor):
-        for rows in by_cols:
-            for row in rows:
-                row[dst] += factor * row[src]
-
-    def negate_row(i):
-        for rows in by_rows:
-            rows[i] = [-x for x in rows[i]]
-
+    w = [list(row) + [int(i == k) for k in range(m if left else 0)] for i, row in enumerate(a.entries())]
+    w += [[int(i == j) for j in range(n)] for i in range(n if right else 0)]
     for t in range(min(m, n)):
         # Position phase: bring the preferred pivot to (t, t) and clear its
         # row and column, restarting whenever a smaller remainder shows up.
         while True:
-            nonzero = [(abs(x), i, j) for i in range(t, m) for j, x in enumerate(s[i][t:], t) if x]
-            if not nonzero:
+            best = 0  # the first smallest |x| in row-major order; 1 is smallest
+            for i in range(t, m):
+                for j, x in enumerate(w[i][t:n], t):
+                    if x and (not best or abs(x) < best):
+                        best, pi, pj = abs(x), i, j
+                if best == 1:
+                    break
+            if not best:  # the rest of S is zero
                 break
-            _, pi, pj = min(nonzero)
             if pi != t:
-                swap_rows(t, pi)
+                w[t], w[pi] = w[pi], w[t]
             if pj != t:
-                swap_cols(t, pj)
-            if s[t][t] < 0:
-                negate_row(t)
-            pivot = s[t][t]
+                for row in w:
+                    row[t], row[pj] = row[pj], row[t]
+            top = w[t]
+            if top[t] < 0:
+                top = w[t] = [-x for x in top]
+            pivot = top[t]
             dirty = False
             for i in range(t + 1, m):
-                if s[i][t] != 0:
-                    q = s[i][t] // pivot
+                row = w[i]
+                if row[t]:
+                    q = row[t] // pivot
                     if q:
-                        add_row(i, t, -q)
-                    if s[i][t] != 0:
+                        row = w[i] = [x - q * y for x, y in zip(row, top)]
+                    if row[t]:
                         dirty = True
             for j in range(t + 1, n):
-                if s[t][j] != 0:
-                    q = s[t][j] // pivot
+                if top[j]:
+                    q = top[j] // pivot
                     if q:
-                        add_col(j, t, -q)
-                    if s[t][j] != 0:
+                        for row in w:
+                            row[j] -= q * row[t]
+                    if top[j]:
                         dirty = True
             if dirty:
                 continue
-            # Row and column are clear; enforce divisibility of the rest.
-            bad_row = None
-            for i in range(t + 1, m):
-                if any(s[i][j] % pivot for j in range(t + 1, n)):
-                    bad_row = i
-                    break
-            if bad_row is None:
+            # Row and column are clear; enforce divisibility of the rest by
+            # adding the first row that breaks it to the pivot row.  A unit
+            # pivot divides every entry.
+            if pivot == 1:
                 break
-            add_row(t, bad_row, 1)
-        if not nonzero:  # the rest of S is zero
+            for i in range(t + 1, m):
+                if any(x % pivot for x in w[i][t + 1 : n]):
+                    w[t] = [x + y for x, y in zip(top, w[i])]
+                    break
+            else:
+                break
+        if not best:
             break
-
+    rows = w[:m]
     return (
-        Matrix._of(tuple(map(tuple, u)), m) if left else None,
-        Matrix._of(tuple(map(tuple, s)), n),
-        Matrix._of(tuple(map(tuple, v)), n) if right else None,
+        Matrix._of(tuple([tuple(row[n:]) for row in rows]), m) if left else None,
+        Matrix._of(tuple([tuple(row[:n]) for row in rows]), n),
+        Matrix._of(tuple(map(tuple, w[m:])), n) if right else None,
     )
 
 

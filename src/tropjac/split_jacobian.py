@@ -6,7 +6,10 @@ assemble into an isogeny TE' x TE -> Jac whose kernel, degree, and
 polarization behaviour are all pinned down by the degree of mu.
 row_cover builds the walk cover of any primitive universal cover row, and
 the complementary cover, the row_cover of the kernel direction, realizes
-the projection onto TE' geometrically.
+the projection onto TE' geometrically.  Every genus-2 cover mu factors as
+psi ∘ mu_tilde through a strongly optimal cover mu_tilde, the row_cover of
+its own row divided by a_sharp (optimal_factor), so every cover has a
+canonical split package: that of mu_tilde.
 
 The isogeny's kernel is read off the one Smith form that presents it
 (exact_lattice.quotient_group).  For a valid cover it is cyclic of order d
@@ -32,7 +35,7 @@ hold block by block, so they are wrapped by _derived and not checked again.
 from collections import namedtuple
 from math import gcd, prod
 
-from .cover_analysis import quotient_and_gamma
+from .cover_analysis import factor_pushforward, pushforward_morphism, quotient_and_gamma
 from .curves_covers import (
     _circle_cover,
     _require_genus_2,
@@ -159,6 +162,27 @@ def row_cover(graph, row):
         raise ValueError(f"a cover row is a primitive pair of ints, not {row!r}")
     length = content(jacobian(graph).torus.pairing * Matrix.column(row))
     return _walk_cover(graph, row, length)
+
+
+def optimal_factor(cover):
+    """The canonical factorization mu = psi ∘ mu_tilde of a genus-2 cover,
+    as (mu_tilde, psi): mu_tilde is the strongly optimal cover through
+    which mu factors, and psi the circle isogeny from its target circle,
+    of length l_tilde, onto mu's, with multiplicities (a_sharp, a_hash).
+
+    mu_tilde is the row_cover of mu's universal cover row f_sharp^T
+    divided by its content a_sharp, which is primitive, over mu's own
+    graph and cycle basis, and psi is factor_pushforward(mu, mu_tilde).
+    The factor of a strongly optimal cover has its slopes and its target
+    circle, and psi is then the identity of that circle.
+    """
+    a_sharp = quotient_and_gamma(cover).a_sharp
+    row = pushforward_morphism(cover).universal_cover_matrix.row_tuple(0)
+    factor = row_cover(cover._form.graph, [x // a_sharp for x in row])
+    psi = factor_pushforward(cover, factor)
+    if psi is None:
+        raise InvariantViolation("the cover does not factor through its optimal factor")
+    return factor, psi
 
 
 def complementary_cover(cover):

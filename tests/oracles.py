@@ -752,6 +752,7 @@ from operator import mul  # noqa: E402
 
 from tropjac.cover_analysis import pushforward_morphism  # noqa: E402
 from tropjac.exact_lattice import (  # noqa: E402
+    _require_integral,
     column_hnf,
     integer_kernel,
     invariant_factors,
@@ -760,6 +761,101 @@ from tropjac.exact_lattice import (  # noqa: E402
 )
 from tropjac.tav import ScaledPoints  # noqa: E402
 from tropjac.torus_category import kernel0  # noqa: E402
+
+
+# The Smith elimination as it ran on separate S, U and V lists, with each
+# elementary operation a closure looping over them: exact_lattice._smith
+# must return the same (U, S, V) for every input and choice of transforms.
+def reference_smith(a, left, right):
+    """The Smith elimination of an integer matrix: (U, S, V) with U*A*V = S,
+    where U is built only when left is set and V only when right is set,
+    and a transform that is not built is None.  The transforms never steer
+    the elimination, so S is the same whichever of them are asked for.
+
+    U and V are unimodular; S is diagonal with nonnegative invariant factors
+    dividing in sequence.  Pivot rule: the nonzero entry of smallest absolute
+    value in the remaining submatrix, ties broken by lowest (row, col).
+    """
+    _require_integral(a, "smith_normal_form")
+    m, n = a.shape
+    s = [list(row) for row in a.entries()]
+    u = [[int(i == j) for j in range(m)] for i in range(m)] if left else None
+    v = [[int(i == j) for j in range(n)] for i in range(n)] if right else None
+    # a row operation acts on S and U, a column operation on S and V
+    by_rows = [s, u] if left else [s]
+    by_cols = [s, v] if right else [s]
+
+    def swap_rows(i, j):
+        for rows in by_rows:
+            rows[i], rows[j] = rows[j], rows[i]
+
+    def swap_cols(i, j):
+        for rows in by_cols:
+            for row in rows:
+                row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, factor):
+        for rows in by_rows:
+            rows[dst] = [a_ + factor * b_ for a_, b_ in zip(rows[dst], rows[src])]
+
+    def add_col(dst, src, factor):
+        for rows in by_cols:
+            for row in rows:
+                row[dst] += factor * row[src]
+
+    def negate_row(i):
+        for rows in by_rows:
+            rows[i] = [-x for x in rows[i]]
+
+    for t in range(min(m, n)):
+        # Position phase: bring the preferred pivot to (t, t) and clear its
+        # row and column, restarting whenever a smaller remainder shows up.
+        while True:
+            nonzero = [(abs(x), i, j) for i in range(t, m) for j, x in enumerate(s[i][t:], t) if x]
+            if not nonzero:
+                break
+            _, pi, pj = min(nonzero)
+            if pi != t:
+                swap_rows(t, pi)
+            if pj != t:
+                swap_cols(t, pj)
+            if s[t][t] < 0:
+                negate_row(t)
+            pivot = s[t][t]
+            dirty = False
+            for i in range(t + 1, m):
+                if s[i][t] != 0:
+                    q = s[i][t] // pivot
+                    if q:
+                        add_row(i, t, -q)
+                    if s[i][t] != 0:
+                        dirty = True
+            for j in range(t + 1, n):
+                if s[t][j] != 0:
+                    q = s[t][j] // pivot
+                    if q:
+                        add_col(j, t, -q)
+                    if s[t][j] != 0:
+                        dirty = True
+            if dirty:
+                continue
+            # Row and column are clear; enforce divisibility of the rest.
+            bad_row = None
+            for i in range(t + 1, m):
+                if any(s[i][j] % pivot for j in range(t + 1, n)):
+                    bad_row = i
+                    break
+            if bad_row is None:
+                break
+            add_row(t, bad_row, 1)
+        if not nonzero:  # the rest of S is zero
+            break
+
+    return (
+        Matrix._of(tuple(map(tuple, u)), m) if left else None,
+        Matrix._of(tuple(map(tuple, s)), n),
+        Matrix._of(tuple(map(tuple, v)), n) if right else None,
+    )
 
 
 def basis_exact(f, g):

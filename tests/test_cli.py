@@ -370,6 +370,83 @@ def test_factor_command(tmp_path, capsys):
     assert json.loads(out) == {"factors": False}
 
 
+# the figure-eight cover with both dilations doubled: it factors through
+# the multiplication-by-2 dilation of its target, a_sharp = a_hash = 2
+DOUBLED_FIGURE_EIGHT = json.dumps(
+    {
+        **json.loads(FIGURE_EIGHT),
+        "walks": [
+            {"dilation": 2, "start": "0", "signed_length": "2"},
+            {"dilation": 2, "start": "0", "signed_length": "4"},
+        ],
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "document",
+    [BIG, json.dumps(_DUMBBELL), DOUBLED_FIGURE_EIGHT, DEGREE_TWO],
+    ids=["theta", "dumbbell", "figure-eight", "strongly-optimal"],
+)
+def test_optimal_factor_report_is_a_cover_document_that_reads_back(document, tmp_path, capsys):
+    path = write(tmp_path, "c.json", document)
+    code, out, err = run(capsys, "optimal-factor", path, "--split")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    _, given, _ = run(capsys, "analyze", path)
+    given = json.loads(given)
+    gamma = given["gamma"]
+    assert report["l_tilde"] == gamma["l_tilde"]
+    assert report["psi"] == {
+        "factors": True,
+        "a_sharp": gamma["a_sharp"],
+        "a_hash": gamma["a_hash"],
+        "from_length": gamma["l_tilde"],
+        "to_length": given["target_length"],
+    }
+    assert report["degree"] * gamma["a_sharp"] * gamma["a_hash"] == given["degree"]
+    # the report, as it is, is the factor's cover document
+    factor = write(tmp_path, "f.json", out)
+    code, analyzed, _ = run(capsys, "analyze", factor, "--split")
+    assert code == 0
+    analyzed = json.loads(analyzed)
+    assert analyzed["degree"] == report["degree"]
+    assert analyzed["target_length"] == report["l_tilde"]
+    assert analyzed["kernel_length"] == given["kernel_length"]
+    assert analyzed["gamma"] == {"l_tilde": report["l_tilde"], "a_sharp": 1, "a_hash": 1}
+    assert all(report["split"]["flags"].values())
+    assert analyzed["split"]["flags"] == report["split"]["flags"]
+    if json.loads(document)["kind"] == "general_circle":
+        # the factor keeps the graph and cycle basis it is read back with,
+        # so its split and psi are those that analyze and factor write
+        assert analyzed["split"] == report["split"]
+        _, psi, _ = run(capsys, "factor", path, factor)
+        assert json.loads(psi) == report["psi"]
+
+
+def test_optimal_factor_text_format_and_split_refusal(tmp_path, capsys):
+    path = write(tmp_path, "b.json", BIG)
+    code, out, _ = run(capsys, "optimal-factor", path, "--format", "text")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == 'kind: "general_circle"'
+    assert "psi.a_sharp: 2" in lines and "psi.a_hash: 1" in lines
+    assert not any(line.startswith("split.") for line in lines)
+    # split still refuses the cover that optimal-factor factors
+    code, out, err = run(capsys, "split", path)
+    assert code == 1 and out == "" and err.startswith("NOT_OPTIMAL:")
+
+
+def test_optimal_factor_refuses_a_float_vertex_label(tmp_path, capsys):
+    # analyze never writes a vertex label; optimal-factor writes each back
+    document = DOUBLED_FIGURE_EIGHT.replace('"v"', "0.5")
+    path = write(tmp_path, "f.json", document)
+    assert run(capsys, "analyze", path)[0] == 0
+    code, out, err = run(capsys, "optimal-factor", path)
+    assert code == 1 and out == ""
+    assert err == "VALIDATION_ERROR: optimal-factor writes no float vertex label\n"
+
+
 # -------------------------------------------------------------- exit codes
 
 
@@ -679,6 +756,17 @@ def test_divisor_position_past_the_digit_limit_raises(position):
             _render({"pullback_kernel": CyclicKernel(2, position)}, fmt)
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize(
+    "kernel", [SplitKernel(1, (0, 0), 0, 1), CyclicKernel(3, 0)], ids=["split", "cyclic"]
+)
+def test_a_zero_kernel_step_is_not_reported_as_a_long_number(kernel, fmt):
+    # a zero step, which no valid cover has, makes _positions call
+    # range(0, 0, 0); that ValueError is not the digit limit of str
+    with pytest.raises(ValueError, match="must not be zero"):
+        _render({"k": kernel}, fmt)
+
+
 NON_INTEGRAL = st.builds(Fraction, st.integers(1, 97), st.integers(2, 60)).filter(lambda x: x.denominator > 1)
 
 
@@ -920,7 +1008,7 @@ def test_contracted_general_cover_is_rejected(tmp_path, capsys):
     assert err.startswith("VALIDATION_ERROR: surjectivity")
 
 
-@pytest.mark.parametrize("command", ["optimal", "complement", "split"])
+@pytest.mark.parametrize("command", ["optimal", "complement", "split", "optimal-factor"])
 @pytest.mark.parametrize(
     "document, code",
     [(GENERAL, 1), (FIGURE_EIGHT, 0)],

@@ -485,6 +485,7 @@ _COVER_FUNCTIONS = {
     "splitting_isogeny": split_jacobian.splitting_isogeny,
     "complementary_pushforward": split_jacobian.complementary_pushforward,
     "verify_split_package": split_jacobian.verify_split_package,
+    "optimal_factor": split_jacobian.optimal_factor,
 }
 
 

@@ -9,7 +9,12 @@ import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
-from oracles import fraction_det, fraction_rational_solve
+from oracles import (
+    fraction_det,
+    fraction_rational_solve,
+    random_covolume_preserving_isogeny,
+    reference_smith,
+)
 import tropjac.exact_lattice as exact_lattice
 from tropjac.torus_category import circle
 from tropjac.exact_lattice import (
@@ -568,6 +573,38 @@ def test_smith_builds_only_the_transforms_asked_for(a):
             assert got_s == s
             assert got_u == u if left else got_u is None
             assert got_v == v if right else got_v is None
+
+
+def scaled_smith_matrices(max_dim=8):
+    """smith_matrices with each column scaled by its own factor up to
+    10**11, so entries reach ±9·10**11 while a row that was zero or a
+    multiple of the first stays so."""
+    return smith_matrices(max_dim=max_dim).flatmap(
+        lambda a: st.lists(st.integers(1, 10**11), min_size=a.ncols, max_size=a.ncols).map(
+            lambda scales: a * Matrix.diagonal(scales)
+        )
+    )
+
+
+# the f_hash of a covolume-preserving isogeny of rank 1 to 6, as the
+# torus_rank workload of the benchmark eliminates them
+isogeny_f_hashes = st.integers(0, 2**32).map(
+    lambda seed: random_covolume_preserving_isogeny(random.Random(seed), max_rank=6).f_hash
+)
+
+
+@settings(max_examples=150, deadline=None)
+@pytest.mark.parametrize(
+    "matrices", [smith_matrices(max_dim=8), scaled_smith_matrices(), isogeny_f_hashes],
+    ids=["small", "scaled", "isogeny"],
+)
+@given(data=st.data())
+def test_smith_matches_the_reference_elimination(matrices, data):
+    # the same (U, S, V), entry for entry, for each choice of transforms
+    a = data.draw(matrices)
+    for left in (False, True):
+        for right in (False, True):
+            assert exact_lattice._smith(a, left, right) == reference_smith(a, left, right)
 
 
 @settings(max_examples=200, deadline=None)

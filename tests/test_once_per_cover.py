@@ -120,9 +120,10 @@ def test_analyze_split_validates_and_pushes_forward_once(
 
 @pytest.mark.parametrize(
     "command, document",
-    # analyze parses a general cover; complement builds one, the walk cover
-    [("analyze", GENERAL), ("complement", THETA)],
-    ids=["analyze-general", "complement-theta"],
+    # analyze parses a general cover; complement and optimal-factor build
+    # one, the walk cover
+    [("analyze", GENERAL), ("complement", THETA), ("optimal-factor", THETA)],
+    ids=["analyze-general", "complement-theta", "optimal-factor-theta"],
 )
 def test_each_general_cover_is_validated_once(command, document, tmp_path, monkeypatch, capsys):
     calls = Counter()

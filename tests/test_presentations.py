@@ -30,6 +30,7 @@ from tropjac.curves_covers import (
 )
 from tropjac.split_jacobian import (
     complementary_cover,
+    optimal_factor,
     strong_optimality_gap,
     verify_split_package,
 )
@@ -64,6 +65,13 @@ def invariants(cover, scale=1):
         "pullback_kernel": [(d.position / scale, d.order) for d in pullback_kernel(cover)],
         "split_gap": gap,
     }
+    factor, psi = optimal_factor(cover)
+    found["optimal_factor"] = (
+        cover_degree(factor),
+        target_length(factor) / scale,
+        psi.f_sharp[0, 0],
+        psi.f_hash[0, 0],
+    )
     if gap is None:
         comp = complementary_cover(cover)
         found["flags"] = verify_split_package(cover).flags

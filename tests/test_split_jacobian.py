@@ -17,7 +17,7 @@ from oracles import (
     row_walk_cover,
     split_covers,
 )
-from tropjac.cover_analysis import is_optimal, pushforward_morphism, quotient_and_gamma
+from tropjac.cover_analysis import is_optimal, kernel_length, pushforward_morphism, quotient_and_gamma
 from tropjac.curves_covers import (
     DumbbellCover,
     DumbbellCurve,
@@ -49,6 +49,7 @@ from tropjac.split_jacobian import (
     complementary_cover,
     complementary_pushforward,
     cover_from_splitting,
+    optimal_factor,
     row_cover,
     splitting_isogeny,
     strong_optimality_gap,
@@ -291,6 +292,40 @@ def test_row_cover_refuses_a_row_that_is_not_primitive():
             row_cover(graph, row)
     with pytest.raises(UnsupportedGenus):
         row_cover(circle_graph(1), (1,))
+
+
+# ------------------------------------------------------------ optimal factor
+
+
+def test_every_corpus_cover_factors_through_a_strongly_optimal_cover():
+    # mu = psi ∘ mu_tilde on each corpus cover that is not strongly optimal
+    covers = [c for c in cover_corpus() if not strongly_optimal(c)]
+    assert len(covers) == 323
+    for cover in covers:
+        gamma = quotient_and_gamma(cover)
+        factor, psi = optimal_factor(cover)
+        assert strong_optimality_gap(factor) is None
+        assert target_length(factor) == gamma.l_tilde
+        assert kernel_length(factor) == kernel_length(cover)
+        assert cover_degree(factor) * gamma.a_sharp * gamma.a_hash == cover_degree(cover)
+        assert (psi.f_sharp, psi.f_hash) == (Matrix([[gamma.a_sharp]]), Matrix([[gamma.a_hash]]))
+        assert compose(psi, pushforward_morphism(factor)) == pushforward_morphism(cover)
+        assert verify_split_package(factor).all_flags_hold
+
+
+def test_a_strongly_optimal_cover_is_its_own_optimal_factor():
+    covers = [c for c in cover_corpus() if strongly_optimal(c)]
+    assert len(covers) == 83
+    for cover in covers:
+        factor, psi = optimal_factor(cover)
+        assert factor.slopes == harmonic_form(cover).slopes
+        assert target_length(factor) == target_length(cover)
+        assert psi == identity_morphism(circle(target_length(cover)))
+
+
+def test_optimal_factor_refuses_other_genera():
+    with pytest.raises(UnsupportedGenus):
+        optimal_factor(GeneralCircleCover(circle_graph(2), 1, [(2, 0, 4)]))
 
 
 def test_verify_split_package_on_dumbbell():
