@@ -6,6 +6,20 @@ with a "kind" of "theta", "dumbbell", or "general_circle"; every rational
 number is read and written as an exact "p/q" string (or an integer), never
 a float.
 
+The command line is read against one table, _COMMANDS, which holds each
+command's number of cover files, its flags (--split for analyze and
+optimal-factor), its help line and its report builder.  run_command reads
+argv with _read_argv, reads the files the command asks for and calls its
+builder; the help text is written from the same table.  The command comes
+first; after it, options and files come in any order, and an argument
+that starts with "-" is an option unless it is "-" alone, a negative
+number or holds a space.  Option names are exact (no prefix of a name is
+read), --format json|text and --format=json|text are both read and the
+last one counts, and a lone -- ends the options.  -h or --help, as the
+command or after it, prints the help to stdout and exits 0, unless a bad
+--format value comes before it; the options are read in order, with the
+exit codes argparse gave them.
+
 Every cover of a genus-2 graph, a curve model or not, gets the same report
 and commands.  A cover of another genus gets the genus-free analyze fields;
 optimal, complement, split and optimal-factor refuse it with
@@ -15,8 +29,9 @@ optimal-factor writes the strongly optimal factor mu_tilde of a cover,
 mu = psi ∘ mu_tilde (split_jacobian.optimal_factor), as a general_circle
 cover document over the cover's graph, which analyze and every other
 command read back as it is, followed by its degree, l_tilde, psi as the
-factor command writes an isogeny, and, with --split, mu_tilde's split
-package as split writes it.
+factor command writes an isogeny, and, with --split, the split package
+of that document as split writes it: in the cycle basis the document is
+read back with, not the fixed basis of a theta or dumbbell input.
 
 Reports are printed by _json, a recursive renderer that writes what
 json.dumps(report, indent=2) writes, with strings quoted by the C string
@@ -57,13 +72,15 @@ Exit codes: 0 on success, 1 when the library rejects the input or a number
 of the report is too long to print (the error code and message go to
 stderr) or when the report cannot be written (a closed pipe, a full disk:
 stderr gets "cannot write the report: " and the system's reason), 2 on
-usage errors.  A cover file that is not UTF-8, or JSON nested past Python's
-recursion limit, is a PARSE_ERROR.
+usage errors: a malformed command line or an unreadable file, each one
+stderr line "usage error: " and the reason, with nothing on stdout.  A
+cover file that is not UTF-8, or JSON nested past Python's recursion
+limit, is a PARSE_ERROR.
 """
 
-import argparse
 import json
 import os
+import re
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
@@ -384,7 +401,12 @@ def _optimal_factor_report(cover, include_split):
         "psi": _isogeny_dict(psi),
     }
     if include_split:
-        report["split"] = _split_dict(verify_split_package(factor))
+        # the split in the coordinates of the document above, whose graph
+        # is read back with its BFS cycle basis, not a curve model's basis
+        printed = GeneralCircleCover(
+            MetricGraph(graph.vertices, graph.edges), factor.target_length, factor.edge_data
+        )
+        report["split"] = _split_dict(verify_split_package(printed))
     return report
 
 
@@ -553,78 +575,120 @@ def _read_file(path):
         raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="tropjac",
-        description="Analyze circle covers of genus-2 metric graphs.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("json", "text"),
-        default="json",
-        help="output format (default: json)",
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    analyze = subparsers.add_parser(
-        "analyze", parents=[common], help="full invariant report for one cover"
-    )
-    analyze.add_argument("file")
-    analyze.add_argument(
-        "--split",
-        action="store_true",
-        help="include the split-Jacobian package when applicable",
-    )
-    for name, blurb in (
-        ("optimal", "optimality verdict for one cover"),
-        ("complement", "complementary cover of a strongly optimal cover"),
-        ("split", "split-Jacobian verification package"),
-    ):
-        sub = subparsers.add_parser(name, parents=[common], help=blurb)
-        sub.add_argument("file")
-    optimal_factor_parser = subparsers.add_parser(
-        "optimal-factor",
-        parents=[common],
-        help="the strongly optimal cover through which one cover factors",
-    )
-    optimal_factor_parser.add_argument("file")
-    optimal_factor_parser.add_argument(
-        "--split", action="store_true", help="include the split-Jacobian package of the factor"
-    )
-    factor = subparsers.add_parser(
-        "factor",
-        parents=[common],
-        help="factor the first cover's pushforward through the second's",
-    )
-    factor.add_argument("file")
-    factor.add_argument("file2")
-    return parser
+# each command: the number of cover files it reads, the flags it takes, its
+# help line, and the builder of its report, called with the parsed covers
+# and then, for each flag in order, whether it was given
+_COMMANDS = {
+    "analyze": (
+        1, ("--split",), "full invariant report; --split adds the split-Jacobian package",
+        _analysis_report,
+    ),
+    "optimal": (1, (), "optimality verdict", lambda cover: is_optimal(cover)._asdict()),
+    "complement": (1, (), "complementary cover of a strongly optimal cover", _complement_report),
+    "split": (
+        1, (), "split-Jacobian verification package",
+        lambda cover: _split_dict(verify_split_package(cover)),
+    ),
+    "optimal-factor": (
+        1, ("--split",),
+        "the strongly optimal factor of a cover; --split adds its split-Jacobian package",
+        _optimal_factor_report,
+    ),
+    "factor": (2, (), "factor the first cover's pushforward through the second's", _factor_report),
+}
+
+_FORMATS = ("json", "text")
+_HELP = ("-h", "--help")
+_NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$")
 
 
-# parse_args leaves the parser unchanged, so one serves every call
-_PARSER = _build_parser()
+def _is_option(arg):
+    """Whether arg is read as an option and not as a file, as argparse read
+    it: it starts with "-" and is not "-" alone, a negative number or an
+    argument with a space."""
+    return arg[:1] == "-" and arg != "-" and " " not in arg and not _NEGATIVE.match(arg)
+
+
+def _usage():
+    """The help text: the synopsis and help line of each command of
+    _COMMANDS, then the options every command takes."""
+    lines = [
+        "usage: tropjac COMMAND COVER.json... [OPTION...]",
+        "",
+        "Analyze circle covers of genus-2 metric graphs.",
+        "",
+        "commands:",
+    ]
+    for name, (count, flags, blurb, _) in _COMMANDS.items():
+        synopsis = " ".join([name, *["COVER.json"] * count, *(f"[{flag}]" for flag in flags)])
+        lines += (f"  {synopsis}", f"      {blurb}")
+    lines += (
+        "",
+        "options, after the command, before or after the files:",
+        "  --format json|text, --format=json|text",
+        "      output format (default: json); the last one given counts",
+        "  --",
+        "      ends the options: every later argument is a cover file",
+        "  -h, --help",
+        "      print this help and exit",
+    )
+    return "\n".join(lines)
+
+
+def _read_argv(argv):
+    """The builder, the cover files, the flag values and the format that
+    argv asks for, or None when it asks for help.  The command comes first;
+    after it, options and files come in any order, an option name must be
+    exact, the last --format wins, and a lone -- ends the options.  The
+    options are read in order, as argparse read them: -h or --help, as the
+    command or after it, asks for help unless a bad --format value comes
+    before it, and an unknown option is refused once every option is read.
+    A malformed line raises _UsageError."""
+    if not argv:
+        raise _UsageError(f"no command; the commands are {', '.join(_COMMANDS)}")
+    name, *rest = argv
+    if name in _HELP:
+        return None
+    if name not in _COMMANDS:
+        what = "the command comes first, not" if name.startswith("-") else "unknown command"
+        raise _UsageError(f"{what} {name!r}; the commands are {', '.join(_COMMANDS)}")
+    count, flags, _, build = _COMMANDS[name]
+    files, given, unknown, fmt = [], set(), [], "json"
+    args = iter(rest)
+    for arg in args:
+        if arg == "--":
+            files += args
+            break
+        if arg in _HELP:
+            return None
+        if arg in flags:
+            given.add(arg)
+        elif arg == "--format" or arg.startswith("--format="):
+            fmt = next(args, None) if arg == "--format" else arg[len("--format="):]
+            if fmt is None:
+                raise _UsageError("--format needs a value, json or text")
+            if fmt not in _FORMATS:
+                raise _UsageError(f"--format is json or text, not {fmt!r}")
+        elif _is_option(arg):
+            unknown.append(arg)
+        else:
+            files.append(arg)
+    if unknown:
+        raise _UsageError(f"{name} takes no option {unknown[0]!r}")
+    if len(files) != count:
+        raise _UsageError(f"{name} reads {count} cover file{'s' * (count > 1)}, not {len(files)}")
+    return build, files, [flag in given for flag in flags], fmt
 
 
 def run_command(argv):
     try:
-        args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    try:
-        cover = parse_cover(_read_file(args.file))
-        if args.command == "analyze":
-            report = _analysis_report(cover, args.split)
-        elif args.command == "optimal":
-            report = is_optimal(cover)._asdict()
-        elif args.command == "complement":
-            report = _complement_report(cover)
-        elif args.command == "split":
-            report = _split_dict(verify_split_package(cover))
-        elif args.command == "optimal-factor":
-            report = _optimal_factor_report(cover, args.split)
+        request = _read_argv(argv)
+        if request is None:
+            text = _usage()
         else:
-            report = _factor_report(cover, parse_cover(_read_file(args.file2)))
-        text = _render(report, args.format)
+            build, files, flags, fmt = request
+            covers = [parse_cover(_read_file(path)) for path in files]
+            text = _render(build(*covers, *flags), fmt)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

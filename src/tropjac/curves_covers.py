@@ -570,6 +570,21 @@ def _solve_arcs(equations):
     return None
 
 
+def _sides(lhs, rhs):
+    """The text " (lhs=…, rhs=…)" that names both sides of a violated
+    equation.  A side with more digits than Python converts to a string
+    is written by the bit lengths of its numerator and denominator."""
+    texts = []
+    for value in (lhs, rhs):
+        try:
+            texts.append(str(value))
+        except ValueError:  # more digits than Python converts to a string
+            over = "" if value.denominator == 1 else f" over {value.denominator.bit_length()} bits"
+            sign = "a negative" if value < 0 else "a"
+            texts.append(f"{sign} number of {abs(value.numerator).bit_length()} bits{over}")
+    return f" (lhs={texts[0]}, rhs={texts[1]})"
+
+
 def _theta_violations(cover):
     violations = []
     n, n1, n2 = cover.windings
@@ -598,8 +613,9 @@ def _theta_violations(cover):
     if a1 + a2 <= 0:
         violations.append("positive target length: l~1 + l~2 > 0")
     for a, b, image_length, name in equations:
-        if a * a1 + b * a2 != image_length:
-            violations.append(name)
+        covered = a * a1 + b * a2
+        if covered != image_length:
+            violations.append(name + _sides(image_length, covered))
     degree = n * d_e + (n1 - 1) * d_e1 + (n2 - 1) * d_e2
     return violations, degree, arcs
 
@@ -613,10 +629,14 @@ def _dumbbell_violations(cover):
         violations.append("surjectivity: (d1, d2) != (0, 0)")
     if length <= 0:
         violations.append("positive target length: l > 0")
-    if d1 * cover.curve.l_loop1 != n1 * length:
-        violations.append("realizability on loop1: d1·l_loop1 = n1·l")
-    if d2 * cover.curve.l_loop2 != n2 * length:
-        violations.append("realizability on loop2: d2·l_loop2 = n2·l")
+    # the realizability equation d·l_loop = n·l of each loop
+    for loop, image_length, covered in (
+        (1, d1 * cover.curve.l_loop1, n1 * length),
+        (2, d2 * cover.curve.l_loop2, n2 * length),
+    ):
+        if image_length != covered:
+            name = f"realizability on loop{loop}: d{loop}·l_loop{loop} = n{loop}·l"
+            violations.append(name + _sides(image_length, covered))
     degree = n1 * d1 + n2 * d2
     return violations, degree
 

@@ -27,7 +27,7 @@ from oracles import (
     wide_kernel_covers,
 )
 from test_split_jacobian import BROKEN_FLAGS
-from tropjac.cli import _KERNELS, _render, _split_dict, parse_cover, run_command
+from tropjac.cli import _COMMANDS, _KERNELS, _render, _split_dict, _usage, parse_cover, run_command
 from tropjac.cover_analysis import CyclicKernel, TorsionDivisor, pullback_kernel, pullback_kernel_group
 from tropjac.curves_covers import (
     DumbbellCover,
@@ -182,7 +182,8 @@ _SCHEMA_MESSAGES = {
     "dumbbell-zero-length": (_with(_DUMBBELL, lengths=[0, 1, 1]), "l_loop1 must be positive"),
     "dumbbell-wrong-target": (
         _with(_DUMBBELL, target_length="3"),
-        "realizability on loop1: d1·l_loop1 = n1·l; realizability on loop2: d2·l_loop2 = n2·l",
+        "realizability on loop1: d1·l_loop1 = n1·l (lhs=2, rhs=3);"
+        " realizability on loop2: d2·l_loop2 = n2·l (lhs=2, rhs=3)",
     ),
     "kind-missing": (_with(_THETA, kind=...), _KIND),
     "kind-list": (_with(_THETA, kind=["theta"]), _KIND),
@@ -415,11 +416,12 @@ def test_optimal_factor_report_is_a_cover_document_that_reads_back(document, tmp
     assert analyzed["kernel_length"] == given["kernel_length"]
     assert analyzed["gamma"] == {"l_tilde": report["l_tilde"], "a_sharp": 1, "a_hash": 1}
     assert all(report["split"]["flags"].values())
-    assert analyzed["split"]["flags"] == report["split"]["flags"]
+    # the split is written in the cycle basis the document is read back
+    # with, also when the input is a curve model with its own basis
+    assert analyzed["split"] == report["split"]
     if json.loads(document)["kind"] == "general_circle":
-        # the factor keeps the graph and cycle basis it is read back with,
-        # so its split and psi are those that analyze and factor write
-        assert analyzed["split"] == report["split"]
+        # the factor keeps the graph and cycle basis of its input, so psi
+        # is what factor writes
         _, psi, _ = run(capsys, "factor", path, factor)
         assert json.loads(psi) == report["psi"]
 
@@ -494,8 +496,11 @@ def test_console_entry_point_exits_with_the_run_command_code(tmp_path, capsys):
     code, out, err = refused = console("complement", big)
     assert (code, out) == (1, "") and err.startswith("NOT_OPTIMAL: ")
     assert refused == run(capsys, "complement", big)
-    code, out, _ = console("no-such-command", good)
+    code, out, err = console("no-such-command", good)
     assert (code, out) == (2, "")
+    commands = ", ".join(_COMMANDS)
+    assert err == f"usage error: unknown command 'no-such-command'; the commands are {commands}\n"
+    assert console("--help") == (0, _usage() + "\n", "")
 
 
 def test_parse_error_exits_one(tmp_path, capsys):
@@ -698,6 +703,25 @@ DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 needs_digit_limit = pytest.mark.skipif(
     not 0 < DIGIT_LIMIT < 5000, reason="no int-to-str digit limit below 5000 digits"
 )
+
+
+@needs_digit_limit
+def test_a_realizability_side_past_the_digit_limit_exits_one(tmp_path, capsys):
+    # a dilation of 4001 digits times a length of 4000 digits
+    dilation, length = 10**4000 + 1, 3 * 10**3999 + 1
+    document = {
+        "kind": "theta",
+        "lengths": [1, 1, length],
+        "windings": [1, 1, 1],
+        "dilations": [dilation + 1, 1, dilation],
+    }
+    code, out, err = run(capsys, "analyze", write(tmp_path, "t.json", json.dumps(document)))
+    bits = (dilation * length).bit_length()
+    assert (code, out) == (1, "")
+    assert err == (
+        "VALIDATION_ERROR: realizability on e2: d_e2·l_e2 = (n2−1)·l~1 + n2·l~2"
+        f" (lhs=a number of {bits} bits, rhs=1)\n"
+    )
 
 
 @needs_digit_limit
@@ -1057,6 +1081,82 @@ def test_factor_on_general_covers(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
+
+
+# argv rows of the command-line reader, FILE standing for a cover file: the
+# exit code, and for a row that succeeds, the argv whose output it prints
+# (None for the help text); prefixes of option names are not read
+_ARGV_ROWS = {
+    "no-argument": ([], 2, None),
+    "unknown-command": (["frobnicate", "FILE"], 2, None),
+    "format-before-command": (["--format", "text", "analyze", "FILE"], 2, None),
+    "missing-file": (["analyze"], 2, None),
+    "extra-file": (["analyze", "FILE", "FILE"], 2, None),
+    "factor-one-file": (["factor", "FILE"], 2, None),
+    "split-split": (["split", "FILE", "--split"], 2, None),
+    "format-no-value": (["analyze", "FILE", "--format"], 2, None),
+    "format-xml": (["analyze", "FILE", "--format", "xml"], 2, None),
+    "format-empty": (["analyze", "FILE", "--format="], 2, None),
+    "unknown-option": (["analyze", "FILE", "-x"], 2, None),
+    "unknown-option-alone": (["-x"], 2, None),
+    "double-dash": (["analyze", "--", "FILE"], 0, ["analyze", "FILE"]),
+    "option-after-double-dash": (["analyze", "FILE", "--", "--split"], 2, None),
+    "split-before-file": (["analyze", "--split", "FILE"], 0, ["analyze", "FILE", "--split"]),
+    "format-equals": (["analyze", "FILE", "--format=text"], 0, ["analyze", "FILE", "--format", "text"]),
+    "format-repeated": (["analyze", "FILE", "--format", "text", "--format", "json"], 0, ["analyze", "FILE"]),
+    "help-after-file": (["analyze", "FILE", "-h"], 0, None),
+    "help-after-unknown-option": (["analyze", "FILE", "-x", "--help"], 0, None),
+    "help-after-bad-format": (["analyze", "FILE", "--format", "xml", "-h"], 2, None),
+    "help-as-format-value": (["analyze", "FILE", "--format", "-h"], 2, None),
+    "help-after-double-dash": (["analyze", "--", "-h"], 2, None),
+    "file-then-help": (["FILE", "-h"], 2, None),
+    "abbreviated-split": (["analyze", "FILE", "--spl"], 2, None),
+    "abbreviated-format": (["analyze", "FILE", "--form", "text"], 2, None),
+}
+
+
+@pytest.mark.parametrize("argv, code, same_as", list(_ARGV_ROWS.values()), ids=list(_ARGV_ROWS))
+def test_the_reader_answers_each_argv_row(argv, code, same_as, tmp_path, capsys):
+    path = write(tmp_path, "c.json", DEGREE_TWO)
+    fill = lambda args: [path if arg == "FILE" else arg for arg in args]
+    got, out, err = run(capsys, *fill(argv))
+    assert got == code
+    if code == 2:
+        assert out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1 and err.endswith("\n")
+    elif same_as is None:
+        assert (out, err) == (_usage() + "\n", "")
+    else:
+        assert err == "" and (0, out, "") == run(capsys, *fill(same_as))
+
+
+@pytest.mark.parametrize("name", ["-5", "-.5", "-a b.json"])
+def test_a_negative_number_or_a_name_with_a_space_is_a_file(name, tmp_path, monkeypatch, capsys):
+    write(tmp_path, name, DEGREE_TWO)
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "analyze", name) == run(capsys, "analyze", "--", name)
+    assert run(capsys, "analyze", name)[0] == 0
+
+
+def test_the_help_text_names_every_command_and_flag(capsys):
+    _, out, _ = run(capsys, "-h")
+    lines = out.splitlines()
+    for name, (count, flags, blurb, _) in _COMMANDS.items():
+        synopsis = " ".join([name, *["COVER.json"] * count, *(f"[{flag}]" for flag in flags)])
+        assert f"  {synopsis}" in lines and f"      {blurb}" in lines
+    for option in ("--format json|text", "--format=json|text", "--", "-h, --help"):
+        assert option in out
+
+
+def test_importing_the_cli_leaves_argparse_out():
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, tropjac.cli; print('argparse' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
 # ------------------------------------------------------------- rendering

@@ -1,5 +1,6 @@
 """Tests for metric graphs, curve models, cover validation, and Abel-Jacobi."""
 
+import sys
 import time
 from fractions import Fraction
 
@@ -167,7 +168,7 @@ def test_arcs_come_from_the_first_independent_pair_of_equations():
     # e and e1 give (2, 1), which breaks e2; e1 and e2 would give (-1, 1)
     report = validate_cover(ThetaCover(ThetaCurve(1, 1, 1), (1, 1, 2), (2, 1, 1)))
     assert report.arcs == (2, 1)
-    assert report.violations == ("realizability on e2: d_e2·l_e2 = (n2−1)·l~1 + n2·l~2",)
+    assert report.violations == ("realizability on e2: d_e2·l_e2 = (n2−1)·l~1 + n2·l~2 (lhs=1, rhs=4)",)
 
 
 def test_negative_derived_arc_is_reported():
@@ -191,9 +192,43 @@ def test_dumbbell_validation():
 def test_dumbbell_violations_are_named():
     curve = DumbbellCurve(1, 1, 1)
     report = validate_cover(DumbbellCover(curve, (0, 1), (1, 1)))
-    assert "realizability on loop1: d1·l_loop1 = n1·l" in report.violations
+    assert "realizability on loop1: d1·l_loop1 = n1·l (lhs=1, rhs=0)" in report.violations
     report = validate_cover(DumbbellCover(curve, (1, 1), (0, 0)))
     assert "surjectivity: (d1, d2) != (0, 0)" in report.violations
+
+
+_E = "realizability on e: d_e·l_e = n·l~1 + (n−1)·l~2"
+_E2 = "realizability on e2: d_e2·l_e2 = (n2−1)·l~1 + n2·l~2"
+
+
+def test_realizability_violations_name_both_sides():
+    # e and e1 solve the arcs (2·10^300, 10^300 + 1), which miss e2 by 1
+    big = 10**300
+    report = validate_cover(ThetaCover(ThetaCurve(big, big + 1, big + 2), (1, 1, 1), (2, 1, 1)))
+    assert report.violations == (f"{_E2} (lhs={big + 2}, rhs={big + 1})",)
+    report = validate_cover(DumbbellCover(DumbbellCurve(1, Fraction(3, 2), 1), (1, 1), (1, 1), 1))
+    assert report.violations == ("realizability on loop2: d2·l_loop2 = n2·l (lhs=3/2, rhs=1)",)
+
+
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 8000,
+    reason="no int-to-str digit limit below 8000 digits",
+)
+def test_a_side_past_the_digit_limit_is_written_by_its_bit_length():
+    # each factor prints, and their product has more digits than Python prints
+    dilation, length = 10**4000 + 1, 3 * 10**3999 + 1
+    side = dilation * length
+    bits = side.bit_length()
+    cover = ThetaCover(ThetaCurve(1, 1, length), (1, 1, 1), (dilation + 1, 1, dilation))
+    assert validate_cover(cover).violations == (f"{_E2} (lhs=a number of {bits} bits, rhs=1)",)
+    # a fraction, by its numerator and denominator
+    cover = DumbbellCover(DumbbellCurve(1, Fraction(length, 2), 1), (1, 1), (1, dilation), 1)
+    assert validate_cover(cover).violations == (
+        f"realizability on loop2: d2·l_loop2 = n2·l (lhs=a number of {bits} bits over 2 bits, rhs=1)",
+    )
+    # a negative side, from pinned arcs
+    cover = ThetaCover(ThetaCurve(1, 1, 1), (1, 1, 1), (2, 1, 1), arcs=(-side, 1))
+    assert f"{_E} (lhs=2, rhs=a negative number of {bits} bits)" in validate_cover(cover).violations
 
 
 def test_constructor_input_checking():
