@@ -54,14 +54,16 @@ order d, the steps of its two circles and the multiplier r that pairs
 them.  _json and _text_lines write each point as the list of "p/q"
 strings json.dumps would write of its listing, from one text table per
 circle, the d multiples of that circle's step, with no Fraction, Matrix
-or str() call per point: point m is the m-th TE' text and the
-(m·r mod d)-th TE text.  Both kernels write their positions through one
-writer, _positions: the step is put in lowest terms first, so an
-integral step costs no gcd per position and any other one gcd of j and
-the step's reduced denominator.  A kernel that is not cyclic with a unit
-TE' coordinate, which no valid cover has, is kept as the KernelGroup of
-tav and written as "kernel_group", its factors and its generators as
-"p/q" strings, with no point listed.
+or str() call per point: point m is the m-th TE' text joined to the
+(m·r mod d)-th TE text, and the tables hold every other text of the
+point.  A position costs no gcd: its step is put in lowest terms once,
+and the denominator of j times a step n/den in lowest terms is the order
+of j in Z/den, which the same sieve writes, over den and the first count
+multiples, once per divisor with the text after it (_denominators).  So
+a position writes one int, its numerator.  A kernel that is not cyclic
+with a unit TE' coordinate, which no valid cover has, is kept as the
+KernelGroup of tav and written as "kernel_group", its factors and its
+generators as "p/q" strings, with no point listed.
 
 A kernel is refused with KERNEL_TOO_LARGE when it is put in the report,
 before anything is written: the pullback kernel in _analysis_report and
@@ -413,46 +415,63 @@ def _optimal_factor_report(cover, include_split):
 # -------------------------------------------------------------- rendering
 
 
-def _positions(n, den, before, afters):
-    """The texts before p/q after of the positions j·n/den, the j-th with
-    the j-th text after of afters; the callers put the quotes of p/q into
-    before and afters, so each text is one f-string of three pieces.  The
-    step n/den is put in lowest terms first, so position j in lowest terms
-    is j·n/k over den/k for k = gcd(j, den), a gcd of j and the reduced den
-    (den is not sieved, as it can have large prime factors), or the int
-    j·n with no gcd when den is 1.  A number past Python's digit limit
-    raises ValueError, which _render turns into NumberTooLarge."""
+def _denominators(den, after, count):
+    """For j < count, the pair (k, text) of the fraction j/den, den > 1:
+    k = gcd(j, den), so that j/den in lowest terms is (j/k)/q for
+    q = den/k, and text is "/q" then after, or after alone when q is 1.
+    q is the order of j in Z/den, so the divisor sieve of
+    cover_analysis._torsion_orders writes each pair once per divisor of den
+    below count, and no pair costs a gcd or writes q again."""
+    return _torsion_orders(den, lambda q: (den // q, f"/{q}{after}" if q > 1 else after), count)
+
+
+def _positions(n, den, before, after, count):
+    """The texts before p/q after of the positions j·n/den, j < count; the
+    callers put the quotes of p/q into before and after.  The step n/den is
+    put in lowest terms first, so position j is the int j·n when den is 1,
+    and else (j/k)·n over den/k for k = gcd(j, den), written as its
+    numerator and the text of _denominators that holds den/k and after: one
+    f-string of three pieces and one int-to-str conversion per position,
+    with no gcd.  A number past Python's digit limit raises ValueError,
+    which _render turns into NumberTooLarge."""
     content = gcd(n, den)
     n, den = n // content, den // content
     if den == 1:
-        return [f"{before}{position}{after}" for position, after in zip(range(0, len(afters) * n, n), afters)]
-    return [
-        f"{before}{j * n // k}{after}" if (k := gcd(j, den)) == den else f"{before}{j * n // k}/{den // k}{after}"
-        for j, after in enumerate(afters)
-    ]
+        return [f"{before}{position}{after}" for position in range(0, count * n, n)]
+    return [f"{before}{j // k * n}{text}" for j, (k, text) in enumerate(_denominators(den, after, count))]
 
 
 def _divisors(kernel, opening, between, closing):
-    """The divisors of a cyclic kernel, order g and generator num/den, as
-    the texts opening "position": "p/q" between "order": m closing, written
-    by _positions.  The j-th sits at j·num/den and has order g//gcd(j, g).
-    The divisor sieve of cover_analysis._torsion_orders writes the tail of
-    each order, from the quote that closes the position to closing, once
-    per divisor of g, with no gcd per divisor."""
+    """The divisors of a cyclic kernel, order g and generator num/den in
+    lowest terms, as the texts opening "position": "p/q" between "order": m
+    closing.  The j-th sits at j·num/den and has order g//gcd(j, g).  The
+    divisor sieve of cover_analysis._torsion_orders writes the tail of each
+    order, from the quote that closes the position to closing, once per
+    divisor of g, and a fractional position is its numerator and the
+    _denominators text of den, so that no divisor costs a gcd."""
     g, step = kernel
     tails = _torsion_orders(g, lambda m: f'"{between}"order": {m}{closing}')
-    return _positions(step.numerator, step.denominator, opening + '"position": "', tails)
+    num, den = step.numerator, step.denominator
+    before = opening + '"position": "'
+    if den == 1:
+        return [f"{before}{position}{after}" for position, after in zip(range(0, g * num, num), tails)]
+    return [
+        f"{before}{j // k * num}{text}{after}"
+        for j, (k, text), after in zip(range(g), _denominators(den, "", g), tails)
+    ]
 
 
 def _split_points(kernel, opening, between, closing):
     """The points of a SplitKernel, as the texts opening "p/q" between
     "p/q" closing, written from its generator.  _positions writes one
     table per circle, the texts of the positions j·a/den on TE' and j·b/den
-    on TE, j < d, for the steps (a, b) over den, and point m joins TE'
-    text m to TE text m·r mod d, with no gcd of its own."""
+    on TE, j < d, for the steps (a, b) over den: the TE' table holds
+    opening and the quote before each coordinate and the quote and between
+    after it, the TE table the quotes and closing.  Point m is TE' text m
+    joined to TE text m·r mod d, one concatenation with no gcd."""
     d, (a, b), r, den = kernel
-    heads = _positions(a, den, opening + '"', [f'"{between}'] * d)
-    tails = _positions(b, den, '"', [f'"{closing}'] * d)
+    heads = _positions(a, den, opening + '"', f'"{between}', d)
+    tails = _positions(b, den, '"', f'"{closing}', d)
     return [head + tails[m * r % d] for m, head in enumerate(heads)]
 
 

@@ -99,26 +99,29 @@ def pullback_kernel_group(cover):
     return CyclicKernel(g, _quotient(form.target_length, g))
 
 
-def _torsion_orders(g, write=int):
-    """write(g // gcd(j, g)) for j in range(g): the order of the j-th
-    multiple of a generator of order g, as write writes it, with no gcd
-    per multiple.  gcd(j, g) is the largest divisor e of g that divides j,
-    so one pass over the divisors e of g in increasing order, each a slice
-    store of write(g // e) at the multiples of e, leaves every j with its
-    order: sigma(g) stores from C and one write per divisor.  The divisors
-    up to isqrt(g) come from trial division, at most 1000 trials for a
-    listable g, and the others are their cofactors."""
-    orders = [write(g)] * g  # e = 1
-    small = []
-    for e in range(2, isqrt(g) + 1):
-        if g % e == 0:
-            small.append(e)
-            orders[::e] = [write(g // e)] * (g // e)
+def _torsion_orders(g, write=int, count=None):
+    """write(g // gcd(j, g)) for j in range(count), count = g if not given:
+    the order of the j-th multiple of a generator of order g, as write
+    writes it, with no gcd per multiple.  It is also the denominator of
+    j·n/g in lowest terms for any n prime to g.  gcd(j, g) is the largest
+    divisor e of g that divides j, so one pass over the divisors e of g in
+    increasing order, each a slice store of write(g // e) at the multiples
+    of e below count, leaves every j with its order: at most
+    count·(1 + ln(count)) stores from C and one write per divisor.  Apart
+    from e = 1 and e = g, only the divisors below count are stored at a j
+    other than 0.  Those up to min(isqrt(g), count - 1) come from trial
+    division, so g is never factored, and the others are their cofactors
+    below count."""
+    count = g if count is None else count
+    orders = [write(g)] * count  # e = 1
+    small = [e for e in range(2, min(isqrt(g), count - 1) + 1) if g % e == 0]
+    for e in small:
+        orders[::e] = [write(g // e)] * -(-count // e)
     for m in reversed(small):  # the cofactors e = g // m, increasing
-        if m * m != g:
-            orders[:: g // m] = [write(m)] * m
-    if g > 1:  # e = g, at j = 0
-        orders[0] = write(1)
+        if m * m != g and (e := g // m) < count:
+            orders[::e] = [write(m)] * -(-count // e)
+    if g > 1:  # e = g, at j = 0 and at each multiple of g below count
+        orders[::g] = [write(1)] * -(-count // g)
     return orders
 
 

@@ -491,23 +491,26 @@ def validate_general_cover(cover):
     length = cover.target_length
     positions = {}
     consistent = True
-    balance = dict.fromkeys(cover.graph.vertices, 0)  # outgoing minus incoming slopes
+    outgoing = dict.fromkeys(cover.graph.vertices, 0)  # slope sums at each vertex
+    incoming = dict.fromkeys(cover.graph.vertices, 0)
     for (tail, head, edge_length), (dilation, start, signed) in zip(
         cover.graph.edges, cover.edge_data
     ):
         if abs(signed) != dilation * edge_length:
-            violations.append(f"image length on ({tail}, {head}): |walk| = dilation·length")
+            name = f"image length on ({tail}, {head}): |walk| = dilation·length"
+            violations.append(name + _sides(abs(signed), dilation * edge_length))
         slope = _quotient(signed, edge_length)
-        balance[tail] += slope
-        balance[head] -= slope
+        outgoing[tail] += slope
+        incoming[head] += slope
         for vertex, value in ((tail, start), (head, (start + signed) % length)):
             if positions.setdefault(vertex, value) != value:
                 consistent = False
     if not consistent:
         violations.append("walk endpoints: edge images must agree at shared vertices")
-    for vertex, net in balance.items():
-        if net != 0:
-            violations.append(f"harmonicity at {vertex}: outgoing slopes must cancel")
+    for vertex, out in outgoing.items():
+        if out != incoming[vertex]:
+            name = f"harmonicity at {vertex}: outgoing slopes must cancel"
+            violations.append(name + _sides(out, incoming[vertex]))
     return violations
 
 

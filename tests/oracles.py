@@ -613,6 +613,49 @@ def gcd_divisor_texts(kernel, opening, between, closing):
     return texts
 
 
+# The kernel writers of the CLI as they were before the divisor sieve wrote
+# the denominators of positions: one gcd(j, den) per position.  The CLI's
+# _divisors and _split_points must write the same texts for every kernel.
+def reference_positions(n, den, before, afters):
+    """The texts before p/q after of the positions j·n/den, the j-th with
+    the j-th text after of afters; the callers put the quotes of p/q into
+    before and afters, so each text is one f-string of three pieces.  The
+    step n/den is put in lowest terms first, so position j in lowest terms
+    is j·n/k over den/k for k = gcd(j, den), a gcd of j and the reduced den,
+    or the int j·n with no gcd when den is 1.  A number past Python's digit
+    limit raises ValueError, which _render turns into NumberTooLarge."""
+    content = gcd(n, den)
+    n, den = n // content, den // content
+    if den == 1:
+        return [f"{before}{position}{after}" for position, after in zip(range(0, len(afters) * n, n), afters)]
+    return [
+        f"{before}{j * n // k}{after}" if (k := gcd(j, den)) == den else f"{before}{j * n // k}/{den // k}{after}"
+        for j, after in enumerate(afters)
+    ]
+
+
+def reference_divisors(kernel, opening, between, closing):
+    """The divisors of a cyclic kernel, order g and generator num/den, as
+    the texts opening "position": "p/q" between "order": m closing, written
+    by reference_positions.  The j-th sits at j·num/den and has order
+    g//gcd(j, g), one gcd per divisor."""
+    g, step = kernel
+    tails = [f'"{between}"order": {g // gcd(j, g)}{closing}' for j in range(g)]
+    return reference_positions(step.numerator, step.denominator, opening + '"position": "', tails)
+
+
+def reference_split_points(kernel, opening, between, closing):
+    """The points of a SplitKernel, as the texts opening "p/q" between
+    "p/q" closing, written from its generator.  reference_positions writes
+    one table per circle, the texts of the positions j·a/den on TE' and
+    j·b/den on TE, j < d, for the steps (a, b) over den, and point m joins
+    TE' text m to TE text m·r mod d, with no gcd of its own."""
+    d, (a, b), r, den = kernel
+    heads = reference_positions(a, den, opening + '"', [f'"{between}'] * d)
+    tails = reference_positions(b, den, '"', [f'"{closing}'] * d)
+    return [head + tails[m * r % d] for m, head in enumerate(heads)]
+
+
 # -- covers beyond the corpus ------------------------------------------------
 
 MAX_WINDING = 40

@@ -22,6 +22,8 @@ from oracles import (
     gcd_divisor_texts,
     matrix_isogeny_kernel_points,
     over_lcm_is_d_torsion,
+    reference_divisors,
+    reference_split_points,
     row_walk_cover,
     split_covers,
     wide_kernel_covers,
@@ -972,6 +974,86 @@ def test_any_split_kernel_is_written_as_its_listing(fields):
     # steps sharing any factor with the denominator, any multiplier, unit
     # or not: each position is written in lowest terms
     assert _written_from_the_generator(SplitKernel(*fields))
+
+
+# primes at or above every kernel order drawn below, so that a denominator
+# they divide has a prime factor no sieved divisor below the order reaches
+_LARGE_PRIMES = (1009, 7919, 104729, 2**31 - 1, 2**61 - 1)
+
+
+@st.composite
+def kernels_over_any_denominator(draw):
+    """A CyclicKernel or a SplitKernel of order count up to 300 whose steps
+    are over a denominator that is 1, at most count, above count², a
+    multiple of a prime at or above count, or above 10^30."""
+    count = draw(st.integers(1, 300))
+    den = draw(
+        st.one_of(
+            st.just(1),
+            st.integers(1, count),
+            st.integers(count**2 + 1, 10**12),
+            st.builds(lambda m, p: m * p, st.integers(1, 360), st.sampled_from(_LARGE_PRIMES)),
+            st.integers(10**30 + 1, 10**40),
+        )
+    )
+    steps = st.integers(-(10**6), 10**6).filter(bool)
+    if draw(st.booleans()):
+        return CyclicKernel(count, Fraction(draw(steps), den))
+    return SplitKernel(count, (draw(steps), draw(steps)), draw(st.integers(0, count - 1)), den)
+
+
+def _rendered_by_the_reference(report, fmt):
+    """The report as _render writes it with the kernel writers that took one
+    gcd of j and the denominator per position."""
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setitem(_KERNELS, CyclicKernel, (reference_divisors, "{", "}"))
+        patched.setitem(_KERNELS, SplitKernel, (reference_split_points, "[", "]"))
+        return _render(report, fmt)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernels_over_any_denominator())
+@example(CyclicKernel(12, 5))
+@example(CyclicKernel(360, Fraction(7, 12)))
+@example(SplitKernel(60, (7, 11), 13, 1))
+@example(SplitKernel(60, (7, 11), 13, 36))
+@example(SplitKernel(60, (7, 11), 13, 3601))
+@example(SplitKernel(60, (7, 11), 13, 1009 * 360))
+@example(SplitKernel(60, (7, 11), 13, 10**30 + 60))
+def test_kernel_writers_match_the_gcd_writers(kernel):
+    # the denominators read from the divisor sieve give the bytes that a
+    # gcd of j and the denominator per position gave, in both formats
+    report = {"kernel": kernel}
+    for fmt in ("json", "text"):
+        assert _render(report, fmt) == _rendered_by_the_reference(report, fmt), fmt
+
+
+def test_the_split_kernel_of_degree_200001_matches_the_gcd_writer():
+    # the ladder dumbbell of k = 10^5, past every corpus and bench degree,
+    # over the denominator (2k + 1)·k·(k + 1), whose square root is far
+    # above the order, so the sieve stops its trials at the order
+    k = 10**5
+    cover = DumbbellCover(DumbbellCurve(Fraction(1, k), Fraction(1, k + 1), 1), (1, 1), (k, k + 1))
+    report = {"kernel_points": _split_kernel(cover)}
+    assert report["kernel_points"].order == 2 * k + 1
+    for fmt in ("json", "text"):
+        assert _render(report, fmt) == _rendered_by_the_reference(report, fmt), fmt
+
+
+@needs_digit_limit
+@pytest.mark.parametrize(
+    "kernel",
+    [CyclicKernel(3, Fraction(1, 6 * 10**5000 + 6)), SplitKernel(3, (1, 1), 1, 6 * 10**5000 + 6)],
+    ids=["cyclic", "split"],
+)
+def test_a_sieved_denominator_past_the_digit_limit_raises(kernel):
+    # the sieve writes the text of each denominator of the kernel's
+    # positions, 6·10^5000 + 6 over 1 and 2, each past the digit limit:
+    # NumberTooLarge, as the gcd writers raised, not a bare ValueError
+    for fmt in ("json", "text"):
+        for render in (_render, _rendered_by_the_reference):
+            with pytest.raises(NumberTooLarge):
+                render({"kernel": kernel}, fmt)
 
 
 # tall_cover of the split tests: a theta cover of degree 3 whose TE' has length 3

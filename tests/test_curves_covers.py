@@ -419,13 +419,35 @@ def test_general_cover_violations_keep_their_order():
         ["a", "b", "c"], [("c", "a", 1), ("a", "b", 1), ("b", "c", 2), ("b", "b", 1)]
     )
     cover = GeneralCircleCover(graph, 3, [(1, 0, 1), (2, 0, 1), (1, 1, -2), (1, 0, 0)])
+    # each image length names |walk| and dilation·length, and each
+    # harmonicity the outgoing and the incoming slope sums at its vertex
     assert validate_cover(cover).violations == (
-        "image length on (a, b): |walk| = dilation·length",
-        "image length on (b, b): |walk| = dilation·length",
+        "image length on (a, b): |walk| = dilation·length (lhs=1, rhs=2)",
+        "image length on (b, b): |walk| = dilation·length (lhs=0, rhs=1)",
         "walk endpoints: edge images must agree at shared vertices",
-        "harmonicity at b: outgoing slopes must cancel",
-        "harmonicity at c: outgoing slopes must cancel",
+        "harmonicity at b: outgoing slopes must cancel (lhs=-1, rhs=1)",
+        "harmonicity at c: outgoing slopes must cancel (lhs=1, rhs=-1)",
         "degree: sum of d_e^2·l_e must be a multiple of l",
+    )
+
+
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+    reason="no int-to-str digit limit below 5000 digits",
+)
+def test_a_general_cover_side_past_the_digit_limit_is_written_by_its_bit_length():
+    # one edge of length 1 and dilation 10^5000: a walk of that length has
+    # slope 10^5000 at both ends, and a walk of length 1 misses its image
+    dilation = 10**5000
+    bits = dilation.bit_length()
+    graph = MetricGraph(["u", "v"], [("u", "v", 1)])
+    assert validate_cover(GeneralCircleCover(graph, 1, [(dilation, 0, dilation)])).violations == (
+        f"harmonicity at u: outgoing slopes must cancel (lhs=a number of {bits} bits, rhs=0)",
+        f"harmonicity at v: outgoing slopes must cancel (lhs=0, rhs=a number of {bits} bits)",
+    )
+    violations = validate_cover(GeneralCircleCover(graph, 1, [(dilation, 0, 1)])).violations
+    assert violations[0] == (
+        f"image length on (u, v): |walk| = dilation·length (lhs=1, rhs=a number of {bits} bits)"
     )
 
 

@@ -540,11 +540,11 @@ def test_pullback_kernel_builds_one_fraction_per_divisor(monkeypatch):
 
 
 def test_divisor_orders_cost_no_gcd_per_divisor(monkeypatch):
-    # the orders come from the divisor sieve: over an int generator (the
-    # integral dumbbells), writing the kernel in both formats and expanding
-    # it make the same gcd calls at g = 1000 and 20000.  Over the generator
-    # 7/(5g) of the wide dumbbells, each written divisor makes exactly one
-    # gcd, for its position in lowest terms, and expanding still makes none.
+    # the orders, and the denominators of the positions, come from the
+    # divisor sieve: over an int generator (the integral dumbbells) and
+    # over the generator 7/(5g) of the wide dumbbells alike, writing the
+    # kernel in both formats and expanding it make the same gcd calls at
+    # g = 1000 and 20000
     counts = {}
     for g in (1000, 20000):
         for generator, cover in (("int", _integral_dumbbell(g)), ("fraction", _wide_dumbbell(g))):
@@ -560,8 +560,24 @@ def test_divisor_orders_cost_no_gcd_per_divisor(monkeypatch):
             counts.setdefault(generator, []).append((written, calls["gcd"] - written))
     (int_1000, int_20000), (fraction_1000, fraction_20000) = counts["int"], counts["fraction"]
     assert int_1000 == int_20000
-    assert fraction_20000[0] - fraction_1000[0] == 2 * (20000 - 1000)
-    assert fraction_1000[1] == fraction_20000[1]
+    assert fraction_1000 == fraction_20000
+
+
+def test_split_points_cost_no_gcd_per_point(monkeypatch):
+    # each table of the split kernel puts its step in lowest terms with one
+    # gcd and reads every denominator from the divisor sieve: writing the
+    # kernel in both formats makes the same gcd calls at degrees 101 and 2001
+    counts = []
+    for k in (50, 1000):
+        report = {"kernel_points": split_jacobian.verify_split_package(_ladder_cover(k)).kernel}
+        calls = Counter()
+        for module in (cli, cover_analysis):
+            _count_calls(monkeypatch, module, "gcd", calls)
+        texts = [cli._render(report, fmt) for fmt in ("json", "text")]
+        monkeypatch.undo()
+        assert len(json.loads(texts[0])["kernel_points"]) == 2 * k + 1
+        counts.append(calls["gcd"])
+    assert counts[0] == counts[1]
 
 
 def test_divisors_are_written_up_to_the_listing_bound():
